@@ -20,6 +20,7 @@ splitter's outputs sit on the registered channels 3 and 4.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +44,20 @@ HERALD_ARM = 1
 SIGNAL_CHANNELS = (2, 3, 4)
 T1_CHANNEL = 5
 T2_CHANNEL = 6
+
+#: Coupler layout of the canonical device in propagation order: the channel
+#: pair and the index of the reflectivity in (r1, r2, r3) that sets it.
+#: ``None`` marks the waveguide crossing, an r = 1 coupler that moves the
+#: through line onto ch 3.
+CANONICAL_COUPLERS = (
+    ((SOURCE_CHANNEL, HERALD_ARM), 0),
+    ((SOURCE_CHANNEL, SIGNAL_CHANNELS[0]), 1),
+    ((SOURCE_CHANNEL, SIGNAL_CHANNELS[1]), None),
+    ((SIGNAL_CHANNELS[1], SIGNAL_CHANNELS[2]), 2),
+)
+#: The router after the couplers as (input, through, drop, resonant color):
+#: resonant for Blue, so the Red herald photon passes through to T1.
+CANONICAL_ROUTER = (HERALD_ARM, T1_CHANNEL, T2_CHANNEL, Color.BLUE)
 
 
 @dataclass(frozen=True)
@@ -87,6 +102,8 @@ class CircuitSpec:
             raise ValidationError(
                 f"phases must be empty or one per channel ({n}), got {len(self.phases)}"
             )
+        if not all(math.isfinite(p) for p in self.phases):
+            raise ValidationError(f"phases must be finite, got {self.phases}")
 
     def mode_list(self) -> tuple[ModeLabel, ...]:
         return tuple(
@@ -125,29 +142,23 @@ def canonical_w_circuit(
     phi3: float = 0.0,
     ad2_extinction: float = 0.0,
 ) -> CircuitSpec:
-    """The canonical heralded-W device (see module docstring for the layout).
+    """The canonical heralded-W device: :data:`CANONICAL_COUPLERS` followed
+    by :data:`CANONICAL_ROUTER` (see the module docstring for the layout).
 
-    Transmissions are derived as t_i = sqrt(1 - r_i**2); the add-drop router
-    is resonant for Blue so the Red herald photon passes through to T1.
+    Transmissions are derived as t_i = sqrt(1 - r_i**2).
     """
     for name, val in (("r1", r1), ("r2", r2), ("r3", r3)):
         if not 0.0 <= float(val) <= 1.0:
             raise ParamOutOfRange(f"{name} must lie in [0, 1], got {val}")
+    r = (float(r1), float(r2), float(r3))
+    phi = (float(phi1), float(phi2), float(phi3))
     dc = DirectionalCoupler.from_reflectivity
-    elements = (
-        dc((SOURCE_CHANNEL, HERALD_ARM), float(r1), float(phi1)),
-        dc((SOURCE_CHANNEL, 2), float(r2), float(phi2)),
-        dc((SOURCE_CHANNEL, 3), 1.0, 0.0),  # waveguide crossing: through line -> ch 3
-        dc((3, 4), float(r3), float(phi3)),
-        AddDropFilter(
-            input_channel=HERALD_ARM,
-            through_channel=T1_CHANNEL,
-            drop_channel=T2_CHANNEL,
-            resonant_color=Color.BLUE,
-            extinction=float(ad2_extinction),
-        ),
+    couplers = tuple(
+        dc(chans, 1.0, 0.0) if k is None else dc(chans, r[k], phi[k])
+        for chans, k in CANONICAL_COUPLERS
     )
-    return CircuitSpec(CANONICAL_CHANNELS, elements)
+    router = AddDropFilter(*CANONICAL_ROUTER, extinction=float(ad2_extinction))
+    return CircuitSpec(CANONICAL_CHANNELS, couplers + (router,))
 
 
 def propagate(src: SourceSpec, spec: CircuitSpec) -> PureState:

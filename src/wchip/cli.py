@@ -13,7 +13,9 @@ Exit codes: 0 success; 1 internal failure; 2 config validation;
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -68,15 +70,30 @@ class RunConfig:
     extras: dict
 
 
+def _parse_float(value, field: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"field {field!r}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"field {field!r}: must be finite, got {value!r}")
+    return number
+
+
 def _parse_beta(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        try:
-            return complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"field 'beta': expected a number or [re, im], got {value!r}")
+    beta = None
+    try:
+        if isinstance(value, (int, float)):
+            beta = complex(value)
+        elif isinstance(value, (list, tuple)) and len(value) == 2:
+            beta = complex(float(value[0]), float(value[1]))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if beta is None:
+        raise ConfigError(f"field 'beta': expected a number or [re, im], got {value!r}")
+    if not cmath.isfinite(beta):
+        raise ConfigError(f"field 'beta': must be finite, got {value!r}")
+    return beta
 
 
 def _build_config(command: str, doc: dict, args: argparse.Namespace) -> RunConfig:
@@ -140,17 +157,19 @@ def _build_config(command: str, doc: dict, args: argparse.Namespace) -> RunConfi
                 f"field 'state': expected one of {_TOMO_STATES}, got {state!r}"
             )
         extras["state"] = state
-        extras["diag_threshold"] = float(doc.get("diag_threshold", DEFAULT_DIAG_THRESHOLD))
-        extras["w_threshold"] = float(doc.get("w_threshold", 0.9))
+        extras["diag_threshold"] = _parse_float(
+            doc.get("diag_threshold", DEFAULT_DIAG_THRESHOLD), "diag_threshold"
+        )
+        extras["w_threshold"] = _parse_float(doc.get("w_threshold", 0.9), "w_threshold")
         if shots is None:
             raise ConfigError("field 'shots': required for tomo")
     if command == "optimize":
-        extras["tol"] = float(doc.get("tol", 1e-4))
-        extras["grid_step"] = float(doc.get("grid_step", GRID_STEP))
+        extras["tol"] = _parse_float(doc.get("tol", 1e-4), "tol")
+        extras["grid_step"] = _parse_float(doc.get("grid_step", GRID_STEP), "grid_step")
         bounds = doc.get("grid_bounds", list(GRID_BOUNDS))
         if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
             raise ConfigError("field 'grid_bounds': expected [lo, hi]")
-        extras["grid_bounds"] = (float(bounds[0]), float(bounds[1]))
+        extras["grid_bounds"] = tuple(_parse_float(b, "grid_bounds") for b in bounds)
     if command == "sweep":
         extras["sweep"] = _parse_sweep_block(doc.get("sweep"))
 
@@ -316,7 +335,7 @@ def cmd_simulate(cfg: RunConfig) -> str:
         "fidelity_W_T2": fidelities["T2"],
         "coincidence_distribution": dist,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def cmd_herald(cfg: RunConfig) -> str:
@@ -346,7 +365,7 @@ def cmd_herald(cfg: RunConfig) -> str:
             for name in ("T1", "T2")
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _tomo_source(cfg: RunConfig):
@@ -391,7 +410,7 @@ def cmd_tomo(cfg: RunConfig) -> str:
         "records": [record.as_json_dict() for record in result.records],
         "report": report.as_json_dict(),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def cmd_optimize(cfg: RunConfig) -> str:
@@ -416,7 +435,7 @@ def cmd_optimize(cfg: RunConfig) -> str:
         "tol": cfg.extras["tol"],
         "grid_step": cfg.extras["grid_step"],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def cmd_sweep(cfg: RunConfig) -> str:
@@ -428,7 +447,7 @@ def cmd_sweep(cfg: RunConfig) -> str:
             "columns": list(table.columns),
             "rows": [list(row) for row in table.rows],
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     return table.to_csv()
 
 

@@ -59,7 +59,10 @@ class DirectionalCoupler:
             raise NotUnitary(f"r**2 + t**2 deviates from 1 by {closure:.3g}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "phi", float(self.phi))
+        phi = float(self.phi)
+        if not math.isfinite(phi):
+            raise ParamOutOfRange(f"phase phi must be finite, got {phi}")
+        object.__setattr__(self, "phi", phi)
 
     @classmethod
     def from_reflectivity(
@@ -68,7 +71,7 @@ class DirectionalCoupler:
         r = float(r)
         if not 0.0 <= r <= 1.0:
             raise ParamOutOfRange(f"reflectivity must lie in [0, 1], got {r}")
-        return cls(channels, r, math.sqrt(max(0.0, 1.0 - r * r)), phi)
+        return cls(channels, r, float(transmission(r)), phi)
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,8 @@ class SourceSpec:
             raise ParamOutOfRange("source channel must be non-negative")
         object.__setattr__(self, "channel", ch)
         beta = complex(self.beta)
+        if not cmath.isfinite(beta):
+            raise ParamOutOfRange(f"beta must be finite, got {beta}")
         if abs(beta) ** 2 > 1.0:
             raise ParamOutOfRange(f"|beta|**2 must not exceed 1, got {abs(beta)**2:.3g}")
         object.__setattr__(self, "beta", beta)
@@ -132,52 +137,70 @@ class SourceSpec:
 # ---------------------------------------------------------------------------
 
 
-def coupler_transform(dc: DirectionalCoupler) -> ModeTransform:
-    """Four-mode transform of a coupler: the 2x2 block acts identically on
-    the Red and the Blue modes of the two channels."""
-    ca, cb = dc.channels
-    modes = tuple(sorted(ModeLabel(ch, color) for ch in (ca, cb) for color in Color))
-    pos = {m: i for i, m in enumerate(modes)}
-    cross = dc.r * cmath.exp(1j * dc.phi)
-    mat = np.zeros((4, 4), dtype=complex)
-    for color in Color:
-        ia, ib = pos[ModeLabel(ca, color)], pos[ModeLabel(cb, color)]
-        mat[ia, ia] = dc.t
-        mat[ia, ib] = cross
-        mat[ib, ia] = -cross.conjugate()
-        mat[ib, ib] = dc.t
-    return ModeTransform(modes, mat)
+def transmission(r):
+    """Transmission ``t = sqrt(1 - r**2)`` of a lossless coupler with
+    reflectivity ``r``; broadcasts over arrays."""
+    return np.sqrt(np.maximum(0.0, 1.0 - r * r))
 
 
-def adddrop_transform(ad: AddDropFilter) -> ModeTransform:
-    """Six-mode transform of an add-drop filter.
+def coupler_block(r, t, phi=0.0) -> np.ndarray:
+    """Single-color action of a coupler on its channel pair ``(a, b)``:
+    ``[[t, r e^{i phi}], [-r e^{-i phi}, t]]``, rows indexed by input.
+
+    The arguments broadcast, so arrays of parameters give a stack of blocks
+    of shape ``broadcast_shape + (2, 2)``.
+    """
+    cross = r * np.exp(1j * phi)
+    block = np.empty(np.broadcast(t, cross).shape + (2, 2), dtype=complex)
+    block[..., 0, 0] = block[..., 1, 1] = t
+    block[..., 0, 1] = cross
+    block[..., 1, 0] = -np.conj(cross)
+    return block
+
+
+def adddrop_block(extinction: float, resonant: bool) -> np.ndarray:
+    """Single-color action of an add-drop filter on its ``(input, through,
+    drop)`` ports, rows indexed by input.
 
     Resonant color: input -> drop with amplitude sqrt(1 - extinction) and
     input -> through with amplitude sqrt(extinction).  Non-resonant color:
     input -> through with amplitude 1.  The remaining rows permute the idle
-    ports so the whole map stays unitary at every extinction.
+    ports so the block stays unitary at every extinction.
     """
-    chans = (ad.input_channel, ad.through_channel, ad.drop_channel)
-    modes = tuple(sorted(ModeLabel(ch, color) for ch in chans for color in Color))
-    pos = {m: i for i, m in enumerate(modes)}
-    mat = np.zeros((6, 6), dtype=complex)
-    leak = math.sqrt(ad.extinction)
-    drop = math.sqrt(1.0 - ad.extinction)
+    if not resonant:
+        return np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)
+    leak = math.sqrt(extinction)
+    drop = math.sqrt(1.0 - extinction)
+    return np.array([[0, leak, drop], [0, drop, -leak], [1, 0, 0]], dtype=complex)
+
+
+def _color_blocks(channels, blocks) -> ModeTransform:
+    """Mode transform acting with ``blocks[color]`` on each color's modes of
+    ``channels`` and never mixing colors."""
+    # Channel-major, color-minor: the canonical order when the channels
+    # ascend, and ModeTransform reorders them otherwise.
+    modes = tuple(ModeLabel(ch, color) for ch in channels for color in Color)
+    mat = np.zeros((len(modes), len(modes)), dtype=complex)
     for color in Color:
-        i_in = pos[ModeLabel(ad.input_channel, color)]
-        i_thr = pos[ModeLabel(ad.through_channel, color)]
-        i_drp = pos[ModeLabel(ad.drop_channel, color)]
-        if color is ad.resonant_color:
-            mat[i_in, i_thr] = leak
-            mat[i_in, i_drp] = drop
-            mat[i_thr, i_thr] = drop
-            mat[i_thr, i_drp] = -leak
-            mat[i_drp, i_in] = 1.0
-        else:
-            mat[i_in, i_thr] = 1.0
-            mat[i_thr, i_drp] = 1.0
-            mat[i_drp, i_in] = 1.0
+        mat[color :: len(Color), color :: len(Color)] = blocks[color]
     return ModeTransform(modes, mat)
+
+
+def coupler_transform(dc: DirectionalCoupler) -> ModeTransform:
+    """Four-mode transform of a coupler: :func:`coupler_block` acts
+    identically on the Red and the Blue modes of the two channels."""
+    block = coupler_block(dc.r, dc.t, dc.phi)
+    return _color_blocks(dc.channels, {color: block for color in Color})
+
+
+def adddrop_transform(ad: AddDropFilter) -> ModeTransform:
+    """Six-mode transform of an add-drop filter: :func:`adddrop_block` on
+    each color, resonant for ``ad.resonant_color`` only."""
+    chans = (ad.input_channel, ad.through_channel, ad.drop_channel)
+    return _color_blocks(
+        chans,
+        {color: adddrop_block(ad.extinction, color is ad.resonant_color) for color in Color},
+    )
 
 
 def phase_transform(channel: int, phi: float) -> ModeTransform:

@@ -105,6 +105,10 @@ class TestValidation:
         with pytest.raises(ValidationError, match="phases"):
             CircuitSpec(("a", "b"), (), (0.1,))
 
+    def test_non_finite_phase(self):
+        with pytest.raises(ValidationError, match="finite"):
+            CircuitSpec(("a", "b"), (), (0.1, float("nan")))
+
     def test_foreign_element_type(self):
         with pytest.raises(ValidationError, match="unsupported"):
             CircuitSpec(("a",), ("not an element",))

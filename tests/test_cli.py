@@ -203,6 +203,42 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg]) == 2
 
 
+class TestNumericFields:
+    """Non-numeric or non-finite numbers are config errors (exit 2), and no
+    document ever carries NaN."""
+
+    @pytest.mark.parametrize(
+        "command, doc, field",
+        [
+            ("optimize", {"tol": "x"}, "tol"),
+            ("optimize", {"tol": math.nan}, "tol"),
+            ("optimize", {"grid_step": "x"}, "grid_step"),
+            ("optimize", {"grid_bounds": [0.2, "x"]}, "grid_bounds"),
+            ("tomo", {"state": "w", "shots": 1000, "w_threshold": "x"}, "w_threshold"),
+            ("tomo", {"state": "w", "shots": 1000, "diag_threshold": "x"}, "diag_threshold"),
+            ("simulate", {"canonical": OPT, "beta": math.nan}, "beta"),
+            ("simulate", {"canonical": OPT, "beta": [0.1, math.inf]}, "beta"),
+            ("simulate", {"canonical": {**OPT, "phi1": math.nan}, "beta": 0.1}, "canonical"),
+        ],
+    )
+    def test_bad_number_is_2(self, tmp_path, capsys, command, doc, field):
+        cfg = _write(tmp_path, "c.json", doc)
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert field in err
+
+    def test_nan_never_reaches_a_document(self, monkeypatch, capsys):
+        from wchip import cli
+        from wchip.optimize import OptimizationResult
+
+        monkeypatch.setattr(
+            cli, "maximize", lambda *a, **k: OptimizationResult(0.5, 0.5, 0.5, math.nan)
+        )
+        assert main(["optimize"]) == 1
+        assert capsys.readouterr().out == ""
+
+
 def test_circuit_file_beta_override(tmp_path, capsys):
     from wchip import SourceSpec, canonical_w_circuit, save_circuit
 

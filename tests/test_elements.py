@@ -37,6 +37,10 @@ class TestDirectionalCoupler:
         with pytest.raises(NotUnitary):
             DirectionalCoupler((0, 1), 1.0, 1.0)
 
+    def test_rejects_non_finite_phase(self):
+        with pytest.raises(ParamOutOfRange, match="finite"):
+            DirectionalCoupler.from_reflectivity((0, 1), 0.5, math.nan)
+
     def test_transform_is_unitary_for_any_phase(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
@@ -119,6 +123,11 @@ class TestSource:
     def test_beta_magnitude_is_gated(self):
         with pytest.raises(ParamOutOfRange):
             SourceSpec(0, 1.2)
+
+    @pytest.mark.parametrize("beta", [math.nan, complex(0.1, math.inf)])
+    def test_non_finite_beta_is_rejected(self, beta):
+        with pytest.raises(ParamOutOfRange, match="finite"):
+            SourceSpec(0, beta)
 
     def test_max_order_is_gated(self):
         with pytest.raises(OrderOutOfRange):

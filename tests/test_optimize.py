@@ -1,10 +1,13 @@
 """Tests for the coupler optimization and the robustness sweeps."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
+
+import wchip.optimize
 
 from wchip.circuit import build_transform, canonical_w_circuit
 from wchip.elements import two_pair_state
@@ -15,6 +18,7 @@ from wchip.optimize import (
     OptimizationResult,
     SweepSpec,
     herald_objective,
+    herald_objective_batch,
     maximize,
     sweep,
 )
@@ -63,7 +67,87 @@ def test_per_axis_optima_match_scalar_minimizer():
         assert res.x == pytest.approx(target, abs=1e-6)
 
 
+class TestBatchedEngine:
+    """The batched source-row engine against the sparse Fock engine."""
+
+    def test_matches_sparse_objective_on_random_cells(self):
+        cells = np.random.default_rng(41).uniform(0.0, 1.0, size=(200, 3))
+        batched = herald_objective_batch(cells[:, 0], cells[:, 1], cells[:, 2])
+        assert batched.shape == (200,)
+        for (r1, r2, r3), value in zip(cells, batched):
+            assert abs(value - herald_objective(r1, r2, r3)) <= 1e-12
+
+    def test_matches_sparse_objective_on_cube_faces(self):
+        axis = (0.0, 0.35, 0.8, 1.0)
+        faces = [c for c in itertools.product(axis, repeat=3) if {0.0, 1.0} & set(c)]
+        batched = herald_objective_batch(*np.array(faces).T)
+        for cell, value in zip(faces, batched):
+            assert herald_objective(*cell) == 0.0
+            assert value == 0.0
+
+    def test_broadcasts_a_grid_plane(self):
+        axis = np.array([0.2, 0.45, 0.7])
+        plane = herald_objective_batch(0.5, axis[:, np.newaxis], axis[np.newaxis, :])
+        assert plane.shape == (3, 3)
+        for (i, r2), (j, r3) in itertools.product(enumerate(axis), repeat=2):
+            assert plane[i, j] == pytest.approx(herald_objective(0.5, r2, r3), abs=1e-12)
+
+    def test_scalar_cell_at_the_optimum(self):
+        value = herald_objective_batch(*OPTIMAL_R)
+        assert np.ndim(value) == 0
+        assert value == pytest.approx(3 / 64, abs=1e-15)
+
+    def test_gates_parameters(self):
+        with pytest.raises(ParamOutOfRange):
+            herald_objective_batch(np.array([0.5, 1.2]), 0.5, 0.5)
+        with pytest.raises(ParamOutOfRange):
+            herald_objective_batch(0.5, math.nan, 0.5)
+
+
+def _sparse_maximize(tol, step, lo, hi):
+    """Reference maximize on the sparse engine: lexicographic scan of
+    herald_objective, then the same bounded Nelder-Mead refinement."""
+    axis = [lo + k * step for k in range(int(round((hi - lo) / step)) + 1)]
+    best_val, best = -1.0, None
+    for cell in itertools.product(axis, repeat=3):
+        val = herald_objective(*cell)
+        if val > best_val:
+            best_val, best = val, cell
+    simplex = np.tile(np.array(best), (4, 1))
+    for k in range(3):
+        simplex[k + 1, k] += step if best[k] + step <= 1.0 else -step
+    refined = minimize(
+        lambda x: -herald_objective(*(float(v) for v in np.clip(x, 0.0, 1.0))),
+        x0=np.array(best),
+        method="Nelder-Mead",
+        bounds=[(0.0, 1.0)] * 3,
+        options={"xatol": tol, "fatol": 1e-14, "maxiter": 2000, "initial_simplex": simplex},
+    )
+    candidate = tuple(float(v) for v in np.clip(refined.x, 0.0, 1.0))
+    value = herald_objective(*candidate)
+    if value < best_val:
+        candidate, value = best, best_val
+    return (*candidate, value)
+
+
 class TestMaximize:
+    def test_equals_the_sparse_reference_exactly(self):
+        res = maximize(1e-3, grid_step=0.2, grid_bounds=(0.2, 0.8))
+        assert tuple(res) == _sparse_maximize(1e-3, 0.2, 0.2, 0.8)
+
+    def test_reports_one_sparse_objective_call(self, monkeypatch):
+        calls = []
+        sparse = wchip.optimize.herald_objective
+
+        def counted(*cell):
+            calls.append(cell)
+            return sparse(*cell)
+
+        monkeypatch.setattr(wchip.optimize, "herald_objective", counted)
+        res = maximize(1e-3, grid_step=0.2, grid_bounds=(0.2, 0.8))
+        assert calls == [(res.r1, res.r2, res.r3)]
+
+
     def test_finds_the_known_optimum(self):
         res = maximize(1e-4, grid_step=0.1, grid_bounds=(0.2, 0.9))
         assert isinstance(res, OptimizationResult)
