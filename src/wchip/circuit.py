@@ -177,11 +177,29 @@ def _encode_complex(z: complex):
 
 
 def _decode_complex(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+    try:
+        if isinstance(v, (int, float)):
+            return complex(v)
+        if isinstance(v, (list, tuple)) and len(v) == 2:
+            return complex(float(v[0]), float(v[1]))
+    except (TypeError, ValueError):
+        pass
     raise ValidationError(f"cannot parse complex value {v!r}")
+
+
+def _number(value, where: str, convert=float):
+    """``convert(value)``, with a malformed value reported as a
+    :class:`ValidationError` naming ``where``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{where}: expected a number, got {value!r}") from None
+
+
+def _list(value, where: str):
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{where}: expected a list, got {value!r}")
+    return value
 
 
 def circuit_to_json_dict(spec: CircuitSpec, source: SourceSpec | None = None) -> dict:
@@ -234,11 +252,13 @@ def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
         return index[key]
 
     elements = []
-    for k, entry in enumerate(doc.get("elements", [])):
+    for k, entry in enumerate(_list(doc.get("elements", []), "elements")):
         where = f"element {k}"
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{where}: must be an object, got {entry!r}")
         kind = entry.get("type")
         if kind == "coupler":
-            chans = entry.get("channels", [])
+            chans = _list(entry.get("channels", []), f"{where} channels")
             if len(chans) != 2:
                 raise ValidationError(f"{where}: coupler needs exactly 2 channels")
             if "r" not in entry:
@@ -246,8 +266,8 @@ def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
             elements.append(
                 DirectionalCoupler.from_reflectivity(
                     (resolve(chans[0], where), resolve(chans[1], where)),
-                    float(entry["r"]),
-                    float(entry.get("phi", 0.0)),
+                    _number(entry["r"], f"{where} r"),
+                    _number(entry.get("phi", 0.0), f"{where} phi"),
                 )
             )
         elif kind == "adddrop":
@@ -261,20 +281,22 @@ def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
                     through_channel=resolve(entry.get("through"), where),
                     drop_channel=resolve(entry.get("drop"), where),
                     resonant_color=color,
-                    extinction=float(entry.get("extinction", 0.0)),
+                    extinction=_number(entry.get("extinction", 0.0), f"{where} extinction"),
                 )
             )
         else:
             raise ValidationError(f"{where}: unknown element type {kind!r}")
-    phases = tuple(float(p) for p in doc.get("phases", ()))
+    phases = tuple(_number(p, "phases") for p in _list(doc.get("phases", []), "phases"))
     spec = CircuitSpec(tuple(names), tuple(elements), phases)
     source = None
     if "source" in doc:
         src = doc["source"]
+        if not isinstance(src, dict):
+            raise ValidationError(f"source: must be an object, got {src!r}")
         source = SourceSpec(
-            channel=int(src.get("channel", 0)),
+            channel=_number(src.get("channel", 0), "source channel", int),
             beta=_decode_complex(src.get("beta", 0.0)),
-            max_order=int(src.get("max_order", 2)),
+            max_order=_number(src.get("max_order", 2), "source max_order", int),
         )
     return spec, source
 

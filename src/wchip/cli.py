@@ -21,6 +21,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .circuit import (
     canonical_w_circuit,
     load_circuit,
@@ -52,6 +54,8 @@ _ALLOWED_KEYS = {
 }
 _CANONICAL_KEYS = {"r1", "r2", "r3", "phi1", "phi2", "phi3", "ad2_extinction"}
 _TOMO_STATES = ("circuit", "w", "rho_s", "rho_b", "product_bbr")
+#: Largest shot count the binomial sampler takes (a C int64).
+_MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,13 @@ def _parse_float(value, field: str) -> float:
     if not math.isfinite(number):
         raise ConfigError(f"field {field!r}: must be finite, got {value!r}")
     return number
+
+
+def _parse_int(value, field: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"field {field!r}: expected an integer, got {value!r}") from None
 
 
 def _parse_beta(value) -> complex:
@@ -131,18 +142,11 @@ def _build_config(command: str, doc: dict, args: argparse.Namespace) -> RunConfi
 
     shots = args.shots if args.shots is not None else doc.get("shots")
     if shots is not None:
-        try:
-            shots = int(shots)
-        except (TypeError, ValueError):
-            raise ConfigError(f"field 'shots': expected an integer, got {shots!r}") from None
-        if shots < 1:
-            raise ConfigError(f"field 'shots': must be >= 1, got {shots}")
+        shots = _parse_int(shots, "shots")
+        if not 1 <= shots <= _MAX_SHOTS:
+            raise ConfigError(f"field 'shots': must lie in [1, {_MAX_SHOTS}], got {shots}")
 
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    try:
-        seed = int(seed)
-    except (TypeError, ValueError):
-        raise ConfigError(f"field 'seed': expected an integer, got {seed!r}") from None
+    seed = _parse_int(args.seed if args.seed is not None else doc.get("seed", 0), "seed")
 
     fmt = args.format or doc.get("format") or ("csv" if command == "sweep" else "json")
     if fmt not in ("json", "csv"):
@@ -173,10 +177,7 @@ def _build_config(command: str, doc: dict, args: argparse.Namespace) -> RunConfi
     if command == "sweep":
         extras["sweep"] = _parse_sweep_block(doc.get("sweep"))
 
-    try:
-        max_order = int(doc.get("max_order", 2))
-    except (TypeError, ValueError):
-        raise ConfigError("field 'max_order': expected an integer") from None
+    max_order = _parse_int(doc.get("max_order", 2), "max_order")
 
     return RunConfig(
         command=command,
@@ -207,7 +208,7 @@ def _parse_sweep_block(block) -> SweepSpec:
                     float(value["stop"]),
                     int(value["num"]),
                 )
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
                 raise ConfigError(
                     f"field 'sweep.{name}': range object needs start/stop/num"
                 ) from None
@@ -234,7 +235,7 @@ def _parse_sweep_block(block) -> SweepSpec:
         "metric": str(block.get("metric", "herald_probability")),
     }
     if "cell_cap" in block:
-        kwargs["cell_cap"] = int(block["cell_cap"])
+        kwargs["cell_cap"] = _parse_int(block["cell_cap"], "sweep.cell_cap")
     unknown = set(block) - {"r1", "r2", "r3", "ad2_extinction", "metric", "cell_cap"}
     if unknown:
         raise ConfigError(f"field 'sweep.{sorted(unknown)[0]}': not recognized")
@@ -470,20 +471,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="wchip",
         description="Simulate heralded W-state generation in a color-routed photonic circuit.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (
-        ("simulate", True),
-        ("herald", True),
-        ("tomo", True),
-        ("optimize", False),
-        ("sweep", True),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config, help="JSON config file")
-        p.add_argument("--out", default=None, help="output file (defaults to stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--shots", type=int, default=None)
+    parser.add_argument("command", choices=tuple(_COMMANDS))
+    parser.add_argument(
+        "--config", default=None, help="JSON config file (required except for optimize)"
+    )
+    parser.add_argument("--out", default=None, help="output file (defaults to stdout)")
+    parser.add_argument("--format", choices=("json", "csv"), default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--shots", type=int, default=None)
     return parser
 
 
@@ -514,7 +509,10 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None and args.command != "optimize":
+        parser.error("the following arguments are required: --config")
     try:
         doc = _load_config_doc(args.config)
         cfg = _build_config(args.command, doc, args)

@@ -19,6 +19,10 @@ r1 plane of the grid at once, in numpy arithmetic, without building Fock
 states.  The reported value comes from one sparse :func:`herald_objective`
 call at the chosen point, so the result is also checked against the full
 Fock engine.
+
+scipy is imported on the first :func:`maximize` call, not with this module:
+it is the only user of scipy, and loading ``scipy.optimize`` triples the
+import time of every other command.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .circuit import (
     CANONICAL_CHANNELS,
@@ -127,6 +130,13 @@ def herald_objective_batch(r1, r2, r3) -> np.ndarray:
     norm_red = np.sum(red.real * red.real + red.imag * red.imag, axis=-1)
     norm_blue = np.sum(blue.real * blue.real + blue.imag * blue.imag, axis=-1)
     return weight / (norm_red * norm_red * norm_blue * norm_blue)
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 class OptimizationResult(NamedTuple):

@@ -239,6 +239,110 @@ class TestNumericFields:
         assert capsys.readouterr().out == ""
 
 
+_CIRCUIT_DOC = {
+    "channels": ["0", "1", "2"],
+    "elements": [
+        {"type": "coupler", "channels": ["0", "1"], "r": 0.5},
+        {"type": "adddrop", "input": "1", "through": "2", "drop": "0"},
+    ],
+    "source": {"channel": 0, "beta": 0.1},
+}
+
+
+class TestMalformedCircuitFile:
+    """A circuit file with a value of the wrong type is a config error
+    naming ``circuit_file`` (exit 2), never an internal error."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("elements", 0), 3),
+            (("elements", 0, "r"), "x"),
+            (("elements", 1, "extinction"), "x"),
+            (("phases",), [0.0, "x", 0.0]),
+            (("source",), 3),
+        ],
+        ids=["element-not-object", "coupler-r", "adddrop-extinction", "phases", "source"],
+    )
+    def test_is_2(self, tmp_path, capsys, path, value):
+        doc = json.loads(json.dumps(_CIRCUIT_DOC))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        cfg = _write(tmp_path, "c.json", {"circuit_file": _write(tmp_path, "circ.json", doc)})
+        assert main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: field 'circuit_file':")
+
+    def test_well_formed_file_runs(self, tmp_path, capsys):
+        cfg = _write(
+            tmp_path, "c.json", {"circuit_file": _write(tmp_path, "circ.json", _CIRCUIT_DOC)}
+        )
+        assert main(["simulate", "--config", cfg]) == 0
+
+
+class TestCounts:
+    """Counts too large for the C samplers, or not integers, are config
+    errors (exit 2)."""
+
+    def test_overflowing_shots_in_config_is_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "c.json", {"state": "w", "shots": 1e30})
+        assert main(["tomo", "--config", cfg]) == 2
+        assert "shots" in capsys.readouterr().err
+
+    def test_overflowing_shots_flag_is_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "c.json", {"state": "w"})
+        assert main(["tomo", "--config", cfg, "--shots", "100000000000000000000000"]) == 2
+        assert "shots" in capsys.readouterr().err
+
+    def test_largest_int64_shots_runs(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "c.json", {"state": "w", "shots": 2**63 - 1})
+        assert main(["tomo", "--config", cfg]) == 0
+
+    def test_non_numeric_cell_cap_is_2(self, tmp_path, capsys):
+        cfg = _write(
+            tmp_path, "c.json",
+            {"sweep": {"r1": [0.5], "r2": [0.5], "r3": [0.5], "cell_cap": "x"}},
+        )
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "cell_cap" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_config_is_required_except_for_optimize(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate"])
+        assert exc.value.code == 2
+        assert "required: --config" in capsys.readouterr().err
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for command in ("simulate", "herald", "tomo", "optimize", "sweep"):
+            assert command in out
+
+
+def test_import_does_not_load_scipy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wchip
+
+    src = str(Path(wchip.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, wchip, wchip.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_circuit_file_beta_override(tmp_path, capsys):
     from wchip import SourceSpec, canonical_w_circuit, save_circuit
 
