@@ -298,6 +298,8 @@ def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
             beta=_decode_complex(src.get("beta", 0.0)),
             max_order=_number(src.get("max_order", 2), "source max_order", int),
         )
+        if source.channel >= len(names):
+            raise ValidationError(f"source: unregistered channel {source.channel}")
     return spec, source
 
 

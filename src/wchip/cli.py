@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import (
+    SIGNAL_CHANNELS,
     canonical_w_circuit,
     load_circuit,
     propagate,
@@ -252,7 +253,7 @@ def _resolve_circuit(cfg: RunConfig):
             spec, source = load_circuit(cfg.circuit_file)
         except FileNotFoundError:
             raise ConfigError(f"field 'circuit_file': no such file {cfg.circuit_file!r}") from None
-        except ValidationError as exc:
+        except WchipError as exc:
             raise ConfigError(f"field 'circuit_file': {exc}") from None
         if cfg.beta is not None:
             channel = source.channel if source is not None else 0
@@ -383,7 +384,7 @@ def _tomo_source(cfg: RunConfig):
         return rho_incoherent()
     if state == "rho_b":
         return rho_biseparable()
-    return PureState.basis(basis_from_pattern("BBR", (2, 3, 4)))
+    return PureState.basis(basis_from_pattern("BBR", SIGNAL_CHANNELS))
 
 
 def cmd_tomo(cfg: RunConfig) -> str:

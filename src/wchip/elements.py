@@ -143,24 +143,21 @@ def transmission(r):
     return np.sqrt(np.maximum(0.0, 1.0 - r * r))
 
 
-def coupler_block(r, t, phi=0.0) -> np.ndarray:
+def coupler_block(r, t, phi=0.0):
     """Single-color action of a coupler on its channel pair ``(a, b)``:
-    ``[[t, r e^{i phi}], [-r e^{-i phi}, t]]``, rows indexed by input.
+    ``((t, r e^{i phi}), (-r e^{-i phi}, t))``, rows indexed by input.
 
-    The arguments broadcast, so arrays of parameters give a stack of blocks
-    of shape ``broadcast_shape + (2, 2)``.
+    The entries are returned as nested tuples and broadcast, so arrays of
+    parameters give entries of shape ``broadcast_shape`` and scalars give
+    numpy scalars.
     """
     cross = r * np.exp(1j * phi)
-    block = np.empty(np.broadcast(t, cross).shape + (2, 2), dtype=complex)
-    block[..., 0, 0] = block[..., 1, 1] = t
-    block[..., 0, 1] = cross
-    block[..., 1, 0] = -np.conj(cross)
-    return block
+    return ((t, cross), (-np.conj(cross), t))
 
 
-def adddrop_block(extinction: float, resonant: bool) -> np.ndarray:
+def adddrop_block(extinction: float, resonant: bool):
     """Single-color action of an add-drop filter on its ``(input, through,
-    drop)`` ports, rows indexed by input.
+    drop)`` ports as nested tuples, rows indexed by input.
 
     Resonant color: input -> drop with amplitude sqrt(1 - extinction) and
     input -> through with amplitude sqrt(extinction).  Non-resonant color:
@@ -168,15 +165,16 @@ def adddrop_block(extinction: float, resonant: bool) -> np.ndarray:
     ports so the block stays unitary at every extinction.
     """
     if not resonant:
-        return np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)
+        return ((0, 1, 0), (0, 0, 1), (1, 0, 0))
     leak = math.sqrt(extinction)
     drop = math.sqrt(1.0 - extinction)
-    return np.array([[0, leak, drop], [0, drop, -leak], [1, 0, 0]], dtype=complex)
+    return ((0, leak, drop), (0, drop, -leak), (1, 0, 0))
 
 
 def _color_blocks(channels, blocks) -> ModeTransform:
-    """Mode transform acting with ``blocks[color]`` on each color's modes of
-    ``channels`` and never mixing colors."""
+    """Mode transform acting with ``blocks[color]`` (nested tuples, rows
+    indexed by input) on each color's modes of ``channels`` and never mixing
+    colors."""
     # Channel-major, color-minor: the canonical order when the channels
     # ascend, and ModeTransform reorders them otherwise.
     modes = tuple(ModeLabel(ch, color) for ch in channels for color in Color)

@@ -20,6 +20,7 @@ from enum import Enum
 
 import numpy as np
 
+from .circuit import SIGNAL_CHANNELS, T1_CHANNEL, T2_CHANNEL
 from .density import BASIS_THREE, ThreePhotonRho
 from .errors import EmptyState, NotNormalized
 from .fock import (
@@ -67,7 +68,7 @@ def _w_patterns(branch: Branch) -> tuple[str, ...]:
     return ("BBR", "BRB", "RBB") if branch is Branch.T1 else ("RRB", "RBR", "BRR")
 
 
-def w_state(branch: Branch, channels=(2, 3, 4)) -> PureState:
+def w_state(branch: Branch, channels=SIGNAL_CHANNELS) -> PureState:
     """The reference W state of the branch on the signal channels."""
     amp = 1.0 / math.sqrt(3.0)
     return PureState(
@@ -79,9 +80,9 @@ def herald(
     state: PureState,
     branch: Branch,
     *,
-    signal_channels=(2, 3, 4),
-    t1_channel: int = 5,
-    t2_channel: int = 6,
+    signal_channels=SIGNAL_CHANNELS,
+    t1_channel: int = T1_CHANNEL,
+    t2_channel: int = T2_CHANNEL,
 ) -> HeraldResult:
     """Condition on one herald branch of a propagated circuit output.
 
@@ -177,7 +178,7 @@ def coincidence_distribution(state3: PureState) -> dict[str, float]:
     to one.
     """
     amp_sq = {
-        color_pattern(basis, (2, 3, 4)): amp.real * amp.real + amp.imag * amp.imag
+        color_pattern(basis, SIGNAL_CHANNELS): amp.real * amp.real + amp.imag * amp.imag
         for basis, amp in state3.items()
     }
     total = sum(amp_sq.values())
@@ -217,7 +218,7 @@ def rho_biseparable() -> ThreePhotonRho:
     live in the two-blue/one-red span, so the mixture shares the W state's
     1/3 counting diagonals while its coherences are strictly smaller.
     """
-    channels = (2, 3, 4)
+    channels = SIGNAL_CHANNELS
     rho = np.zeros((3, 3), dtype=complex)
     for blue_channel in channels:
         pair = tuple(ch for ch in channels if ch != blue_channel)

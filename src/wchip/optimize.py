@@ -8,17 +8,19 @@ provably change the heralded component only by a global phase.
 
 ``maximize`` does a coarse grid scan to locate the basin (the objective
 vanishes on every face of the unit cube, so the scan covers the interior)
-followed by bounded Nelder-Mead refinement down to the requested tolerance.
-Both evaluate the objective with :func:`herald_objective_batch`, a batched
-engine on the source rows: every element is linear and keeps colors apart,
-and the input |2_B, 2_R> sits on one channel, so each heralded amplitude
-needs only row ``SOURCE_CHANNEL`` of each color's transfer matrix (a
-permanent with repeated rows; Scheel, quant-ph/0406127).  The engine pushes
-those rows through the element blocks of :mod:`wchip.elements` for a whole
-r1 plane of the grid at once, in numpy arithmetic, without building Fock
-states.  The reported value comes from one sparse :func:`herald_objective`
-call at the chosen point, so the result is also checked against the full
-Fock engine.
+followed by bounded Nelder-Mead refinement.  Both evaluate the objective
+with :func:`herald_objective_batch`, an engine on the source rows: every
+element is linear and keeps colors apart, and the input |2_B, 2_R> sits on
+one channel, so each heralded amplitude needs only row ``SOURCE_CHANNEL`` of
+each color's transfer matrix (a permanent with repeated rows; Scheel,
+quant-ph/0406127).  The engine keeps those rows as per-channel lists,
+``rows[color][channel]``, and pushes them through the element blocks of
+:mod:`wchip.elements` as explicit sums over the block entries.  Each entry
+broadcasts: an array over a slab of r1 planes in the scan, a numpy scalar at
+a Nelder-Mead point, with the same operations in the same order in both, so
+a point gives the bits of its grid cell.  The reported value comes from one
+sparse :func:`herald_objective` call at the chosen point, so the result is
+also checked against the full Fock engine.
 
 scipy is imported on the first :func:`maximize` call, not with this module:
 it is the only user of scipy, and loading ``scipy.optimize`` triples the
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -53,19 +56,27 @@ _W_PATTERNS = ("BBR", "BRB", "RBB")
 
 #: Default coarse-grid step of :func:`maximize`.  The objective factorizes
 #: into three single-variable terms each with one interior maximum, so a
-#: 0.04 scan already brackets the basin.  The scan costs one batched engine
-#: pass per r1 plane; at 0.04 over the default bounds the whole
-#: ``maximize`` takes tens of milliseconds, most of it Nelder-Mead.
+#: 0.04 scan already brackets the basin.  At 0.04 over the default bounds
+#: the scan is three engine calls of a few milliseconds together, and the
+#: whole ``maximize`` takes about 20 ms, most of it Nelder-Mead.
 GRID_STEP = 0.04
 
 #: Default coarse-grid bounds; the objective is identically zero whenever
 #: any r_i reaches 0 or 1, so the scan needs only the interior.
 GRID_BOUNDS = (0.1, 0.9)
 
+#: Cells per engine call of the grid scan: seven r1 planes of the default
+#: 21-point axis, so the default scan takes three calls.  Finer grids take
+#: fewer planes per call (at least one), which bounds the temporaries.
+_SCAN_SLAB_CELLS = 7 * 21 * 21
+
 
 def _check_unit_interval(r1, r2, r3) -> None:
-    for name, val in (("r1", r1), ("r2", r2), ("r3", r3)):
-        if not np.all((np.asarray(val) >= 0.0) & (np.asarray(val) <= 1.0)):
+    inside = [(val >= 0.0) & (val <= 1.0) for val in (r1, r2, r3)]
+    if np.asarray(inside[0] & inside[1] & inside[2]).all():  # one reduction
+        return
+    for name, val, ok in zip(("r1", "r2", "r3"), (r1, r2, r3), inside):
+        if not np.all(ok):
             raise ParamOutOfRange(f"{name} must lie in [0, 1], got {val}")
 
 
@@ -77,38 +88,44 @@ def herald_objective(r1: float, r2: float, r3: float) -> float:
     return herald(state, Branch.T1).probability
 
 
-def _source_rows(r1, r2, r3) -> np.ndarray:
+def _source_rows(r1, r2, r3) -> list[list]:
     """Row ``SOURCE_CHANNEL`` of each color's transfer matrix of the
-    canonical circuit, shape ``broadcast(r1, r2, r3).shape + (2, channels)``
-    with the color axis indexed by :class:`Color`."""
-    r = tuple(np.asarray(v, dtype=float) for v in (r1, r2, r3))
-    shape = np.broadcast_shapes(*(v.shape for v in r))
-    rows = np.zeros(shape + (len(Color), len(CANONICAL_CHANNELS)), dtype=complex)
-    rows[..., SOURCE_CHANNEL] = 1.0
+    canonical circuit, as ``rows[color][channel]``.
+
+    Each entry broadcasts over ``(r1, r2, r3)``: an array on a grid, a numpy
+    scalar at a single point.  The couplers act identically on both colors,
+    so one row goes through them before it is split for the router.
+    """
+    r = (r1, r2, r3)
+    row = [0j] * len(CANONICAL_CHANNELS)
+    row[SOURCE_CHANNEL] = 1.0 + 0j
     for chans, k in CANONICAL_COUPLERS:
         rk = 1.0 if k is None else r[k]
-        block = coupler_block(rk, transmission(rk))
-        _apply_block(rows, chans, block[..., np.newaxis, :, :])  # same on both colors
+        _apply_block(row, chans, coupler_block(rk, transmission(rk)))
     input_channel, through, drop, resonant = CANONICAL_ROUTER
+    rows = []
     for color in Color:
+        color_row = list(row)
         block = adddrop_block(0.0, color is resonant)
-        _apply_block(rows[..., color, :], (input_channel, through, drop), block)
+        _apply_block(color_row, (input_channel, through, drop), block)
+        rows.append(color_row)
     return rows
 
 
-def _apply_block(rows: np.ndarray, channels, block: np.ndarray) -> None:
-    """``rows[..., channels] = rows[..., channels] @ block`` in place, as
-    explicit sums: a stacked matmul of tiny blocks is slower on a grid plane."""
-    old = [rows[..., ch] for ch in channels]
-    new = [
-        sum(old[i] * block[..., i, j] for i in range(len(channels)))
-        for j in range(len(channels))
-    ]
-    for ch, column in zip(channels, new):
-        rows[..., ch] = column
+def _apply_block(row: list, channels, block) -> None:
+    """``row[channels] = row[channels] @ block`` in place, as explicit sums
+    over the block's entries: no array views, so the same code is fast on a
+    grid slab and on one simplex point."""
+    old = [row[ch] for ch in channels]
+    for ch, column in zip(channels, zip(*block)):
+        row[ch] = sum(map(operator.mul, old, column))
 
 
-def herald_objective_batch(r1, r2, r3) -> np.ndarray:
+def _norm_sq(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+def herald_objective_batch(r1, r2, r3):
     """:func:`herald_objective` on broadcast arrays of reflectivities.
 
     After the circuit, each color's photon pair is (1/sqrt 2)(sum_j u_j
@@ -119,16 +136,17 @@ def herald_objective_batch(r1, r2, r3) -> np.ndarray:
     the sum of those pattern weights over the four-photon norm
     |u_R|^4 |u_B|^4.
     """
-    _check_unit_interval(r1, r2, r3)
-    rows = _source_rows(r1, r2, r3)
-    red, blue = rows[..., Color.RED, :], rows[..., Color.BLUE, :]
+    # [()] unwraps a 0-d array into a numpy scalar, whose arithmetic is
+    # several times cheaper; arrays pass through unchanged.
+    r = tuple(np.asarray(v, dtype=float)[()] for v in (r1, r2, r3))
+    _check_unit_interval(*r)
+    red, blue = _source_rows(*r)
     weight = 0.0
     for s in SIGNAL_CHANNELS:
         j, k = (ch for ch in SIGNAL_CHANNELS if ch != s)
-        amp = 2.0 * red[..., T1_CHANNEL] * red[..., s] * blue[..., j] * blue[..., k]
-        weight = weight + (amp.real * amp.real + amp.imag * amp.imag)
-    norm_red = np.sum(red.real * red.real + red.imag * red.imag, axis=-1)
-    norm_blue = np.sum(blue.real * blue.real + blue.imag * blue.imag, axis=-1)
+        weight = weight + _norm_sq(2.0 * red[T1_CHANNEL] * red[s] * blue[j] * blue[k])
+    norm_red = sum(_norm_sq(u) for u in red)
+    norm_blue = sum(_norm_sq(u) for u in blue)
     return weight / (norm_red * norm_red * norm_blue * norm_blue)
 
 
@@ -155,11 +173,17 @@ def maximize(
     """Locate the reflectivities maximizing the herald probability.
 
     A coarse scan with the given step over ``grid_bounds`` (per axis) feeds
-    the best cell into Nelder-Mead refinement with simplex tolerance `tol`,
-    clamped to the unit cube.  Both use :func:`herald_objective_batch`; the
-    returned value is :func:`herald_objective` at the returned point.
-    Deterministic: ties resolve to the first grid cell in lexicographic
-    order.
+    the best cell into Nelder-Mead refinement, clamped to the unit cube.
+    Both use :func:`herald_objective_batch`; the returned value is
+    :func:`herald_objective` at the returned point.  Deterministic: ties
+    resolve to the first grid cell in lexicographic order.
+
+    `tol` is scipy's ``xatol``, the simplex width at which the search may
+    stop.  scipy stops only once ``fatol`` (fixed at 1e-14) holds as well.
+    The objective is quadratic at its peak, so its values across the simplex
+    agree to 1e-14 only once the simplex is about 1e-7 wide; ``fatol``
+    therefore decides when the search ends for any `tol` above that, and
+    `tol` of 1e-2, 1e-4 and 1e-6 return the same point.
     """
     if not tol > 0.0:
         raise ParamOutOfRange(f"tol must be positive, got {tol}")
@@ -170,15 +194,19 @@ def maximize(
         raise ParamOutOfRange(f"grid bounds must satisfy 0 <= lo < hi <= 1, got {grid_bounds}")
     steps = int(round((hi - lo) / grid_step))
     axis = [lo + k * grid_step for k in range(steps + 1)]
-    plane_r2, plane_r3 = np.array(axis)[:, np.newaxis], np.array(axis)[np.newaxis, :]
+    grid = np.array(axis)
+    plane_r2, plane_r3 = grid[:, np.newaxis], grid[np.newaxis, :]
+    planes = max(1, _SCAN_SLAB_CELLS // (len(axis) * len(axis)))
     best_val = -1.0
     best = (axis[0], axis[0], axis[0])
-    for r1 in axis:  # one r1 plane at a time keeps the temporaries small
-        plane = herald_objective_batch(r1, plane_r2, plane_r3)
-        i2, i3 = np.unravel_index(np.argmax(plane), plane.shape)
-        if plane[i2, i3] > best_val:
-            best_val = float(plane[i2, i3])
-            best = (r1, axis[i2], axis[i3])
+    for start in range(0, len(axis), planes):
+        slab = herald_objective_batch(
+            grid[start : start + planes, np.newaxis, np.newaxis], plane_r2, plane_r3
+        )
+        i1, i2, i3 = np.unravel_index(np.argmax(slab), slab.shape)
+        if slab[i1, i2, i3] > best_val:  # strict: earlier slabs win ties
+            best_val = float(slab[i1, i2, i3])
+            best = (axis[start + i1], axis[i2], axis[i3])
 
     def negated(x: np.ndarray) -> float:
         xc = np.clip(x, 0.0, 1.0)

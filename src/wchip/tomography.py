@@ -28,6 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .circuit import SIGNAL_CHANNELS
 from .density import BASIS_THREE, PairRho, ThreePhotonRho, trace_distance
 from .errors import (
     BadProbability,
@@ -264,7 +265,7 @@ def _exact_rho(source) -> ThreePhotonRho:
     if isinstance(source, ThreePhotonRho):
         return source
     if isinstance(source, PureState):
-        return reduce_to_channels(source, (2, 3, 4))
+        return reduce_to_channels(source, SIGNAL_CHANNELS)
     raise ValidationError(
         f"tomography source must be a PureState or ThreePhotonRho, got {type(source).__name__}"
     )
@@ -316,7 +317,7 @@ def run_tomography(
     # --- step 2: conditioned pair measurements at phases 0 and pi/2 --------
     coefficients: dict[str, CoefficientEstimate] = {}
     records: list[MeasurementRecord] = []
-    for channel in (2, 3, 4):
+    for channel in SIGNAL_CHANNELS:
         pair, _, name = _CONDITION_MAP[channel]
         pair_rho = condition_on_blue(rho_true, channel)
         freqs_by_phase: list[float] = []

@@ -250,8 +250,9 @@ _CIRCUIT_DOC = {
 
 
 class TestMalformedCircuitFile:
-    """A circuit file with a value of the wrong type is a config error
-    naming ``circuit_file`` (exit 2), never an internal error."""
+    """A circuit file with a value of the wrong type or out of range is a
+    config error naming ``circuit_file`` (exit 2), never an internal error
+    or a generic failure (exit 1)."""
 
     @pytest.mark.parametrize(
         "path, value",
@@ -261,8 +262,18 @@ class TestMalformedCircuitFile:
             (("elements", 1, "extinction"), "x"),
             (("phases",), [0.0, "x", 0.0]),
             (("source",), 3),
+            (("elements", 0, "r"), 1.5),
+            (("source", "channel"), 9),
         ],
-        ids=["element-not-object", "coupler-r", "adddrop-extinction", "phases", "source"],
+        ids=[
+            "element-not-object",
+            "coupler-r",
+            "adddrop-extinction",
+            "phases",
+            "source",
+            "coupler-r-out-of-range",
+            "source-channel-unregistered",
+        ],
     )
     def test_is_2(self, tmp_path, capsys, path, value):
         doc = json.loads(json.dumps(_CIRCUIT_DOC))

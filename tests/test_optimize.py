@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
 import wchip.optimize
@@ -104,6 +106,34 @@ class TestBatchedEngine:
             herald_objective_batch(0.5, math.nan, 0.5)
 
 
+# Seeded from the test itself and without an example database, so every run
+# draws the same cells.
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+# Reflectivities in the unit cube, the faces (where the objective is 0) drawn
+# as often as the interior.
+_R = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_CELLS = st.lists(st.tuples(_R, _R, _R), min_size=1, max_size=8)
+
+
+class TestBatchedEngineProperties:
+    @_PROPERTY
+    @given(_CELLS)
+    def test_scalar_call_equals_its_array_cell_bit_for_bit(self, cells):
+        array = herald_objective_batch(*np.array(cells).T)
+        for cell, value in zip(cells, array):
+            scalar = herald_objective_batch(*(np.float64(r) for r in cell))
+            assert np.ndim(scalar) == 0
+            assert np.float64(scalar).tobytes() == value.tobytes()
+
+    @_PROPERTY
+    @given(_CELLS)
+    def test_matches_the_sparse_objective(self, cells):
+        array = herald_objective_batch(*np.array(cells).T)
+        for cell, value in zip(cells, array):
+            assert abs(value - herald_objective(*cell)) <= 1e-12
+
+
 def _sparse_maximize(tol, step, lo, hi):
     """Reference maximize on the sparse engine: lexicographic scan of
     herald_objective, then the same bounded Nelder-Mead refinement."""
@@ -161,6 +191,19 @@ class TestMaximize:
         monkeypatch.setattr(wchip.optimize, "minimize", counted)
         assert maximize(1e-3, grid_step=0.2) == plain
         assert len(calls) >= 1
+
+    @pytest.mark.parametrize(
+        "grid_step, expected",
+        [
+            (0.04, (0.5000000080433744, 0.5773502902689587, 0.7071068343276299, 0.046874999999998716)),
+            (0.05, (0.5000000508939544, 0.5773502065338378, 0.7071067999793315, 0.046874999999996926)),
+            (0.1, (0.5000000419575632, 0.5773503902699719, 0.7071068111593468, 0.04687499999999257)),
+        ],
+    )
+    def test_golden_results(self, grid_step, expected):
+        # exact tuples: a change to the engine that moves any objective value
+        # by one ulp changes the Nelder-Mead path and shows here
+        assert tuple(maximize(1e-4, grid_step=grid_step)) == expected
 
     def test_finds_the_known_optimum(self):
         res = maximize(1e-4, grid_step=0.1, grid_bounds=(0.2, 0.9))
