@@ -13,6 +13,11 @@ class UnknownMode(WchipError):
     """A populated optical mode is missing from a transform's mode list."""
 
 
+class TooManyPhotons(WchipError):
+    """A basis term holds more photons than the sparse Fock engine's
+    sqrt-factorial table and expansion keys are sized for."""
+
+
 class EmptyState(WchipError):
     """An operation that needs a nonzero-norm state received a zero state."""
 

@@ -17,6 +17,13 @@ Conventions fixed here, relied on everywhere else:
   composed transform equals applying the factors in sequence.
 * Amplitudes below ``PRUNE_EPS`` are dropped after every transform to keep
   supports sparse.
+
+:func:`apply_mode_transform` expands each term's operator polynomial (a
+permanent with repeated rows; Scheel, quant-ph/0406127) over integer keys
+with one fixed-width occupation field per output mode, and reuses each
+output basis state with its sqrt(m!) factor from a bounded table per mode
+list, so the per-photon step is one integer addition and one dict update.
+A term may hold at most ``MAX_PHOTONS`` photons.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -35,6 +42,7 @@ from .errors import (
     EmptyState,
     NotUnitary,
     PatternMismatch,
+    TooManyPhotons,
     UnknownMode,
 )
 
@@ -44,7 +52,22 @@ PRUNE_EPS = 1e-14
 #: Unitarity violations beyond this raise :class:`NotUnitary`.
 UNITARY_TOL = 1e-9
 
-_SQRT_FACT = tuple(math.sqrt(math.factorial(k)) for k in range(33))
+#: Most photons one basis term may hold in :func:`apply_mode_transform`;
+#: more raise :class:`TooManyPhotons`.  Every output occupation of a term is
+#: at most its photon count, so this also bounds the expansion key fields.
+MAX_PHOTONS = 32
+
+_SQRT_FACT = tuple(math.sqrt(math.factorial(k)) for k in range(MAX_PHOTONS + 1))
+
+#: Bits per mode in an expansion key: wide enough for MAX_PHOTONS, so a
+#: field never carries into the next one.
+_FIELD_BITS = MAX_PHOTONS.bit_length()
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+
+#: Bounds of the interned output bases: mode lists kept, and entries per
+#: mode list before its table is cleared.
+_OUTPUT_TABLES = 8
+_OUTPUT_TABLE_SIZE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +386,18 @@ class ModeTransform:
 
     @cached_property
     def _sparse_rows(self) -> tuple[tuple[tuple[int, complex], ...], ...]:
-        rows = []
-        for i in range(len(self.modes)):
-            row = self.matrix[i]
-            rows.append(
-                tuple((j, complex(row[j])) for j in np.flatnonzero(np.abs(row) > PRUNE_EPS))
+        """Per input mode, ``(key step, entry)`` for each entry above
+        :data:`PRUNE_EPS`, where the key step ``1 << _FIELD_BITS * j`` adds
+        one photon to output mode ``j`` of an expansion key."""
+        kept = (np.abs(self.matrix) > PRUNE_EPS).tolist()
+        return tuple(
+            tuple(
+                (1 << _FIELD_BITS * j, u)
+                for j, (u, keep) in enumerate(zip(row, row_kept))
+                if keep
             )
-        return tuple(rows)
+            for row, row_kept in zip(self.matrix.tolist(), kept)
+        )
 
     def embedded(self, modes: Iterable[ModeLabel]) -> "ModeTransform":
         """Extend to a superset of modes, acting as identity on the rest."""
@@ -393,69 +421,88 @@ class ModeTransform:
         )
 
 
+@lru_cache(maxsize=_OUTPUT_TABLES)
+def _output_table(modes: tuple[ModeLabel, ...]) -> dict[int, tuple[FockBasisState, float]]:
+    """Interned output bases of :func:`apply_mode_transform` over one mode
+    list, keyed by expansion key: ``(basis, prod_j sqrt(m_j!))``."""
+    return {}
+
+
+def _output_basis(modes: tuple[ModeLabel, ...], key: int) -> tuple[FockBasisState, float]:
+    """Decode an expansion key into its basis state and its bosonic factor
+    ``prod_j sqrt(m_j!)``, multiplied in ascending mode order."""
+    pairs = []
+    scale = 1.0
+    j = 0
+    while key:
+        k = key & _FIELD_MASK
+        if k:
+            pairs.append((modes[j], k))
+            if k > 1:
+                scale *= _SQRT_FACT[k]
+        key >>= _FIELD_BITS
+        j += 1
+    return FockBasisState._from_sorted(pairs), scale
+
+
 def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureState:
     """Rewrite every basis term through the transform's operator substitution.
 
     For each term, every occupied input operator is replaced by its row
     expansion and the polynomial is re-expanded over output occupation
     vectors, with the bosonic sqrt(n!) normalizations applied on both sides.
-    Lossless transforms preserve the norm; output amplitudes below
-    :data:`PRUNE_EPS` are pruned.
+    The polynomial is keyed by an integer holding one fixed-width occupation
+    field per output mode, so adding a photon to mode ``j`` is one integer
+    addition; each output key is decoded into its basis state and factor
+    once per mode list and then looked up (a bounded table).  Lossless
+    transforms preserve the norm; output amplitudes below :data:`PRUNE_EPS`
+    are pruned.
 
     Raises :class:`UnknownMode` when the state occupies a mode the transform
-    does not list.
+    does not list, and :class:`TooManyPhotons` for a term with more than
+    :data:`MAX_PHOTONS` photons.
     """
     mode_pos = transform._mode_pos
     rows = transform._sparse_rows
     modes = transform.modes
+    outputs = _output_table(modes)
+    if len(outputs) > _OUTPUT_TABLE_SIZE:
+        outputs.clear()
     sqf = _SQRT_FACT
     out: dict[FockBasisState, complex] = {}
     for basis, amp in state._terms.items():
         if not basis:
             out[_VACUUM] = out.get(_VACUUM, 0.0) + amp
             continue
-        # collect the rows in play and the union of their output supports
         row_list = []
-        support: list[int] = []
-        seen: set[int] = set()
+        photons = 0
         denom = 1.0
         for mode, count in basis:
             i = mode_pos.get(mode)
             if i is None:
                 raise UnknownMode(f"state occupies mode {mode} absent from transform")
-            row = rows[i]
-            row_list.append((row, count))
+            photons += count
+            if photons > MAX_PHOTONS:
+                raise TooManyPhotons(
+                    f"term {basis!r} holds more than {MAX_PHOTONS} photons"
+                )
+            row_list.append((rows[i], count))
             denom *= sqf[count]
-            for j, _ in row:
-                if j not in seen:
-                    seen.add(j)
-                    support.append(j)
-        if not support:  # all relevant rows are identically zero (lossy map)
-            continue
-        support.sort()
-        local = {j: p for p, j in enumerate(support)}
-        width = len(support)
-        poly: dict[tuple[int, ...], complex] = {(0,) * width: amp / denom}
+        poly: dict[int, complex] = {0: amp / denom}
         for row, count in row_list:
-            local_row = [(local[j], u) for j, u in row]
             for _ in range(count):
-                nxt: dict[tuple[int, ...], complex] = {}
+                nxt: dict[int, complex] = {}
                 for key, coeff in poly.items():
-                    for p, u in local_row:
-                        nk = key[:p] + (key[p] + 1,) + key[p + 1 :]
+                    for step, u in row:
+                        nk = key + step
                         prev = nxt.get(nk)
                         nxt[nk] = coeff * u if prev is None else prev + coeff * u
                 poly = nxt
         for key, coeff in poly.items():
-            scale = 1.0
-            pairs = []
-            for p in range(width):
-                k = key[p]
-                if k:
-                    pairs.append((modes[support[p]], k))
-                    if k > 1:
-                        scale *= sqf[k]
-            new_basis = FockBasisState._from_sorted(pairs)
+            entry = outputs.get(key)
+            if entry is None:
+                entry = outputs[key] = _output_basis(modes, key)
+            new_basis, scale = entry
             prev = out.get(new_basis)
             val = coeff * scale
             out[new_basis] = val if prev is None else prev + val

@@ -48,11 +48,14 @@ from .circuit import (
     canonical_w_circuit,
 )
 from .elements import adddrop_block, coupler_block, transmission, two_pair_state
-from .errors import GridTooLarge, ParamOutOfRange, PatternMismatch, ValidationError
-from .fock import Color, apply_mode_transform, color_pattern
+from .errors import GridTooLarge, ParamOutOfRange, ValidationError
+from .fock import Color, apply_mode_transform
 from .herald import Branch, herald
 
-_W_PATTERNS = ("BBR", "BRB", "RBB")
+#: Channels of a term counted by :func:`_w_fidelity_colorblind`, in basis
+#: (channel-major) order, and the position of the T1 photon among them.
+_COLORBLIND_CHANNELS = tuple(sorted((*SIGNAL_CHANNELS, T1_CHANNEL)))
+_T1_POSITION = _COLORBLIND_CHANNELS.index(T1_CHANNEL)
 
 #: Default coarse-grid step of :func:`maximize`.  The objective factorizes
 #: into three single-variable terms each with one interior maximum, so a
@@ -64,6 +67,10 @@ GRID_STEP = 0.04
 #: Default coarse-grid bounds; the objective is identically zero whenever
 #: any r_i reaches 0 or 1, so the scan needs only the interior.
 GRID_BOUNDS = (0.1, 0.9)
+
+#: Tolerance, in steps, with which a grid point counts as lying on the upper
+#: bound.
+_GRID_TOL = 1e-9
 
 #: Cells per engine call of the grid scan: seven r1 planes of the default
 #: 21-point axis, so the default scan takes three calls.  Finer grids take
@@ -172,8 +179,9 @@ def maximize(
 ) -> OptimizationResult:
     """Locate the reflectivities maximizing the herald probability.
 
-    A coarse scan with the given step over ``grid_bounds`` (per axis) feeds
-    the best cell into Nelder-Mead refinement, clamped to the unit cube.
+    A coarse scan with the given step over ``grid_bounds`` (per axis, from
+    ``lo`` to the last point not past ``hi``) feeds the best cell into
+    Nelder-Mead refinement, clamped to the unit cube.
     Both use :func:`herald_objective_batch`; the returned value is
     :func:`herald_objective` at the returned point.  Deterministic: ties
     resolve to the first grid cell in lexicographic order.
@@ -192,8 +200,10 @@ def maximize(
     lo, hi = (float(grid_bounds[0]), float(grid_bounds[1]))
     if not 0.0 <= lo < hi <= 1.0:
         raise ParamOutOfRange(f"grid bounds must satisfy 0 <= lo < hi <= 1, got {grid_bounds}")
-    steps = int(round((hi - lo) / grid_step))
-    axis = [lo + k * grid_step for k in range(steps + 1)]
+    # The axis stops at the last point not past hi; the tolerance keeps a
+    # point that rounding puts a hair beyond it, and min() pins that to hi.
+    steps = math.floor((hi - lo) / grid_step + _GRID_TOL)
+    axis = [min(lo + k * grid_step, hi) for k in range(steps + 1)]
     grid = np.array(axis)
     plane_r2, plane_r3 = grid[:, np.newaxis], grid[np.newaxis, :]
     planes = max(1, _SCAN_SLAB_CELLS // (len(axis) * len(axis)))
@@ -313,7 +323,7 @@ def sweep(spec: SweepSpec) -> SweepTable:
     )
 
 
-def _w_fidelity_colorblind(state, *, t1_channel: int = T1_CHANNEL) -> float:
+def _w_fidelity_colorblind(state) -> float:
     """W fidelity of the T1-conditioned state when the herald detector is
     color-blind (counts photons but not colors).
 
@@ -322,24 +332,28 @@ def _w_fidelity_colorblind(state, *, t1_channel: int = T1_CHANNEL) -> float:
     is the robustness metric for extinction sweeps.  Computed as
     sum_env |<W|psi_env>|^2 / sum_env |psi_env|^2 over the T1-photon color
     environments.
+
+    A term counts when it holds one photon in each signal channel and one at
+    T1 and nothing else: four single photons whose channels, in the basis
+    order, are :data:`_COLORBLIND_CHANNELS`.  It overlaps W when exactly two
+    of its signal photons are Blue.  Each term is classified in one pass over
+    its pairs, in term order, so the sums run in a fixed order.
     """
     w_amp = 1.0 / math.sqrt(3.0)
     overlap_by_env: dict[Color, complex] = {}
     norm_sq = 0.0
     for basis, amp in state.items():
-        total = sum(n for _, n in basis)
-        if total != 4:
+        if len(basis) != 4:
             continue
-        t1_part, signal_part = basis.split((t1_channel,))
-        if len(t1_part) != 1 or t1_part[0][1] != 1:
-            continue
-        try:
-            pattern = color_pattern(signal_part, SIGNAL_CHANNELS)
-        except PatternMismatch:
+        ((ch0, c0), n0), ((ch1, c1), n1), ((ch2, c2), n2), ((ch3, c3), n3) = basis
+        if (
+            n0 != 1 or n1 != 1 or n2 != 1 or n3 != 1
+            or (ch0, ch1, ch2, ch3) != _COLORBLIND_CHANNELS
+        ):
             continue
         norm_sq += amp.real * amp.real + amp.imag * amp.imag
-        if pattern in _W_PATTERNS:
-            env = t1_part[0][0].color
+        env = (c0, c1, c2, c3)[_T1_POSITION]
+        if c0 + c1 + c2 + c3 - env == 2:  # Blue is 1: two Blue signal photons
             overlap_by_env[env] = overlap_by_env.get(env, 0.0) + w_amp * amp
     if norm_sq <= 0.0:
         return 0.0

@@ -319,6 +319,41 @@ class TestCounts:
         assert "cell_cap" in capsys.readouterr().err
 
 
+class TestGridBounds:
+    """The optimize scan stops at the last grid point not past the upper
+    bound, even when the step does not divide the bounds."""
+
+    def test_step_past_one_runs(self, tmp_path, capsys):
+        # 0.2 + 3 * 0.3 = 1.1 would leave the unit cube
+        cfg = _write(tmp_path, "o.json", {"grid_step": 0.3, "grid_bounds": [0.2, 1.0]})
+        assert main(["optimize", "--config", cfg]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["value"] == pytest.approx(3 / 64, abs=1e-6)
+
+    def test_scan_stays_inside_the_bounds(self, tmp_path, monkeypatch, capsys):
+        import numpy as np
+
+        import wchip.optimize
+
+        scanned = []
+        batch = wchip.optimize.herald_objective_batch
+
+        def recorded(*cell):
+            if any(np.ndim(v) for v in cell):  # grid slabs; simplex points are scalars
+                scanned.extend(np.ravel(v) for v in cell)
+            return batch(*cell)
+
+        monkeypatch.setattr(wchip.optimize, "herald_objective_batch", recorded)
+        # 0.2 + 2 * 0.3 = 0.8 lies past 0.7
+        cfg = _write(tmp_path, "o.json", {"grid_step": 0.3, "grid_bounds": [0.2, 0.7]})
+        assert main(["optimize", "--config", cfg]) == 0
+        values = np.concatenate(scanned)
+        assert values.size
+        assert values.min() == 0.2
+        assert values.max() <= 0.7
+        assert sorted(set(values.tolist())) == [0.2, 0.5]
+
+
 class TestParser:
     def test_config_is_required_except_for_optimize(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -10,8 +10,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from wchip.errors import DimensionMismatch, EmptyState, NotUnitary, UnknownMode
+import wchip.fock
+from wchip.errors import (
+    DimensionMismatch,
+    EmptyState,
+    NotUnitary,
+    TooManyPhotons,
+    UnknownMode,
+)
 from wchip.fock import (
     Color,
     DetectionPattern,
@@ -29,7 +38,12 @@ from wchip.fock import (
     reduce_to_channels,
 )
 
-from oracles import monomial_amplitudes, occupation_amplitudes, random_unitary
+from oracles import (
+    monomial_amplitudes,
+    occupation_amplitudes,
+    random_unitary,
+    tuple_key_apply_mode_transform,
+)
 
 B0 = ModeLabel(0, Color.BLUE)
 R0 = ModeLabel(0, Color.RED)
@@ -216,6 +230,147 @@ def test_embedded_transform_acts_trivially_elsewhere():
     # red spectator photon untouched, blue photon split by the 2x2 block
     for basis, _ in out.items():
         assert basis.occupation(R0) == 1
+
+
+def _same_bits(a, b):
+    """Same terms in the same order, every amplitude and the weight equal
+    to the bit."""
+    assert [(bs, x.real.hex(), x.imag.hex()) for bs, x in a.items()] == [
+        (bs, x.real.hex(), x.imag.hex()) for bs, x in b.items()
+    ]
+    assert (a.weight.real.hex(), a.weight.imag.hex()) == (
+        b.weight.real.hex(), b.weight.imag.hex()
+    )
+
+
+# Both colors of three channels: up to six modes.
+_MODE_POOL = tuple(ModeLabel(ch, color) for ch in range(3) for color in Color)
+_COMPLEX = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _lossless_transforms(draw):
+    """A unitary on up to six modes: a Haar-random unitary, or a mesh of
+    two-mode couplers (exact zeros and ones among the entries), each either
+    mixing any two modes or only modes of one color."""
+    n = draw(st.integers(1, len(_MODE_POOL)))
+    modes = draw(st.permutations(_MODE_POOL))[:n]
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return ModeTransform(modes, random_unitary(n, np.random.default_rng(seed)))
+    same_color = draw(st.booleans())
+    mat = np.diag(np.exp(1j * np.random.default_rng(seed).uniform(-3, 3, n)))
+    for _ in range(draw(st.integers(0, 8)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        if same_color and modes[i].color != modes[j].color:
+            continue
+        r = draw(st.one_of(st.sampled_from([0.0, 1.0, math.sqrt(0.5)]), st.floats(0.0, 1.0)))
+        phi = draw(st.floats(-3.0, 3.0))
+        t = math.sqrt(1.0 - r * r)
+        block = np.eye(n, dtype=complex)
+        block[i, i] = block[j, j] = t
+        block[i, j] = r * np.exp(1j * phi)
+        block[j, i] = -r * np.exp(-1j * phi)
+        mat = mat @ block
+    return ModeTransform(modes, mat)
+
+
+@st.composite
+def _states_on(draw, modes):
+    """One to three terms over `modes` with at most six photons each, complex
+    amplitudes and a complex weight."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        counts = draw(st.lists(st.integers(0, 6), min_size=len(modes), max_size=len(modes)))
+        while sum(counts) > 6:
+            counts[counts.index(max(counts))] -= 1
+        terms[FockBasisState(zip(modes, counts))] = draw(_COMPLEX)
+    return PureState(terms, draw(_COMPLEX))
+
+
+class TestKernelMatchesTupleKeyExpansion:
+    """The integer-keyed kernel equals the tuple-keyed expansion it replaced
+    (kept in oracles.py) bit for bit: same terms, same order, same bits."""
+
+    @given(st.data())
+    def test_random_lossless_transforms(self, data):
+        transform = data.draw(_lossless_transforms())
+        modes = data.draw(st.permutations(transform.modes))
+        k = data.draw(st.integers(1, len(modes)))
+        state = data.draw(_states_on(modes[:k]))
+        _same_bits(
+            apply_mode_transform(state, transform),
+            tuple_key_apply_mode_transform(state, transform),
+        )
+
+    @given(
+        st.sampled_from(Color),
+        st.integers(1, 5),
+        st.integers(1, 5),
+        st.one_of(st.sampled_from([math.sqrt(0.5), 0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.floats(-3.0, 3.0),
+        st.integers(0, 2),
+        _COMPLEX,
+    )
+    def test_one_color_in_two_overlapping_modes(self, color, a, b, r, phi, other, amp):
+        # Hong-Ou-Mandel-type input: photons of one color in both inputs of
+        # a coupler, plus spectators of the other color
+        if a + b + other > 6:
+            a, b = 1, 1
+        t = math.sqrt(1.0 - r * r)
+        cross = r * np.exp(1j * phi)
+        block = np.array([[t, cross], [-np.conj(cross), t]], dtype=complex)
+        mat = np.zeros((4, 4), dtype=complex)
+        mat[int(color) :: 2, int(color) :: 2] = block
+        mat[int(color.other) :: 2, int(color.other) :: 2] = block.T
+        modes = tuple(ModeLabel(ch, col) for ch in (0, 1) for col in Color)
+        transform = ModeTransform(modes, mat)
+        pairs = [(ModeLabel(0, color), a), (ModeLabel(1, color), b)]
+        if other:
+            pairs.append((ModeLabel(0, color.other), other))
+        state = PureState({FockBasisState(pairs): amp}, amp.conjugate())
+        _same_bits(
+            apply_mode_transform(state, transform),
+            tuple_key_apply_mode_transform(state, transform),
+        )
+
+
+class TestKernelEdges:
+    def test_thirty_two_photons_in_one_mode(self):
+        basis = FockBasisState([(B0, 32)])
+        out = apply_mode_transform(PureState.basis(basis), ModeTransform.identity([B0, B1]))
+        assert list(out.terms) == [basis]
+        assert out.amplitude(basis) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("pairs", [[(B0, 33)], [(R0, 17), (B1, 16)]])
+    def test_more_than_thirty_two_photons_is_a_named_error(self, pairs):
+        state = PureState.basis(FockBasisState(pairs))
+        with pytest.raises(TooManyPhotons):
+            apply_mode_transform(state, ModeTransform.identity([R0, B0, R1, B1]))
+
+    def test_interning_is_bounded_over_many_mode_lists(self):
+        state = PureState.basis(FockBasisState.single(R0))
+        for channel in range(1, 60):
+            modes = (R0, ModeLabel(channel, Color.RED))
+            u = np.array([[0.6, 0.8], [-0.8, 0.6]], dtype=complex)
+            out = apply_mode_transform(state, ModeTransform(modes, u))
+            assert len(out) == 2
+        info = wchip.fock._output_table.cache_info()
+        assert info.currsize <= wchip.fock._OUTPUT_TABLES
+
+    def test_interning_is_bounded_within_one_mode_list(self):
+        # ten modes and six photons: 5005 output terms, more than the table
+        # holds, so the next call starts from an empty table
+        modes = tuple(ModeLabel(ch, color) for ch in range(5) for color in Color)
+        transform = ModeTransform(modes, random_unitary(10, np.random.default_rng(2)))
+        state = PureState.basis(FockBasisState([(modes[0], 3), (modes[1], 3)]))
+        table = wchip.fock._output_table(transform.modes)
+        for _ in range(2):
+            out = apply_mode_transform(state, transform)
+            assert len(out) == 5005
+            assert len(table) <= wchip.fock._OUTPUT_TABLE_SIZE + len(out)
+        assert len(wchip.fock._output_table(transform.modes)) == 5005
+        _same_bits(out, tuple_key_apply_mode_transform(state, transform))
 
 
 # ---------------------------------------------------------------------------
