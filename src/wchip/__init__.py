@@ -34,22 +34,14 @@ from .errors import (
     ParamOutOfRange,
     ValidationError,
     WchipError,
-    ZeroProbability,
 )
 from .fock import (
     Color,
-    DetectionPattern,
     FockBasisState,
     ModeLabel,
     ModeTransform,
     PureState,
-    apply_creation,
     apply_mode_transform,
-    basis_from_pattern,
-    color_amplitudes,
-    color_pattern,
-    inner_product,
-    project,
     reduce_to_channels,
 )
 from .herald import (
@@ -69,13 +61,9 @@ from .tomography import (
     MeasurementRecord,
     TomographyResult,
     TomoSetting,
-    condition_on_blue,
     discriminate,
-    reconstruct_offdiagonal,
     reconstruct_rho234,
     run_tomography,
-    sample_record,
-    setting_probabilities,
 )
 
 __version__ = "0.1.0"
@@ -87,7 +75,6 @@ __all__ = [
     "CircuitSpec",
     "Color",
     "ConfigError",
-    "DetectionPattern",
     "DiagonalsNotUniform",
     "DirectionalCoupler",
     "DiscriminationReport",
@@ -109,38 +96,27 @@ __all__ = [
     "TomoSetting",
     "ValidationError",
     "WchipError",
-    "ZeroProbability",
     "adddrop_transform",
-    "apply_creation",
     "apply_mode_transform",
-    "basis_from_pattern",
     "build_transform",
     "canonical_w_circuit",
     "circuit_from_json_dict",
     "circuit_to_json_dict",
     "coincidence_distribution",
     "coincidence_distribution_rho",
-    "color_amplitudes",
-    "color_pattern",
-    "condition_on_blue",
     "coupler_transform",
     "discriminate",
     "herald",
     "herald_objective",
-    "inner_product",
     "load_circuit",
     "maximize",
-    "project",
     "propagate",
-    "reconstruct_offdiagonal",
     "reconstruct_rho234",
     "reduce_to_channels",
     "rho_biseparable",
     "rho_incoherent",
     "run_tomography",
-    "sample_record",
     "save_circuit",
-    "setting_probabilities",
     "source_state",
     "sweep",
     "trace_distance",

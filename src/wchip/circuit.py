@@ -182,7 +182,7 @@ def _decode_complex(v) -> complex:
             return complex(v)
         if isinstance(v, (list, tuple)) and len(v) == 2:
             return complex(float(v[0]), float(v[1]))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ValidationError(f"cannot parse complex value {v!r}")
 
@@ -311,7 +311,7 @@ def save_circuit(path, spec: CircuitSpec, source: SourceSpec | None = None) -> N
 def load_circuit(path) -> tuple[CircuitSpec, SourceSpec | None]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValidationError(f"invalid circuit JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError("circuit document must be a JSON object")

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .fock import PureState, basis_from_pattern
 from .herald import Branch, coincidence_distribution, herald, rho_biseparable, rho_incoherent, w_fidelity, w_state
-from .optimize import GRID_BOUNDS, GRID_STEP, SweepSpec, maximize, sweep
+from .optimize import CELL_CAP, GRID_BOUNDS, GRID_STEP, SweepSpec, check_cell_count, maximize, sweep
 from .tomography import DEFAULT_DIAG_THRESHOLD, discriminate, run_tomography
 
 SCHEMA_VERSION = 1
@@ -92,6 +92,12 @@ def _parse_int(value, field: str) -> int:
         raise ConfigError(f"field {field!r}: expected an integer, got {value!r}") from None
 
 
+def _parse_path(value, field: str) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"field {field!r}: expected a path string, got {value!r}")
+    return value
+
+
 def _parse_beta(value) -> complex:
     beta = None
     try:
@@ -116,7 +122,7 @@ def _build_config(command: str, doc: dict, args: argparse.Namespace) -> RunConfi
         if key not in allowed:
             raise ConfigError(f"field {key!r}: not recognized for command {command!r}")
 
-    circuit_file = doc.get("circuit_file")
+    circuit_file = _parse_path(doc.get("circuit_file"), "circuit_file")
     canonical = doc.get("canonical")
     if canonical is not None:
         if not isinstance(canonical, dict):
@@ -153,7 +159,7 @@ def _build_config(command: str, doc: dict, args: argparse.Namespace) -> RunConfi
     if fmt not in ("json", "csv"):
         raise ConfigError(f"field 'format': expected 'json' or 'csv', got {fmt!r}")
 
-    out = args.out if args.out is not None else doc.get("out")
+    out = args.out if args.out is not None else _parse_path(doc.get("out"), "out")
 
     extras: dict = {}
     if command == "tomo":
@@ -197,8 +203,13 @@ def _build_config(command: str, doc: dict, args: argparse.Namespace) -> RunConfi
 def _parse_sweep_block(block) -> SweepSpec:
     if not isinstance(block, dict):
         raise ConfigError("field 'sweep': missing or not an object")
+    unknown = set(block) - {"r1", "r2", "r3", "ad2_extinction", "metric", "cell_cap"}
+    if unknown:
+        raise ConfigError(f"field 'sweep.{sorted(unknown)[0]}': not recognized")
 
     def axis(name: str, default=None):
+        """``(length, build)`` of one axis, where ``build()`` returns its
+        values, so that the grid is sized before any axis is built."""
         value = block.get(name, default)
         if value is None:
             raise ConfigError(f"field 'sweep.{name}': missing")
@@ -216,32 +227,33 @@ def _parse_sweep_block(block) -> SweepSpec:
             if num < 1:
                 raise ConfigError(f"field 'sweep.{name}': num must be >= 1")
             if num == 1:
-                return (start,)
+                return 1, lambda: (start,)
             step = (stop - start) / (num - 1)
-            return tuple(start + k * step for k in range(num))
-        if isinstance(value, (list, tuple)):
-            try:
-                return tuple(float(v) for v in value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"field 'sweep.{name}': non-numeric entry") from None
+            return num, lambda: tuple(start + k * step for k in range(num))
         if isinstance(value, (int, float)):
-            return (float(value),)
-        raise ConfigError(f"field 'sweep.{name}': expected list, number or range object")
+            value = (value,)
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"field 'sweep.{name}': expected list, number or range object")
+        try:
+            values = tuple(float(v) for v in value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"field 'sweep.{name}': non-numeric entry") from None
+        return len(values), lambda: values
 
-    kwargs = {
-        "r1": axis("r1"),
-        "r2": axis("r2"),
-        "r3": axis("r3"),
-        "ad2_extinction": axis("ad2_extinction", (0.0,)),
-        "metric": str(block.get("metric", "herald_probability")),
-    }
+    cell_cap = CELL_CAP
     if "cell_cap" in block:
-        kwargs["cell_cap"] = _parse_int(block["cell_cap"], "sweep.cell_cap")
-    unknown = set(block) - {"r1", "r2", "r3", "ad2_extinction", "metric", "cell_cap"}
-    if unknown:
-        raise ConfigError(f"field 'sweep.{sorted(unknown)[0]}': not recognized")
+        cell_cap = _parse_int(block["cell_cap"], "sweep.cell_cap")
+        if cell_cap < 1:
+            raise ConfigError("field 'sweep': cell cap must be positive")
+    axes = {name: axis(name) for name in ("r1", "r2", "r3")}
+    axes["ad2_extinction"] = axis("ad2_extinction", (0.0,))
+    check_cell_count(math.prod(length for length, _ in axes.values()), cell_cap)
     try:
-        return SweepSpec(**kwargs)
+        return SweepSpec(
+            **{name: build() for name, (_, build) in axes.items()},
+            metric=str(block.get("metric", "herald_probability")),
+            cell_cap=cell_cap,
+        )
     except (ValidationError, ParamOutOfRange) as exc:
         raise ConfigError(f"field 'sweep': {exc}") from None
 
@@ -255,26 +267,24 @@ def _resolve_circuit(cfg: RunConfig):
             raise ConfigError(f"field 'circuit_file': no such file {cfg.circuit_file!r}") from None
         except WchipError as exc:
             raise ConfigError(f"field 'circuit_file': {exc}") from None
+        except (OSError, ValueError) as exc:  # a directory, or a NUL in the path
+            raise ConfigError(
+                f"field 'circuit_file': cannot read {cfg.circuit_file!r}: {exc}"
+            ) from None
         if cfg.beta is not None:
             channel = source.channel if source is not None else 0
             source = _make_source(channel, cfg.beta, cfg.max_order)
         if source is None:
             raise ConfigError("field 'beta': missing (circuit file carries no source)")
         return spec, source
-    block = dict(cfg.canonical)
+    block = {
+        key: _parse_float(value, f"canonical.{key}") for key, value in cfg.canonical.items()
+    }
     if cfg.beta is None:
         raise ConfigError("field 'beta': missing")
     try:
-        spec = canonical_w_circuit(
-            float(block["r1"]),
-            float(block["r2"]),
-            float(block["r3"]),
-            phi1=float(block.get("phi1", 0.0)),
-            phi2=float(block.get("phi2", 0.0)),
-            phi3=float(block.get("phi3", 0.0)),
-            ad2_extinction=float(block.get("ad2_extinction", 0.0)),
-        )
-    except (ParamOutOfRange, ValueError) as exc:
+        spec = canonical_w_circuit(**block)
+    except ParamOutOfRange as exc:
         raise ConfigError(f"field 'canonical': {exc}") from None
     return spec, _make_source(0, cfg.beta, cfg.max_order)
 
@@ -416,11 +426,14 @@ def cmd_tomo(cfg: RunConfig) -> str:
 
 
 def cmd_optimize(cfg: RunConfig) -> str:
-    result = maximize(
-        cfg.extras["tol"],
-        grid_step=cfg.extras["grid_step"],
-        grid_bounds=cfg.extras["grid_bounds"],
-    )
+    try:
+        result = maximize(
+            cfg.extras["tol"],
+            grid_step=cfg.extras["grid_step"],
+            grid_bounds=cfg.extras["grid_bounds"],
+        )
+    except ParamOutOfRange as exc:  # tol, grid_step or grid_bounds out of range
+        raise ConfigError(str(exc)) from None
     if cfg.fmt == "csv":
         return (
             "r1,r2,r3,value\n"
@@ -490,9 +503,11 @@ def _load_config_doc(path: str | None) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, ValueError) as exc:  # a directory, not UTF-8, a NUL in the path
+        raise ConfigError(f"--config: cannot read {path!r}: {exc}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return doc
 
@@ -505,8 +520,11 @@ def _write_output(text: str, out: str | None) -> None:
     base = os.environ.get("WCHIP_OUT_DIR")
     if base and not path.is_absolute():
         path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(text.encode("utf-8"))
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(text.encode("utf-8"))
+    except (OSError, ValueError) as exc:  # a directory, or a NUL in the path
+        raise ConfigError(f"field 'out': cannot write {str(path)!r}: {exc}") from None
 
 
 def main(argv=None) -> int:

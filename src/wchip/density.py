@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidRho
 
 BASIS_PAIR = ("BR", "RB")
-BASIS_PAIR_FULL = ("BB", "BR", "RB", "RR")
 BASIS_THREE = ("BBR", "BRB", "RBB")
 
 _HERM_TOL = 1e-12
@@ -78,14 +77,6 @@ class PairRho:
         """The (BR, RB) coherence, the quantity tomography estimates."""
         return complex(self.matrix[0, 1])
 
-    def embedded(self) -> np.ndarray:
-        """The 4x4 form over {BB, BR, RB, RR}; the BB and RR rows and columns
-        are zero because the source emits exactly one photon of each color
-        into the pair."""
-        full = np.zeros((4, 4), dtype=complex)
-        full[1:3, 1:3] = self.matrix
-        return full
-
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
@@ -126,23 +117,6 @@ class ThreePhotonRho:
             dtype=complex,
         )
         return cls(mat)
-
-    @classmethod
-    def from_pure(cls, amplitudes) -> "ThreePhotonRho":
-        """Projector onto a normalized superposition of the three basis
-        patterns, given as a mapping pattern -> amplitude."""
-        vec = np.zeros(3, dtype=complex)
-        for pattern, amp in dict(amplitudes).items():
-            try:
-                vec[BASIS_THREE.index(pattern)] = amp
-            except ValueError:
-                raise DimensionMismatch(
-                    f"pattern {pattern!r} outside the {'/'.join(BASIS_THREE)} span"
-                ) from None
-        nsq = float(np.vdot(vec, vec).real)
-        if nsq <= 0.0:
-            raise InvalidRho("zero amplitude vector")
-        return cls(np.outer(vec, vec.conj()) / nsq)
 
     @property
     def a(self) -> complex:

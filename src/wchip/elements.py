@@ -123,8 +123,9 @@ class SourceSpec:
         beta = complex(self.beta)
         if not cmath.isfinite(beta):
             raise ParamOutOfRange(f"beta must be finite, got {beta}")
-        if abs(beta) ** 2 > 1.0:
-            raise ParamOutOfRange(f"|beta|**2 must not exceed 1, got {abs(beta)**2:.3g}")
+        # Parts first: abs() overflows on finite parts near the float limit.
+        if max(abs(beta.real), abs(beta.imag)) > 1.0 or abs(beta) > 1.0:
+            raise ParamOutOfRange(f"|beta|**2 must not exceed 1, got beta = {beta}")
         object.__setattr__(self, "beta", beta)
         order = int(self.max_order)
         if order not in (0, 1, 2):
@@ -199,13 +200,6 @@ def adddrop_transform(ad: AddDropFilter) -> ModeTransform:
         chans,
         {color: adddrop_block(ad.extinction, color is ad.resonant_color) for color in Color},
     )
-
-
-def phase_transform(channel: int, phi: float) -> ModeTransform:
-    """Path phase e^{i phi} on both colors of one channel."""
-    modes = tuple(sorted(ModeLabel(int(channel), color) for color in Color))
-    mat = np.eye(2, dtype=complex) * cmath.exp(1j * float(phi))
-    return ModeTransform(modes, mat)
 
 
 # ---------------------------------------------------------------------------

@@ -65,15 +65,6 @@ class BadProbability(WchipError):
     """Outcome probabilities are negative or do not sum to one."""
 
 
-class SettingMismatch(WchipError):
-    """Two measurement records that must share a setting do not."""
-
-
-class ZeroProbability(WchipError):
-    """Reserved: an empty herald component is reported as probability 0.0,
-    never raised.  The class exists so callers can reference the contract."""
-
-
 class DiagonalsNotUniform(WchipError):
     """Counting statistics deviate from the uniform 1/3 diagonals beyond the
     configured threshold, so the three-dimensional reconstruction is invalid."""

@@ -13,8 +13,6 @@ Conventions fixed here, relied on everywhere else:
   channel, so sparse maps have a unique, reproducible key order.
 * ``ModeTransform.matrix`` uses the row convention: input operator ``i``
   maps to ``sum_j matrix[i, j] *`` (output operator ``j``).
-* Composition ``A.compose(B)`` means "apply A, then B"; applying the
-  composed transform equals applying the factors in sequence.
 * Amplitudes below ``PRUNE_EPS`` are dropped after every transform to keep
   supports sparse.
 
@@ -155,23 +153,6 @@ class FockBasisState(tuple):
                 return n
         return 0
 
-    def channel_total(self, channel: int) -> int:
-        """Total photon count in a channel, both colors."""
-        return sum(n for m, n in self if m.channel == channel)
-
-    def add_photon(self, mode: ModeLabel) -> tuple["FockBasisState", float]:
-        """Apply a creation operator: returns (new basis, sqrt(n + 1))."""
-        pairs = list(self)
-        for i, (m, n) in enumerate(pairs):
-            if m == mode:
-                pairs[i] = (m, n + 1)
-                return tuple.__new__(FockBasisState, pairs), math.sqrt(n + 1)
-            if m > mode:
-                pairs.insert(i, (mode, 1))
-                return tuple.__new__(FockBasisState, pairs), 1.0
-        pairs.append((mode, 1))
-        return tuple.__new__(FockBasisState, pairs), 1.0
-
     def split(self, channels: Iterable[int]) -> tuple["FockBasisState", "FockBasisState"]:
         """Partition into (modes on `channels`, everything else)."""
         chans = set(channels)
@@ -293,29 +274,10 @@ class PureState:
     def scaled(self, factor: complex) -> "PureState":
         return PureState(self._terms, self.weight * factor)
 
-    def __add__(self, other: "PureState") -> "PureState":
-        acc = {b: self.weight * a for b, a in self._terms.items()}
-        for b, a in other._terms.items():
-            acc[b] = acc.get(b, 0.0) + other.weight * a
-        return PureState(acc, 1.0)
-
     def __repr__(self) -> str:
         parts = [f"({a:.4g})*{b!r}" for b, a in sorted(self._terms.items())[:4]]
         more = " + ..." if len(self._terms) > 4 else ""
         return f"PureState(weight={self.weight:.4g}, {' + '.join(parts)}{more})"
-
-
-def apply_creation(state: PureState, mode: ModeLabel) -> PureState:
-    """Act with the creation operator of `mode` on every term.
-
-    Each term with occupation ``n`` at the mode gains occupation ``n + 1``
-    and an amplitude factor ``sqrt(n + 1)``; the support size is unchanged.
-    """
-    out: dict[FockBasisState, complex] = {}
-    for basis, amp in state._terms.items():
-        new_basis, factor = basis.add_photon(mode)
-        out[new_basis] = amp * factor
-    return PureState(out, state.weight)
 
 
 def inner_product(s1: PureState, s2: PureState) -> complex:
@@ -397,27 +359,6 @@ class ModeTransform:
                 if keep
             )
             for row, row_kept in zip(self.matrix.tolist(), kept)
-        )
-
-    def embedded(self, modes: Iterable[ModeLabel]) -> "ModeTransform":
-        """Extend to a superset of modes, acting as identity on the rest."""
-        modes = tuple(sorted(modes))
-        pos = {m: i for i, m in enumerate(modes)}
-        try:
-            idx = [pos[m] for m in self.modes]
-        except KeyError as missing:
-            raise UnknownMode(f"mode {missing} absent from embedding target") from None
-        mat = np.eye(len(modes), dtype=complex)
-        mat[np.ix_(idx, idx)] = self.matrix
-        return ModeTransform(modes, mat, lossless=self.lossless)
-
-    def compose(self, other: "ModeTransform") -> "ModeTransform":
-        """Transform equivalent to applying ``self`` first, then ``other``."""
-        union = tuple(sorted(set(self.modes) | set(other.modes)))
-        a = self.embedded(union) if self.modes != union else self
-        b = other.embedded(union) if other.modes != union else other
-        return ModeTransform(
-            union, a.matrix @ b.matrix, lossless=self.lossless and other.lossless
         )
 
 
@@ -510,98 +451,8 @@ def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureStat
 
 
 # ---------------------------------------------------------------------------
-# detection patterns, projection, reduction
+# reduction
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DetectionPattern:
-    """Per-channel photon-count constraints for post-selection.
-
-    Each constraint is ``channel -> (count, color)``.  With a color, the
-    channel must hold exactly `count` photons of that color and none of the
-    other; with ``color=None`` only the total count in the channel is
-    constrained.  Channels not mentioned are unconstrained.
-    """
-
-    constraints: tuple[tuple[int, int, Color | None], ...]
-
-    def __post_init__(self):
-        seen = set()
-        norm = []
-        for entry in self.constraints:
-            ch, count, color = entry
-            ch, count = int(ch), int(count)
-            if count < 0:
-                raise ValueError(f"negative count for channel {ch}")
-            if ch in seen:
-                raise ValueError(f"duplicate constraint for channel {ch}")
-            seen.add(ch)
-            norm.append((ch, count, None if color is None else Color(color)))
-        object.__setattr__(self, "constraints", tuple(sorted(norm)))
-
-    @classmethod
-    def from_mapping(
-        cls, mapping: Mapping[int, int | tuple[int, Color | None]]
-    ) -> "DetectionPattern":
-        """Build from ``{channel: count}`` or ``{channel: (count, color)}``."""
-        entries = []
-        for ch, value in mapping.items():
-            if isinstance(value, tuple):
-                count, color = value
-            else:
-                count, color = value, None
-            entries.append((ch, count, color))
-        return cls(tuple(entries))
-
-    def matches(self, basis: FockBasisState) -> bool:
-        for ch, count, color in self.constraints:
-            if color is None:
-                if basis.channel_total(ch) != count:
-                    return False
-            else:
-                if basis.occupation(ModeLabel(ch, color)) != count:
-                    return False
-                if basis.occupation(ModeLabel(ch, color.other)) != 0:
-                    return False
-        return True
-
-
-def project(state: PureState, pattern: DetectionPattern) -> tuple[PureState, float]:
-    """Post-select on a detection pattern.
-
-    Returns the matching component renormalized to unit norm together with
-    its probability ``|component|^2 / |state|^2``; an empty match returns the
-    zero state and probability 0.0.  Probabilities over an exhaustive,
-    mutually exclusive pattern set sum to one.
-    """
-    nsq = state.norm_sq()
-    if nsq <= 0.0:
-        raise EmptyState("cannot project a zero-norm state")
-    kept = {b: a for b, a in state._terms.items() if pattern.matches(b)}
-    if not kept:
-        return PureState({}, 1.0), 0.0
-    comp_sq = sum(a.real * a.real + a.imag * a.imag for a in kept.values())
-    prob = abs(state.weight) ** 2 * comp_sq / nsq
-    scale = 1.0 / math.sqrt(comp_sq)
-    return PureState({b: a * scale for b, a in kept.items()}, 1.0), prob
-
-
-def color_amplitudes(
-    state: PureState, channels: Sequence[int]
-) -> dict[str, complex]:
-    """Amplitudes of a one-photon-per-channel state by color pattern.
-
-    The state must live entirely on the given channels with exactly one
-    photon in each; otherwise :class:`PatternMismatch` is raised.  Weights
-    are folded into the returned amplitudes.
-    """
-    channels = tuple(channels)
-    out: dict[str, complex] = {}
-    for basis, amp in state._terms.items():
-        pattern = color_pattern(basis, channels)
-        out[pattern] = out.get(pattern, 0.0) + state.weight * amp
-    return out
 
 
 def reduce_to_channels(state: PureState, keep: Iterable[int]):

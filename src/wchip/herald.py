@@ -23,17 +23,7 @@ import numpy as np
 from .circuit import SIGNAL_CHANNELS, T1_CHANNEL, T2_CHANNEL
 from .density import BASIS_THREE, ThreePhotonRho
 from .errors import EmptyState, NotNormalized
-from .fock import (
-    Color,
-    FockBasisState,
-    ModeLabel,
-    PureState,
-    apply_creation,
-    basis_from_pattern,
-    color_amplitudes,
-    color_pattern,
-    inner_product,
-)
+from .fock import Color, FockBasisState, PureState, basis_from_pattern, color_pattern, inner_product
 
 _NORM_TOL = 1e-9
 
@@ -64,88 +54,72 @@ class HeraldResult:
     residual_weight: float
 
 
+def _herald_term(branch: Branch, channel: int, color: Color):
+    channels = tuple(sorted((*SIGNAL_CHANNELS, channel)))
+    return channels, (branch, channels.index(channel), color)
+
+
+#: The heralding terms: channels of the four single photons in basis
+#: (channel-major) order -> (branch, position of the herald photon among
+#: them, its color).  A four-photon term heralds the branch when its photons
+#: sit one per channel on a key of this table and the herald photon has
+#: that color.
+HERALD_TERMS = dict(
+    (_herald_term(Branch.T1, T1_CHANNEL, Color.RED), _herald_term(Branch.T2, T2_CHANNEL, Color.BLUE))
+)
+
+
 def _w_patterns(branch: Branch) -> tuple[str, ...]:
     return ("BBR", "BRB", "RBB") if branch is Branch.T1 else ("RRB", "RBR", "BRR")
 
 
-def w_state(branch: Branch, channels=SIGNAL_CHANNELS) -> PureState:
+def w_state(branch: Branch) -> PureState:
     """The reference W state of the branch on the signal channels."""
     amp = 1.0 / math.sqrt(3.0)
     return PureState(
-        {basis_from_pattern(p, channels): amp for p in _w_patterns(branch)}
+        {basis_from_pattern(p, SIGNAL_CHANNELS): amp for p in _w_patterns(branch)}
     )
 
 
-def herald(
-    state: PureState,
-    branch: Branch,
-    *,
-    signal_channels=SIGNAL_CHANNELS,
-    t1_channel: int = T1_CHANNEL,
-    t2_channel: int = T2_CHANNEL,
-) -> HeraldResult:
+def herald(state: PureState, branch: Branch) -> HeraldResult:
     """Condition on one herald branch of a propagated circuit output.
 
     The T1 branch keeps four-photon terms with one photon per signal channel
-    and exactly one Red photon at ``t1_channel``; T2 likewise with a Blue
-    photon at ``t2_channel``.  An empty herald component is reported as
-    probability 0.0 (never as an exception).  Probabilities of both branches
-    are computed in one pass so the residual weight
+    and exactly one Red photon at ``T1_CHANNEL``; T2 likewise with a Blue
+    photon at ``T2_CHANNEL`` (the keys of :data:`HERALD_TERMS`).  Each term
+    is classified in one pass over its four pairs, in term order.  An empty
+    herald component is reported as probability 0.0 (never as an exception).
+    Probabilities of both branches are computed in one pass so the residual
+    weight
 
         ``sqrt(max(0, 1 - P_T1 - P_T2))``
 
     of the non-heralding four-photon remainder comes for free.
     """
     branch = Branch(branch)
-    sig = tuple(signal_channels)
-    herald_mode = {
-        Branch.T1: ModeLabel(int(t1_channel), Color.RED),
-        Branch.T2: ModeLabel(int(t2_channel), Color.BLUE),
-    }
     four_sq = 0.0
-    branch_terms: dict[Branch, dict[FockBasisState, complex]] = {
-        Branch.T1: {},
-        Branch.T2: {},
-    }
+    branch_terms: dict[Branch, list] = {Branch.T1: [], Branch.T2: []}
     branch_sq = {Branch.T1: 0.0, Branch.T2: 0.0}
     for basis, amp in state.items():
-        total = 0
-        for _, n in basis:
-            total += n
-        if total != 4:
+        if len(basis) != 4:
+            # Fewer pairs may still hold four photons; none of them heralds.
+            if len(basis) < 4 and sum(n for _, n in basis) == 4:
+                four_sq += amp.real * amp.real + amp.imag * amp.imag
+            continue
+        ((ch0, c0), n0), ((ch1, c1), n1), ((ch2, c2), n2), ((ch3, c3), n3) = basis
+        if n0 + n1 + n2 + n3 != 4:  # counts are positive: four single photons
             continue
         p = amp.real * amp.real + amp.imag * amp.imag
         four_sq += p
-        # classify: one photon per signal channel + the right herald photon
-        slot = None
-        signal_ok = True
-        per_channel = dict.fromkeys(sig, 0)
-        for mode, n in basis:
-            ch = mode.channel
-            if ch in sig:
-                per_channel[ch] += n
-            elif slot is None and n == 1:
-                for b, hm in herald_mode.items():
-                    if mode == hm:
-                        slot = b
-                        break
-                else:
-                    signal_ok = False
-                    break
-            else:
-                signal_ok = False
-                break
-        if not (
-            signal_ok
-            and slot is not None
-            and all(count == 1 for count in per_channel.values())
-        ):
+        slot = HERALD_TERMS.get((ch0, ch1, ch2, ch3))
+        if slot is None:
             continue
-        stripped = FockBasisState._from_sorted(
-            tuple(pair for pair in basis if pair[0] != herald_mode[slot])
-        )
-        branch_terms[slot][stripped] = amp
-        branch_sq[slot] += p
+        hit, k, color = slot
+        if (c0, c1, c2, c3)[k] != color:
+            continue
+        stripped = FockBasisState._from_sorted(basis[:k] + basis[k + 1 :])
+        branch_terms[hit].append((stripped, amp))
+        branch_sq[hit] += p
     if four_sq <= 0.0:
         return HeraldResult(0.0, None, 0.0)
     p_t1 = branch_sq[Branch.T1] / four_sq
@@ -155,9 +129,7 @@ def herald(
     if prob <= 0.0:
         return HeraldResult(0.0, None, residual)
     scale = 1.0 / math.sqrt(branch_sq[branch])
-    heralded = PureState(
-        {b: a * scale for b, a in branch_terms[branch].items()}
-    )
+    heralded = PureState({b: a * scale for b, a in branch_terms[branch]})
     return HeraldResult(prob, heralded, residual)
 
 
@@ -213,23 +185,16 @@ def rho_incoherent() -> ThreePhotonRho:
 def rho_biseparable() -> ThreePhotonRho:
     """Equal mixture of the three biseparable blue-photon x Bell-pair states.
 
-    Each component puts a blue photon in one signal channel and the Bell
-    state (|BR> + |RB>)/sqrt(2) on the remaining pair; all three components
-    live in the two-blue/one-red span, so the mixture shares the W state's
-    1/3 counting diagonals while its coherences are strictly smaller.
+    Component k puts a blue photon in signal channel k and the Bell state
+    (|BR> + |RB>)/sqrt(2) on the remaining pair, so its vector in
+    :data:`BASIS_THREE` is 1/sqrt(2) on the two patterns with a B at
+    position k.  All three components live in the two-blue/one-red span,
+    so the mixture shares the W state's 1/3 counting diagonals while its
+    coherences are strictly smaller.
     """
-    channels = SIGNAL_CHANNELS
+    amp = 1.0 / math.sqrt(2.0)
     rho = np.zeros((3, 3), dtype=complex)
-    for blue_channel in channels:
-        pair = tuple(ch for ch in channels if ch != blue_channel)
-        bell = PureState(
-            {
-                basis_from_pattern("BR", pair): 1.0 / math.sqrt(2.0),
-                basis_from_pattern("RB", pair): 1.0 / math.sqrt(2.0),
-            }
-        )
-        component = apply_creation(bell, ModeLabel(blue_channel, Color.BLUE))
-        amps = color_amplitudes(component, channels)
-        vec = np.array([amps.get(p, 0.0) for p in BASIS_THREE], dtype=complex)
+    for k in range(len(SIGNAL_CHANNELS)):
+        vec = np.array([amp if p[k] == "B" else 0.0 for p in BASIS_THREE], dtype=complex)
         rho += np.outer(vec, vec.conjugate()) / 3.0
     return ThreePhotonRho(rho)

@@ -50,12 +50,14 @@ from .circuit import (
 from .elements import adddrop_block, coupler_block, transmission, two_pair_state
 from .errors import GridTooLarge, ParamOutOfRange, ValidationError
 from .fock import Color, apply_mode_transform
-from .herald import Branch, herald
+from .herald import HERALD_TERMS, Branch, herald
 
 #: Channels of a term counted by :func:`_w_fidelity_colorblind`, in basis
-#: (channel-major) order, and the position of the T1 photon among them.
-_COLORBLIND_CHANNELS = tuple(sorted((*SIGNAL_CHANNELS, T1_CHANNEL)))
-_T1_POSITION = _COLORBLIND_CHANNELS.index(T1_CHANNEL)
+#: (channel-major) order, and the position of the T1 photon among them: the
+#: T1 key of the herald term table, whatever the T1 photon's color.
+_COLORBLIND_CHANNELS, _T1_POSITION = next(
+    (channels, k) for channels, (branch, k, _) in HERALD_TERMS.items() if branch is Branch.T1
+)
 
 #: Default coarse-grid step of :func:`maximize`.  The objective factorizes
 #: into three single-variable terms each with one interior maximum, so a
@@ -71,6 +73,12 @@ GRID_BOUNDS = (0.1, 0.9)
 #: Tolerance, in steps, with which a grid point counts as lying on the upper
 #: bound.
 _GRID_TOL = 1e-9
+
+#: Most cells one grid may hold: the default cap of a :class:`SweepSpec`
+#: and the bound on the scan of :func:`maximize`.  The scan, and a sweep
+#: read by the CLI, are sized from their axis lengths before any axis is
+#: built.
+CELL_CAP = 10**6
 
 #: Cells per engine call of the grid scan: seven r1 planes of the default
 #: 21-point axis, so the default scan takes three calls.  Finer grids take
@@ -202,7 +210,12 @@ def maximize(
         raise ParamOutOfRange(f"grid bounds must satisfy 0 <= lo < hi <= 1, got {grid_bounds}")
     # The axis stops at the last point not past hi; the tolerance keeps a
     # point that rounding puts a hair beyond it, and min() pins that to hi.
-    steps = math.floor((hi - lo) / grid_step + _GRID_TOL)
+    # Clamping the step count keeps floor() finite for a subnormal step.
+    steps = math.floor(min((hi - lo) / grid_step + _GRID_TOL, CELL_CAP))
+    if (steps + 1) ** 3 > CELL_CAP:
+        raise ParamOutOfRange(
+            f"grid_step {grid_step} over [{lo}, {hi}] scans more than {CELL_CAP} cells"
+        )
     axis = [min(lo + k * grid_step, hi) for k in range(steps + 1)]
     grid = np.array(axis)
     plane_r2, plane_r3 = grid[:, np.newaxis], grid[np.newaxis, :]
@@ -265,7 +278,7 @@ class SweepSpec:
     r3: tuple[float, ...]
     ad2_extinction: tuple[float, ...] = (0.0,)
     metric: str = "herald_probability"
-    cell_cap: int = 10**6
+    cell_cap: int = CELL_CAP
 
     def __post_init__(self):
         for name in ("r1", "r2", "r3", "ad2_extinction"):
@@ -300,12 +313,15 @@ class SweepTable:
         return "\n".join(lines) + "\n"
 
 
+def check_cell_count(n_cells: int, cell_cap: int) -> None:
+    """Raise :class:`GridTooLarge` when a grid holds more cells than its cap."""
+    if n_cells > cell_cap:
+        raise GridTooLarge(f"grid has {n_cells} cells, exceeding the cap of {cell_cap}")
+
+
 def sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the metric over the grid, rows in lexicographic cell order."""
-    if spec.n_cells > spec.cell_cap:
-        raise GridTooLarge(
-            f"grid has {spec.n_cells} cells, exceeding the cap of {spec.cell_cap}"
-        )
+    check_cell_count(spec.n_cells, spec.cell_cap)
     rows = []
     for r1, r2, r3, eps in itertools.product(
         spec.r1, spec.r2, spec.r3, spec.ad2_extinction

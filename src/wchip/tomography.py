@@ -35,17 +35,21 @@ from .errors import (
     DiagonalsNotUniform,
     InvalidRho,
     ParamOutOfRange,
-    SettingMismatch,
     ValidationError,
 )
 from .fock import Color, PureState, reduce_to_channels
 from .herald import rho_biseparable, rho_incoherent
 
-#: channel conditioned on Blue -> (remaining pair, block indices, coefficient)
+#: channel conditioned on Blue -> (remaining pair, block indices, coefficient):
+#: the block spans the patterns with a Blue photon at that channel's position,
+#: and its coherence is ``rho.a``, ``rho.b`` or ``rho.c`` in channel order.
 _CONDITION_MAP = {
-    2: ((3, 4), (0, 1), "a"),
-    3: ((2, 4), (0, 2), "b"),
-    4: ((2, 3), (1, 2), "c"),
+    ch: (
+        tuple(other for other in SIGNAL_CHANNELS if other != ch),
+        tuple(i for i, pattern in enumerate(BASIS_THREE) if pattern[k] == "B"),
+        "abc"[k],
+    )
+    for k, ch in enumerate(SIGNAL_CHANNELS)
 }
 
 _PHASES = (0.0, math.pi / 2.0)
@@ -71,7 +75,7 @@ class TomoSetting:
 
     channel_pair: tuple[int, int]
     phase: float
-    conditioned_on: tuple[int, Color] = (2, Color.BLUE)
+    conditioned_on: tuple[int, Color] = (SIGNAL_CHANNELS[0], Color.BLUE)
 
     def __post_init__(self):
         pair = (int(self.channel_pair[0]), int(self.channel_pair[1]))
@@ -135,24 +139,6 @@ class MeasurementRecord:
             doc["setting"] = self.setting.as_json_dict()
         return doc
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "MeasurementRecord":
-        setting = None
-        if "setting" in doc:
-            s = doc["setting"]
-            setting = TomoSetting(
-                tuple(s["channel_pair"]),
-                float(s["phase"]),
-                (int(s["conditioned_on"][0]), Color.from_letter(s["conditioned_on"][1])),
-            )
-        return cls(
-            setting=setting,
-            n_plus=int(doc["n_plus"]),
-            n_minus=int(doc["n_minus"]),
-            shots=int(doc["shots"]),
-            seed=int(doc["seed"]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # measurement model
@@ -197,29 +183,15 @@ def sample_record(
     return MeasurementRecord(setting, n_plus, shots - n_plus, shots, int(seed))
 
 
-def reconstruct_offdiagonal(
-    rec0: MeasurementRecord, rec90: MeasurementRecord
-) -> complex:
-    """Pair coherence rho01 from the phase-0 and phase-90 records:
-    ``(f0 - 1/2) - i (f90 - 1/2)`` with f the (+) frequency."""
-    s0, s90 = rec0.setting, rec90.setting
-    if s0 is not None and s90 is not None:
-        if s0.channel_pair != s90.channel_pair or s0.conditioned_on != s90.conditioned_on:
-            raise SettingMismatch("records measure different conditioned pairs")
-        if abs(s0.phase) > 1e-9 or abs(s90.phase - math.pi / 2.0) > 1e-9:
-            raise SettingMismatch(
-                f"expected phases (0, pi/2), got ({s0.phase}, {s90.phase})"
-            )
-    return complex(rec0.frequency - 0.5, -(rec90.frequency - 0.5))
-
-
 def condition_on_blue(rho: ThreePhotonRho, channel: int) -> PairRho:
     """Pair state of the remaining two channels after detecting a blue
     photon in `channel`; the selected 2x2 block renormalized to unit trace."""
     try:
         _, (i, j), _ = _CONDITION_MAP[int(channel)]
     except KeyError:
-        raise ParamOutOfRange(f"conditioning channel must be 2, 3 or 4, got {channel}") from None
+        raise ParamOutOfRange(
+            f"conditioning channel must be one of SIGNAL_CHANNELS {SIGNAL_CHANNELS}, got {channel}"
+        ) from None
     block = rho.matrix[np.ix_((i, j), (i, j))]
     tr = float(np.real(np.trace(block)))
     if tr <= 1e-12:

@@ -7,9 +7,9 @@ creation-operator algebra, closed-form parameter dependence instead of
 circuit simulation.  Tests compare the two routes; neither side is derived
 from the other, so agreement is evidence and disagreement is a bug.
 
-The last section keeps earlier versions of two package functions that were
-rewritten for speed with the same arithmetic in the same order; tests hold
-the rewrites to them bit for bit.
+The last section keeps earlier versions of three package functions that
+were rewritten with the same arithmetic in the same order; tests hold the
+rewrites to them bit for bit.
 """
 
 from __future__ import annotations
@@ -216,3 +216,70 @@ def split_w_fidelity_colorblind(state, t1_channel=5, signal_channels=(2, 3, 4)):
     if norm_sq <= 0.0:
         return 0.0
     return sum(abs(o) ** 2 for o in overlap_by_env.values()) / norm_sq
+
+
+def per_term_dict_herald(state, branch, signal_channels=(2, 3, 4), t1_channel=5, t2_channel=6):
+    """``herald`` as it was before the term table: each four-photon term is
+    classified with a per-channel count dict and ``ModeLabel`` comparisons.
+    Same accumulation order as :func:`wchip.herald.herald`, so the two agree
+    bit for bit."""
+    from wchip.fock import Color, FockBasisState, ModeLabel, PureState
+    from wchip.herald import Branch, HeraldResult
+
+    branch = Branch(branch)
+    sig = tuple(signal_channels)
+    herald_mode = {
+        Branch.T1: ModeLabel(int(t1_channel), Color.RED),
+        Branch.T2: ModeLabel(int(t2_channel), Color.BLUE),
+    }
+    four_sq = 0.0
+    branch_terms = {Branch.T1: {}, Branch.T2: {}}
+    branch_sq = {Branch.T1: 0.0, Branch.T2: 0.0}
+    for basis, amp in state.items():
+        total = 0
+        for _, n in basis:
+            total += n
+        if total != 4:
+            continue
+        p = amp.real * amp.real + amp.imag * amp.imag
+        four_sq += p
+        slot = None
+        signal_ok = True
+        per_channel = dict.fromkeys(sig, 0)
+        for mode, n in basis:
+            ch = mode.channel
+            if ch in sig:
+                per_channel[ch] += n
+            elif slot is None and n == 1:
+                for b, hm in herald_mode.items():
+                    if mode == hm:
+                        slot = b
+                        break
+                else:
+                    signal_ok = False
+                    break
+            else:
+                signal_ok = False
+                break
+        if not (
+            signal_ok
+            and slot is not None
+            and all(count == 1 for count in per_channel.values())
+        ):
+            continue
+        stripped = FockBasisState._from_sorted(
+            tuple(pair for pair in basis if pair[0] != herald_mode[slot])
+        )
+        branch_terms[slot][stripped] = amp
+        branch_sq[slot] += p
+    if four_sq <= 0.0:
+        return HeraldResult(0.0, None, 0.0)
+    p_t1 = branch_sq[Branch.T1] / four_sq
+    p_t2 = branch_sq[Branch.T2] / four_sq
+    residual = math.sqrt(max(0.0, 1.0 - p_t1 - p_t2))
+    prob = p_t1 if branch is Branch.T1 else p_t2
+    if prob <= 0.0:
+        return HeraldResult(0.0, None, residual)
+    scale = 1.0 / math.sqrt(branch_sq[branch])
+    heralded = PureState({b: a * scale for b, a in branch_terms[branch].items()})
+    return HeraldResult(prob, heralded, residual)

@@ -19,7 +19,7 @@ from wchip.circuit import (
 )
 from wchip.elements import AddDropFilter, DirectionalCoupler, SourceSpec, two_pair_state
 from wchip.errors import ParamOutOfRange, ValidationError
-from wchip.fock import Color, FockBasisState, ModeLabel, PureState, apply_mode_transform
+from wchip.fock import Color, FockBasisState, ModeLabel, ModeTransform, PureState, apply_mode_transform
 
 
 def test_canonical_layout():
@@ -58,7 +58,11 @@ def test_build_transform_equals_elementwise_application():
     modes = spec.mode_list()
     for el in spec.elements:
         sub = coupler_transform(el) if isinstance(el, DirectionalCoupler) else adddrop_transform(el)
-        stepped = apply_mode_transform(stepped, sub.embedded(modes))
+        # the element acts on its own modes and as identity on the rest
+        idx = [modes.index(m) for m in sub.modes]
+        full = np.eye(len(modes), dtype=complex)
+        full[np.ix_(idx, idx)] = sub.matrix
+        stepped = apply_mode_transform(stepped, ModeTransform(modes, full))
     direct = apply_mode_transform(state, fused)
     for basis, _ in direct.items():
         assert abs(direct.amplitude(basis) - stepped.amplitude(basis)) < 1e-12

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from wchip.cli import main
+from wchip.errors import ParamOutOfRange
 
 OPT = {"r1": 0.5, "r2": 1 / math.sqrt(3), "r3": 1 / math.sqrt(2)}
 
@@ -157,6 +158,16 @@ class TestExitCodes:
         path.write_text("{")
         assert main(["simulate", "--config", str(path)]) == 2
 
+    def test_deeply_nested_json_is_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["simulate", "--config", str(path)]) == 2
+        circ = tmp_path / "deep-circuit.json"
+        circ.write_text("[" * 100_000 + "]" * 100_000)
+        cfg = _write(tmp_path, "c.json", {"circuit_file": str(circ), "beta": 0.1})
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "field 'circuit_file'" in capsys.readouterr().err
+
     def test_missing_beta_is_2(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", {"canonical": OPT})
         assert main(["simulate", "--config", cfg]) == 2
@@ -219,6 +230,10 @@ class TestNumericFields:
             ("simulate", {"canonical": OPT, "beta": math.nan}, "beta"),
             ("simulate", {"canonical": OPT, "beta": [0.1, math.inf]}, "beta"),
             ("simulate", {"canonical": {**OPT, "phi1": math.nan}, "beta": 0.1}, "canonical"),
+            ("simulate", {"canonical": OPT, "beta": 1e200}, "beta"),
+            ("simulate", {"canonical": OPT, "beta": [1e308, 1e308]}, "beta"),
+            ("sweep", {"sweep": {"r1": [10**400], "r2": [0.5], "r3": [0.5]}}, "sweep.r1"),
+            ("sweep", {"sweep": {"r1": 10**400, "r2": [0.5], "r3": [0.5]}}, "sweep.r1"),
         ],
     )
     def test_bad_number_is_2(self, tmp_path, capsys, command, doc, field):
@@ -264,6 +279,7 @@ class TestMalformedCircuitFile:
             (("source",), 3),
             (("elements", 0, "r"), 1.5),
             (("source", "channel"), 9),
+            (("source", "beta"), 10**400),
         ],
         ids=[
             "element-not-object",
@@ -273,6 +289,7 @@ class TestMalformedCircuitFile:
             "source",
             "coupler-r-out-of-range",
             "source-channel-unregistered",
+            "source-beta-too-large-for-a-float",
         ],
     )
     def test_is_2(self, tmp_path, capsys, path, value):
@@ -352,6 +369,88 @@ class TestGridBounds:
         assert values.min() == 0.2
         assert values.max() <= 0.7
         assert sorted(set(values.tolist())) == [0.2, 0.5]
+
+
+class TestUnreadableOrMistypedFields:
+    """Paths of the wrong type, directories, files that are not UTF-8 and
+    non-numeric canonical parameters are config errors naming the field
+    (exit 2), never internal errors."""
+
+    @pytest.mark.parametrize(
+        "field, doc",
+        [
+            ("circuit_file", {"circuit_file": 5, "beta": 0.1}),
+            ("out", {"canonical": OPT, "beta": 0.1, "out": 5}),
+        ],
+    )
+    def test_numeric_path_is_2(self, tmp_path, capsys, field, doc):
+        cfg = _write(tmp_path, "c.json", doc)
+        assert main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: field {field!r}:")
+
+    def test_config_directory_is_2(self, tmp_path, capsys):
+        assert main(["simulate", "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: --config:")
+
+    def test_circuit_file_directory_is_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "c.json", {"circuit_file": str(tmp_path), "beta": 0.1})
+        assert main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: field 'circuit_file':")
+
+    def test_out_directory_is_2(self, tmp_path, capsys, sim_config):
+        assert main(["simulate", "--config", sim_config, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: field 'out':")
+
+    def test_config_not_utf8_is_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"state": "w", "shots": 10, "seed": "\xff"}')
+        assert main(["tomo", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: --config:")
+
+    def test_circuit_file_not_utf8_is_2(self, tmp_path, capsys):
+        circ = tmp_path / "circ.json"
+        circ.write_bytes(b'{"channels": ["\xff"]}')
+        cfg = _write(tmp_path, "c.json", {"circuit_file": str(circ), "beta": 0.1})
+        assert main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: field 'circuit_file':")
+
+    @pytest.mark.parametrize("key, value", [("r1", None), ("phi1", [1])])
+    def test_non_numeric_canonical_field_is_2(self, tmp_path, capsys, key, value):
+        cfg = _write(tmp_path, "c.json", {"canonical": {**OPT, key: value}, "beta": 0.1})
+        assert main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: field 'canonical.{key}':")
+
+
+class TestGridsAreSizedBeforeBuilding:
+    """A grid too large for its cap is rejected from the axis lengths alone,
+    so an enormous count returns at once instead of exhausting memory."""
+
+    def test_sweep_range_of_a_trillion_points_is_4(self, tmp_path, capsys):
+        huge = {"start": 0.1, "stop": 0.9, "num": 1e12}
+        cfg = _write(tmp_path, "c.json", {"sweep": {"r1": huge, "r2": [0.5], "r3": [0.5]}})
+        assert main(["sweep", "--config", cfg]) == 4
+        err = capsys.readouterr().err
+        assert "grid has 1000000000000 cells, exceeding the cap of 1000000" in err
+
+    def test_sweep_axes_are_sized_together(self, tmp_path, capsys):
+        axis = {"start": 0.1, "stop": 0.9, "num": 101}
+        cfg = _write(tmp_path, "c.json", {"sweep": {"r1": axis, "r2": axis, "r3": axis}})
+        assert main(["sweep", "--config", cfg]) == 4
+        assert "grid has 1030301 cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", [1e-9, 5e-324, 0.01])
+    def test_fine_optimize_grid_is_2(self, tmp_path, capsys, step):
+        # 0.01 over [0, 1] is 101 points per axis, just past 10**6 cells
+        cfg = _write(tmp_path, "o.json", {"grid_step": step, "grid_bounds": [0.0, 1.0]})
+        assert main(["optimize", "--config", cfg]) == 2
+        assert "more than 1000000 cells" in capsys.readouterr().err
+
+    def test_one_cap_for_sweeps_and_the_scan(self):
+        from wchip.optimize import CELL_CAP, SweepSpec, maximize
+
+        assert SweepSpec(r1=(0.5,), r2=(0.5,), r3=(0.5,)).cell_cap == CELL_CAP == 10**6
+        with pytest.raises(ParamOutOfRange):
+            maximize(1e-4, grid_step=1e-9)
 
 
 class TestParser:

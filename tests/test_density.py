@@ -1,7 +1,5 @@
 """Tests for the pattern-basis density matrices."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -20,14 +18,6 @@ def test_pair_rho_validation():
         PairRho(np.eye(3) / 3)
 
 
-def test_pair_rho_embedding_pads_same_color_sectors():
-    rho = PairRho(np.array([[0.5, 0.5], [0.5, 0.5]]))
-    full = rho.embedded()
-    assert full.shape == (4, 4)
-    assert full[0, 0] == 0.0 and full[3, 3] == 0.0
-    assert full[1, 2] == pytest.approx(0.5)
-
-
 def test_pair_rho_positivity_is_reported_not_enforced():
     rho = PairRho(np.array([[0.5, 0.6], [0.6, 0.5]]))  # unphysical coherence
     assert rho.min_eigenvalue() == pytest.approx(-0.1)
@@ -40,17 +30,6 @@ def test_three_photon_from_offdiagonals():
     assert rho.a == pytest.approx(1 / 3)
     assert rho.fidelity_w() == pytest.approx(1.0)
     assert rho.is_physical()
-
-
-def test_three_photon_from_pure_w():
-    amp = 1 / math.sqrt(3)
-    rho = ThreePhotonRho.from_pure({p: amp for p in BASIS_THREE})
-    assert np.allclose(rho.matrix, np.full((3, 3), 1 / 3))
-
-
-def test_from_pure_rejects_foreign_pattern():
-    with pytest.raises(DimensionMismatch):
-        ThreePhotonRho.from_pure({"RRB": 1.0})
 
 
 def test_fidelity_is_w_expectation():

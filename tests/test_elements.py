@@ -1,6 +1,5 @@
 """Tests for the optical-element transforms and the pair source."""
 
-import cmath
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from wchip.elements import (
     SourceSpec,
     adddrop_transform,
     coupler_transform,
-    phase_transform,
     source_state,
     two_pair_state,
 )
@@ -110,16 +108,12 @@ class TestAddDropFilter:
             assert xf.unitarity_deviation() < 1e-12
 
 
-def test_phase_transform_multiplies_amplitude():
-    xf = phase_transform(3, 0.8)
-    photon = PureState.basis(FockBasisState.single(ModeLabel(3, Color.RED)))
-    out = apply_mode_transform(photon, xf)
-    assert out.amplitude(FockBasisState.single(ModeLabel(3, Color.RED))) == pytest.approx(
-        cmath.exp(0.8j)
-    )
-
-
 class TestSource:
+    def test_huge_finite_beta_is_gated_without_overflow(self):
+        for beta in (1e200, complex(1e308, 1e308)):
+            with pytest.raises(ParamOutOfRange):
+                SourceSpec(0, beta)
+
     def test_beta_magnitude_is_gated(self):
         with pytest.raises(ParamOutOfRange):
             SourceSpec(0, 1.2)

@@ -4,7 +4,8 @@ Each case runs one command on a small config from ``tests/golden`` (non-zero
 phases, router extinction, a circuit file, both sweep metrics) in both
 output formats and compares the bytes with ``tests/golden/expected``.  The
 expected documents were written by this same manifest on the code before the
-sparse kernel was rewritten around integer keys, so a change to any
+sparse kernel was rewritten around integer keys (``tomo-w`` before the
+herald classifier was rewritten around one term table), so a change to any
 amplitude's last bit, to term order, or to formatting shows here.  Regenerate
 them only for a deliberate change of output, and say so in the change log.
 """
@@ -29,6 +30,7 @@ CASES = (
     ("tomo-extinction", "tomo", "extinction.json", ("--shots", "4000", "--seed", "8")),
     ("tomo-circuit", "tomo", "circuit.json", ("--shots", "4000", "--seed", "11")),
     ("tomo-rho_b", "tomo", "rho_b.json", ()),
+    ("tomo-w", "tomo", "w.json", ()),
     ("optimize-default", "optimize", None, ()),
     ("optimize-small", "optimize", "optimize_small.json", ()),
     ("sweep-herald", "sweep", "sweep_herald.json", ()),

@@ -11,11 +11,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wchip.circuit import build_transform, canonical_w_circuit
 from wchip.elements import two_pair_state
 from wchip.errors import EmptyState, NotNormalized
-from wchip.fock import PureState, apply_mode_transform, inner_product
+from wchip.fock import Color, FockBasisState, ModeLabel, PureState, apply_mode_transform, inner_product
 from wchip.herald import (
     COLOR_PATTERNS,
     Branch,
@@ -28,7 +30,7 @@ from wchip.herald import (
     w_state,
 )
 
-from oracles import herald_prefactor, rho_b_matrix
+from oracles import herald_prefactor, per_term_dict_herald, rho_b_matrix
 
 OPT = (0.5, 1 / math.sqrt(3), 1 / math.sqrt(2))
 
@@ -179,3 +181,84 @@ class TestReferenceMixtures:
             dist = coincidence_distribution_rho(rho)
             for pattern in COLOR_PATTERNS:
                 assert abs(dist[pattern] - w_diag[pattern]) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the term-table classifier against the per-term dict version it replaced
+# ---------------------------------------------------------------------------
+
+# Reflectivities and extinction with the cube faces drawn as often as the
+# interior; phases over a full turn.
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_PHI = st.floats(-3.2, 3.2)
+
+
+@st.composite
+def _near_herald_terms(draw):
+    """A heralding term of either branch (random signal colors), left as is
+    or with one edit the classifier must reject: a doubled herald photon, the
+    herald photon in the other color, an extra photon on channel 1, or a
+    missing signal photon."""
+    herald_mode = draw(st.sampled_from([ModeLabel(5, Color.RED), ModeLabel(6, Color.BLUE)]))
+    colors = draw(st.lists(st.sampled_from(Color), min_size=3, max_size=3))
+    pairs = [(ModeLabel(ch, color), 1) for ch, color in zip((2, 3, 4), colors)]
+    edit = draw(st.sampled_from(("none", "double", "color", "extra", "drop")))
+    if edit == "double":
+        pairs.append((herald_mode, 2))
+    elif edit == "color":
+        pairs.append((ModeLabel(herald_mode.channel, herald_mode.color.other), 1))
+    else:
+        pairs.append((herald_mode, 1))
+    if edit == "extra":
+        pairs.append((ModeLabel(1, draw(st.sampled_from(Color))), 1))
+    elif edit == "drop":
+        del pairs[draw(st.integers(0, 2))]
+    return pairs
+
+
+def _same_result_bits(new, old):
+    """Same probability and residual bits, same heralded terms in the same
+    order with the same amplitude bits and weight."""
+    assert new.probability.hex() == old.probability.hex()
+    assert new.residual_weight.hex() == old.residual_weight.hex()
+    assert (new.heralded_state is None) == (old.heralded_state is None)
+    if new.heralded_state is not None:
+        assert new.heralded_state.weight == old.heralded_state.weight
+        assert [(b, a.real.hex(), a.imag.hex()) for b, a in new.heralded_state.items()] == [
+            (b, a.real.hex(), a.imag.hex()) for b, a in old.heralded_state.items()
+        ]
+
+
+class TestTermTableMatchesPerTermDict:
+    """``herald`` classifies each term by its four pairs against
+    HERALD_TERMS; the per-term dict classifier it replaced (kept in
+    oracles.py) must give the same bits on both branches."""
+
+    @given(_UNIT, _UNIT, _UNIT, _PHI, _PHI, _PHI, _UNIT)
+    def test_on_random_canonical_cells(self, r1, r2, r3, phi1, phi2, phi3, eps):
+        state = _propagated(r1, r2, r3, phis=(phi1, phi2, phi3), eps=eps)
+        for branch in (Branch.T1, Branch.T2):
+            _same_result_bits(herald(state, branch), per_term_dict_herald(state, branch))
+
+    @given(st.lists(st.tuples(_near_herald_terms(), st.complex_numbers(max_magnitude=2.0)),
+                    min_size=1, max_size=12))
+    def test_on_terms_near_a_herald(self, terms):
+        state = PureState({FockBasisState(pairs): amp for pairs, amp in terms})
+        for branch in (Branch.T1, Branch.T2):
+            _same_result_bits(herald(state, branch), per_term_dict_herald(state, branch))
+
+    def test_near_herald_edits_are_rejected(self):
+        red, blue = Color.RED, Color.BLUE
+        signal = [(ModeLabel(2, blue), 1), (ModeLabel(3, blue), 1), (ModeLabel(4, red), 1)]
+        good = FockBasisState(signal + [(ModeLabel(5, red), 1)])
+        rejected = [
+            FockBasisState(signal[:2] + [(ModeLabel(5, red), 2)]),
+            FockBasisState(signal + [(ModeLabel(5, blue), 1)]),
+            FockBasisState(signal + [(ModeLabel(6, red), 1)]),
+            FockBasisState(signal[1:] + [(ModeLabel(1, red), 1), (ModeLabel(5, red), 1)]),
+        ]
+        state = PureState({good: 1.0, **{b: 1.0 for b in rejected}})
+        res = herald(state, Branch.T1)
+        assert res.probability == pytest.approx(1 / 5)
+        assert [b for b, _ in res.heralded_state.items()] == [FockBasisState(signal)]
+        assert herald(state, Branch.T2).probability == 0.0

@@ -18,7 +18,6 @@ from wchip.errors import (
     DiagonalsNotUniform,
     InvalidRho,
     ParamOutOfRange,
-    SettingMismatch,
     ValidationError,
 )
 from wchip.fock import Color, PureState, apply_mode_transform, basis_from_pattern, reduce_to_channels
@@ -28,7 +27,6 @@ from wchip.tomography import (
     TomoSetting,
     condition_on_blue,
     discriminate,
-    reconstruct_offdiagonal,
     reconstruct_rho234,
     run_tomography,
     sample_record,
@@ -66,15 +64,6 @@ def test_record_counts_must_sum_to_shots():
         MeasurementRecord(None, 3, 4, 10, 0)
 
 
-def test_record_json_roundtrip():
-    setting = TomoSetting((3, 4), math.pi / 2, (2, Color.BLUE))
-    rec = MeasurementRecord(setting, 7, 3, 10, 99)
-    doc = rec.as_json_dict()
-    back = MeasurementRecord.from_json_dict(doc)
-    assert back.n_plus == 7 and back.shots == 10 and back.seed == 99
-    assert back.frequency == pytest.approx(0.7)
-
-
 def test_setting_probabilities_on_w_pair():
     pair = condition_on_blue(ThreePhotonRho.from_offdiagonals(1 / 3, 1 / 3, 1 / 3), 2)
     p0 = setting_probabilities(pair, 0.0)
@@ -110,24 +99,6 @@ class TestSampling:
             sample_record((1.2, -0.2), 10, 0)
         with pytest.raises(ParamOutOfRange):
             sample_record((0.5, 0.5), 0, 0)
-
-
-def test_reconstruct_offdiagonal_from_exact_frequencies():
-    rec0 = MeasurementRecord(None, 900, 100, 1000, 0)  # f0 = 0.9
-    rec90 = MeasurementRecord(None, 300, 700, 1000, 0)  # f90 = 0.3
-    rho01 = reconstruct_offdiagonal(rec0, rec90)
-    assert rho01 == pytest.approx(0.4 + 0.2j)
-
-
-def test_reconstruct_offdiagonal_checks_settings():
-    s0 = TomoSetting((3, 4), 0.0, (2, Color.BLUE))
-    s_bad_pair = TomoSetting((2, 4), 0.0, (3, Color.BLUE))
-    s90 = TomoSetting((3, 4), math.pi / 2, (2, Color.BLUE))
-    rec = lambda s: MeasurementRecord(s, 5, 5, 10, 0)
-    with pytest.raises(SettingMismatch):
-        reconstruct_offdiagonal(rec(s_bad_pair), rec(s90))
-    with pytest.raises(SettingMismatch):
-        reconstruct_offdiagonal(rec(s90), rec(s90))
 
 
 def test_condition_on_blue_blocks():
