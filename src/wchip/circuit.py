@@ -176,24 +176,45 @@ def _encode_complex(z: complex):
     return float(z.real) if z.imag == 0.0 else [float(z.real), float(z.imag)]
 
 
-def _decode_complex(v) -> complex:
-    try:
-        if isinstance(v, (int, float)):
-            return complex(v)
-        if isinstance(v, (list, tuple)) and len(v) == 2:
-            return complex(float(v[0]), float(v[1]))
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValidationError(f"cannot parse complex value {v!r}")
+def parse_number(value, field: str) -> float:
+    """A finite JSON number as a float; a boolean, a string or ``null`` is a
+    :class:`ValidationError` naming ``field``."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer past the float range
+            pass
+    if not math.isfinite(number):
+        raise ValidationError(f"field {field!r}: expected a finite number, got {value!r}")
+    return number
 
 
-def _number(value, where: str, convert=float):
-    """``convert(value)``, with a malformed value reported as a
-    :class:`ValidationError` naming ``where``."""
+def parse_integer(value, field: str) -> int:
+    """A JSON integer, or a float with an integral value, as an int."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"field {field!r}: expected an integer, got {value!r}")
+    return value
+
+
+def parse_complex(value, field: str) -> complex:
+    """A number or ``[re, im]`` as a complex."""
+    parts = value if isinstance(value, (list, tuple)) else (value, 0.0)
+    if len(parts) != 2:
+        raise ValidationError(f"field {field!r}: expected a number or [re, im], got {value!r}")
+    return complex(parse_number(parts[0], field), parse_number(parts[1], field))
+
+
+def read_json(path):
+    """The JSON document in the UTF-8 file at ``path``; a file that cannot be
+    read or parsed is a :class:`ValidationError`."""
     try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{where}: expected a number, got {value!r}") from None
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    # missing, a directory, a NUL in the path, not UTF-8, not JSON, nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValidationError(f"cannot read JSON from {str(path)!r}: {exc}") from None
 
 
 def _list(value, where: str):
@@ -239,6 +260,8 @@ def circuit_to_json_dict(spec: CircuitSpec, source: SourceSpec | None = None) ->
 
 
 def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
+    if not isinstance(doc, dict):
+        raise ValidationError("circuit document must be a JSON object")
     try:
         names = [str(c) for c in doc["channels"]]
     except (KeyError, TypeError):
@@ -266,8 +289,8 @@ def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
             elements.append(
                 DirectionalCoupler.from_reflectivity(
                     (resolve(chans[0], where), resolve(chans[1], where)),
-                    _number(entry["r"], f"{where} r"),
-                    _number(entry.get("phi", 0.0), f"{where} phi"),
+                    parse_number(entry["r"], f"{where} r"),
+                    parse_number(entry.get("phi", 0.0), f"{where} phi"),
                 )
             )
         elif kind == "adddrop":
@@ -281,12 +304,12 @@ def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
                     through_channel=resolve(entry.get("through"), where),
                     drop_channel=resolve(entry.get("drop"), where),
                     resonant_color=color,
-                    extinction=_number(entry.get("extinction", 0.0), f"{where} extinction"),
+                    extinction=parse_number(entry.get("extinction", 0.0), f"{where} extinction"),
                 )
             )
         else:
             raise ValidationError(f"{where}: unknown element type {kind!r}")
-    phases = tuple(_number(p, "phases") for p in _list(doc.get("phases", []), "phases"))
+    phases = tuple(parse_number(p, "phases") for p in _list(doc.get("phases", []), "phases"))
     spec = CircuitSpec(tuple(names), tuple(elements), phases)
     source = None
     if "source" in doc:
@@ -294,9 +317,9 @@ def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
         if not isinstance(src, dict):
             raise ValidationError(f"source: must be an object, got {src!r}")
         source = SourceSpec(
-            channel=_number(src.get("channel", 0), "source channel", int),
-            beta=_decode_complex(src.get("beta", 0.0)),
-            max_order=_number(src.get("max_order", 2), "source max_order", int),
+            channel=parse_integer(src.get("channel", 0), "source.channel"),
+            beta=parse_complex(src.get("beta", 0.0), "source.beta"),
+            max_order=parse_integer(src.get("max_order", 2), "source.max_order"),
         )
         if source.channel >= len(names):
             raise ValidationError(f"source: unregistered channel {source.channel}")
@@ -309,10 +332,4 @@ def save_circuit(path, spec: CircuitSpec, source: SourceSpec | None = None) -> N
 
 
 def load_circuit(path) -> tuple[CircuitSpec, SourceSpec | None]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ValidationError(f"invalid circuit JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValidationError("circuit document must be a JSON object")
-    return circuit_from_json_dict(doc)
+    return circuit_from_json_dict(read_json(path))

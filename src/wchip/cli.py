@@ -13,12 +13,11 @@ Exit codes: 0 success; 1 internal failure; 2 config validation;
 from __future__ import annotations
 
 import argparse
-import cmath
+import inspect
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,11 @@ from .circuit import (
     SIGNAL_CHANNELS,
     canonical_w_circuit,
     load_circuit,
+    parse_complex,
+    parse_integer,
+    parse_number,
     propagate,
+    read_json,
 )
 from .elements import SourceSpec
 from .errors import (
@@ -40,259 +43,203 @@ from .errors import (
 )
 from .fock import PureState, basis_from_pattern
 from .herald import Branch, coincidence_distribution, herald, rho_biseparable, rho_incoherent, w_fidelity, w_state
-from .optimize import CELL_CAP, GRID_BOUNDS, GRID_STEP, SweepSpec, check_cell_count, maximize, sweep
+from .optimize import GRID_BOUNDS, GRID_STEP, SweepSpec, check_cell_count, maximize, sweep
 from .tomography import DEFAULT_DIAG_THRESHOLD, discriminate, run_tomography
 
 SCHEMA_VERSION = 1
 
-_COMMON_KEYS = {"circuit_file", "canonical", "beta", "max_order", "format", "out", "seed"}
-_ALLOWED_KEYS = {
-    "simulate": _COMMON_KEYS,
-    "herald": _COMMON_KEYS,
-    "tomo": _COMMON_KEYS | {"shots", "state", "diag_threshold", "w_threshold"},
-    "optimize": {"tol", "grid_step", "grid_bounds", "format", "out", "seed"},
-    "sweep": {"sweep", "format", "out", "seed"},
-}
-_CANONICAL_KEYS = {"r1", "r2", "r3", "phi1", "phi2", "phi3", "ad2_extinction"}
-_TOMO_STATES = ("circuit", "w", "rho_s", "rho_b", "product_bbr")
 #: Largest shot count the binomial sampler takes (a C int64).
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run configuration for one command."""
+def _choice(*options):
+    def parse(value, field: str):
+        if value not in options:
+            raise ValidationError(f"field {field!r}: expected one of {options}, got {value!r}")
+        return value
 
-    command: str
-    circuit_file: str | None
-    canonical: dict | None
-    beta: complex | None
-    max_order: int
-    shots: int | None
-    seed: int
-    fmt: str
-    out: str | None
-    extras: dict
+    return parse
 
 
-def _parse_float(value, field: str) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"field {field!r}: expected a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"field {field!r}: must be finite, got {value!r}")
-    return number
-
-
-def _parse_int(value, field: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"field {field!r}: expected an integer, got {value!r}") from None
-
-
-def _parse_path(value, field: str) -> str | None:
-    if value is not None and not isinstance(value, str):
-        raise ConfigError(f"field {field!r}: expected a path string, got {value!r}")
+def _path(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"field {field!r}: expected a path string, got {value!r}")
     return value
 
 
-def _parse_beta(value) -> complex:
-    beta = None
-    try:
-        if isinstance(value, (int, float)):
-            beta = complex(value)
-        elif isinstance(value, (list, tuple)) and len(value) == 2:
-            beta = complex(float(value[0]), float(value[1]))
-    except (TypeError, ValueError, OverflowError):
-        pass
-    if beta is None:
-        raise ConfigError(f"field 'beta': expected a number or [re, im], got {value!r}")
-    if not cmath.isfinite(beta):
-        raise ConfigError(f"field 'beta': must be finite, got {value!r}")
-    return beta
+def _shots(value, field: str) -> int:
+    shots = parse_integer(value, field)
+    if not 1 <= shots <= _MAX_SHOTS:
+        raise ValidationError(f"field {field!r}: must lie in [1, {_MAX_SHOTS}], got {shots}")
+    return shots
 
 
-def _build_config(command: str, doc: dict, args: argparse.Namespace) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    allowed = _ALLOWED_KEYS[command]
-    for key in doc:
-        if key not in allowed:
-            raise ConfigError(f"field {key!r}: not recognized for command {command!r}")
-
-    circuit_file = _parse_path(doc.get("circuit_file"), "circuit_file")
-    canonical = doc.get("canonical")
-    if canonical is not None:
-        if not isinstance(canonical, dict):
-            raise ConfigError("field 'canonical': must be an object")
-        for key in canonical:
-            if key not in _CANONICAL_KEYS:
-                raise ConfigError(f"field 'canonical.{key}': not recognized")
-        for key in ("r1", "r2", "r3"):
-            if key not in canonical:
-                raise ConfigError(f"field 'canonical.{key}': missing")
-
-    state = str(doc.get("state", "circuit"))
-    needs_circuit = command in ("simulate", "herald") or (
-        command == "tomo" and state == "circuit"
-    )
-    if needs_circuit and bool(circuit_file) == bool(canonical is not None):
-        raise ConfigError(
-            "exactly one of 'circuit_file' or 'canonical' must be present"
-        )
-
-    beta = doc.get("beta")
-    if beta is not None:
-        beta = _parse_beta(beta)
-
-    shots = args.shots if args.shots is not None else doc.get("shots")
-    if shots is not None:
-        shots = _parse_int(shots, "shots")
-        if not 1 <= shots <= _MAX_SHOTS:
-            raise ConfigError(f"field 'shots': must lie in [1, {_MAX_SHOTS}], got {shots}")
-
-    seed = _parse_int(args.seed if args.seed is not None else doc.get("seed", 0), "seed")
-
-    fmt = args.format or doc.get("format") or ("csv" if command == "sweep" else "json")
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"field 'format': expected 'json' or 'csv', got {fmt!r}")
-
-    out = args.out if args.out is not None else _parse_path(doc.get("out"), "out")
-
-    extras: dict = {}
-    if command == "tomo":
-        if state not in _TOMO_STATES:
-            raise ConfigError(
-                f"field 'state': expected one of {_TOMO_STATES}, got {state!r}"
-            )
-        extras["state"] = state
-        extras["diag_threshold"] = _parse_float(
-            doc.get("diag_threshold", DEFAULT_DIAG_THRESHOLD), "diag_threshold"
-        )
-        extras["w_threshold"] = _parse_float(doc.get("w_threshold", 0.9), "w_threshold")
-        if shots is None:
-            raise ConfigError("field 'shots': required for tomo")
-    if command == "optimize":
-        extras["tol"] = _parse_float(doc.get("tol", 1e-4), "tol")
-        extras["grid_step"] = _parse_float(doc.get("grid_step", GRID_STEP), "grid_step")
-        bounds = doc.get("grid_bounds", list(GRID_BOUNDS))
-        if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
-            raise ConfigError("field 'grid_bounds': expected [lo, hi]")
-        extras["grid_bounds"] = tuple(_parse_float(b, "grid_bounds") for b in bounds)
-    if command == "sweep":
-        extras["sweep"] = _parse_sweep_block(doc.get("sweep"))
-
-    max_order = _parse_int(doc.get("max_order", 2), "max_order")
-
-    return RunConfig(
-        command=command,
-        circuit_file=circuit_file,
-        canonical=canonical,
-        beta=beta,
-        max_order=max_order,
-        shots=shots,
-        seed=seed,
-        fmt=fmt,
-        out=out,
-        extras=extras,
-    )
+def _threshold(value, field: str) -> float:
+    threshold = parse_number(value, field)
+    if threshold < 0.0:
+        raise ValidationError(f"field {field!r}: must not be negative, got {threshold}")
+    return threshold
 
 
-def _parse_sweep_block(block) -> SweepSpec:
+def _bounds(value, field: str) -> tuple[float, float]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValidationError(f"field {field!r}: expected [lo, hi], got {value!r}")
+    return tuple(parse_number(bound, field) for bound in value)
+
+
+#: The keys, and their defaults, of the canonical and sweep blocks: the
+#: keyword arguments of the callables the blocks are passed to, read once
+#: at import so that a wrapper installed later cannot change them.
+_CANONICAL_BLOCK = inspect.signature(canonical_w_circuit)
+_SWEEP_BLOCK = inspect.signature(SweepSpec)
+
+
+def _arguments(signature: inspect.Signature, block, field: str) -> dict:
+    """The arguments an object `block` binds in `signature`, with the
+    defaults of those it leaves out."""
     if not isinstance(block, dict):
-        raise ConfigError("field 'sweep': missing or not an object")
-    unknown = set(block) - {"r1", "r2", "r3", "ad2_extinction", "metric", "cell_cap"}
-    if unknown:
-        raise ConfigError(f"field 'sweep.{sorted(unknown)[0]}': not recognized")
+        raise ValidationError(f"field {field!r}: expected an object, got {block!r}")
+    try:
+        bound = signature.bind(**block)
+    except TypeError as exc:  # an unknown key, or a required one missing
+        raise ValidationError(f"field {field!r}: {exc}") from None
+    bound.apply_defaults()
+    return bound.arguments
 
-    def axis(name: str, default=None):
-        """``(length, build)`` of one axis, where ``build()`` returns its
-        values, so that the grid is sized before any axis is built."""
-        value = block.get(name, default)
-        if value is None:
-            raise ConfigError(f"field 'sweep.{name}': missing")
-        if isinstance(value, dict):
-            try:
-                start, stop, num = (
-                    float(value["start"]),
-                    float(value["stop"]),
-                    int(value["num"]),
-                )
-            except (KeyError, TypeError, ValueError, OverflowError):
-                raise ConfigError(
-                    f"field 'sweep.{name}': range object needs start/stop/num"
-                ) from None
-            if num < 1:
-                raise ConfigError(f"field 'sweep.{name}': num must be >= 1")
-            if num == 1:
-                return 1, lambda: (start,)
-            step = (stop - start) / (num - 1)
-            return num, lambda: tuple(start + k * step for k in range(num))
-        if isinstance(value, (int, float)):
-            value = (value,)
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"field 'sweep.{name}': expected list, number or range object")
-        try:
-            values = tuple(float(v) for v in value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"field 'sweep.{name}': non-numeric entry") from None
-        return len(values), lambda: values
 
-    cell_cap = CELL_CAP
-    if "cell_cap" in block:
-        cell_cap = _parse_int(block["cell_cap"], "sweep.cell_cap")
-        if cell_cap < 1:
-            raise ConfigError("field 'sweep': cell cap must be positive")
-    axes = {name: axis(name) for name in ("r1", "r2", "r3")}
-    axes["ad2_extinction"] = axis("ad2_extinction", (0.0,))
+def _canonical(block, field: str) -> dict:
+    arguments = _arguments(_CANONICAL_BLOCK, block, field)
+    return {key: parse_number(value, f"{field}.{key}") for key, value in arguments.items()}
+
+
+def _axis(value, field: str):
+    """``(length, build)`` of one sweep axis, where ``build()`` returns its
+    values, so that the grid is sized before any axis is built."""
+    if isinstance(value, dict):
+        if not {"start", "stop", "num"} <= value.keys():
+            raise ValidationError(f"field {field!r}: range object needs start/stop/num")
+        start = parse_number(value["start"], f"{field}.start")
+        stop = parse_number(value["stop"], f"{field}.stop")
+        num = parse_integer(value["num"], f"{field}.num")
+        if num < 1:
+            raise ValidationError(f"field '{field}.num': must be >= 1")
+        if num == 1:
+            return 1, lambda: (start,)
+        step = (stop - start) / (num - 1)
+        return num, lambda: tuple(start + k * step for k in range(num))
+    values = tuple(
+        parse_number(v, field) for v in (value if isinstance(value, (list, tuple)) else (value,))
+    )
+    return len(values), lambda: values
+
+
+def _sweep(block, field: str) -> SweepSpec:
+    arguments = _arguments(_SWEEP_BLOCK, block, field)
+    cell_cap = parse_integer(arguments.pop("cell_cap"), f"{field}.cell_cap")
+    if cell_cap < 1:
+        raise ValidationError(f"field '{field}.cell_cap': must be positive")
+    metric = arguments.pop("metric")
+    axes = {name: _axis(value, f"{field}.{name}") for name, value in arguments.items()}
     check_cell_count(math.prod(length for length, _ in axes.values()), cell_cap)
     try:
         return SweepSpec(
             **{name: build() for name, (_, build) in axes.items()},
-            metric=str(block.get("metric", "herald_probability")),
+            metric=metric,
             cell_cap=cell_cap,
         )
     except (ValidationError, ParamOutOfRange) as exc:
-        raise ConfigError(f"field 'sweep': {exc}") from None
+        raise ValidationError(f"field {field!r}: {exc}") from None
 
 
-def _resolve_circuit(cfg: RunConfig):
+_REQUIRED = object()
+_CIRCUIT_COMMANDS = ("simulate", "herald", "tomo")
+_ALL_COMMANDS = ("simulate", "herald", "tomo", "optimize", "sweep")
+#: Every config field: its parser, its default (None: absent) and the
+#: commands that read it.  A parser takes the JSON value and the field's
+#: name and raises ValidationError naming the field.  Fields are parsed in
+#: this order, so the sweep grid, which can exceed its cap (exit 4), is
+#: sized only once every other field has passed.
+_FIELDS = {
+    "circuit_file": (_path, None, _CIRCUIT_COMMANDS),
+    "canonical": (_canonical, None, _CIRCUIT_COMMANDS),
+    "beta": (parse_complex, None, _CIRCUIT_COMMANDS),
+    "max_order": (parse_integer, 2, _CIRCUIT_COMMANDS),
+    "shots": (_shots, _REQUIRED, ("tomo",)),
+    "state": (_choice("circuit", "w", "rho_s", "rho_b", "product_bbr"), "circuit", ("tomo",)),
+    "diag_threshold": (_threshold, DEFAULT_DIAG_THRESHOLD, ("tomo",)),
+    "w_threshold": (parse_number, 0.9, ("tomo",)),
+    "tol": (parse_number, 1e-4, ("optimize",)),
+    "grid_step": (parse_number, GRID_STEP, ("optimize",)),
+    "grid_bounds": (_bounds, GRID_BOUNDS, ("optimize",)),
+    "format": (_choice("json", "csv"), None, _ALL_COMMANDS),
+    "out": (_path, None, _ALL_COMMANDS),
+    "seed": (parse_integer, 0, _ALL_COMMANDS),
+    "sweep": (_sweep, _REQUIRED, ("sweep",)),
+}
+
+
+def _build_config(args: argparse.Namespace) -> dict:
+    """The fields ``args.command`` reads, from the config file with the
+    ``--seed``/``--shots``/``--format``/``--out`` flags over it."""
+    command = args.command
+    try:
+        doc = {} if args.config is None else read_json(args.config)
+    except ValidationError as exc:
+        raise ConfigError(f"--config: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    for key in doc:
+        if key not in _FIELDS or command not in _FIELDS[key][2]:
+            raise ConfigError(f"field {key!r}: not recognized for command {command!r}")
+    flags = {key: getattr(args, key) for key in ("seed", "shots", "format", "out")}
+    doc.update((key, value) for key, value in flags.items() if value is not None)
+    cfg = {}
+    try:
+        for key, (parse, default, commands) in _FIELDS.items():
+            if command not in commands:
+                continue
+            if key in doc:
+                cfg[key] = parse(doc[key], key)
+            elif default is _REQUIRED:
+                raise ValidationError(f"field {key!r}: required for {command}")
+            else:
+                cfg[key] = default
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from None
+    if cfg["format"] is None:
+        cfg["format"] = "csv" if command == "sweep" else "json"
+    needs_circuit = command in _CIRCUIT_COMMANDS and cfg.get("state", "circuit") == "circuit"
+    if needs_circuit and bool(cfg["circuit_file"]) == (cfg["canonical"] is not None):
+        raise ConfigError("exactly one of 'circuit_file' or 'canonical' must be present")
+    return cfg
+
+
+def _resolve_circuit(cfg: dict):
     """Circuit spec plus source from either config style."""
-    if cfg.circuit_file:
+    if cfg["circuit_file"]:
         try:
-            spec, source = load_circuit(cfg.circuit_file)
-        except FileNotFoundError:
-            raise ConfigError(f"field 'circuit_file': no such file {cfg.circuit_file!r}") from None
+            spec, source = load_circuit(cfg["circuit_file"])
         except WchipError as exc:
             raise ConfigError(f"field 'circuit_file': {exc}") from None
-        except (OSError, ValueError) as exc:  # a directory, or a NUL in the path
-            raise ConfigError(
-                f"field 'circuit_file': cannot read {cfg.circuit_file!r}: {exc}"
-            ) from None
-        if cfg.beta is not None:
+        if cfg["beta"] is not None:
             channel = source.channel if source is not None else 0
-            source = _make_source(channel, cfg.beta, cfg.max_order)
+            source = _make_source(channel, cfg["beta"], cfg["max_order"])
         if source is None:
             raise ConfigError("field 'beta': missing (circuit file carries no source)")
         return spec, source
-    block = {
-        key: _parse_float(value, f"canonical.{key}") for key, value in cfg.canonical.items()
-    }
-    if cfg.beta is None:
+    if cfg["beta"] is None:
         raise ConfigError("field 'beta': missing")
     try:
-        spec = canonical_w_circuit(**block)
+        spec = canonical_w_circuit(**cfg["canonical"])
     except ParamOutOfRange as exc:
         raise ConfigError(f"field 'canonical': {exc}") from None
-    return spec, _make_source(0, cfg.beta, cfg.max_order)
+    return spec, _make_source(0, cfg["beta"], cfg["max_order"])
 
 
 def _make_source(channel: int, beta: complex, max_order: int) -> SourceSpec:
     try:
         return SourceSpec(channel=channel, beta=beta, max_order=max_order)
-    except (ParamOutOfRange, WchipError) as exc:
+    except WchipError as exc:
         raise ConfigError(f"field 'beta': {exc}") from None
 
 
@@ -329,32 +276,29 @@ def _herald_summary(state) -> tuple[dict, dict[str, float | None], dict | None]:
     return branches, fidelities, dist
 
 
-def cmd_simulate(cfg: RunConfig) -> str:
+def cmd_simulate(cfg: dict) -> dict | str:
     spec, source = _resolve_circuit(cfg)
     state = propagate(source, spec)
     branches, fidelities, dist = _herald_summary(state)
-    if cfg.fmt == "csv":
+    if cfg["format"] == "csv":
         lines = ["pattern,probability"]
         for pattern in sorted(dist) if dist else ():
             lines.append(f"{pattern},{dist[pattern]!r}")
         return "\n".join(lines) + "\n"
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "simulate",
+    return {
         "beta": _complex_json(source.beta),
         "herald": branches,
         "fidelity_W_T1": fidelities["T1"],
         "fidelity_W_T2": fidelities["T2"],
         "coincidence_distribution": dist,
     }
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def cmd_herald(cfg: RunConfig) -> str:
+def cmd_herald(cfg: dict) -> dict | str:
     spec, source = _resolve_circuit(cfg)
     state = propagate(source, spec)
     branches, fidelities, _ = _herald_summary(state)
-    if cfg.fmt == "csv":
+    if cfg["format"] == "csv":
         lines = ["branch,probability,fidelity_W,residual_weight"]
         for name in ("T1", "T2"):
             fid = fidelities[name]
@@ -369,19 +313,16 @@ def cmd_herald(cfg: RunConfig) -> str:
                 )
             )
         return "\n".join(lines) + "\n"
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "herald",
+    return {
         "branches": {
             name: {**branches[name], "fidelity_W": fidelities[name]}
             for name in ("T1", "T2")
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _tomo_source(cfg: RunConfig):
-    state = cfg.extras["state"]
+def _tomo_source(cfg: dict):
+    state = cfg["state"]
     if state == "circuit":
         spec, source = _resolve_circuit(cfg)
         result = herald(propagate(source, spec), Branch.T1)
@@ -397,23 +338,21 @@ def _tomo_source(cfg: RunConfig):
     return PureState.basis(basis_from_pattern("BBR", SIGNAL_CHANNELS))
 
 
-def cmd_tomo(cfg: RunConfig) -> str:
+def cmd_tomo(cfg: dict) -> dict | str:
     source = _tomo_source(cfg)
     result = run_tomography(
         source,
-        shots=cfg.shots,
-        seed=cfg.seed,
-        diag_threshold=cfg.extras["diag_threshold"],
+        shots=cfg["shots"],
+        seed=cfg["seed"],
+        diag_threshold=cfg["diag_threshold"],
     )
-    report = discriminate(result.rho, threshold=cfg.extras["w_threshold"])
-    if cfg.fmt == "csv":
+    report = discriminate(result.rho, threshold=cfg["w_threshold"])
+    if cfg["format"] == "csv":
         return result.rho.to_csv()
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "tomo",
-        "state": cfg.extras["state"],
+    return {
+        "state": cfg["state"],
         "shots": result.shots,
-        "seed": cfg.seed,
+        "seed": cfg["seed"],
         "diagonals": {k: float(v) for k, v in result.diagonal_frequencies.items()},
         "coefficients": {
             name: est.as_json_dict() for name, est in result.coefficients.items()
@@ -422,48 +361,32 @@ def cmd_tomo(cfg: RunConfig) -> str:
         "records": [record.as_json_dict() for record in result.records],
         "report": report.as_json_dict(),
     }
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def cmd_optimize(cfg: RunConfig) -> str:
+def cmd_optimize(cfg: dict) -> dict | str:
     try:
         result = maximize(
-            cfg.extras["tol"],
-            grid_step=cfg.extras["grid_step"],
-            grid_bounds=cfg.extras["grid_bounds"],
+            cfg["tol"], grid_step=cfg["grid_step"], grid_bounds=cfg["grid_bounds"]
         )
     except ParamOutOfRange as exc:  # tol, grid_step or grid_bounds out of range
         raise ConfigError(str(exc)) from None
-    if cfg.fmt == "csv":
-        return (
-            "r1,r2,r3,value\n"
-            + ",".join(repr(float(v)) for v in result)
-            + "\n"
-        )
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "optimize",
+    if cfg["format"] == "csv":
+        return "r1,r2,r3,value\n" + ",".join(repr(float(v)) for v in result) + "\n"
+    return {
         "r1": result.r1,
         "r2": result.r2,
         "r3": result.r3,
         "value": result.value,
-        "tol": cfg.extras["tol"],
-        "grid_step": cfg.extras["grid_step"],
+        "tol": cfg["tol"],
+        "grid_step": cfg["grid_step"],
     }
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def cmd_sweep(cfg: RunConfig) -> str:
-    table = sweep(cfg.extras["sweep"])
-    if cfg.fmt == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "sweep",
-            "columns": list(table.columns),
-            "rows": [list(row) for row in table.rows],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    return table.to_csv()
+def cmd_sweep(cfg: dict) -> dict | str:
+    table = sweep(cfg["sweep"])
+    if cfg["format"] == "csv":
+        return table.to_csv()
+    return {"columns": list(table.columns), "rows": [list(row) for row in table.rows]}
 
 
 _COMMANDS = {
@@ -496,22 +419,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_doc(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except (OSError, ValueError) as exc:  # a directory, not UTF-8, a NUL in the path
-        raise ConfigError(f"--config: cannot read {path!r}: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return doc
-
-
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -533,10 +440,12 @@ def main(argv=None) -> int:
     if args.config is None and args.command != "optimize":
         parser.error("the following arguments are required: --config")
     try:
-        doc = _load_config_doc(args.config)
-        cfg = _build_config(args.command, doc, args)
-        text = _COMMANDS[args.command](cfg)
-        _write_output(text, cfg.out)
+        cfg = _build_config(args)
+        body = _COMMANDS[args.command](cfg)
+        if isinstance(body, dict):
+            document = {"schema_version": SCHEMA_VERSION, "command": args.command, **body}
+            body = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        _write_output(body, cfg["out"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

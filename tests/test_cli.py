@@ -213,6 +213,12 @@ class TestExitCodes:
         cfg = _write(tmp_path, "c.json", {"circuit_file": str(tmp_path / "no.json"), "beta": 0.1})
         assert main(["simulate", "--config", cfg]) == 2
 
+    def test_negative_diag_threshold_is_2(self, tmp_path, capsys):
+        # a negative gate would abort every tomography run with exit 3
+        cfg = _write(tmp_path, "c.json", {"state": "w", "shots": 1000, "diag_threshold": -1})
+        assert main(["tomo", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: field 'diag_threshold':")
+
 
 class TestNumericFields:
     """Non-numeric or non-finite numbers are config errors (exit 2), and no
@@ -280,6 +286,7 @@ class TestMalformedCircuitFile:
             (("elements", 0, "r"), 1.5),
             (("source", "channel"), 9),
             (("source", "beta"), 10**400),
+            (("elements", 0, "r"), True),
         ],
         ids=[
             "element-not-object",
@@ -290,6 +297,7 @@ class TestMalformedCircuitFile:
             "coupler-r-out-of-range",
             "source-channel-unregistered",
             "source-beta-too-large-for-a-float",
+            "coupler-r-boolean",
         ],
     )
     def test_is_2(self, tmp_path, capsys, path, value):
@@ -309,9 +317,57 @@ class TestMalformedCircuitFile:
         assert main(["simulate", "--config", cfg]) == 0
 
 
+def _with_circuit_file(tmp_path, doc):
+    """`doc`, with a ``"source"`` entry moved into a circuit file's source."""
+    if "source" not in doc:
+        return doc
+    circuit = {**_CIRCUIT_DOC, "source": {**_CIRCUIT_DOC["source"], **doc["source"]}}
+    return {"circuit_file": _write(tmp_path, "circ.json", circuit)}
+
+
 class TestCounts:
     """Counts too large for the C samplers, or not integers, are config
     errors (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "command, doc, field",
+        [
+            ("tomo", {"state": "w", "shots": 2.9}, "shots"),
+            ("tomo", {"state": "w", "shots": 1000, "seed": 1.9}, "seed"),
+            ("simulate", {"canonical": OPT, "beta": 0.1, "max_order": 2.7}, "max_order"),
+            (
+                "sweep",
+                {"sweep": {"r1": {"start": 0.4, "stop": 0.5, "num": 2.7}, "r2": 0.5, "r3": 0.5}},
+                "sweep.r1.num",
+            ),
+            ("sweep", {"sweep": {"r1": 0.5, "r2": 0.5, "r3": 0.5, "cell_cap": 2.5}}, "sweep.cell_cap"),
+            ("simulate", {"source": {"channel": 1.9}}, "source.channel"),
+            ("simulate", {"source": {"max_order": 2.7}}, "source.max_order"),
+        ],
+    )
+    def test_non_integral_count_is_2(self, tmp_path, capsys, command, doc, field):
+        cfg = _write(tmp_path, "c.json", _with_circuit_file(tmp_path, doc))
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"field {field!r}: expected an integer" in err
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("tomo", {"state": "w", "shots": 3000.0, "seed": 3.0}),
+            ("simulate", {"canonical": OPT, "beta": 0.1, "max_order": 2.0}),
+            (
+                "sweep",
+                {"sweep": {"r1": {"start": 0.4, "stop": 0.5, "num": 3.0}, "r2": 0.5, "r3": 0.5,
+                           "cell_cap": 3.0}},
+            ),
+            ("simulate", {"source": {"channel": 0.0, "max_order": 2.0}}),
+        ],
+    )
+    def test_integral_float_count_runs(self, tmp_path, capsys, command, doc):
+        cfg = _write(tmp_path, "c.json", _with_circuit_file(tmp_path, doc))
+        assert main([command, "--config", cfg]) == 0
 
     def test_overflowing_shots_in_config_is_2(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", {"state": "w", "shots": 1e30})
@@ -334,6 +390,30 @@ class TestCounts:
         )
         assert main(["sweep", "--config", cfg]) == 2
         assert "cell_cap" in capsys.readouterr().err
+
+
+class TestStrictValues:
+    """A boolean, a numeric string or null is never read as a number, a
+    format or a path: each is a config error naming the field (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "command, doc, field",
+        [
+            ("herald", {"canonical": OPT, "beta": 0.1, "format": False}, "format"),
+            ("herald", {"canonical": OPT, "beta": 0.1, "format": ""}, "format"),
+            ("herald", {"canonical": OPT, "beta": 0.1, "format": None}, "format"),
+            ("herald", {"canonical": OPT, "beta": 0.1, "out": None}, "out"),
+            ("herald", {"canonical": OPT, "beta": 0.1, "circuit_file": None}, "circuit_file"),
+            ("tomo", {"state": "w", "shots": True}, "shots"),
+            ("simulate", {"canonical": OPT, "beta": True}, "beta"),
+            ("optimize", {"tol": True}, "tol"),
+            ("optimize", {"tol": "1e-4"}, "tol"),
+        ],
+    )
+    def test_is_2(self, tmp_path, capsys, command, doc, field):
+        cfg = _write(tmp_path, "c.json", doc)
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: field {field!r}:")
 
 
 class TestGridBounds:
@@ -508,3 +588,32 @@ def test_console_script_is_installed():
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def test_readme_config_block_lists_every_key():
+    import re
+    from pathlib import Path
+
+    from wchip.cli import _CANONICAL_BLOCK, _FIELDS, _SWEEP_BLOCK
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    documented = set(re.findall(r'"(\w+)"\s*:', block))
+    accepted = (
+        set(_FIELDS)
+        | set(_CANONICAL_BLOCK.parameters)
+        | set(_SWEEP_BLOCK.parameters)
+        | {"start", "stop", "num"}  # a sweep axis range object
+    )
+    assert documented == accepted
+
+
+def test_blocks_are_read_through_wrapped_functions(monkeypatch, capsys, sim_config):
+    # perfbench/tracing.py replaces module functions with (*args, **kwargs)
+    # wrappers; the canonical block's keys must not come from the wrapper
+    from wchip import cli
+
+    original = cli.canonical_w_circuit
+    monkeypatch.setattr(cli, "canonical_w_circuit", lambda *a, **k: original(*a, **k))
+    assert main(["simulate", "--config", sim_config]) == 0
+    assert json.loads(capsys.readouterr().out)["fidelity_W_T1"] == pytest.approx(1.0)

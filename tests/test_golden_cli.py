@@ -5,7 +5,9 @@ phases, router extinction, a circuit file, both sweep metrics) in both
 output formats and compares the bytes with ``tests/golden/expected``.  The
 expected documents were written by this same manifest on the code before the
 sparse kernel was rewritten around integer keys (``tomo-w`` before the
-herald classifier was rewritten around one term table), so a change to any
+herald classifier was rewritten around one term table, and
+``simulate-circuit-beta`` and ``tomo-thresholds`` before the config reader
+was rewritten around one field table), so a change to any
 amplitude's last bit, to term order, or to formatting shows here.  Regenerate
 them only for a deliberate change of output, and say so in the change log.
 """
@@ -23,6 +25,7 @@ CASES = (
     ("simulate-phases", "simulate", "phases.json", ()),
     ("simulate-extinction", "simulate", "extinction.json", ()),
     ("simulate-circuit", "simulate", "circuit.json", ()),
+    ("simulate-circuit-beta", "simulate", "circuit_beta.json", ()),
     ("herald-phases", "herald", "phases.json", ()),
     ("herald-extinction", "herald", "extinction.json", ()),
     ("herald-circuit", "herald", "circuit.json", ()),
@@ -31,6 +34,7 @@ CASES = (
     ("tomo-circuit", "tomo", "circuit.json", ("--shots", "4000", "--seed", "11")),
     ("tomo-rho_b", "tomo", "rho_b.json", ()),
     ("tomo-w", "tomo", "w.json", ()),
+    ("tomo-thresholds", "tomo", "tomo_thresholds.json", ()),
     ("optimize-default", "optimize", None, ()),
     ("optimize-small", "optimize", "optimize_small.json", ()),
     ("sweep-herald", "sweep", "sweep_herald.json", ()),
