@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -106,20 +107,21 @@ class CircuitSpec:
             raise ValidationError(f"phases must be finite, got {self.phases}")
 
     def mode_list(self) -> tuple[ModeLabel, ...]:
-        return tuple(
-            sorted(
-                ModeLabel(ch, color)
-                for ch in range(len(self.channels))
-                for color in Color
-            )
-        )
+        return _mode_table(len(self.channels))[0]
+
+
+@lru_cache(maxsize=16)
+def _mode_table(n_channels: int) -> tuple[tuple[ModeLabel, ...], dict[ModeLabel, int]]:
+    """Canonical mode list of a registry of ``n_channels`` channels, and
+    each mode's position in it."""
+    modes = tuple(sorted(ModeLabel(ch, color) for ch in range(n_channels) for color in Color))
+    return modes, {m: i for i, m in enumerate(modes)}
 
 
 def build_transform(spec: CircuitSpec) -> ModeTransform:
     """Ordered product of the element transforms over the full mode set."""
     spec.validate()
-    modes = spec.mode_list()
-    pos = {m: i for i, m in enumerate(modes)}
+    modes, pos = _mode_table(len(spec.channels))
     mat = np.eye(len(modes), dtype=complex)
     for el in spec.elements:
         sub = coupler_transform(el) if isinstance(el, DirectionalCoupler) else adddrop_transform(el)
@@ -223,6 +225,26 @@ def _list(value, where: str):
     return value
 
 
+#: The keys :func:`circuit_to_json_dict` writes, at the top level, per
+#: element type and in the source: the only keys a circuit file may hold.
+_CIRCUIT_KEYS = frozenset({"channels", "elements", "phases", "source"})
+_ELEMENT_KEYS = {
+    "coupler": frozenset({"type", "channels", "r", "phi"}),
+    "adddrop": frozenset({"type", "input", "through", "drop", "resonant_color", "extinction"}),
+}
+_SOURCE_KEYS = frozenset({"channel", "beta", "max_order"})
+
+
+def _object(value, keys: frozenset, where: str) -> dict:
+    """`value` as an object whose keys all lie in `keys`."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}: must be an object, got {value!r}")
+    unknown = [key for key in value if key not in keys]
+    if unknown:
+        raise ValidationError(f"{where}: unknown key(s) {unknown}, expected {sorted(keys)}")
+    return value
+
+
 def circuit_to_json_dict(spec: CircuitSpec, source: SourceSpec | None = None) -> dict:
     name = spec.channels
     elements = []
@@ -260,19 +282,25 @@ def circuit_to_json_dict(spec: CircuitSpec, source: SourceSpec | None = None) ->
 
 
 def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
-    if not isinstance(doc, dict):
-        raise ValidationError("circuit document must be a JSON object")
-    try:
-        names = [str(c) for c in doc["channels"]]
-    except (KeyError, TypeError):
-        raise ValidationError("circuit document needs a 'channels' list") from None
+    """Inverse of :func:`circuit_to_json_dict`.  Only the keys it writes are
+    accepted; the channel registry is a list of distinct name strings, and
+    elements name their channels by those strings."""
+    doc = _object(doc, _CIRCUIT_KEYS, "circuit document")
+    if "channels" not in doc:
+        raise ValidationError("circuit document needs a 'channels' list")
+    names = _list(doc["channels"], "channels")
+    if not all(isinstance(c, str) for c in names):
+        raise ValidationError(f"channels: expected name strings, got {names!r}")
+    if len(set(names)) != len(names):
+        raise ValidationError(f"channels: duplicate names in {names!r}")
     index = {c: i for i, c in enumerate(names)}
 
     def resolve(label, where: str) -> int:
-        key = str(label)
-        if key not in index:
+        if not isinstance(label, str):
+            raise ValidationError(f"{where}: expected a channel name string, got {label!r}")
+        if label not in index:
             raise ValidationError(f"{where}: unregistered channel {label!r}")
-        return index[key]
+        return index[label]
 
     elements = []
     for k, entry in enumerate(_list(doc.get("elements", []), "elements")):
@@ -280,6 +308,9 @@ def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
         if not isinstance(entry, dict):
             raise ValidationError(f"{where}: must be an object, got {entry!r}")
         kind = entry.get("type")
+        if not isinstance(kind, str) or kind not in _ELEMENT_KEYS:
+            raise ValidationError(f"{where}: unknown element type {kind!r}")
+        _object(entry, _ELEMENT_KEYS[kind], where)
         if kind == "coupler":
             chans = _list(entry.get("channels", []), f"{where} channels")
             if len(chans) != 2:
@@ -293,7 +324,7 @@ def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
                     parse_number(entry.get("phi", 0.0), f"{where} phi"),
                 )
             )
-        elif kind == "adddrop":
+        else:
             try:
                 color = Color.from_letter(str(entry.get("resonant_color", "Blue")))
             except ValueError as exc:
@@ -307,15 +338,11 @@ def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
                     extinction=parse_number(entry.get("extinction", 0.0), f"{where} extinction"),
                 )
             )
-        else:
-            raise ValidationError(f"{where}: unknown element type {kind!r}")
     phases = tuple(parse_number(p, "phases") for p in _list(doc.get("phases", []), "phases"))
     spec = CircuitSpec(tuple(names), tuple(elements), phases)
     source = None
     if "source" in doc:
-        src = doc["source"]
-        if not isinstance(src, dict):
-            raise ValidationError(f"source: must be an object, got {src!r}")
+        src = _object(doc["source"], _SOURCE_KEYS, "source")
         source = SourceSpec(
             channel=parse_integer(src.get("channel", 0), "source.channel"),
             beta=parse_complex(src.get("beta", 0.0), "source.beta"),

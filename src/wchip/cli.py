@@ -116,8 +116,10 @@ def _axis(value, field: str):
     """``(length, build)`` of one sweep axis, where ``build()`` returns its
     values, so that the grid is sized before any axis is built."""
     if isinstance(value, dict):
-        if not {"start", "stop", "num"} <= value.keys():
-            raise ValidationError(f"field {field!r}: range object needs start/stop/num")
+        if value.keys() != {"start", "stop", "num"}:
+            raise ValidationError(
+                f"field {field!r}: range object needs exactly start/stop/num, got {list(value)}"
+            )
         start = parse_number(value["start"], f"{field}.start")
         stop = parse_number(value["stop"], f"{field}.stop")
         num = parse_integer(value["num"], f"{field}.num")

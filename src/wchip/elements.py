@@ -5,13 +5,23 @@ add-drop ring filter reroutes one color while passing the other; the source
 emits color-correlated photon pairs into a single channel.  Every element
 produces an exactly unitary :class:`~wchip.fock.ModeTransform` — imperfect
 filters mis-route photons, they never absorb them.
+
+:func:`coupler_transform` and :func:`adddrop_transform` are memoised: a
+Cartesian sweep repeats the same few elements in every cell.  Each memo keeps
+the :data:`MEMO_SIZE` most recently used transforms, keyed by an element's
+channels (and resonant color) and the exact bits of its float parameters, so
+``-0.0`` and ``0.0``, which compare and hash alike but build different
+entries, never share a transform.  A memoised matrix is read-only, and each
+distinct element is unitarity-checked when it is first built.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,6 +29,15 @@ from .errors import ChannelCollision, NotUnitary, OrderOutOfRange, ParamOutOfRan
 from .fock import Color, FockBasisState, ModeLabel, ModeTransform, PureState
 
 _COUPLER_TOL = 1e-9
+
+#: Transforms each element-transform memo keeps.  An entry takes about
+#: 1.4 kB, so the two memos full hold about 0.7 MB; random devices miss
+#: every time and fill them, which is why they must stay small.
+MEMO_SIZE = 256
+
+#: Exact bits of an element's float parameters, the memo key's numeric part.
+_COUPLER_PARAMS = struct.Struct("<3d")
+_ADDDROP_PARAMS = struct.Struct("<d")
 
 
 @dataclass(frozen=True)
@@ -175,31 +194,45 @@ def adddrop_block(extinction: float, resonant: bool):
 def _color_blocks(channels, blocks) -> ModeTransform:
     """Mode transform acting with ``blocks[color]`` (nested tuples, rows
     indexed by input) on each color's modes of ``channels`` and never mixing
-    colors."""
+    colors; its matrix is read-only, so that a memo can share it."""
     # Channel-major, color-minor: the canonical order when the channels
     # ascend, and ModeTransform reorders them otherwise.
     modes = tuple(ModeLabel(ch, color) for ch in channels for color in Color)
     mat = np.zeros((len(modes), len(modes)), dtype=complex)
     for color in Color:
         mat[color :: len(Color), color :: len(Color)] = blocks[color]
-    return ModeTransform(modes, mat)
+    transform = ModeTransform(modes, mat)
+    transform.matrix.flags.writeable = False
+    return transform
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _coupler_memo(channels: tuple[int, int], params: bytes) -> ModeTransform:
+    block = coupler_block(*_COUPLER_PARAMS.unpack(params))
+    return _color_blocks(channels, {color: block for color in Color})
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _adddrop_memo(channels: tuple[int, int, int], resonant: Color, params: bytes) -> ModeTransform:
+    (extinction,) = _ADDDROP_PARAMS.unpack(params)
+    return _color_blocks(
+        channels, {color: adddrop_block(extinction, color is resonant) for color in Color}
+    )
 
 
 def coupler_transform(dc: DirectionalCoupler) -> ModeTransform:
     """Four-mode transform of a coupler: :func:`coupler_block` acts
-    identically on the Red and the Blue modes of the two channels."""
-    block = coupler_block(dc.r, dc.t, dc.phi)
-    return _color_blocks(dc.channels, {color: block for color in Color})
+    identically on the Red and the Blue modes of the two channels.
+    Memoised (see the module docstring)."""
+    return _coupler_memo(dc.channels, _COUPLER_PARAMS.pack(dc.r, dc.t, dc.phi))
 
 
 def adddrop_transform(ad: AddDropFilter) -> ModeTransform:
     """Six-mode transform of an add-drop filter: :func:`adddrop_block` on
-    each color, resonant for ``ad.resonant_color`` only."""
+    each color, resonant for ``ad.resonant_color`` only.  Memoised (see the
+    module docstring)."""
     chans = (ad.input_channel, ad.through_channel, ad.drop_channel)
-    return _color_blocks(
-        chans,
-        {color: adddrop_block(ad.extinction, color is ad.resonant_color) for color in Color},
-    )
+    return _adddrop_memo(chans, ad.resonant_color, _ADDDROP_PARAMS.pack(ad.extinction))
 
 
 # ---------------------------------------------------------------------------

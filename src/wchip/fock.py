@@ -21,7 +21,11 @@ permanent with repeated rows; Scheel, quant-ph/0406127) over integer keys
 with one fixed-width occupation field per output mode, and reuses each
 output basis state with its sqrt(m!) factor from a bounded table per mode
 list, so the per-photon step is one integer addition and one dict update.
-A term may hold at most ``MAX_PHOTONS`` photons.
+A term may hold at most ``MAX_PHOTONS`` photons.  A transform's sparse rows
+are built on first use and only for the input modes a state occupies (two of
+fourteen for the canonical source), and the kernel hands its finished
+amplitude map to a trusted :class:`PureState` constructor that prunes it in
+place instead of converting and re-inserting every term.
 """
 
 from __future__ import annotations
@@ -234,6 +238,18 @@ class PureState:
         self.weight = complex(weight)
 
     @classmethod
+    def _trusted(cls, terms: dict[FockBasisState, complex], weight: complex) -> "PureState":
+        """Trusted constructor: takes ``terms``, whose amplitudes are complex
+        already, and prunes it in place exactly as ``__init__`` does, so the
+        kept terms keep their order."""
+        for b in [b for b, a in terms.items() if not abs(a) > PRUNE_EPS]:
+            del terms[b]
+        state = object.__new__(cls)
+        state._terms = terms
+        state.weight = weight
+        return state
+
+    @classmethod
     def vacuum(cls, weight: complex = 1.0) -> "PureState":
         return cls({_VACUUM: 1.0}, weight)
 
@@ -347,19 +363,25 @@ class ModeTransform:
         return {m: i for i, m in enumerate(self.modes)}
 
     @cached_property
-    def _sparse_rows(self) -> tuple[tuple[tuple[int, complex], ...], ...]:
-        """Per input mode, ``(key step, entry)`` for each entry above
+    def _sparse_rows(self) -> list[tuple[tuple[int, complex], ...] | None]:
+        """Per input mode, the row :meth:`_sparse_row` built, or ``None``."""
+        return [None] * len(self.modes)
+
+    def _sparse_row(self, i: int) -> tuple[tuple[int, complex], ...]:
+        """``(key step, entry)`` for each entry of row ``i`` above
         :data:`PRUNE_EPS`, where the key step ``1 << _FIELD_BITS * j`` adds
-        one photon to output mode ``j`` of an expansion key."""
-        kept = (np.abs(self.matrix) > PRUNE_EPS).tolist()
-        return tuple(
-            tuple(
+        one photon to output mode ``j`` of an expansion key; built on first
+        use."""
+        row = self._sparse_rows[i]
+        if row is None:
+            entries = self.matrix[i]
+            kept = (np.abs(entries) > PRUNE_EPS).tolist()
+            row = self._sparse_rows[i] = tuple(
                 (1 << _FIELD_BITS * j, u)
-                for j, (u, keep) in enumerate(zip(row, row_kept))
+                for j, (u, keep) in enumerate(zip(entries.tolist(), kept))
                 if keep
             )
-            for row, row_kept in zip(self.matrix.tolist(), kept)
-        )
+        return row
 
 
 @lru_cache(maxsize=_OUTPUT_TABLES)
@@ -395,16 +417,16 @@ def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureStat
     The polynomial is keyed by an integer holding one fixed-width occupation
     field per output mode, so adding a photon to mode ``j`` is one integer
     addition; each output key is decoded into its basis state and factor
-    once per mode list and then looked up (a bounded table).  Lossless
-    transforms preserve the norm; output amplitudes below :data:`PRUNE_EPS`
-    are pruned.
+    once per mode list and then looked up (a bounded table).  Only the rows
+    of occupied input modes are built.  Lossless transforms preserve the
+    norm; output amplitudes below :data:`PRUNE_EPS` are pruned.
 
     Raises :class:`UnknownMode` when the state occupies a mode the transform
     does not list, and :class:`TooManyPhotons` for a term with more than
     :data:`MAX_PHOTONS` photons.
     """
     mode_pos = transform._mode_pos
-    rows = transform._sparse_rows
+    sparse_row = transform._sparse_row
     modes = transform.modes
     outputs = _output_table(modes)
     if len(outputs) > _OUTPUT_TABLE_SIZE:
@@ -427,7 +449,7 @@ def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureStat
                 raise TooManyPhotons(
                     f"term {basis!r} holds more than {MAX_PHOTONS} photons"
                 )
-            row_list.append((rows[i], count))
+            row_list.append((sparse_row(i), count))
             denom *= sqf[count]
         poly: dict[int, complex] = {0: amp / denom}
         for row, count in row_list:
@@ -447,7 +469,7 @@ def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureStat
             prev = out.get(new_basis)
             val = coeff * scale
             out[new_basis] = val if prev is None else prev + val
-    return PureState(out, state.weight)
+    return PureState._trusted(out, state.weight)
 
 
 # ---------------------------------------------------------------------------

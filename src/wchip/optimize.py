@@ -322,12 +322,13 @@ def check_cell_count(n_cells: int, cell_cap: int) -> None:
 def sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the metric over the grid, rows in lexicographic cell order."""
     check_cell_count(spec.n_cells, spec.cell_cap)
+    source = two_pair_state(SOURCE_CHANNEL)
     rows = []
     for r1, r2, r3, eps in itertools.product(
         spec.r1, spec.r2, spec.r3, spec.ad2_extinction
     ):
         circuit = canonical_w_circuit(r1, r2, r3, ad2_extinction=eps)
-        state = apply_mode_transform(two_pair_state(0), build_transform(circuit))
+        state = apply_mode_transform(source, build_transform(circuit))
         if spec.metric == "herald_probability":
             value = herald(state, Branch.T1).probability
         else:

@@ -7,7 +7,7 @@ creation-operator algebra, closed-form parameter dependence instead of
 circuit simulation.  Tests compare the two routes; neither side is derived
 from the other, so agreement is evidence and disagreement is a bug.
 
-The last section keeps earlier versions of three package functions that
+The last section keeps seven earlier versions of package functions that
 were rewritten with the same arithmetic in the same order; tests hold the
 rewrites to them bit for bit.
 """
@@ -283,3 +283,108 @@ def per_term_dict_herald(state, branch, signal_channels=(2, 3, 4), t1_channel=5,
     scale = 1.0 / math.sqrt(branch_sq[branch])
     heralded = PureState({b: a * scale for b, a in branch_terms[branch].items()})
     return HeraldResult(prob, heralded, residual)
+
+
+def uncached_element_transform(element):
+    """``coupler_transform`` or ``adddrop_transform`` as they were before
+    the memo: every call builds the element's transform afresh."""
+    from wchip.elements import DirectionalCoupler, adddrop_block, coupler_block
+    from wchip.fock import Color, ModeLabel, ModeTransform
+
+    if isinstance(element, DirectionalCoupler):
+        channels = element.channels
+        block = coupler_block(element.r, element.t, element.phi)
+        blocks = {color: block for color in Color}
+    else:
+        channels = (element.input_channel, element.through_channel, element.drop_channel)
+        blocks = {
+            color: adddrop_block(element.extinction, color is element.resonant_color)
+            for color in Color
+        }
+    modes = tuple(ModeLabel(ch, color) for ch in channels for color in Color)
+    mat = np.zeros((len(modes), len(modes)), dtype=complex)
+    for color in Color:
+        mat[color :: len(Color), color :: len(Color)] = blocks[color]
+    return ModeTransform(modes, mat)
+
+
+def uncached_build_transform(spec):
+    """``build_transform`` before the element memo and the mode table: the
+    mode list is sorted and every element transform built on each call."""
+    from wchip.fock import Color, ModeLabel, ModeTransform
+
+    spec.validate()
+    modes = tuple(
+        sorted(ModeLabel(ch, color) for ch in range(len(spec.channels)) for color in Color)
+    )
+    pos = {m: i for i, m in enumerate(modes)}
+    mat = np.eye(len(modes), dtype=complex)
+    for element in spec.elements:
+        sub = uncached_element_transform(element)
+        idx = [pos[m] for m in sub.modes]
+        mat[:, idx] = mat[:, idx] @ sub.matrix
+    if any(p != 0.0 for p in spec.phases):
+        col_phase = np.array(
+            [np.exp(1j * spec.phases[m.channel]) for m in modes], dtype=complex
+        )
+        mat = mat * col_phase[np.newaxis, :]
+    return ModeTransform(modes, mat)
+
+
+def eager_sparse_rows(transform):
+    """``ModeTransform._sparse_rows`` before lazy rows: every row of the
+    matrix at once, as ``(key step, entry)`` pairs above ``PRUNE_EPS``."""
+    from wchip.fock import _FIELD_BITS, PRUNE_EPS
+
+    kept = (np.abs(transform.matrix) > PRUNE_EPS).tolist()
+    return tuple(
+        tuple(
+            (1 << _FIELD_BITS * j, u)
+            for j, (u, keep) in enumerate(zip(row, row_kept))
+            if keep
+        )
+        for row, row_kept in zip(transform.matrix.tolist(), kept)
+    )
+
+
+def eager_apply_mode_transform(state, transform):
+    """The integer-keyed kernel before lazy rows and the trusted output
+    constructor: all rows are built up front, and the output goes through
+    ``PureState.__init__``.  Same arithmetic in the same order as
+    :func:`wchip.fock.apply_mode_transform`."""
+    from wchip.errors import UnknownMode
+    from wchip.fock import FockBasisState, PureState, _output_basis
+
+    sqf = tuple(math.sqrt(math.factorial(k)) for k in range(33))
+    rows = eager_sparse_rows(transform)
+    mode_pos = {m: i for i, m in enumerate(transform.modes)}
+    vacuum = FockBasisState()
+    out = {}
+    for basis, amp in state.items():
+        if not basis:
+            out[vacuum] = out.get(vacuum, 0.0) + amp
+            continue
+        row_list = []
+        denom = 1.0
+        for mode, count in basis:
+            i = mode_pos.get(mode)
+            if i is None:
+                raise UnknownMode(f"state occupies mode {mode} absent from transform")
+            row_list.append((rows[i], count))
+            denom *= sqf[count]
+        poly = {0: amp / denom}
+        for row, count in row_list:
+            for _ in range(count):
+                nxt = {}
+                for key, coeff in poly.items():
+                    for step, u in row:
+                        nk = key + step
+                        prev = nxt.get(nk)
+                        nxt[nk] = coeff * u if prev is None else prev + coeff * u
+                poly = nxt
+        for key, coeff in poly.items():
+            new_basis, scale = _output_basis(transform.modes, key)
+            prev = out.get(new_basis)
+            val = coeff * scale
+            out[new_basis] = val if prev is None else prev + val
+    return PureState(out, state.weight)

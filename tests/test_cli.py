@@ -3,8 +3,12 @@ flag/config precedence, and byte-level determinism."""
 
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wchip.cli import main
 from wchip.errors import ParamOutOfRange
@@ -77,6 +81,35 @@ def test_repeated_runs_are_byte_identical(tmp_path, capsys):
     a = (tmp_path / "o0").read_bytes()
     b = (tmp_path / "o1").read_bytes()
     assert a == b and len(a) > 0
+
+
+_REFLECTIVITY = st.floats(0.05, 0.95)
+
+
+@settings(max_examples=25)
+@given(
+    st.fixed_dictionaries(
+        {
+            **{key: _REFLECTIVITY for key in ("r1", "r2", "r3")},
+            **{key: st.floats(-4.0, 4.0) for key in ("phi1", "phi2", "phi3")},
+            "ad2_extinction": st.floats(0.0, 0.1),
+        }
+    ),
+    st.integers(0, 2**63),
+)
+def test_same_seed_gives_identical_bytes(canonical, seed):
+    config = {"canonical": canonical, "beta": 0.1, "shots": 100_000, "seed": seed}
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "tomo.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(config, f)
+        documents = []
+        for k in range(2):
+            out = os.path.join(workdir, f"out{k}.json")
+            assert main(["tomo", "--config", path, "--out", out]) == 0
+            with open(out, "rb") as f:
+                documents.append(f.read())
+    assert documents[0] == documents[1] and documents[0]
 
 
 def test_seed_flag_overrides_config(tmp_path, capsys):
@@ -201,6 +234,12 @@ class TestExitCodes:
         assert main(["tomo", "--config", cfg]) == 3
         assert "uniform" in capsys.readouterr().err
 
+    def test_extra_key_in_a_range_object_is_2(self, tmp_path, capsys):
+        axis = {"start": 0.2, "stop": 0.8, "num": 3, "nmu": 9}
+        cfg = _write(tmp_path, "s.json", {"sweep": {"r1": axis, "r2": 0.5, "r3": 0.5}})
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "nmu" in capsys.readouterr().err
+
     def test_oversized_sweep_is_4(self, tmp_path, capsys):
         axis = [round(0.1 + 0.005 * k, 6) for k in range(120)]
         cfg = _write(
@@ -287,6 +326,10 @@ class TestMalformedCircuitFile:
             (("source", "channel"), 9),
             (("source", "beta"), 10**400),
             (("elements", 0, "r"), True),
+            (("elements", 1, "extintion"), 0.05),
+            (("sourse",), {"channel": 0, "beta": 0.1}),
+            (("channels",), "012"),
+            (("channels",), ["0", 1, "2"]),
         ],
         ids=[
             "element-not-object",
@@ -298,6 +341,10 @@ class TestMalformedCircuitFile:
             "source-channel-unregistered",
             "source-beta-too-large-for-a-float",
             "coupler-r-boolean",
+            "adddrop-unknown-key",
+            "top-level-unknown-key",
+            "registry-string",
+            "registry-not-strings",
         ],
     )
     def test_is_2(self, tmp_path, capsys, path, value):

@@ -14,8 +14,11 @@ from wchip.elements import (
     source_state,
     two_pair_state,
 )
+import wchip.elements
 from wchip.errors import ChannelCollision, NotUnitary, OrderOutOfRange, ParamOutOfRange
 from wchip.fock import Color, FockBasisState, ModeLabel, PureState, apply_mode_transform
+
+from oracles import uncached_element_transform
 
 
 class TestDirectionalCoupler:
@@ -106,6 +109,60 @@ class TestAddDropFilter:
         for eps in (0.0, 1e-6, 0.3, 0.9999, 1.0):
             xf = adddrop_transform(self._filter(eps))
             assert xf.unitarity_deviation() < 1e-12
+
+
+def _bits(transform):
+    return transform.modes, transform.matrix.tobytes()
+
+
+class TestMemo:
+    """The element transforms are memoised by the exact bits of their
+    parameters, in bounded memos of read-only matrices."""
+
+    @pytest.mark.parametrize(
+        "plus, minus",
+        [
+            (AddDropFilter(1, 5, 6, Color.BLUE, 0.0), AddDropFilter(1, 5, 6, Color.BLUE, -0.0)),
+            (DirectionalCoupler((0, 1), 0.0, 1.0), DirectionalCoupler((0, 1), -0.0, 1.0)),
+            (DirectionalCoupler((0, 1), 1.0, 0.0), DirectionalCoupler((0, 1), 1.0, -0.0)),
+        ],
+        ids=["extinction", "coupler-r", "coupler-t"],
+    )
+    def test_negative_zero_after_its_twin_equals_its_fresh_build(self, plus, minus):
+        transform = adddrop_transform if isinstance(plus, AddDropFilter) else coupler_transform
+        wchip.elements._coupler_memo.cache_clear()
+        wchip.elements._adddrop_memo.cache_clear()
+        # the twins compare and hash alike, yet build different entries
+        assert plus == minus and hash(plus) == hash(minus)
+        first = transform(plus)
+        second = transform(minus)
+        assert _bits(first) == _bits(uncached_element_transform(plus))
+        assert _bits(second) == _bits(uncached_element_transform(minus))
+        assert _bits(second) != _bits(first)
+
+    def test_memo_never_holds_more_than_its_bound(self):
+        bound = wchip.elements.MEMO_SIZE
+        for memo in (wchip.elements._coupler_memo, wchip.elements._adddrop_memo):
+            assert memo.cache_info().maxsize == bound
+        for k in range(bound + 40):
+            eps = k / (bound + 40)
+            dc = DirectionalCoupler.from_reflectivity((0, 1), eps, 0.5)
+            ad = AddDropFilter(1, 5, 6, Color.RED, eps)
+            assert _bits(coupler_transform(dc)) == _bits(uncached_element_transform(dc))
+            assert _bits(adddrop_transform(ad)) == _bits(uncached_element_transform(ad))
+            for memo in (wchip.elements._coupler_memo, wchip.elements._adddrop_memo):
+                assert memo.cache_info().currsize <= bound
+
+    def test_writing_to_a_memoised_matrix_raises(self):
+        xf = coupler_transform(DirectionalCoupler.from_reflectivity((0, 1), 0.37, 0.2))
+        with pytest.raises(ValueError, match="read-only"):
+            xf.matrix[0, 0] = 2.0
+        ad = adddrop_transform(AddDropFilter(1, 5, 6, Color.BLUE, 0.01))
+        with pytest.raises(ValueError, match="read-only"):
+            ad.matrix[:] = 0.0
+        assert coupler_transform(
+            DirectionalCoupler.from_reflectivity((0, 1), 0.37, 0.2)
+        ).matrix[0, 0] == xf.matrix[0, 0]
 
 
 class TestSource:

@@ -34,6 +34,8 @@ from wchip.fock import (
 )
 
 from oracles import (
+    eager_apply_mode_transform,
+    eager_sparse_rows,
     monomial_amplitudes,
     occupation_amplitudes,
     random_unitary,
@@ -274,6 +276,38 @@ class TestKernelMatchesTupleKeyExpansion:
             apply_mode_transform(state, transform),
             tuple_key_apply_mode_transform(state, transform),
         )
+
+
+class TestKernelMatchesEagerRows:
+    """Rows built on first use and the trusted output constructor give the
+    bits of the kernel that built every row up front and passed its output
+    through ``PureState.__init__`` (kept in oracles.py)."""
+
+    @given(st.data())
+    def test_random_lossless_transforms(self, data):
+        transform = data.draw(_lossless_transforms())
+        modes = data.draw(st.permutations(transform.modes))
+        k = data.draw(st.integers(1, len(modes)))
+        state = data.draw(_states_on(modes[:k]))
+        _same_bits(
+            apply_mode_transform(state, transform),
+            eager_apply_mode_transform(state, transform),
+        )
+        occupied = {transform.modes.index(m) for basis, _ in state.items() for m, _ in basis}
+        built = transform._sparse_rows
+        eager = eager_sparse_rows(transform)
+        for i, row in enumerate(built):
+            assert row == (eager[i] if i in occupied else None)
+
+    def test_cancelled_amplitude_is_pruned(self):
+        # Hong-Ou-Mandel: one photon in each input of a balanced coupler
+        # leaves |1, 1> with amplitude t^2 - r^2, zero up to rounding
+        h = math.sqrt(0.5)
+        transform = ModeTransform((B0, B1), np.array([[h, h], [-h, h]], dtype=complex))
+        state = PureState.basis(FockBasisState([(B0, 1), (B1, 1)]))
+        out = apply_mode_transform(state, transform)
+        assert FockBasisState([(B0, 1), (B1, 1)]) not in out.terms
+        _same_bits(out, eager_apply_mode_transform(state, transform))
 
 
 class TestKernelEdges:
