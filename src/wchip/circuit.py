@@ -234,6 +234,11 @@ _ELEMENT_KEYS = {
 }
 _SOURCE_KEYS = frozenset({"channel", "beta", "max_order"})
 
+#: The names :func:`circuit_to_json_dict` writes for a router's resonant
+#: color: the only values a circuit file may give it.
+_COLOR_NAMES = {Color.BLUE: "Blue", Color.RED: "Red"}
+_COLORS_BY_NAME = {name: color for color, name in _COLOR_NAMES.items()}
+
 
 def _object(value, keys: frozenset, where: str) -> dict:
     """`value` as an object whose keys all lie in `keys`."""
@@ -265,7 +270,7 @@ def circuit_to_json_dict(spec: CircuitSpec, source: SourceSpec | None = None) ->
                     "input": name[el.input_channel],
                     "through": name[el.through_channel],
                     "drop": name[el.drop_channel],
-                    "resonant_color": "Blue" if el.resonant_color is Color.BLUE else "Red",
+                    "resonant_color": _COLOR_NAMES[el.resonant_color],
                     "extinction": el.extinction,
                 }
             )
@@ -325,10 +330,12 @@ def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
                 )
             )
         else:
-            try:
-                color = Color.from_letter(str(entry.get("resonant_color", "Blue")))
-            except ValueError as exc:
-                raise ValidationError(f"{where}: {exc}") from None
+            name = entry.get("resonant_color", "Blue")
+            if not isinstance(name, str) or name not in _COLORS_BY_NAME:
+                raise ValidationError(
+                    f"{where} resonant_color: expected \"Blue\" or \"Red\", got {name!r}"
+                )
+            color = _COLORS_BY_NAME[name]
             elements.append(
                 AddDropFilter(
                     input_channel=resolve(entry.get("input"), where),

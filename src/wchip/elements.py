@@ -159,7 +159,10 @@ class SourceSpec:
 
 def transmission(r):
     """Transmission ``t = sqrt(1 - r**2)`` of a lossless coupler with
-    reflectivity ``r``; broadcasts over arrays."""
+    reflectivity ``r``; broadcasts over arrays, and a float gives a float.
+    Both square roots round correctly, so they agree bit for bit."""
+    if isinstance(r, float):
+        return math.sqrt(max(0.0, 1.0 - r * r))
     return np.sqrt(np.maximum(0.0, 1.0 - r * r))
 
 

@@ -8,27 +8,25 @@ provably change the heralded component only by a global phase.
 
 ``maximize`` does a coarse grid scan to locate the basin (the objective
 vanishes on every face of the unit cube, so the scan covers the interior)
-followed by bounded Nelder-Mead refinement.  Both evaluate the objective
-with :func:`herald_objective_batch`, an engine on the source rows: every
-element is linear and keeps colors apart, and the input |2_B, 2_R> sits on
-one channel, so each heralded amplitude needs only row ``SOURCE_CHANNEL`` of
-each color's transfer matrix (a permanent with repeated rows; Scheel,
-quant-ph/0406127).  The engine keeps those rows as per-channel lists,
-``rows[color][channel]``, and pushes them through the element blocks of
-:mod:`wchip.elements` as explicit sums over the block entries.  Each entry
-broadcasts: an array over a slab of r1 planes in the scan, a numpy scalar at
-a Nelder-Mead point, with the same operations in the same order in both, so
-a point gives the bits of its grid cell.  The reported value comes from one
-sparse :func:`herald_objective` call at the chosen point, so the result is
-also checked against the full Fock engine.
-
-scipy is imported on the first :func:`maximize` call, not with this module:
-it is the only user of scipy, and loading ``scipy.optimize`` triples the
-import time of every other command.
+followed by bounded Nelder-Mead refinement (:func:`minimize`, a port of
+scipy's, so the package needs only numpy at runtime).  Both evaluate the
+objective on an engine on the source rows: every element is linear and
+keeps colors apart, and the input |2_B, 2_R> sits on one channel, so each
+heralded amplitude needs only row ``SOURCE_CHANNEL`` of each color's
+transfer matrix (a permanent with repeated rows; Scheel, quant-ph/0406127).
+The engine keeps those rows as per-channel lists, ``rows[color][channel]``,
+and pushes them through the element blocks as explicit sums over the block
+entries.  The searched circuit has no phases, so the rows are real.  Each
+entry broadcasts: an array over a slab of r1 planes in the scan, a Python
+float at a Nelder-Mead point, with the same operations in the same order in
+both, so a point gives the bits of its grid cell.  The reported value comes
+from one sparse :func:`herald_objective` call at the chosen point, so the
+result is also checked against the full Fock engine.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -47,7 +45,7 @@ from .circuit import (
     build_transform,
     canonical_w_circuit,
 )
-from .elements import adddrop_block, coupler_block, transmission, two_pair_state
+from .elements import adddrop_block, transmission, two_pair_state
 from .errors import GridTooLarge, ParamOutOfRange, ValidationError
 from .fock import Color, apply_mode_transform
 from .herald import HERALD_TERMS, Branch, herald
@@ -62,8 +60,8 @@ _COLORBLIND_CHANNELS, _T1_POSITION = next(
 #: Default coarse-grid step of :func:`maximize`.  The objective factorizes
 #: into three single-variable terms each with one interior maximum, so a
 #: 0.04 scan already brackets the basin.  At 0.04 over the default bounds
-#: the scan is three engine calls of a few milliseconds together, and the
-#: whole ``maximize`` takes about 20 ms, most of it Nelder-Mead.
+#: the scan is three engine calls of about 2 ms together, and the whole
+#: ``maximize`` takes about 5 ms, most of it the ~140 Nelder-Mead steps.
 GRID_STEP = 0.04
 
 #: Default coarse-grid bounds; the objective is identically zero whenever
@@ -107,41 +105,60 @@ def _source_rows(r1, r2, r3) -> list[list]:
     """Row ``SOURCE_CHANNEL`` of each color's transfer matrix of the
     canonical circuit, as ``rows[color][channel]``.
 
-    Each entry broadcasts over ``(r1, r2, r3)``: an array on a grid, a numpy
-    scalar at a single point.  The couplers act identically on both colors,
-    so one row goes through them before it is split for the router.
+    Every phase of the searched circuit is 0, so a coupler's block
+    ``coupler_block(r, t, 0)`` is the real ``((t, r), (-r, t))``: it sends
+    the entries ``(u_a, u_b)`` of its channels to ``(t u_a - r u_b, r u_a +
+    t u_b)``.  The complex rows would carry imaginary parts of exactly +-0,
+    which change no bit of a product, sum or squared modulus, so the real
+    rows give the same objective values.  Each entry broadcasts over
+    ``(r1, r2, r3)``: an array on a grid, a float at a single point.  The
+    couplers act identically on both colors, so one row goes through them
+    before it is split for the router.
     """
     r = (r1, r2, r3)
-    row = [0j] * len(CANONICAL_CHANNELS)
-    row[SOURCE_CHANNEL] = 1.0 + 0j
-    for chans, k in CANONICAL_COUPLERS:
+    row = [0.0] * len(CANONICAL_CHANNELS)
+    row[SOURCE_CHANNEL] = 1.0
+    for (a, b), k in CANONICAL_COUPLERS:
         rk = 1.0 if k is None else r[k]
-        _apply_block(row, chans, coupler_block(rk, transmission(rk)))
-    input_channel, through, drop, resonant = CANONICAL_ROUTER
+        tk = transmission(rk)
+        ua, ub = row[a], row[b]
+        row[a], row[b] = ua * tk - ub * rk, ua * rk + ub * tk
+    old = [row[ch] for ch in _ROUTER_PORTS]
     rows = []
-    for color in Color:
+    for columns in _ROUTER_COLUMNS:
         color_row = list(row)
-        block = adddrop_block(0.0, color is resonant)
-        _apply_block(color_row, (input_channel, through, drop), block)
+        for ch, column in zip(_ROUTER_PORTS, columns):
+            color_row[ch] = _total(map(operator.mul, old, column))
         rows.append(color_row)
     return rows
 
 
-def _apply_block(row: list, channels, block) -> None:
-    """``row[channels] = row[channels] @ block`` in place, as explicit sums
-    over the block's entries: no array views, so the same code is fast on a
-    grid slab and on one simplex point."""
-    old = [row[ch] for ch in channels]
-    for ch, column in zip(channels, zip(*block)):
-        row[ch] = sum(map(operator.mul, old, column))
+#: The router's ``(input, through, drop)`` channels, and the columns of each
+#: color's block of the ideal router the search assumes.
+_ROUTER_PORTS = CANONICAL_ROUTER[:3]
+_ROUTER_COLUMNS = tuple(
+    tuple(zip(*adddrop_block(0.0, color is CANONICAL_ROUTER[3]))) for color in Color
+)
 
 
-def _norm_sq(z):
-    return z.real * z.real + z.imag * z.imag
+def _total(terms):
+    """Left-to-right sum of `terms`.  Unlike the built-in ``sum``, which
+    compensates the rounding of float terms from Python 3.12 on, it rounds
+    Python floats, numpy scalars and arrays alike."""
+    return functools.reduce(operator.add, terms)
 
 
 def herald_objective_batch(r1, r2, r3):
-    """:func:`herald_objective` on broadcast arrays of reflectivities.
+    """:func:`herald_objective` on broadcast arrays of reflectivities."""
+    # [()] unwraps a 0-d array into a numpy scalar; arrays pass through.
+    r = tuple(np.asarray(v, dtype=float)[()] for v in (r1, r2, r3))
+    _check_unit_interval(*r)
+    return _objective(*r)
+
+
+def _objective(r1, r2, r3):
+    """The herald probability of :func:`herald_objective_batch` on checked
+    reflectivities: arrays, numpy scalars or, cheapest, Python floats.
 
     After the circuit, each color's photon pair is (1/sqrt 2)(sum_j u_j
     a_j^dag)^2 |0>, so a pair on distinct modes j, k has amplitude
@@ -151,25 +168,101 @@ def herald_objective_batch(r1, r2, r3):
     the sum of those pattern weights over the four-photon norm
     |u_R|^4 |u_B|^4.
     """
-    # [()] unwraps a 0-d array into a numpy scalar, whose arithmetic is
-    # several times cheaper; arrays pass through unchanged.
-    r = tuple(np.asarray(v, dtype=float)[()] for v in (r1, r2, r3))
-    _check_unit_interval(*r)
-    red, blue = _source_rows(*r)
+    red, blue = _source_rows(r1, r2, r3)
     weight = 0.0
-    for s in SIGNAL_CHANNELS:
-        j, k = (ch for ch in SIGNAL_CHANNELS if ch != s)
-        weight = weight + _norm_sq(2.0 * red[T1_CHANNEL] * red[s] * blue[j] * blue[k])
-    norm_red = sum(_norm_sq(u) for u in red)
-    norm_blue = sum(_norm_sq(u) for u in blue)
+    for s, j, k in _SIGNAL_SPLITS:
+        amp = 2.0 * red[T1_CHANNEL] * red[s] * blue[j] * blue[k]
+        weight = weight + amp * amp
+    norm_red = _total(map(operator.mul, red, red))
+    norm_blue = _total(map(operator.mul, blue, blue))
     return weight / (norm_red * norm_red * norm_blue * norm_blue)
 
 
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use."""
-    from scipy.optimize import minimize as scipy_minimize
+#: Each signal channel of the second Red photon, with the two signal
+#: channels left for the Blue pair.
+_SIGNAL_SPLITS = tuple(
+    (s, *(ch for ch in SIGNAL_CHANNELS if ch != s)) for s in SIGNAL_CHANNELS
+)
 
-    return scipy_minimize(fun, x0, **kwargs)
+
+def _clip(x: float) -> float:
+    """``x`` clipped to [0, 1], as ``np.clip`` does it."""
+    return 1.0 if x > 1.0 else (x if x > 0.0 else 0.0)
+
+
+def _trial(xbar: list, worst: list, a: float, b: float) -> list:
+    """The trial point ``a xbar - b worst`` of a Nelder-Mead step, clipped
+    to the unit cube."""
+    return [_clip(a * c - b * w) for c, w in zip(xbar, worst)]
+
+
+def minimize(fun, simplex, *, xatol: float, fatol: float, maxiter: int) -> tuple[float, ...]:
+    """The vertex minimizing `fun` found by Nelder-Mead on the unit cube: a
+    port of scipy's bounded ``_minimize_neldermead`` (non-adaptive:
+    reflection 1, expansion 2, contraction 1/2, shrink 1/2) on lists of
+    floats.
+
+    It takes the same steps in the same order with the same arithmetic as
+    ``scipy.optimize.minimize(fun, x0, method="Nelder-Mead", bounds=[(0,
+    1)] * n, options={"initial_simplex": simplex, "xatol": xatol, "fatol":
+    fatol, "maxiter": maxiter})``, so it visits the same points bit for bit
+    and evaluates `fun` (on a list of floats) as often.  Every trial point is
+    clipped to the cube.  The search stops once the vertices lie within
+    `xatol` of the best one in every coordinate and their values within
+    `fatol` of its value, or after `maxiter` iterations.
+    """
+    # scipy first reflects the vertices past an upper bound back inside and
+    # clips them.  That never fires on the simplex of maximize, whose
+    # vertices step down whenever stepping up would pass 1, by less than
+    # 1/2, so it is left out: the simplex must lie in the cube.
+    sim = [[float(c) for c in vertex] for vertex in simplex]
+    fsim = [fun(vertex) for vertex in sim]
+    n = len(sim) - 1
+
+    def by_value() -> None:
+        # stable; scipy's argsort gives the same order on distinct values
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        sim[:] = [sim[i] for i in order]
+        fsim[:] = [fsim[i] for i in order]
+
+    by_value()
+    iterations = 1
+    while iterations < maxiter:
+        best, fbest = sim[0], fsim[0]
+        if (
+            max(abs(c - b) for vertex in sim[1:] for c, b in zip(vertex, best)) <= xatol
+            and max(abs(fbest - f) for f in fsim[1:]) <= fatol
+        ):
+            break
+        xbar = [_total(column) / n for column in zip(*sim[:-1])]
+        worst = sim[-1]
+        xr = _trial(xbar, worst, 2.0, 1.0)
+        fxr = fun(xr)
+        if fxr < fbest:
+            xe = _trial(xbar, worst, 3.0, 2.0)
+            fxe = fun(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = _trial(xbar, worst, 1.5, 0.5)
+                fxc = fun(xc)
+                accepted = fxc <= fxr
+            else:  # inside contraction
+                xc = _trial(xbar, worst, 0.5, -0.5)
+                fxc = fun(xc)
+                accepted = fxc < fsim[-1]
+            if accepted:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex; scipy's clip of the
+                # result never fires, as it lies between two vertices in the cube
+                for j in range(1, n + 1):
+                    sim[j] = [b + 0.5 * (c - b) for c, b in zip(sim[j], best)]
+                    fsim[j] = fun(sim[j])
+        iterations += 1
+        by_value()
+    return tuple(sim[0])
 
 
 class OptimizationResult(NamedTuple):
@@ -189,17 +282,17 @@ def maximize(
 
     A coarse scan with the given step over ``grid_bounds`` (per axis, from
     ``lo`` to the last point not past ``hi``) feeds the best cell into
-    Nelder-Mead refinement, clamped to the unit cube.
-    Both use :func:`herald_objective_batch`; the returned value is
-    :func:`herald_objective` at the returned point.  Deterministic: ties
-    resolve to the first grid cell in lexicographic order.
+    Nelder-Mead refinement (:func:`minimize`) on the unit cube.
+    Both use the row engine of :func:`herald_objective_batch`; the returned
+    value is :func:`herald_objective` at the returned point.  Deterministic:
+    ties resolve to the first grid cell in lexicographic order.
 
-    `tol` is scipy's ``xatol``, the simplex width at which the search may
-    stop.  scipy stops only once ``fatol`` (fixed at 1e-14) holds as well.
-    The objective is quadratic at its peak, so its values across the simplex
-    agree to 1e-14 only once the simplex is about 1e-7 wide; ``fatol``
-    therefore decides when the search ends for any `tol` above that, and
-    `tol` of 1e-2, 1e-4 and 1e-6 return the same point.
+    `tol` is the ``xatol`` of :func:`minimize`, the simplex width at which
+    the search may stop.  It stops only once ``fatol`` (fixed at 1e-14)
+    holds as well.  The objective is quadratic at its peak, so its values
+    across the simplex agree to 1e-14 only once the simplex is about 1e-7
+    wide; ``fatol`` therefore decides when the search ends for any `tol`
+    above that, and `tol` of 1e-2, 1e-4 and 1e-6 return the same point.
     """
     if not tol > 0.0:
         raise ParamOutOfRange(f"tol must be positive, got {tol}")
@@ -231,23 +324,15 @@ def maximize(
             best_val = float(slab[i1, i2, i3])
             best = (axis[start + i1], axis[i2], axis[i3])
 
-    def negated(x: np.ndarray) -> float:
-        xc = np.clip(x, 0.0, 1.0)
-        return -float(herald_objective_batch(xc[0], xc[1], xc[2]))
-
-    refined = minimize(
-        negated,
-        x0=np.array(best),
-        method="Nelder-Mead",
-        bounds=[(0.0, 1.0)] * 3,
-        options={
-            "xatol": float(tol),
-            "fatol": 1e-14,
-            "maxiter": 2000,
-            "initial_simplex": _initial_simplex(best, grid_step),
-        },
+    # Simplex points are lists of floats inside the cube, so the objective
+    # runs on Python floats and skips the checks of the batch entry point.
+    candidate = minimize(
+        lambda x: -_objective(*x),
+        _initial_simplex(best, grid_step),
+        xatol=float(tol),
+        fatol=1e-14,
+        maxiter=2000,
     )
-    candidate = tuple(float(v) for v in np.clip(refined.x, 0.0, 1.0))
     value = herald_objective(*candidate)
     if value < best_val:  # refinement must never lose to the scan
         candidate = best
@@ -255,12 +340,15 @@ def maximize(
     return OptimizationResult(candidate[0], candidate[1], candidate[2], value)
 
 
-def _initial_simplex(center: Sequence[float], scale: float) -> np.ndarray:
-    c = np.asarray(center, dtype=float)
-    simplex = np.tile(c, (4, 1))
-    for k in range(3):
-        step = scale if c[k] + scale <= 1.0 else -scale
-        simplex[k + 1, k] += step
+def _initial_simplex(center: Sequence[float], scale: float) -> list[list[float]]:
+    """The scan's best cell and one vertex `scale` away along each axis:
+    upwards unless that passes 1, else downwards.  With `scale` below 1/2
+    every vertex stays in the unit cube, as :func:`minimize` requires."""
+    simplex = [list(center)]
+    for k in range(len(center)):
+        vertex = list(center)
+        vertex[k] += scale if center[k] + scale <= 1.0 else -scale
+        simplex.append(vertex)
     return simplex
 
 

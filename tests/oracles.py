@@ -7,7 +7,7 @@ creation-operator algebra, closed-form parameter dependence instead of
 circuit simulation.  Tests compare the two routes; neither side is derived
 from the other, so agreement is evidence and disagreement is a bug.
 
-The last section keeps seven earlier versions of package functions that
+The last section keeps eight earlier versions of package functions that
 were rewritten with the same arithmetic in the same order; tests hold the
 rewrites to them bit for bit.
 """
@@ -388,3 +388,120 @@ def eager_apply_mode_transform(state, transform):
             val = coeff * scale
             out[new_basis] = val if prev is None else prev + val
     return PureState(out, state.weight)
+
+
+def scipy_maximize(tol=1e-4, *, grid_step=0.04, grid_bounds=(0.1, 0.9)):
+    """``wchip.optimize.maximize`` before the real rows and the in-package
+    Nelder-Mead: the source rows are complex numpy scalars at a simplex
+    point, and the refinement is ``scipy.optimize.minimize``.  The new
+    version takes the same steps on the same objective bits, so the two
+    return the same tuple."""
+    import operator
+
+    from scipy.optimize import minimize
+
+    from wchip.circuit import (
+        CANONICAL_CHANNELS,
+        CANONICAL_COUPLERS,
+        CANONICAL_ROUTER,
+        SIGNAL_CHANNELS,
+        SOURCE_CHANNEL,
+        T1_CHANNEL,
+    )
+    from wchip.elements import adddrop_block, coupler_block
+    from wchip.errors import ParamOutOfRange
+    from wchip.fock import Color
+    from wchip.optimize import CELL_CAP, _SCAN_SLAB_CELLS, _GRID_TOL, herald_objective
+
+    def _check_unit_interval(r1, r2, r3):
+        inside = [(val >= 0.0) & (val <= 1.0) for val in (r1, r2, r3)]
+        if np.asarray(inside[0] & inside[1] & inside[2]).all():
+            return
+        for name, val, ok in zip(("r1", "r2", "r3"), (r1, r2, r3), inside):
+            if not np.all(ok):
+                raise ParamOutOfRange(f"{name} must lie in [0, 1], got {val}")
+
+    def _source_rows(r1, r2, r3):
+        r = (r1, r2, r3)
+        row = [0j] * len(CANONICAL_CHANNELS)
+        row[SOURCE_CHANNEL] = 1.0 + 0j
+        for chans, k in CANONICAL_COUPLERS:
+            rk = 1.0 if k is None else r[k]
+            tk = np.sqrt(np.maximum(0.0, 1.0 - rk * rk))  # the numpy-only transmission
+            _apply_block(row, chans, coupler_block(rk, tk))
+        input_channel, through, drop, resonant = CANONICAL_ROUTER
+        rows = []
+        for color in Color:
+            color_row = list(row)
+            block = adddrop_block(0.0, color is resonant)
+            _apply_block(color_row, (input_channel, through, drop), block)
+            rows.append(color_row)
+        return rows
+
+    def _apply_block(row, channels, block):
+        old = [row[ch] for ch in channels]
+        for ch, column in zip(channels, zip(*block)):
+            row[ch] = sum(map(operator.mul, old, column))
+
+    def _norm_sq(z):
+        return z.real * z.real + z.imag * z.imag
+
+    def herald_objective_batch(r1, r2, r3):
+        r = tuple(np.asarray(v, dtype=float)[()] for v in (r1, r2, r3))
+        _check_unit_interval(*r)
+        red, blue = _source_rows(*r)
+        weight = 0.0
+        for s in SIGNAL_CHANNELS:
+            j, k = (ch for ch in SIGNAL_CHANNELS if ch != s)
+            weight = weight + _norm_sq(2.0 * red[T1_CHANNEL] * red[s] * blue[j] * blue[k])
+        norm_red = sum(_norm_sq(u) for u in red)
+        norm_blue = sum(_norm_sq(u) for u in blue)
+        return weight / (norm_red * norm_red * norm_blue * norm_blue)
+
+    def _initial_simplex(center, scale):
+        c = np.asarray(center, dtype=float)
+        simplex = np.tile(c, (4, 1))
+        for k in range(3):
+            step = scale if c[k] + scale <= 1.0 else -scale
+            simplex[k + 1, k] += step
+        return simplex
+
+    lo, hi = (float(grid_bounds[0]), float(grid_bounds[1]))
+    steps = math.floor(min((hi - lo) / grid_step + _GRID_TOL, CELL_CAP))
+    axis = [min(lo + k * grid_step, hi) for k in range(steps + 1)]
+    grid = np.array(axis)
+    plane_r2, plane_r3 = grid[:, np.newaxis], grid[np.newaxis, :]
+    planes = max(1, _SCAN_SLAB_CELLS // (len(axis) * len(axis)))
+    best_val = -1.0
+    best = (axis[0], axis[0], axis[0])
+    for start in range(0, len(axis), planes):
+        slab = herald_objective_batch(
+            grid[start : start + planes, np.newaxis, np.newaxis], plane_r2, plane_r3
+        )
+        i1, i2, i3 = np.unravel_index(np.argmax(slab), slab.shape)
+        if slab[i1, i2, i3] > best_val:
+            best_val = float(slab[i1, i2, i3])
+            best = (axis[start + i1], axis[i2], axis[i3])
+
+    def negated(x):
+        xc = np.clip(x, 0.0, 1.0)
+        return -float(herald_objective_batch(xc[0], xc[1], xc[2]))
+
+    refined = minimize(
+        negated,
+        x0=np.array(best),
+        method="Nelder-Mead",
+        bounds=[(0.0, 1.0)] * 3,
+        options={
+            "xatol": float(tol),
+            "fatol": 1e-14,
+            "maxiter": 2000,
+            "initial_simplex": _initial_simplex(best, grid_step),
+        },
+    )
+    candidate = tuple(float(v) for v in np.clip(refined.x, 0.0, 1.0))
+    value = herald_objective(*candidate)
+    if value < best_val:
+        candidate = best
+        value = herald_objective(*best)
+    return (candidate[0], candidate[1], candidate[2], value)

@@ -229,6 +229,20 @@ class TestStrictCircuitFiles:
         with pytest.raises(ValidationError, match="unknown key"):
             circuit_from_json_dict(doc)
 
+    @pytest.mark.parametrize("name", ["Blue", "Red"])
+    def test_resonant_color_names_round_trip(self, name):
+        doc = _canonical_doc()
+        doc["elements"][4]["resonant_color"] = name
+        spec, _ = circuit_from_json_dict(doc)
+        assert circuit_to_json_dict(spec)["elements"][4]["resonant_color"] == name
+
+    @pytest.mark.parametrize("name", ["bogus", "blue", "R", "Rouge", "", 1, None, ["Red"]])
+    def test_resonant_color_is_blue_or_red(self, name):
+        doc = _canonical_doc()
+        doc["elements"][4]["resonant_color"] = name
+        with pytest.raises(ValidationError, match="resonant_color"):
+            circuit_from_json_dict(doc)
+
     @pytest.mark.parametrize(
         "channels",
         ["0123456", ["0", "1", "2", "3", "4", "T1", 6], [True, 1, "2", "3", "4", "T1", "T2"]],

@@ -252,6 +252,19 @@ class TestExitCodes:
         cfg = _write(tmp_path, "c.json", {"circuit_file": str(tmp_path / "no.json"), "beta": 0.1})
         assert main(["simulate", "--config", cfg]) == 2
 
+    def test_unknown_resonant_color_is_2(self, tmp_path, capsys):
+        # the golden device with a misspelt router color, which once ran as Blue
+        from pathlib import Path
+
+        doc = json.loads((Path(__file__).parent / "golden" / "device.json").read_text())
+        doc["elements"][4]["resonant_color"] = "bogus"
+        _write(tmp_path, "device.json", doc)
+        cfg = _write(tmp_path, "c.json", {"circuit_file": str(tmp_path / "device.json")})
+        assert main(["herald", "--config", cfg, "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "resonant_color" in captured.err
+
     def test_negative_diag_threshold_is_2(self, tmp_path, capsys):
         # a negative gate would abort every tomography run with exit 3
         cfg = _write(tmp_path, "c.json", {"state": "w", "shots": 1000, "diag_threshold": -1})

@@ -26,7 +26,7 @@ from wchip.optimize import (
     sweep,
 )
 
-from oracles import OPTIMAL_R, herald_prefactor, split_w_fidelity_colorblind
+from oracles import OPTIMAL_R, herald_prefactor, scipy_maximize, split_w_fidelity_colorblind
 
 
 def test_objective_equals_herald_probability():
@@ -232,6 +232,114 @@ class TestMaximize:
             maximize(1e-4, grid_step=0.7)
         with pytest.raises(ParamOutOfRange):
             maximize(1e-4, grid_bounds=(0.9, 0.1))
+
+
+# tol log-uniform over [1e-9, 1e-1]; grid bounds at least 0.05 apart.
+_TOL = st.floats(-9.0, -1.0).map(lambda e: 10.0**e)
+_STEP = st.floats(0.02, 0.45)
+
+
+@st.composite
+def _grid_bounds(draw):
+    lo = draw(st.floats(0.0, 0.9))
+    return lo, draw(st.floats(min(lo + 0.05, 1.0), 1.0))
+
+
+def _rosenbrock(x):
+    """The 3-D Rosenbrock valley, minimum at 0.75 per axis, scaled into the
+    unit cube; plain float arithmetic, so lists and arrays give the same
+    bits."""
+    y = [4.0 * float(c) - 2.0 for c in x]
+    return sum(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2 for a, b in zip(y, y[1:]))
+
+
+@st.composite
+def _simplices(draw):
+    center = draw(st.tuples(*[st.floats(0.0, 1.0)] * 3))
+    return wchip.optimize._initial_simplex(center, draw(st.floats(0.01, 0.49)))
+
+
+class TestNelderMeadPort:
+    """``minimize`` is scipy's bounded Nelder-Mead step for step, and
+    ``maximize`` returns what it returned on scipy and complex rows (kept in
+    oracles.py) bit for bit."""
+
+    @settings(max_examples=40)
+    @given(_TOL, _STEP, _grid_bounds())
+    def test_maximize_equals_the_scipy_version(self, tol, step, bounds):
+        expected = scipy_maximize(tol, grid_step=step, grid_bounds=bounds)
+        assert tuple(maximize(tol, grid_step=step, grid_bounds=bounds)) == expected
+
+    @staticmethod
+    def _assert_minimize_equals_scipy(simplex, xatol, fun=_rosenbrock):
+        """Run both on `fun`; return the port's number of evaluations."""
+        ref = minimize(
+            fun,
+            x0=np.array(simplex[0]),
+            method="Nelder-Mead",
+            bounds=[(0.0, 1.0)] * 3,
+            options={"xatol": xatol, "fatol": 1e-12, "maxiter": 400,
+                     "initial_simplex": np.array(simplex)},
+        )
+        points = []
+
+        def recorded(x):
+            points.append(x)
+            return fun(x)
+
+        x = wchip.optimize.minimize(recorded, simplex, xatol=xatol, fatol=1e-12, maxiter=400)
+        assert x == tuple(ref.x) and fun(x) == ref.fun
+        assert len(points) == ref.nfev
+        return len(points)
+
+    @settings(max_examples=40)
+    @given(_simplices(), _TOL)
+    def test_minimize_equals_scipy(self, simplex, xatol):
+        self._assert_minimize_equals_scipy(simplex, xatol)
+
+    def test_stops_with_the_simplex_exactly_xatol_wide(self):
+        simplex = wchip.optimize._initial_simplex((0.5, 0.5, 0.5), 0.25)
+        assert self._assert_minimize_equals_scipy(simplex, 0.25, fun=lambda x: 0.0) == 4
+
+    def test_takes_every_kind_of_step(self, monkeypatch):
+        # each step evaluates one trial point (coefficients a, b of
+        # a xbar - b worst) or, for a shrink, the n non-best vertices
+        trials = []
+        trial = wchip.optimize._trial
+
+        def counted(xbar, worst, a, b):
+            trials.append((a, b))
+            return trial(xbar, worst, a, b)
+
+        monkeypatch.setattr(wchip.optimize, "_trial", counted)
+        # from a corner of the cube, where clipped trial points force shrinks
+        simplex = wchip.optimize._initial_simplex((0.0, 0.1, 0.0), 0.2)
+        nfev = self._assert_minimize_equals_scipy(simplex, 1e-8)
+        kinds = {"expand": (3.0, 2.0), "outside": (1.5, 0.5), "inside": (0.5, -0.5)}
+        counts = {kind: trials.count(ab) for kind, ab in kinds.items()}
+        counts["shrink"], rest = divmod(nfev - len(simplex) - len(trials), 3)
+        assert rest == 0
+        assert min(counts.values()) >= 1, counts
+
+    def test_maximize_never_loads_scipy(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(wchip.optimize.__file__).resolve().parents[1])
+        code = (
+            "import sys, wchip.optimize as o; o.maximize(1e-4, grid_step=0.2); "
+            "print('scipy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestSweep:
