@@ -185,15 +185,11 @@ _SIGNAL_SPLITS = tuple(
 )
 
 
-def _clip(x: float) -> float:
-    """``x`` clipped to [0, 1], as ``np.clip`` does it."""
-    return 1.0 if x > 1.0 else (x if x > 0.0 else 0.0)
-
-
 def _trial(xbar: list, worst: list, a: float, b: float) -> list:
     """The trial point ``a xbar - b worst`` of a Nelder-Mead step, clipped
-    to the unit cube."""
-    return [_clip(a * c - b * w) for c, w in zip(xbar, worst)]
+    to the unit cube as ``np.clip`` does it."""
+    point = (a * c - b * w for c, w in zip(xbar, worst))
+    return [1.0 if x > 1.0 else (x if x > 0.0 else 0.0) for x in point]
 
 
 def minimize(fun, simplex, *, xatol: float, fatol: float, maxiter: int) -> tuple[float, ...]:
