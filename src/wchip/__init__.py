@@ -11,8 +11,6 @@ from .circuit import (
     CircuitSpec,
     build_transform,
     canonical_w_circuit,
-    circuit_from_json_dict,
-    circuit_to_json_dict,
     load_circuit,
     propagate,
     save_circuit,
@@ -22,9 +20,6 @@ from .elements import (
     AddDropFilter,
     DirectionalCoupler,
     SourceSpec,
-    adddrop_transform,
-    coupler_transform,
-    source_state,
     two_pair_state,
 )
 from .errors import (
@@ -62,7 +57,6 @@ from .tomography import (
     TomographyResult,
     TomoSetting,
     discriminate,
-    reconstruct_rho234,
     run_tomography,
 )
 
@@ -96,28 +90,22 @@ __all__ = [
     "TomoSetting",
     "ValidationError",
     "WchipError",
-    "adddrop_transform",
     "apply_mode_transform",
     "build_transform",
     "canonical_w_circuit",
-    "circuit_from_json_dict",
-    "circuit_to_json_dict",
     "coincidence_distribution",
     "coincidence_distribution_rho",
-    "coupler_transform",
     "discriminate",
     "herald",
     "herald_objective",
     "load_circuit",
     "maximize",
     "propagate",
-    "reconstruct_rho234",
     "reduce_to_channels",
     "rho_biseparable",
     "rho_incoherent",
     "run_tomography",
     "save_circuit",
-    "source_state",
     "sweep",
     "trace_distance",
     "two_pair_state",

@@ -106,9 +106,6 @@ class CircuitSpec:
         if not all(math.isfinite(p) for p in self.phases):
             raise ValidationError(f"phases must be finite, got {self.phases}")
 
-    def mode_list(self) -> tuple[ModeLabel, ...]:
-        return _mode_table(len(self.channels))[0]
-
 
 @lru_cache(maxsize=16)
 def _mode_table(n_channels: int) -> tuple[tuple[ModeLabel, ...], dict[ModeLabel, int]]:
@@ -120,7 +117,6 @@ def _mode_table(n_channels: int) -> tuple[tuple[ModeLabel, ...], dict[ModeLabel,
 
 def build_transform(spec: CircuitSpec) -> ModeTransform:
     """Ordered product of the element transforms over the full mode set."""
-    spec.validate()
     modes, pos = _mode_table(len(spec.channels))
     mat = np.eye(len(modes), dtype=complex)
     for el in spec.elements:

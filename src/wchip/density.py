@@ -31,6 +31,8 @@ def _validated(matrix, dim: int) -> np.ndarray:
     mat = np.asarray(matrix, dtype=complex)
     if mat.shape != (dim, dim):
         raise DimensionMismatch(f"expected a {dim}x{dim} matrix, got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise InvalidRho("matrix entries must be finite")
     herm = float(np.max(np.abs(mat - mat.conj().T)))
     if herm > _HERM_TOL:
         raise InvalidRho(f"matrix is not Hermitian (max deviation {herm:.3g})")
@@ -71,11 +73,6 @@ class PairRho:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _validated(self.matrix, 2))
-
-    @property
-    def off_diagonal(self) -> complex:
-        """The (BR, RB) coherence, the quantity tomography estimates."""
-        return complex(self.matrix[0, 1])
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])

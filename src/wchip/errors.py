@@ -28,8 +28,8 @@ class DimensionMismatch(WchipError):
 
 
 class NotUnitary(WchipError):
-    """A transform flagged lossless fails the unitarity check, or coupler
-    coefficients violate r**2 + t**2 = 1 beyond tolerance."""
+    """A transform fails the unitarity check or holds a non-finite entry, or
+    coupler coefficients violate r**2 + t**2 = 1 beyond tolerance."""
 
 
 class ChannelCollision(WchipError):
@@ -58,7 +58,8 @@ class NotNormalized(WchipError):
 
 
 class InvalidRho(WchipError):
-    """A density matrix violates hermiticity, trace, or positivity bounds."""
+    """A density matrix has a non-finite entry or violates hermiticity,
+    trace, or positivity bounds."""
 
 
 class BadProbability(WchipError):

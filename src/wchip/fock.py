@@ -30,11 +30,11 @@ place instead of converting and re-inserting every term.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -43,6 +43,7 @@ from .errors import (
     DimensionMismatch,
     EmptyState,
     NotUnitary,
+    ParamOutOfRange,
     PatternMismatch,
     TooManyPhotons,
     UnknownMode,
@@ -94,10 +95,6 @@ class Color(IntEnum):
         except (KeyError, IndexError):
             raise ValueError(f"unknown color letter {letter!r}") from None
 
-    @property
-    def other(self) -> "Color":
-        return Color.BLUE if self is Color.RED else Color.RED
-
 
 class ModeLabel(NamedTuple):
     """One optical mode: a waveguide channel carrying one color.
@@ -146,16 +143,6 @@ class FockBasisState(tuple):
     @classmethod
     def single(cls, mode: ModeLabel) -> "FockBasisState":
         return tuple.__new__(cls, ((mode, 1),))
-
-    @property
-    def total_photons(self) -> int:
-        return sum(n for _, n in self)
-
-    def occupation(self, mode: ModeLabel) -> int:
-        for m, n in self:
-            if m == mode:
-                return n
-        return 0
 
     def split(self, channels: Iterable[int]) -> tuple["FockBasisState", "FockBasisState"]:
         """Partition into (modes on `channels`, everything else)."""
@@ -216,51 +203,42 @@ def basis_from_pattern(pattern: str, channels: Sequence[int]) -> FockBasisState:
 
 
 class PureState:
-    """Sparse superposition ``weight * sum_b amplitude(b) |b>``.
+    """Sparse superposition ``sum_b amplitude(b) |b>``.
 
-    ``weight`` is a scalar bookkeeping factor kept outside the amplitude map
-    (it carries source-expansion prefactors such as powers of the pair
-    amplitude); norms and inner products include it.  Terms with amplitude
-    magnitude below :data:`PRUNE_EPS` are dropped at construction.
+    Terms with amplitude magnitude below :data:`PRUNE_EPS` are dropped at
+    construction; a NaN or infinite amplitude raises
+    :class:`ParamOutOfRange`.
     """
 
-    __slots__ = ("_terms", "weight")
+    __slots__ = ("_terms",)
 
     def __init__(
         self,
         terms: Mapping[FockBasisState, complex] | Iterable[tuple[FockBasisState, complex]] = (),
-        weight: complex = 1.0,
     ):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self._terms: dict[FockBasisState, complex] = {
-            b: complex(a) for b, a in items if abs(a) > PRUNE_EPS
-        }
-        self.weight = complex(weight)
+        self._terms: dict[FockBasisState, complex] = {}
+        for b, a in items:
+            a = complex(a)
+            if not cmath.isfinite(a):
+                raise ParamOutOfRange(f"amplitude of {b!r} must be finite, got {a}")
+            if abs(a) > PRUNE_EPS:
+                self._terms[b] = a
 
     @classmethod
-    def _trusted(cls, terms: dict[FockBasisState, complex], weight: complex) -> "PureState":
-        """Trusted constructor: takes ``terms``, whose amplitudes are complex
-        already, and prunes it in place exactly as ``__init__`` does, so the
-        kept terms keep their order."""
+    def _trusted(cls, terms: dict[FockBasisState, complex]) -> "PureState":
+        """Trusted constructor: takes ``terms``, whose amplitudes are finite
+        complex numbers already, and prunes it in place as ``__init__`` does,
+        so the kept terms keep their order."""
         for b in [b for b, a in terms.items() if not abs(a) > PRUNE_EPS]:
             del terms[b]
         state = object.__new__(cls)
         state._terms = terms
-        state.weight = weight
         return state
 
     @classmethod
-    def vacuum(cls, weight: complex = 1.0) -> "PureState":
-        return cls({_VACUUM: 1.0}, weight)
-
-    @classmethod
-    def basis(cls, basis_state: FockBasisState, weight: complex = 1.0) -> "PureState":
-        return cls({basis_state: 1.0}, weight)
-
-    @property
-    def terms(self) -> Mapping[FockBasisState, complex]:
-        """Read-only view of the amplitude map (excludes ``weight``)."""
-        return MappingProxyType(self._terms)
+    def basis(cls, basis_state: FockBasisState) -> "PureState":
+        return cls({basis_state: 1.0})
 
     def items(self) -> Iterator[tuple[FockBasisState, complex]]:
         return iter(self._terms.items())
@@ -269,38 +247,24 @@ class PureState:
         return len(self._terms)
 
     def amplitude(self, basis_state: FockBasisState) -> complex:
-        """Amplitude of one basis term, including the scalar weight."""
-        return self.weight * self._terms.get(basis_state, 0.0)
+        return self._terms.get(basis_state, 0j)
 
     def norm_sq(self) -> float:
-        w2 = abs(self.weight) ** 2
-        return w2 * sum((a.real * a.real + a.imag * a.imag) for a in self._terms.values())
+        return sum((a.real * a.real + a.imag * a.imag for a in self._terms.values()), 0.0)
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def normalized(self) -> "PureState":
-        n = self.norm()
-        if n <= 0.0:
-            raise EmptyState("cannot normalize a zero state")
-        phase_weight = self.weight / abs(self.weight) if self.weight != 0 else 1.0
-        scale = abs(self.weight) / n
-        return PureState({b: a * scale for b, a in self._terms.items()}, phase_weight)
-
-    def scaled(self, factor: complex) -> "PureState":
-        return PureState(self._terms, self.weight * factor)
-
     def __repr__(self) -> str:
         parts = [f"({a:.4g})*{b!r}" for b, a in sorted(self._terms.items())[:4]]
         more = " + ..." if len(self._terms) > 4 else ""
-        return f"PureState(weight={self.weight:.4g}, {' + '.join(parts)}{more})"
+        return f"PureState({' + '.join(parts)}{more})"
 
 
 def inner_product(s1: PureState, s2: PureState) -> complex:
-    """<s1|s2>, conjugate-linear in the first argument, weights included."""
+    """<s1|s2>, conjugate-linear in the first argument."""
     left, right = s1._terms, s2._terms
-    acc = sum(left[b].conjugate() * right[b] for b in left.keys() & right.keys())
-    return s1.weight.conjugate() * s2.weight * acc
+    return sum((left[b].conjugate() * right[b] for b in left.keys() & right.keys()), 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +281,13 @@ class ModeTransform:
     is normalized to canonical order and the matrix permuted to match, so two
     transforms over the same mode set always align entry by entry.
 
-    When ``lossless`` is true the rows must be orthonormal (unitary matrix);
-    deviations beyond :data:`UNITARY_TOL` raise :class:`NotUnitary`.
+    The rows must be orthonormal (unitary matrix); deviations beyond
+    :data:`UNITARY_TOL`, and any NaN or infinite entry, raise
+    :class:`NotUnitary`.
     """
 
     modes: tuple[ModeLabel, ...]
     matrix: np.ndarray
-    lossless: bool = True
 
     def __post_init__(self):
         modes = tuple(self.modes)
@@ -343,15 +307,9 @@ class ModeTransform:
             modes = tuple(modes[i] for i in order)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "matrix", mat)
-        if self.lossless:
-            dev = self.unitarity_deviation()
-            if dev > UNITARY_TOL:
-                raise NotUnitary(f"lossless transform deviates from unitarity by {dev:.3g}")
-
-    @classmethod
-    def identity(cls, modes: Iterable[ModeLabel]) -> "ModeTransform":
-        modes = tuple(modes)
-        return cls(modes, np.eye(len(modes), dtype=complex))
+        dev = self.unitarity_deviation()
+        if not dev <= UNITARY_TOL:
+            raise NotUnitary(f"transform deviates from unitarity by {dev:.3g}")
 
     def unitarity_deviation(self) -> float:
         m = self.matrix
@@ -418,8 +376,7 @@ def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureStat
     field per output mode, so adding a photon to mode ``j`` is one integer
     addition; each output key is decoded into its basis state and factor
     once per mode list and then looked up (a bounded table).  Only the rows
-    of occupied input modes are built.  Lossless transforms preserve the
-    norm; output amplitudes below :data:`PRUNE_EPS` are pruned.
+    of occupied input modes are built.  The norm is preserved; output amplitudes below :data:`PRUNE_EPS` are pruned.
 
     Raises :class:`UnknownMode` when the state occupies a mode the transform
     does not list, and :class:`TooManyPhotons` for a term with more than
@@ -469,7 +426,7 @@ def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureStat
             prev = out.get(new_basis)
             val = coeff * scale
             out[new_basis] = val if prev is None else prev + val
-    return PureState._trusted(out, state.weight)
+    return PureState._trusted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -521,5 +478,5 @@ def reduce_to_channels(state: PureState, keep: Iterable[int]):
     rho = np.zeros((dim, dim), dtype=complex)
     for vec in blocks.values():
         rho += np.outer(vec, vec.conjugate())
-    rho *= abs(state.weight) ** 2 / nsq
+    rho *= 1.0 / nsq
     return cls(rho)

@@ -327,19 +327,6 @@ def run_tomography(
     )
 
 
-def reconstruct_rho234(
-    source,
-    shots: int | None = None,
-    seed: int = 0,
-    *,
-    diag_threshold: float = DEFAULT_DIAG_THRESHOLD,
-) -> ThreePhotonRho:
-    """The reconstructed three-photon matrix (see :func:`run_tomography`)."""
-    return run_tomography(
-        source, shots=shots, seed=seed, diag_threshold=diag_threshold
-    ).rho
-
-
 # ---------------------------------------------------------------------------
 # discrimination report
 # ---------------------------------------------------------------------------

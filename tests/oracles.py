@@ -68,7 +68,7 @@ def monomial_amplitudes(occupations: dict[int, int], matrix: np.ndarray) -> dict
 
 def occupation_amplitudes(state, modes) -> dict[tuple, complex]:
     """Flatten a PureState into {occupation tuple over ``modes``: amplitude},
-    scalar weight folded in, for comparison against monomial_amplitudes."""
+    for comparison against monomial_amplitudes."""
     index = {mode: i for i, mode in enumerate(modes)}
     out: dict[tuple, complex] = {}
     for basis, _ in state.items():
@@ -185,7 +185,7 @@ def tuple_key_apply_mode_transform(state, transform):
             prev = out.get(new_basis)
             val = coeff * scale
             out[new_basis] = val if prev is None else prev + val
-    return PureState(out, state.weight)
+    return PureState(out)
 
 
 def split_w_fidelity_colorblind(state, t1_channel=5, signal_channels=(2, 3, 4)):
@@ -387,7 +387,7 @@ def eager_apply_mode_transform(state, transform):
             prev = out.get(new_basis)
             val = coeff * scale
             out[new_basis] = val if prev is None else prev + val
-    return PureState(out, state.weight)
+    return PureState(out)
 
 
 def scipy_maximize(tol=1e-4, *, grid_step=0.04, grid_bounds=(0.1, 0.9)):

@@ -29,7 +29,6 @@ from wchip import (
     coincidence_distribution_rho,
     herald,
     maximize,
-    reconstruct_rho234,
     rho_biseparable,
     rho_incoherent,
     run_tomography,
@@ -134,7 +133,7 @@ def test_criterion_4_heralded_coincidences_are_uniform():
 
 def test_criterion_5_tomography_recovers_the_w_coefficients():
     heralded = _heralded(*OPTIMAL_R).heralded_state
-    rho = reconstruct_rho234(heralded)
+    rho = run_tomography(heralded).rho
     exact_err = max(
         abs(rho.matrix[i, j] - 1.0 / 3.0) for i, j in ((0, 1), (0, 2), (1, 2))
     )

@@ -66,7 +66,7 @@ def test_build_transform_equals_elementwise_application():
     fused = build_transform(spec)
     state = two_pair_state(0)
     stepped = state
-    modes = spec.mode_list()
+    modes = fused.modes
     for el in spec.elements:
         sub = coupler_transform(el) if isinstance(el, DirectionalCoupler) else adddrop_transform(el)
         # the element acts on its own modes and as identity on the rest
@@ -285,10 +285,8 @@ class TestStrictCircuitFiles:
 
 
 def _state_bits(state):
-    """Terms in order with the bits of every amplitude, and the weight's."""
-    return [(b, a.real.hex(), a.imag.hex()) for b, a in state.items()] + [
-        (state.weight.real.hex(), state.weight.imag.hex())
-    ]
+    """Terms in order with the bits of every amplitude."""
+    return [(b, a.real.hex(), a.imag.hex()) for b, a in state.items()]
 
 
 def _assert_matches_uncached(spec, source):

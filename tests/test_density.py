@@ -18,6 +18,20 @@ def test_pair_rho_validation():
         PairRho(np.eye(3) / 3)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PairRho(np.full((2, 2), np.nan)),
+        lambda: PairRho(np.array([[0.5, np.inf], [np.inf, 0.5]])),
+        lambda: ThreePhotonRho(np.full((3, 3), np.nan)),
+        lambda: ThreePhotonRho.from_offdiagonals(complex(0.0, np.nan), 0.0, 0.0),
+    ],
+)
+def test_non_finite_entries_are_invalid(make):
+    with pytest.raises(InvalidRho):
+        make()
+
+
 def test_pair_rho_positivity_is_reported_not_enforced():
     rho = PairRho(np.array([[0.5, 0.6], [0.6, 0.5]]))  # unphysical coherence
     assert rho.min_eigenvalue() == pytest.approx(-0.1)

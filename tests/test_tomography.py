@@ -1,6 +1,6 @@
 """Tests for the conditioned-pair tomography protocol.
 
-The heavy check is the dual route: reconstruct_rho234 with exact
+The heavy check is the dual route: run_tomography with exact
 probabilities must reproduce the directly reduced density matrix, and the
 finite-shot path must converge to it with the advertised binomial error.
 """
@@ -27,7 +27,6 @@ from wchip.tomography import (
     TomoSetting,
     condition_on_blue,
     discriminate,
-    reconstruct_rho234,
     run_tomography,
     sample_record,
     setting_probabilities,
@@ -125,24 +124,24 @@ def test_condition_on_blue_needs_population():
 
 class TestExactReconstruction:
     def test_w_state_gives_uniform_thirds(self):
-        rho = reconstruct_rho234(w_state(Branch.T1))
+        rho = run_tomography(w_state(Branch.T1)).rho
         for coeff in (rho.a, rho.b, rho.c):
             assert coeff == pytest.approx(1 / 3, abs=1e-12)
 
     def test_heralded_circuit_output_matches_direct_reduction(self):
         state = _heralded_optimum()
-        rho_tomo = reconstruct_rho234(state)
+        rho_tomo = run_tomography(state).rho
         rho_direct = reduce_to_channels(state, (2, 3, 4))
         assert trace_distance(rho_tomo, rho_direct) < 1e-12
 
     def test_matrix_passthrough_reproduces_input(self):
         rho_in = rho_biseparable()
-        rho_out = reconstruct_rho234(rho_in)
+        rho_out = run_tomography(rho_in).rho
         assert np.allclose(rho_out.matrix, rho_in.matrix, atol=1e-12)
         assert rho_out.a == pytest.approx(1 / 6, abs=1e-12)
 
     def test_incoherent_mixture_gives_zero_coherences(self):
-        rho = reconstruct_rho234(rho_incoherent())
+        rho = run_tomography(rho_incoherent()).rho
         for coeff in (rho.a, rho.b, rho.c):
             assert coeff == pytest.approx(0.0, abs=1e-12)
 
@@ -228,7 +227,7 @@ class TestDiagonalGate:
 
 class TestDiscrimination:
     def test_w_is_consistent(self):
-        report = discriminate(reconstruct_rho234(w_state(Branch.T1)))
+        report = discriminate(run_tomography(w_state(Branch.T1)).rho)
         assert report.w_consistent
         assert report.fidelity_w == pytest.approx(1.0, abs=1e-12)
         assert report.trace_distance_to_rho_s == pytest.approx(2 / 3, abs=1e-12)
@@ -236,7 +235,7 @@ class TestDiscrimination:
 
     def test_mixtures_are_rejected(self):
         for rho, fid in ((rho_incoherent(), 1 / 3), (rho_biseparable(), 2 / 3)):
-            report = discriminate(reconstruct_rho234(rho))
+            report = discriminate(run_tomography(rho).rho)
             assert not report.w_consistent
             assert report.fidelity_w == pytest.approx(fid, abs=1e-12)
 
