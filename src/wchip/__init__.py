@@ -15,7 +15,7 @@ from .circuit import (
     propagate,
     save_circuit,
 )
-from .density import PairRho, ThreePhotonRho, trace_distance
+from .density import ThreePhotonRho, trace_distance
 from .elements import (
     AddDropFilter,
     DirectionalCoupler,
@@ -79,7 +79,6 @@ __all__ = [
     "ModeLabel",
     "ModeTransform",
     "OptimizationResult",
-    "PairRho",
     "ParamOutOfRange",
     "PureState",
     "SourceSpec",

@@ -13,6 +13,7 @@ Exit codes: 0 success; 1 internal failure; 2 config validation;
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -405,6 +406,7 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wchip",

@@ -1,14 +1,14 @@
-"""Small density matrices over fixed color-pattern bases.
+"""The three-photon density matrix over a fixed color-pattern basis.
 
-Two matrix types cover everything the tomography protocol needs: the 2x2
-conditioned-pair matrix in the ordered basis {|BR>, |RB>} and the 3x3
-three-photon matrix in {|BBR>, |BRB>, |RBB>} (one photon per channel, two
-blue and one red, as energy conservation dictates for the heralded branch).
+The heralded branch holds one photon per channel, two blue and one red, as
+energy conservation dictates, so every matrix lives in the ordered basis
+{|BBR>, |BRB>, |RBB>}.
 
-Constructors enforce hermiticity and unit trace.  Positivity is *reported*
-(:meth:`min_eigenvalue`, :meth:`is_physical`), not enforced: matrices
-reconstructed from finite-shot statistics may dip slightly negative and the
-point of linear inversion is to show exactly that, not to repair it.
+The constructor enforces hermiticity and unit trace.  Positivity is
+*reported* (:meth:`~ThreePhotonRho.min_eigenvalue`,
+:meth:`~ThreePhotonRho.is_physical`), not enforced: matrices reconstructed
+from finite-shot statistics may dip slightly negative and the point of
+linear inversion is to show exactly that, not to repair it.
 """
 
 from __future__ import annotations
@@ -19,72 +19,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidRho
 
-BASIS_PAIR = ("BR", "RB")
 BASIS_THREE = ("BBR", "BRB", "RBB")
 
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-9
 _PSD_TOL = 1e-9
-
-
-def _validated(matrix, dim: int) -> np.ndarray:
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.shape != (dim, dim):
-        raise DimensionMismatch(f"expected a {dim}x{dim} matrix, got {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise InvalidRho("matrix entries must be finite")
-    herm = float(np.max(np.abs(mat - mat.conj().T)))
-    if herm > _HERM_TOL:
-        raise InvalidRho(f"matrix is not Hermitian (max deviation {herm:.3g})")
-    tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > _TRACE_TOL:
-        raise InvalidRho(f"trace must be 1, got {tr:.12g}")
-    mat = 0.5 * (mat + mat.conj().T)  # symmetrize float noise below tolerance
-    mat.setflags(write=False)
-    return mat
-
-
-def _matrix_json(mat: np.ndarray, basis: tuple[str, ...]) -> dict:
-    return {
-        "basis": list(basis),
-        "re": [[float(x.real) for x in row] for row in mat],
-        "im": [[float(x.imag) for x in row] for row in mat],
-    }
-
-
-def _matrix_csv(mat: np.ndarray, basis: tuple[str, ...]) -> str:
-    header = ["basis"]
-    for label in basis:
-        header += [f"{label}_re", f"{label}_im"]
-    lines = [",".join(header)]
-    for label, row in zip(basis, mat):
-        cells = [label]
-        for x in row:
-            cells += [repr(float(x.real)), repr(float(x.imag))]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True, eq=False)
-class PairRho:
-    """Conditioned photon-pair density matrix in the {|BR>, |RB>} basis."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _validated(self.matrix, 2))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
-    def is_physical(self, tol: float = _PSD_TOL) -> bool:
-        return self.min_eigenvalue() >= -tol
-
-    def as_json_dict(self) -> dict:
-        return _matrix_json(self.matrix, BASIS_PAIR)
-
-    def to_csv(self) -> str:
-        return _matrix_csv(self.matrix, BASIS_PAIR)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +38,20 @@ class ThreePhotonRho:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _validated(self.matrix, 3))
+        mat = np.asarray(self.matrix, dtype=complex)
+        if mat.shape != (3, 3):
+            raise DimensionMismatch(f"expected a 3x3 matrix, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise InvalidRho("matrix entries must be finite")
+        herm = float(np.max(np.abs(mat - mat.conj().T)))
+        if herm > _HERM_TOL:
+            raise InvalidRho(f"matrix is not Hermitian (max deviation {herm:.3g})")
+        tr = complex(np.trace(mat))
+        if abs(tr - 1.0) > _TRACE_TOL:
+            raise InvalidRho(f"trace must be 1, got {tr:.12g}")
+        mat = 0.5 * (mat + mat.conj().T)  # symmetrize float noise below tolerance
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
 
     @classmethod
     def from_offdiagonals(cls, a: complex, b: complex, c: complex) -> "ThreePhotonRho":
@@ -114,18 +66,6 @@ class ThreePhotonRho:
             dtype=complex,
         )
         return cls(mat)
-
-    @property
-    def a(self) -> complex:
-        return complex(self.matrix[0, 1])
-
-    @property
-    def b(self) -> complex:
-        return complex(self.matrix[0, 2])
-
-    @property
-    def c(self) -> complex:
-        return complex(self.matrix[1, 2])
 
     @property
     def diagonals(self) -> tuple[float, float, float]:
@@ -145,17 +85,26 @@ class ThreePhotonRho:
         return self.min_eigenvalue() >= -tol
 
     def as_json_dict(self) -> dict:
-        return _matrix_json(self.matrix, BASIS_THREE)
+        return {
+            "basis": list(BASIS_THREE),
+            "re": [[float(x.real) for x in row] for row in self.matrix],
+            "im": [[float(x.imag) for x in row] for row in self.matrix],
+        }
 
     def to_csv(self) -> str:
-        return _matrix_csv(self.matrix, BASIS_THREE)
+        header = ["basis"]
+        for label in BASIS_THREE:
+            header += [f"{label}_re", f"{label}_im"]
+        lines = [",".join(header)]
+        for label, row in zip(BASIS_THREE, self.matrix):
+            cells = [label]
+            for x in row:
+                cells += [repr(float(x.real)), repr(float(x.imag))]
+            lines.append(",".join(cells))
+        return "\n".join(lines) + "\n"
 
 
-def trace_distance(rho1, rho2) -> float:
+def trace_distance(rho1: ThreePhotonRho, rho2: ThreePhotonRho) -> float:
     """(1/2) * trace norm of the difference of two density matrices."""
-    m1 = rho1.matrix if hasattr(rho1, "matrix") else np.asarray(rho1, dtype=complex)
-    m2 = rho2.matrix if hasattr(rho2, "matrix") else np.asarray(rho2, dtype=complex)
-    if m1.shape != m2.shape:
-        raise DimensionMismatch(f"shape mismatch {m1.shape} vs {m2.shape}")
-    eigs = np.linalg.eigvalsh(m1 - m2)
+    eigs = np.linalg.eigvalsh(rho1.matrix - rho2.matrix)
     return float(0.5 * np.sum(np.abs(eigs)))

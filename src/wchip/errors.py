@@ -62,10 +62,6 @@ class InvalidRho(WchipError):
     trace, or positivity bounds."""
 
 
-class BadProbability(WchipError):
-    """Outcome probabilities are negative or do not sum to one."""
-
-
 class DiagonalsNotUniform(WchipError):
     """Counting statistics deviate from the uniform 1/3 diagonals beyond the
     configured threshold, so the three-dimensional reconstruction is invalid."""

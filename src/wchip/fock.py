@@ -300,6 +300,8 @@ class ModeTransform:
             raise DimensionMismatch(
                 f"matrix size {mat.shape[0]} does not match {len(modes)} modes"
             )
+        if not np.isfinite(mat).all():
+            raise NotUnitary("transform matrix holds a non-finite entry")
         order = sorted(range(len(modes)), key=lambda i: modes[i])
         if order != list(range(len(modes))):
             perm = np.array(order)
@@ -435,30 +437,24 @@ def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureStat
 
 
 def reduce_to_channels(state: PureState, keep: Iterable[int]):
-    """Exact reduced density matrix of the kept channels.
+    """Exact reduced density matrix of three kept channels.
 
     Channels outside `keep` are traced out.  Every term must hold exactly one
     photon in each kept channel, and the kept-channel color content must lie
-    in the mixed-color span of the target matrix type: {BR, RB} for two
-    channels (:class:`~wchip.density.PairRho`), {BBR, BRB, RBB} for three
-    (:class:`~wchip.density.ThreePhotonRho`).  The result has unit trace.
+    in the {BBR, BRB, RBB} span of :class:`~wchip.density.ThreePhotonRho`.
+    The result has unit trace.
 
     Raises :class:`DimensionMismatch` when the photon content does not fit.
     """
-    from .density import BASIS_PAIR, BASIS_THREE, PairRho, ThreePhotonRho
+    from .density import BASIS_THREE, ThreePhotonRho
 
     keep = tuple(sorted({int(c) for c in keep}))
-    if len(keep) == 2:
-        basis_labels, cls = BASIS_PAIR, PairRho
-    elif len(keep) == 3:
-        basis_labels, cls = BASIS_THREE, ThreePhotonRho
-    else:
-        raise DimensionMismatch(f"can reduce to 2 or 3 channels, got {len(keep)}")
+    if len(keep) != 3:
+        raise DimensionMismatch(f"can reduce to 3 channels, got {len(keep)}")
     nsq = state.norm_sq()
     if nsq <= 0.0:
         raise EmptyState("cannot reduce a zero-norm state")
-    index = {p: i for i, p in enumerate(basis_labels)}
-    dim = len(basis_labels)
+    index = {p: i for i, p in enumerate(BASIS_THREE)}
     blocks: dict[FockBasisState, np.ndarray] = {}
     for basis, amp in state._terms.items():
         kept_part, env_part = basis.split(keep)
@@ -469,14 +465,14 @@ def reduce_to_channels(state: PureState, keep: Iterable[int]):
         i = index.get(pattern)
         if i is None:
             raise DimensionMismatch(
-                f"color pattern {pattern!r} outside the {'/'.join(basis_labels)} span"
+                f"color pattern {pattern!r} outside the {'/'.join(BASIS_THREE)} span"
             )
         vec = blocks.get(env_part)
         if vec is None:
-            vec = blocks[env_part] = np.zeros(dim, dtype=complex)
+            vec = blocks[env_part] = np.zeros(3, dtype=complex)
         vec[i] += amp
-    rho = np.zeros((dim, dim), dtype=complex)
+    rho = np.zeros((3, 3), dtype=complex)
     for vec in blocks.values():
         rho += np.outer(vec, vec.conjugate())
     rho *= 1.0 / nsq
-    return cls(rho)
+    return ThreePhotonRho(rho)

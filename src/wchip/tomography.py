@@ -29,20 +29,14 @@ from typing import Mapping
 import numpy as np
 
 from .circuit import SIGNAL_CHANNELS
-from .density import BASIS_THREE, PairRho, ThreePhotonRho, trace_distance
-from .errors import (
-    BadProbability,
-    DiagonalsNotUniform,
-    InvalidRho,
-    ParamOutOfRange,
-    ValidationError,
-)
+from .density import _PSD_TOL, BASIS_THREE, ThreePhotonRho, trace_distance
+from .errors import DiagonalsNotUniform, InvalidRho, ParamOutOfRange, ValidationError
 from .fock import Color, PureState, reduce_to_channels
 from .herald import rho_biseparable, rho_incoherent
 
 #: channel conditioned on Blue -> (remaining pair, block indices, coefficient):
 #: the block spans the patterns with a Blue photon at that channel's position,
-#: and its coherence is ``rho.a``, ``rho.b`` or ``rho.c`` in channel order.
+#: and its coherence is the coefficient named ``a``, ``b`` or ``c``.
 _CONDITION_MAP = {
     ch: (
         tuple(other for other in SIGNAL_CHANNELS if other != ch),
@@ -75,18 +69,7 @@ class TomoSetting:
 
     channel_pair: tuple[int, int]
     phase: float
-    conditioned_on: tuple[int, Color] = (SIGNAL_CHANNELS[0], Color.BLUE)
-
-    def __post_init__(self):
-        pair = (int(self.channel_pair[0]), int(self.channel_pair[1]))
-        cond = (int(self.conditioned_on[0]), Color(self.conditioned_on[1]))
-        if cond[0] in pair:
-            raise ValidationError(
-                f"conditioning channel {cond[0]} must not belong to the pair {pair}"
-            )
-        object.__setattr__(self, "channel_pair", pair)
-        object.__setattr__(self, "phase", float(self.phase))
-        object.__setattr__(self, "conditioned_on", cond)
+    conditioned_on: tuple[int, Color]
 
     @property
     def label(self) -> str:
@@ -106,97 +89,24 @@ class TomoSetting:
 class MeasurementRecord:
     """Counts of the two interferometer outcomes for one setting."""
 
-    setting: TomoSetting | None
+    setting: TomoSetting
     n_plus: int
     n_minus: int
     shots: int
     seed: int
-
-    def __post_init__(self):
-        if self.n_plus < 0 or self.n_minus < 0:
-            raise ValidationError("negative counts")
-        if self.n_plus + self.n_minus != self.shots:
-            raise ValidationError(
-                f"counts {self.n_plus}+{self.n_minus} do not sum to shots {self.shots}"
-            )
-
-    @property
-    def counts(self) -> tuple[int, int]:
-        return (self.n_plus, self.n_minus)
 
     @property
     def frequency(self) -> float:
         return self.n_plus / self.shots
 
     def as_json_dict(self) -> dict:
-        doc = {
+        return {
             "n_plus": int(self.n_plus),
             "n_minus": int(self.n_minus),
             "shots": int(self.shots),
             "seed": int(self.seed),
+            "setting": self.setting.as_json_dict(),
         }
-        if self.setting is not None:
-            doc["setting"] = self.setting.as_json_dict()
-        return doc
-
-
-# ---------------------------------------------------------------------------
-# measurement model
-# ---------------------------------------------------------------------------
-
-
-def setting_probabilities(rho: PairRho, phase: float) -> tuple[float, float]:
-    """Outcome probabilities of the phi-interferometer on a pair state.
-
-    ``p_plus = (rho00 + rho11)/2 + Re(e^{i phase} rho01)``; the two outcomes
-    sum to the trace (one).
-    """
-    if not rho.is_physical():
-        raise InvalidRho(
-            f"pair matrix has eigenvalue {rho.min_eigenvalue():.3g} below tolerance"
-        )
-    m = rho.matrix
-    half = 0.5 * float(np.real(m[0, 0] + m[1, 1]))
-    coh = float(np.real(np.exp(1j * float(phase)) * m[0, 1]))
-    p_plus = half + coh
-    p_minus = half - coh
-    return (p_plus, p_minus)
-
-
-def sample_record(
-    probs: tuple[float, float],
-    shots: int,
-    seed: int,
-    setting: TomoSetting | None = None,
-) -> MeasurementRecord:
-    """Binomial draw of the (+) outcome; deterministic in the seed."""
-    p_plus, p_minus = (float(probs[0]), float(probs[1]))
-    if abs(p_plus + p_minus - 1.0) > 1e-9:
-        raise BadProbability(f"probabilities sum to {p_plus + p_minus:.12g}, not 1")
-    if min(p_plus, p_minus) < -1e-9:
-        raise BadProbability(f"negative probability in {probs}")
-    shots = int(shots)
-    if shots < 1:
-        raise ParamOutOfRange(f"shots must be >= 1, got {shots}")
-    rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    n_plus = int(rng.binomial(shots, min(1.0, max(0.0, p_plus))))
-    return MeasurementRecord(setting, n_plus, shots - n_plus, shots, int(seed))
-
-
-def condition_on_blue(rho: ThreePhotonRho, channel: int) -> PairRho:
-    """Pair state of the remaining two channels after detecting a blue
-    photon in `channel`; the selected 2x2 block renormalized to unit trace."""
-    try:
-        _, (i, j), _ = _CONDITION_MAP[int(channel)]
-    except KeyError:
-        raise ParamOutOfRange(
-            f"conditioning channel must be one of SIGNAL_CHANNELS {SIGNAL_CHANNELS}, got {channel}"
-        ) from None
-    block = rho.matrix[np.ix_((i, j), (i, j))]
-    tr = float(np.real(np.trace(block)))
-    if tr <= 1e-12:
-        raise InvalidRho(f"no population with a blue photon in channel {channel}")
-    return PairRho(block / tr)
 
 
 # ---------------------------------------------------------------------------
@@ -287,26 +197,36 @@ def run_tomography(
         )
 
     # --- step 2: conditioned pair measurements at phases 0 and pi/2 --------
+    # A block of the Hermitian 3x3 matrix over its real trace is the
+    # Hermitian, unit-trace pair matrix; only its positivity is left to check.
     coefficients: dict[str, CoefficientEstimate] = {}
     records: list[MeasurementRecord] = []
-    for channel in SIGNAL_CHANNELS:
-        pair, _, name = _CONDITION_MAP[channel]
-        pair_rho = condition_on_blue(rho_true, channel)
+    for channel, (pair, block, name) in _CONDITION_MAP.items():
+        m = rho_true.matrix[np.ix_(block, block)]
+        tr = float(np.real(np.trace(m)))
+        if tr <= 1e-12:
+            raise InvalidRho(f"no population with a blue photon in channel {channel}")
+        m = m / tr
+        min_eig = float(np.linalg.eigvalsh(m)[0])
+        if not min_eig >= -_PSD_TOL:
+            raise InvalidRho(f"pair matrix has eigenvalue {min_eig:.3g} below tolerance")
+        half = 0.5 * float(np.real(m[0, 0] + m[1, 1]))
         freqs_by_phase: list[float] = []
         ses: list[float] = []
         for phase in _PHASES:
-            setting = TomoSetting(pair, phase, (channel, Color.BLUE))
-            probs = setting_probabilities(pair_rho, phase)
+            p_plus = half + float(np.real(np.exp(1j * phase) * m[0, 1]))
             if shots is None:
-                freqs_by_phase.append(probs[0])
+                freqs_by_phase.append(p_plus)
                 ses.append(0.0)
-            else:
-                record = sample_record(
-                    probs, shots, setting_seed(seed, setting.label), setting
-                )
-                records.append(record)
-                freqs_by_phase.append(record.frequency)
-                ses.append(_binomial_se(record.frequency, shots))
+                continue
+            setting = TomoSetting(pair, phase, (channel, Color.BLUE))
+            sub_seed = setting_seed(seed, setting.label)
+            rng = np.random.default_rng(sub_seed)
+            n_plus = int(rng.binomial(shots, min(1.0, max(0.0, p_plus))))
+            record = MeasurementRecord(setting, n_plus, shots - n_plus, shots, sub_seed)
+            records.append(record)
+            freqs_by_phase.append(record.frequency)
+            ses.append(_binomial_se(record.frequency, shots))
         rho01 = complex(freqs_by_phase[0] - 0.5, -(freqs_by_phase[1] - 0.5))
         coefficients[name] = CoefficientEstimate(
             value=(2.0 / 3.0) * rho01,

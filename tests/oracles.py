@@ -7,7 +7,7 @@ creation-operator algebra, closed-form parameter dependence instead of
 circuit simulation.  Tests compare the two routes; neither side is derived
 from the other, so agreement is evidence and disagreement is a bug.
 
-The last section keeps eight earlier versions of package functions that
+The last section keeps nine earlier versions of package functions that
 were rewritten with the same arithmetic in the same order; tests hold the
 rewrites to them bit for bit.
 """
@@ -505,3 +505,106 @@ def scipy_maximize(tol=1e-4, *, grid_step=0.04, grid_bounds=(0.1, 0.9)):
         candidate = best
         value = herald_objective(*best)
     return (candidate[0], candidate[1], candidate[2], value)
+
+
+def pair_rho_run_tomography(source, shots=None, seed=0, *, diag_threshold=0.02):
+    """``wchip.tomography.run_tomography`` before it worked on the 3x3 matrix
+    alone: each conditioned block became a validated, symmetrised 2x2 pair
+    matrix, whose positivity was checked once per phase, and each sampled
+    setting passed the probability gates of ``sample_record``.  Same
+    expressions, seeds and clip, so the two agree bit for bit."""
+    from wchip.circuit import SIGNAL_CHANNELS
+    from wchip.density import BASIS_THREE, ThreePhotonRho
+    from wchip.errors import DiagonalsNotUniform, InvalidRho, ParamOutOfRange
+    from wchip.fock import Color
+    from wchip.tomography import (
+        CoefficientEstimate,
+        MeasurementRecord,
+        TomographyResult,
+        TomoSetting,
+        _binomial_se,
+        _exact_rho,
+        setting_seed,
+    )
+
+    def condition_on_blue(rho, k):
+        i, j = (n for n, pattern in enumerate(BASIS_THREE) if pattern[k] == "B")
+        block = rho.matrix[np.ix_((i, j), (i, j))]
+        tr = float(np.real(np.trace(block)))
+        if tr <= 1e-12:
+            raise InvalidRho(f"no population with a blue photon in channel {SIGNAL_CHANNELS[k]}")
+        mat = block / tr
+        assert float(np.max(np.abs(mat - mat.conj().T))) <= 1e-12
+        assert abs(complex(np.trace(mat)) - 1.0) <= 1e-9
+        return 0.5 * (mat + mat.conj().T)
+
+    def setting_probabilities(m, phase):
+        min_eig = float(np.linalg.eigvalsh(m)[0])
+        if not min_eig >= -1e-9:
+            raise InvalidRho(f"pair matrix has eigenvalue {min_eig:.3g} below tolerance")
+        half = 0.5 * float(np.real(m[0, 0] + m[1, 1]))
+        coh = float(np.real(np.exp(1j * float(phase)) * m[0, 1]))
+        return (half + coh, half - coh)
+
+    def sample_record(probs, shots, seed, setting):
+        p_plus, p_minus = (float(probs[0]), float(probs[1]))
+        assert abs(p_plus + p_minus - 1.0) <= 1e-9 and min(p_plus, p_minus) >= -1e-9
+        rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
+        n_plus = int(rng.binomial(shots, min(1.0, max(0.0, p_plus))))
+        return MeasurementRecord(setting, n_plus, shots - n_plus, shots, int(seed))
+
+    rho_true = _exact_rho(source)
+    if shots is not None:
+        shots = int(shots)
+        if shots < 1:
+            raise ParamOutOfRange(f"shots must be >= 1, got {shots}")
+    diag = np.clip(np.real(np.diag(rho_true.matrix)), 0.0, 1.0)
+    if shots is None:
+        freqs = tuple(float(d) for d in diag)
+    else:
+        rng = np.random.default_rng(setting_seed(seed, "diagonals"))
+        counts = rng.multinomial(shots, diag / diag.sum())
+        freqs = tuple(float(c) / shots for c in counts)
+    diagonal_frequencies = dict(zip(BASIS_THREE, freqs))
+    deviation = max(abs(f - 1.0 / 3.0) for f in freqs)
+    if deviation > float(diag_threshold):
+        raise DiagonalsNotUniform(
+            "counting statistics deviate from uniform thirds by "
+            f"{deviation:.4f} (threshold {float(diag_threshold)}); observed "
+            + ", ".join(f"{k}={v:.4f}" for k, v in diagonal_frequencies.items())
+        )
+    coefficients = {}
+    records = []
+    for k, channel in enumerate(SIGNAL_CHANNELS):
+        pair = tuple(other for other in SIGNAL_CHANNELS if other != channel)
+        pair_matrix = condition_on_blue(rho_true, k)
+        freqs_by_phase = []
+        ses = []
+        for phase in (0.0, math.pi / 2.0):
+            setting = TomoSetting(pair, phase, (channel, Color.BLUE))
+            probs = setting_probabilities(pair_matrix, phase)
+            if shots is None:
+                freqs_by_phase.append(probs[0])
+                ses.append(0.0)
+            else:
+                record = sample_record(probs, shots, setting_seed(seed, setting.label), setting)
+                records.append(record)
+                freqs_by_phase.append(record.frequency)
+                ses.append(_binomial_se(record.frequency, shots))
+        rho01 = complex(freqs_by_phase[0] - 0.5, -(freqs_by_phase[1] - 0.5))
+        coefficients["abc"[k]] = CoefficientEstimate(
+            value=(2.0 / 3.0) * rho01,
+            se_re=(2.0 / 3.0) * ses[0],
+            se_im=(2.0 / 3.0) * ses[1],
+        )
+    rho_hat = ThreePhotonRho.from_offdiagonals(
+        coefficients["a"].value, coefficients["b"].value, coefficients["c"].value
+    )
+    return TomographyResult(
+        rho=rho_hat,
+        coefficients=coefficients,
+        diagonal_frequencies=diagonal_frequencies,
+        records=tuple(records),
+        shots=shots,
+        seed=None if shots is None else int(seed),
+    )

@@ -346,6 +346,9 @@ class TestMatchesUncachedPath:
         # all-zero phases are not written, so only the elements must match
         assert (loaded.elements, loaded_source) == (spec.elements, source)
         _assert_matches_uncached(loaded, loaded_source)
+        transform = build_transform(loaded)
+        for state in (two_pair_state(loaded_source.channel), source_state(loaded_source)):
+            assert abs(apply_mode_transform(state, transform).norm() - state.norm()) <= 1e-12
 
 
 def test_propagate_vacuum_source_stays_vacuum():

@@ -3,26 +3,28 @@
 import numpy as np
 import pytest
 
-from wchip.density import BASIS_THREE, PairRho, ThreePhotonRho, trace_distance
+from wchip.density import BASIS_THREE, ThreePhotonRho, trace_distance
 from wchip.errors import DimensionMismatch, InvalidRho
 
 from oracles import rho_b_matrix, w_vector
 
 
-def test_pair_rho_validation():
-    with pytest.raises(InvalidRho):
-        PairRho(np.array([[0.5, 0.5], [0.4, 0.5]]))  # not Hermitian
-    with pytest.raises(InvalidRho):
-        PairRho(np.eye(2))  # trace 2
+def test_three_photon_rho_validation():
+    not_hermitian = np.full((3, 3), 1 / 3)
+    not_hermitian[1, 0] = 0.2
+    with pytest.raises(InvalidRho, match="not Hermitian"):
+        ThreePhotonRho(not_hermitian)
+    with pytest.raises(InvalidRho, match="trace must be 1"):
+        ThreePhotonRho(np.eye(3))
     with pytest.raises(DimensionMismatch):
-        PairRho(np.eye(3) / 3)
+        ThreePhotonRho(np.eye(2) / 2)
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: PairRho(np.full((2, 2), np.nan)),
-        lambda: PairRho(np.array([[0.5, np.inf], [np.inf, 0.5]])),
+        lambda: ThreePhotonRho(np.diag([np.inf, 0.0, 0.0])),
+        lambda: ThreePhotonRho.from_offdiagonals(np.inf, 0.0, 0.0),
         lambda: ThreePhotonRho(np.full((3, 3), np.nan)),
         lambda: ThreePhotonRho.from_offdiagonals(complex(0.0, np.nan), 0.0, 0.0),
     ],
@@ -32,16 +34,16 @@ def test_non_finite_entries_are_invalid(make):
         make()
 
 
-def test_pair_rho_positivity_is_reported_not_enforced():
-    rho = PairRho(np.array([[0.5, 0.6], [0.6, 0.5]]))  # unphysical coherence
-    assert rho.min_eigenvalue() == pytest.approx(-0.1)
+def test_positivity_is_reported_not_enforced():
+    rho = ThreePhotonRho.from_offdiagonals(0.4, 0.0, 0.0)  # unphysical coherence
+    assert rho.min_eigenvalue() == pytest.approx(1 / 3 - 0.4)
     assert not rho.is_physical()
 
 
 def test_three_photon_from_offdiagonals():
     rho = ThreePhotonRho.from_offdiagonals(1 / 3, 1 / 3, 1 / 3)
     assert rho.diagonals == pytest.approx((1 / 3, 1 / 3, 1 / 3))
-    assert rho.a == pytest.approx(1 / 3)
+    assert rho.matrix[0, 1] == pytest.approx(1 / 3)
     assert rho.fidelity_w() == pytest.approx(1.0)
     assert rho.is_physical()
 
@@ -58,7 +60,7 @@ def test_fidelity_is_w_expectation():
 def test_biseparable_reference_values():
     # the counting-indistinguishable mixture: diagonal thirds, coherences 1/6
     rho = ThreePhotonRho(rho_b_matrix())
-    assert rho.a == pytest.approx(1 / 6)
+    assert rho.matrix[0, 1] == pytest.approx(1 / 6)
     assert rho.fidelity_w() == pytest.approx(2 / 3)
     assert rho.is_physical()
 

@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wchip.fock
+from wchip.circuit import SIGNAL_CHANNELS
 from wchip.errors import (
     DimensionMismatch,
     NotUnitary,
@@ -135,7 +136,7 @@ def test_lossless_gate_rejects_nonunitary_matrix():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.filterwarnings("error:invalid value encountered in matmul:RuntimeWarning")
 def test_non_finite_matrix_is_not_unitary(bad):
     with pytest.raises(NotUnitary):
         _transform((B0,), [[bad]])
@@ -362,62 +363,54 @@ def test_color_pattern_roundtrip():
 
 
 def test_reduce_w_conditioned_pair_block():
-    # W state conditioned on a blue photon in channel 2, reduced over (3, 4):
-    # balanced pair coherence 1/2
+    # W state reduced over the signal channels, conditioned on a blue photon
+    # in channel 2 (the BBR/BRB block): balanced pair coherence 1/2
     from wchip.herald import Branch, w_state
 
-    state = w_state(Branch.T1)
-    terms = {b: a for b, a in state.items() if (ModeLabel(2, Color.BLUE), 1) in b}
-    component = PureState(terms)
-    assert component.norm_sq() == pytest.approx(2.0 / 3.0)
-    norm = component.norm()
-    rho = reduce_to_channels(PureState({b: a / norm for b, a in terms.items()}), (3, 4))
-    assert rho.matrix[0, 0] == pytest.approx(0.5)
-    assert rho.matrix[1, 1] == pytest.approx(0.5)
-    assert rho.matrix[0, 1] == pytest.approx(0.5)
+    rho = reduce_to_channels(w_state(Branch.T1), SIGNAL_CHANNELS).matrix
+    block = rho[np.ix_((0, 1), (0, 1))]
+    tr = np.trace(block).real
+    assert tr == pytest.approx(2.0 / 3.0)
+    assert block[0, 0] / tr == pytest.approx(0.5)
+    assert block[1, 1] / tr == pytest.approx(0.5)
+    assert block[0, 1] / tr == pytest.approx(0.5)
 
 
 def test_reduce_product_state_is_diagonal():
-    basis = FockBasisState([(ModeLabel(3, Color.BLUE), 1), (ModeLabel(4, Color.RED), 1)])
-    rho = reduce_to_channels(PureState.basis(basis), (3, 4))
-    assert rho.matrix[0, 0] == pytest.approx(1.0)
-    assert rho.matrix[1, 1] == pytest.approx(0.0)
-    assert rho.matrix[0, 1] == pytest.approx(0.0)
+    product = PureState.basis(basis_from_pattern("BRB", SIGNAL_CHANNELS))
+    rho = reduce_to_channels(product, SIGNAL_CHANNELS)
+    assert np.allclose(rho.matrix, np.diag([0.0, 1.0, 0.0]), atol=1e-15)
 
 
 def test_reduce_statistical_mixture_kills_coherence():
-    # mixing the two conditioned basis patterns mimics the counting-only
-    # mixture: diagonal halves, no off-diagonal
-    rho_parts = []
-    for pat in ("BR", "RB"):
-        basis = FockBasisState(
-            [(ModeLabel(3, Color.from_letter(pat[0])), 1), (ModeLabel(4, Color.from_letter(pat[1])), 1)]
-        )
-        rho_parts.append(reduce_to_channels(PureState.basis(basis), (3, 4)).matrix)
-    mixed = (rho_parts[0] + rho_parts[1]) / 2.0
-    assert mixed[0, 0] == pytest.approx(0.5)
-    assert mixed[0, 1] == pytest.approx(0.0)
+    # mixing the three basis patterns mimics the counting-only mixture:
+    # diagonal thirds, no off-diagonal
+    patterns = ("BBR", "BRB", "RBB")
+    states = (PureState.basis(basis_from_pattern(pat, SIGNAL_CHANNELS)) for pat in patterns)
+    mixed = sum(reduce_to_channels(state, SIGNAL_CHANNELS).matrix for state in states) / 3.0
+    assert np.allclose(mixed, np.eye(3) / 3.0, atol=1e-15)
 
 
 def test_reduce_requires_matching_photon_content():
-    basis = FockBasisState([(ModeLabel(3, Color.BLUE), 2)])
+    doubled = FockBasisState([(ModeLabel(2, Color.BLUE), 1), (ModeLabel(3, Color.BLUE), 2)])
     with pytest.raises(DimensionMismatch):
-        reduce_to_channels(PureState.basis(basis), (3, 4))
+        reduce_to_channels(PureState.basis(doubled), SIGNAL_CHANNELS)
+    one_blue = PureState.basis(basis_from_pattern("RRB", SIGNAL_CHANNELS))
+    with pytest.raises(DimensionMismatch, match="outside the BBR/BRB/RBB span"):
+        reduce_to_channels(one_blue, SIGNAL_CHANNELS)
+    with pytest.raises(DimensionMismatch, match="can reduce to 3 channels, got 2"):
+        reduce_to_channels(PureState.basis(basis_from_pattern("BR", (3, 4))), (3, 4))
 
 
 def test_reduce_traces_out_environment():
-    # photon pair on (3,4) entangled with an environment photon on channel 9:
-    # tracing it out leaves the balanced diagonal with no coherence
-    e_r = ModeLabel(9, Color.RED)
-    e_b = ModeLabel(9, Color.BLUE)
-    b3r4 = [(ModeLabel(3, Color.BLUE), 1), (ModeLabel(4, Color.RED), 1)]
-    r3b4 = [(ModeLabel(3, Color.RED), 1), (ModeLabel(4, Color.BLUE), 1)]
+    # BBR and BRB entangled with an environment photon on channel 9: tracing
+    # it out leaves the balanced diagonal with no coherence
+    bbr_r = [*basis_from_pattern("BBR", SIGNAL_CHANNELS), (ModeLabel(9, Color.RED), 1)]
+    brb_b = [*basis_from_pattern("BRB", SIGNAL_CHANNELS), (ModeLabel(9, Color.BLUE), 1)]
     state = PureState(
-        {
-            FockBasisState(b3r4 + [(e_r, 1)]): 1 / math.sqrt(2),
-            FockBasisState(r3b4 + [(e_b, 1)]): 1 / math.sqrt(2),
-        }
+        {FockBasisState(bbr_r): 1 / math.sqrt(2), FockBasisState(brb_b): 1 / math.sqrt(2)}
     )
-    rho = reduce_to_channels(state, (3, 4))
+    rho = reduce_to_channels(state, SIGNAL_CHANNELS)
     assert rho.matrix[0, 0] == pytest.approx(0.5)
+    assert rho.matrix[1, 1] == pytest.approx(0.5)
     assert abs(rho.matrix[0, 1]) < 1e-14

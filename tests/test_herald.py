@@ -64,14 +64,15 @@ def test_heralded_amplitudes_are_uniform_at_optimum():
         assert amp == pytest.approx(1 / math.sqrt(3), abs=1e-12)
 
 
-def test_branch_probabilities_equal_for_any_parameters():
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        r1, r2, r3 = rng.uniform(0.05, 0.95, size=3)
-        state = _propagated(r1, r2, r3)
-        p1 = herald(state, Branch.T1).probability
-        p2 = herald(state, Branch.T2).probability
-        assert abs(p1 - p2) < 1e-12
+@given(
+    st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    st.tuples(*[st.floats(-4.0, 4.0)] * 3),
+)
+def test_branch_probabilities_equal_for_any_parameters(r, phis):
+    state = _propagated(*r, phis=phis)
+    p1 = herald(state, Branch.T1).probability
+    p2 = herald(state, Branch.T2).probability
+    assert abs(p1 - p2) < 1e-12
 
 
 def test_probability_tracks_prefactor_with_constant_twelve():

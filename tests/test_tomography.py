@@ -9,29 +9,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from wchip.circuit import build_transform, canonical_w_circuit
-from wchip.density import PairRho, ThreePhotonRho, trace_distance
+from wchip.circuit import SIGNAL_CHANNELS, build_transform, canonical_w_circuit
+from wchip.density import ThreePhotonRho, trace_distance
 from wchip.elements import two_pair_state
-from wchip.errors import (
-    BadProbability,
-    DiagonalsNotUniform,
-    InvalidRho,
-    ParamOutOfRange,
-    ValidationError,
-)
+from wchip.errors import DiagonalsNotUniform, InvalidRho, ParamOutOfRange, ValidationError
 from wchip.fock import Color, PureState, apply_mode_transform, basis_from_pattern, reduce_to_channels
 from wchip.herald import Branch, herald, rho_biseparable, rho_incoherent, w_state
-from wchip.tomography import (
-    MeasurementRecord,
-    TomoSetting,
-    condition_on_blue,
-    discriminate,
-    run_tomography,
-    sample_record,
-    setting_probabilities,
-    setting_seed,
-)
+from wchip.tomography import discriminate, run_tomography, setting_seed
+
+from oracles import pair_rho_run_tomography
 
 OPT = (0.5, 1 / math.sqrt(3), 1 / math.sqrt(2))
 
@@ -53,68 +42,135 @@ def test_setting_seed_is_deterministic_and_label_sensitive():
     assert setting_seed(1, "x") != setting_seed(2, "x")
 
 
-def test_setting_rejects_conditioning_inside_the_pair():
-    with pytest.raises(ValidationError):
-        TomoSetting((2, 4), 0.0, (2, Color.BLUE))
+def test_settings_condition_outside_their_pair():
+    records = run_tomography(w_state(Branch.T1), shots=100, seed=0, diag_threshold=1.0).records
+    settings = [(rec.setting.conditioned_on, rec.setting.phase) for rec in records]
+    assert settings == [
+        ((ch, Color.BLUE), phase) for ch in SIGNAL_CHANNELS for phase in (0.0, math.pi / 2)
+    ]
+    for rec in records:
+        channel = rec.setting.conditioned_on[0]
+        assert rec.setting.channel_pair == tuple(ch for ch in SIGNAL_CHANNELS if ch != channel)
 
 
 def test_record_counts_must_sum_to_shots():
-    with pytest.raises(ValidationError):
-        MeasurementRecord(None, 3, 4, 10, 0)
+    for rho in (rho_incoherent(), rho_biseparable()):
+        for rec in run_tomography(rho, shots=777, seed=4, diag_threshold=1.0).records:
+            assert rec.n_plus >= 0 and rec.n_minus >= 0
+            assert rec.n_plus + rec.n_minus == rec.shots == 777
 
 
 def test_setting_probabilities_on_w_pair():
-    pair = condition_on_blue(ThreePhotonRho.from_offdiagonals(1 / 3, 1 / 3, 1 / 3), 2)
-    p0 = setting_probabilities(pair, 0.0)
-    p90 = setting_probabilities(pair, math.pi / 2)
-    assert p0[0] == pytest.approx(1.0, abs=1e-12)
-    assert p90[0] == pytest.approx(0.5, abs=1e-12)
-    assert p0[0] + p0[1] == pytest.approx(1.0)
+    # the W pair interferes fully at phase 0 and evenly at phase pi/2
+    result = run_tomography(w_state(Branch.T1), shots=10_000, seed=3, diag_threshold=1.0)
+    for rec in result.records:
+        if rec.setting.phase == 0.0:
+            assert rec.n_plus == rec.shots
+        else:
+            assert abs(rec.frequency - 0.5) < 5 * math.sqrt(0.25 / rec.shots)
 
 
-def test_setting_probabilities_rejects_unphysical_pair():
-    bad = PairRho(np.array([[0.5, 0.6], [0.6, 0.5]]))
-    with pytest.raises(InvalidRho):
-        setting_probabilities(bad, 0.0)
+@pytest.mark.parametrize("shots", [None, 1000])
+def test_setting_probabilities_rejects_unphysical_pair(shots):
+    # a pair coherence of 0.4 / (2/3) = 0.6 exceeds the populations 1/2
+    bad = ThreePhotonRho.from_offdiagonals(0.4, 0.0, 0.0)
+    with pytest.raises(InvalidRho, match="eigenvalue -0.1 below"):
+        run_tomography(bad, shots=shots, diag_threshold=1.0)
 
 
 class TestSampling:
     def test_deterministic_in_seed(self):
-        a = sample_record((0.7, 0.3), 1000, 5)
-        b = sample_record((0.7, 0.3), 1000, 5)
-        c = sample_record((0.7, 0.3), 1000, 6)
-        assert a.n_plus == b.n_plus
-        assert a.n_plus != c.n_plus or a.seed != c.seed
+        # each record is the binomial draw of its own setting seed
+        exact = run_tomography(rho_biseparable()).coefficients
+        result = run_tomography(rho_biseparable(), shots=1000, seed=5, diag_threshold=1.0)
+        for rec in result.records:
+            assert rec.seed == setting_seed(5, rec.setting.label)
+            coef = exact["abc"[SIGNAL_CHANNELS.index(rec.setting.conditioned_on[0])]].value
+            p_plus = 0.5 + 1.5 * (coef.real if rec.setting.phase == 0.0 else -coef.imag)
+            assert rec.n_plus == np.random.default_rng(rec.seed).binomial(1000, p_plus)
 
     def test_frequency_converges(self):
-        rec = sample_record((0.7, 0.3), 200_000, 123)
-        sigma = math.sqrt(0.7 * 0.3 / 200_000)
-        assert abs(rec.frequency - 0.7) < 5 * sigma
+        result = run_tomography(rho_biseparable(), shots=200_000, seed=123)
+        for rec in result.records:
+            p_plus = 0.75 if rec.setting.phase == 0.0 else 0.5
+            sigma = math.sqrt(p_plus * (1 - p_plus) / rec.shots)
+            assert abs(rec.frequency - p_plus) < 5 * sigma
 
-    def test_probability_gates(self):
-        with pytest.raises(BadProbability):
-            sample_record((0.7, 0.7), 10, 0)
-        with pytest.raises(BadProbability):
-            sample_record((1.2, -0.2), 10, 0)
-        with pytest.raises(ParamOutOfRange):
-            sample_record((0.5, 0.5), 0, 0)
+    def test_shot_budget_must_be_positive(self):
+        for shots in (0, -3):
+            with pytest.raises(ParamOutOfRange, match="shots must be >= 1"):
+                run_tomography(w_state(Branch.T1), shots=shots)
 
 
 def test_condition_on_blue_blocks():
-    w = ThreePhotonRho.from_offdiagonals(1 / 3, 1 / 3, 1 / 3)
-    pair = condition_on_blue(w, 2)
-    assert np.allclose(pair.matrix, np.full((2, 2), 0.5))
-    flat = condition_on_blue(rho_incoherent(), 3)
-    assert np.allclose(flat.matrix, np.eye(2) / 2)
-    with pytest.raises(ParamOutOfRange):
-        condition_on_blue(w, 5)
+    # conditioning on a Blue photon in channel 2, 3 or 4 reads the coherence
+    # of its own block: a = rho[0,1], b = rho[0,2], c = rho[1,2]
+    offs = {"a": 0.1 + 0.05j, "b": -0.2j, "c": 0.15}
+    coefficients = run_tomography(ThreePhotonRho.from_offdiagonals(**offs)).coefficients
+    for name, value in offs.items():
+        assert coefficients[name].value == pytest.approx(value, abs=1e-12)
 
 
 def test_condition_on_blue_needs_population():
     rho = ThreePhotonRho(np.diag([0.0, 0.0, 1.0]).astype(complex))
     # a blue photon in channel 2 only appears in BBR/BRB, both empty here
-    with pytest.raises(InvalidRho):
-        condition_on_blue(rho, 2)
+    with pytest.raises(InvalidRho, match="no population with a blue photon in channel 2"):
+        run_tomography(rho, diag_threshold=1.0)
+    with pytest.raises(InvalidRho, match="channel 2"):
+        run_tomography(rho, shots=100, diag_threshold=1.0)
+
+
+_UNIT = st.floats(0.05, 0.95)
+_PHASE = st.floats(-4.0, 4.0)
+_OFF = st.builds(complex, st.floats(-0.4, 0.4), st.floats(-0.4, 0.4))
+
+
+def _heralded_cell(r, phi, eps):
+    spec = canonical_w_circuit(*r, *phi, ad2_extinction=eps)
+    state = apply_mode_transform(two_pair_state(0), build_transform(spec))
+    return herald(state, Branch.T1).heralded_state
+
+
+def _outcome(fn, *args, **kwargs):
+    """Every bit of a run, or the type and message of its error."""
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as exc:  # compared, never swallowed
+        return (type(exc), str(exc))
+    return (
+        result.rho.matrix.tobytes(),
+        [(k, v.value, v.se_re, v.se_im) for k, v in result.coefficients.items()],
+        list(result.diagonal_frequencies.items()),
+        [rec.as_json_dict() for rec in result.records],
+        result.shots,
+        result.seed,
+    )
+
+
+class TestMatchesPairRhoVersion:
+    """run_tomography on the 3x3 matrix gives the bits of the version that
+    went through validated 2x2 pair matrices (kept in oracles.py)."""
+
+    @given(
+        source=st.one_of(
+            st.builds(
+                _heralded_cell,
+                st.tuples(_UNIT, _UNIT, _UNIT),
+                st.tuples(_PHASE, _PHASE, _PHASE),
+                st.floats(0.0, 0.1),
+            ),
+            st.sampled_from([w_state(Branch.T1), rho_incoherent(), rho_biseparable()]),
+            st.builds(ThreePhotonRho.from_offdiagonals, _OFF, _OFF, _OFF),
+        ),
+        shots=st.one_of(st.none(), st.integers(1, 100_000)),
+        seed=st.integers(0, 2**64 - 1),
+        diag_threshold=st.sampled_from([0.02, 1.0]),
+    )
+    def test_bits_equal(self, source, shots, seed, diag_threshold):
+        kwargs = dict(shots=shots, seed=seed, diag_threshold=diag_threshold)
+        assert _outcome(run_tomography, source, **kwargs) == _outcome(
+            pair_rho_run_tomography, source, **kwargs
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +180,8 @@ def test_condition_on_blue_needs_population():
 
 class TestExactReconstruction:
     def test_w_state_gives_uniform_thirds(self):
-        rho = run_tomography(w_state(Branch.T1)).rho
-        for coeff in (rho.a, rho.b, rho.c):
-            assert coeff == pytest.approx(1 / 3, abs=1e-12)
+        for est in run_tomography(w_state(Branch.T1)).coefficients.values():
+            assert est.value == pytest.approx(1 / 3, abs=1e-12)
 
     def test_heralded_circuit_output_matches_direct_reduction(self):
         state = _heralded_optimum()
@@ -138,12 +193,11 @@ class TestExactReconstruction:
         rho_in = rho_biseparable()
         rho_out = run_tomography(rho_in).rho
         assert np.allclose(rho_out.matrix, rho_in.matrix, atol=1e-12)
-        assert rho_out.a == pytest.approx(1 / 6, abs=1e-12)
+        assert rho_out.matrix[0, 1] == pytest.approx(1 / 6, abs=1e-12)
 
     def test_incoherent_mixture_gives_zero_coherences(self):
-        rho = run_tomography(rho_incoherent()).rho
-        for coeff in (rho.a, rho.b, rho.c):
-            assert coeff == pytest.approx(0.0, abs=1e-12)
+        for est in run_tomography(rho_incoherent()).coefficients.values():
+            assert est.value == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_foreign_source_type(self):
         with pytest.raises(ValidationError):
