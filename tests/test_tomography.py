@@ -70,12 +70,12 @@ def test_setting_probabilities_on_w_pair():
             assert abs(rec.frequency - 0.5) < 5 * math.sqrt(0.25 / rec.shots)
 
 
-@pytest.mark.parametrize("shots", [None, 1000])
-def test_setting_probabilities_rejects_unphysical_pair(shots):
+def test_setting_probabilities_rejects_unphysical_pair():
     # a pair coherence of 0.4 / (2/3) = 0.6 exceeds the populations 1/2
     bad = ThreePhotonRho.from_offdiagonals(0.4, 0.0, 0.0)
-    with pytest.raises(InvalidRho, match="eigenvalue -0.1 below"):
-        run_tomography(bad, shots=shots, diag_threshold=1.0)
+    for shots in (None, 1000):
+        with pytest.raises(InvalidRho, match="eigenvalue -0.1 below"):
+            run_tomography(bad, shots=shots, diag_threshold=1.0)
 
 
 class TestSampling:
