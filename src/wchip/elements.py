@@ -178,19 +178,20 @@ def coupler_block(r, t, phi=0.0):
     return ((t, cross), (-np.conj(cross), t))
 
 
-def adddrop_block(extinction: float, resonant: bool):
+def adddrop_block(extinction, resonant: bool):
     """Single-color action of an add-drop filter on its ``(input, through,
     drop)`` ports as nested tuples, rows indexed by input.
 
     Resonant color: input -> drop with amplitude sqrt(1 - extinction) and
     input -> through with amplitude sqrt(extinction).  Non-resonant color:
     input -> through with amplitude 1.  The remaining rows permute the idle
-    ports so the block stays unitary at every extinction.
-    """
+    ports so the block stays unitary at every extinction.  Broadcasts as
+    :func:`transmission` does."""
     if not resonant:
         return ((0, 1, 0), (0, 0, 1), (1, 0, 0))
-    leak = math.sqrt(extinction)
-    drop = math.sqrt(1.0 - extinction)
+    sqrt = math.sqrt if isinstance(extinction, float) else np.sqrt
+    leak = sqrt(extinction)
+    drop = sqrt(1.0 - extinction)
     return ((0, leak, drop), (0, drop, -leak), (1, 0, 0))
 
 

@@ -9,19 +9,20 @@ provably change the heralded component only by a global phase.
 ``maximize`` does a coarse grid scan to locate the basin (the objective
 vanishes on every face of the unit cube, so the scan covers the interior)
 followed by bounded Nelder-Mead refinement (:func:`minimize`, a port of
-scipy's, so the package needs only numpy at runtime).  Both evaluate the
-objective on an engine on the source rows: every element is linear and
-keeps colors apart, and the input |2_B, 2_R> sits on one channel, so each
-heralded amplitude needs only row ``SOURCE_CHANNEL`` of each color's
-transfer matrix (a permanent with repeated rows; Scheel, quant-ph/0406127).
-The engine keeps those rows as per-channel lists, ``rows[color][channel]``,
-and pushes them through the element blocks as explicit sums over the block
-entries.  The searched circuit has no phases, so the rows are real.  Each
-entry broadcasts: an array over a slab of r1 planes in the scan, a Python
-float at a Nelder-Mead point, with the same operations in the same order in
-both, so a point gives the bits of its grid cell.  The reported value comes
-from one sparse :func:`herald_objective` call at the chosen point, so the
-result is also checked against the full Fock engine.
+scipy's, so the package needs only numpy at runtime).  The scan, each
+Nelder-Mead step and every cell of ``sweep`` run on an engine on the source
+rows: every element is linear and keeps colors apart, and the input
+|2_B, 2_R> sits on one channel, so each amplitude a metric counts needs only
+row ``SOURCE_CHANNEL`` of each color's transfer matrix (a permanent with
+repeated rows; Scheel, quant-ph/0406127).  The engine keeps those rows as
+per-channel lists, ``rows[color][channel]``, and pushes them through the
+element blocks as explicit sums over the block entries.  Each entry
+broadcasts: an array over a slab of r1 planes in the scan and the sweep, a
+Python float at a Nelder-Mead point, with the same operations in the same
+order in both, so a point gives the bits of its grid cell.  Each call is
+checked once against the full sparse Fock engine: ``maximize`` reports
+:func:`herald_objective` at the chosen point, and ``sweep`` compares its
+first cell's amplitudes with the propagated state's.
 """
 
 from __future__ import annotations
@@ -47,15 +48,8 @@ from .circuit import (
 )
 from .elements import adddrop_block, transmission, two_pair_state
 from .errors import GridTooLarge, ParamOutOfRange, ValidationError
-from .fock import Color, apply_mode_transform
-from .herald import HERALD_TERMS, Branch, herald
-
-#: Channels of a term counted by :func:`_w_fidelity_colorblind`, in basis
-#: (channel-major) order, and the position of the T1 photon among them: the
-#: T1 key of the herald term table, whatever the T1 photon's color.
-_COLORBLIND_CHANNELS, _T1_POSITION = next(
-    (channels, k) for channels, (branch, k, _) in HERALD_TERMS.items() if branch is Branch.T1
-)
+from .fock import Color, apply_mode_transform, basis_from_pattern
+from .herald import Branch, herald
 
 #: Default coarse-grid step of :func:`maximize`.  The objective factorizes
 #: into three single-variable terms each with one interior maximum, so a
@@ -101,19 +95,17 @@ def herald_objective(r1: float, r2: float, r3: float) -> float:
     return herald(state, Branch.T1).probability
 
 
-def _source_rows(r1, r2, r3) -> list[list]:
+def _source_rows(r1, r2, r3, columns) -> list[list]:
     """Row ``SOURCE_CHANNEL`` of each color's transfer matrix of the
-    canonical circuit, as ``rows[color][channel]``.
+    canonical circuit, as ``rows[color][channel]``, with ``columns[color]``
+    the columns of that color's router block (:func:`_router_columns`).
 
-    Every phase of the searched circuit is 0, so a coupler's block
+    Every phase of the canonical circuit is 0, so a coupler's block
     ``coupler_block(r, t, 0)`` is the real ``((t, r), (-r, t))``: it sends
     the entries ``(u_a, u_b)`` of its channels to ``(t u_a - r u_b, r u_a +
-    t u_b)``.  The complex rows would carry imaginary parts of exactly +-0,
-    which change no bit of a product, sum or squared modulus, so the real
-    rows give the same objective values.  Each entry broadcasts over
-    ``(r1, r2, r3)``: an array on a grid, a float at a single point.  The
-    couplers act identically on both colors, so one row goes through them
-    before it is split for the router.
+    t u_b)``; complex rows would only add imaginary parts of exactly +-0.
+    Each entry broadcasts over ``(r1, r2, r3)`` and the columns.  The
+    couplers act alike on both colors, so one row goes through them.
     """
     r = (r1, r2, r3)
     row = [0.0] * len(CANONICAL_CHANNELS)
@@ -125,20 +117,21 @@ def _source_rows(r1, r2, r3) -> list[list]:
         row[a], row[b] = ua * tk - ub * rk, ua * rk + ub * tk
     old = [row[ch] for ch in _ROUTER_PORTS]
     rows = []
-    for columns in _ROUTER_COLUMNS:
+    for color_columns in columns:
         color_row = list(row)
-        for ch, column in zip(_ROUTER_PORTS, columns):
+        for ch, column in zip(_ROUTER_PORTS, color_columns):
             color_row[ch] = _total(map(operator.mul, old, column))
         rows.append(color_row)
     return rows
 
 
-#: The router's ``(input, through, drop)`` channels, and the columns of each
-#: color's block of the ideal router the search assumes.
-_ROUTER_PORTS = CANONICAL_ROUTER[:3]
-_ROUTER_COLUMNS = tuple(
-    tuple(zip(*adddrop_block(0.0, color is CANONICAL_ROUTER[3]))) for color in Color
-)
+def _router_columns(extinction) -> tuple:
+    """Each color's router-block columns at `extinction`, a float or an array."""
+    return tuple(tuple(zip(*adddrop_block(extinction, c is CANONICAL_ROUTER[3]))) for c in Color)
+
+
+_IDEAL_ROUTER = _router_columns(0.0)  # the router the search assumes
+_ROUTER_PORTS = CANONICAL_ROUTER[:3]  # its (input, through, drop) channels
 
 
 def _total(terms):
@@ -153,24 +146,26 @@ def herald_objective_batch(r1, r2, r3):
     # [()] unwraps a 0-d array into a numpy scalar; arrays pass through.
     r = tuple(np.asarray(v, dtype=float)[()] for v in (r1, r2, r3))
     _check_unit_interval(*r)
-    return _objective(*r)
+    return _herald_probability(_source_rows(*r, _IDEAL_ROUTER))
 
 
-def _objective(r1, r2, r3):
-    """The herald probability of :func:`herald_objective_batch` on checked
-    reflectivities: arrays, numpy scalars or, cheapest, Python floats.
+def _t1_amplitudes(rows, color: Color) -> list:
+    """Amplitude of each term with one photon of `color` at T1 and one on
+    each signal channel, per split ``(s, j, k)``: a color's pair is (1/sqrt
+    2)(sum_j u_j a_j^dag)^2 |0>, with amplitude sqrt(2) u_j u_k on modes
+    j != k, so the term with the other photon of `color` on s and the other
+    color's pair on j, k has 2 u_T1 u_s v_j v_k."""
+    u, v = rows[color], rows[1 - color]
+    return [2.0 * u[T1_CHANNEL] * u[s] * v[j] * v[k] for s, j, k in _SIGNAL_SPLITS]
 
-    After the circuit, each color's photon pair is (1/sqrt 2)(sum_j u_j
-    a_j^dag)^2 |0>, so a pair on distinct modes j, k has amplitude
-    sqrt(2) u_j u_k.  A T1 herald puts one Red photon at ``T1_CHANNEL`` and
-    one photon on each signal channel: the other Red photon on one signal
-    channel, the two Blue photons on the remaining two.  Its probability is
-    the sum of those pattern weights over the four-photon norm
-    |u_R|^4 |u_B|^4.
-    """
-    red, blue = _source_rows(r1, r2, r3)
+
+def _herald_probability(rows):
+    """P(T1 herald | double pair): the weight of the terms with a Red
+    photon at T1 and one photon on each signal channel, over the
+    four-photon norm |u_R|^4 |u_B|^4."""
+    red, blue = rows
     weight = 0.0
-    for s, j, k in _SIGNAL_SPLITS:
+    for s, j, k in _SIGNAL_SPLITS:  # _t1_amplitudes(rows, RED), inlined: hot in the search
         amp = 2.0 * red[T1_CHANNEL] * red[s] * blue[j] * blue[k]
         weight = weight + amp * amp
     norm_red = _total(map(operator.mul, red, red))
@@ -178,8 +173,19 @@ def _objective(r1, r2, r3):
     return weight / (norm_red * norm_red * norm_blue * norm_blue)
 
 
-#: Each signal channel of the second Red photon, with the two signal
-#: channels left for the Blue pair.
+def _colorblind_fidelity(rows):
+    """W fidelity of the T1-conditioned state when the T1 detector counts
+    photons but not colors, the robustness metric of extinction sweeps: a
+    Blue photon leaked to T1 leaves signal photons that do not overlap W,
+    so it is |sum of the Red T1 amplitudes|^2 / 3 over the weight of all
+    six T1 terms, and 0.0 where that weight is 0."""
+    red_t1 = _t1_amplitudes(rows, Color.RED)
+    overlap = _total(red_t1)
+    total = _total(amp * amp for amp in red_t1 + _t1_amplitudes(rows, Color.BLUE))
+    return np.divide(overlap * overlap / 3.0, total, out=np.zeros_like(total), where=total > 0.0)
+
+
+#: Each signal channel with the two signal channels left beside it.
 _SIGNAL_SPLITS = tuple(
     (s, *(ch for ch in SIGNAL_CHANNELS if ch != s)) for s in SIGNAL_CHANNELS
 )
@@ -323,7 +329,7 @@ def maximize(
     # Simplex points are lists of floats inside the cube, so the objective
     # runs on Python floats and skips the checks of the batch entry point.
     candidate = minimize(
-        lambda x: -_objective(*x),
+        lambda x: -_herald_probability(_source_rows(*x, _IDEAL_ROUTER)),
         _initial_simplex(best, grid_step),
         xatol=float(tol),
         fatol=1e-14,
@@ -404,58 +410,51 @@ def check_cell_count(n_cells: int, cell_cap: int) -> None:
 
 
 def sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate the metric over the grid, rows in lexicographic cell order."""
+    """Evaluate the metric over the grid, rows in lexicographic cell order.
+
+    The grid runs on the source-row engine, as broadcast arrays in slabs of
+    r1 planes (at most ``_SCAN_SLAB_CELLS`` cells, at least one plane).  No
+    amplitude is pruned, so a cell whose amplitudes are tiny but nonzero
+    reads its true metric.  The first cell is checked against the sparse
+    Fock engine (:func:`_check_on_fock`).
+    """
     check_cell_count(spec.n_cells, spec.cell_cap)
-    source = two_pair_state(SOURCE_CHANNEL)
-    rows = []
-    for r1, r2, r3, eps in itertools.product(
-        spec.r1, spec.r2, spec.r3, spec.ad2_extinction
-    ):
-        circuit = canonical_w_circuit(r1, r2, r3, ad2_extinction=eps)
-        state = apply_mode_transform(source, build_transform(circuit))
-        if spec.metric == "herald_probability":
-            value = herald(state, Branch.T1).probability
-        else:
-            value = _w_fidelity_colorblind(state)
-        rows.append((r1, r2, r3, eps, float(value)))
+    metric = _herald_probability if spec.metric == "herald_probability" else _colorblind_fidelity
+    r2 = np.array(spec.r2)[:, np.newaxis, np.newaxis]
+    r3 = np.array(spec.r3)[:, np.newaxis]
+    columns = _router_columns(np.array(spec.ad2_extinction))
+    plane = (len(spec.r2), len(spec.r3), len(spec.ad2_extinction))
+    planes = max(1, _SCAN_SLAB_CELLS // math.prod(plane))
+    values = []
+    for start in range(0, len(spec.r1), planes):
+        r1 = np.array(spec.r1[start : start + planes])[:, np.newaxis, np.newaxis, np.newaxis]
+        rows = _source_rows(r1, r2, r3, columns)
+        if start == 0:
+            _check_on_fock(spec, rows)
+        values += np.broadcast_to(metric(rows), (len(r1), *plane)).ravel().tolist()
+    cells = itertools.product(spec.r1, spec.r2, spec.r3, spec.ad2_extinction)
     return SweepTable(
         columns=("r1", "r2", "r3", "ad2_extinction", spec.metric),
-        rows=tuple(rows),
+        rows=tuple((*cell, value) for cell, value in zip(cells, values)),
     )
 
 
-def _w_fidelity_colorblind(state) -> float:
-    """W fidelity of the T1-conditioned state when the herald detector is
-    color-blind (counts photons but not colors).
-
-    With an imperfect router a blue photon can leak to T1; its signal
-    partners carry the wrong color pattern and dilute the W overlap, so this
-    is the robustness metric for extinction sweeps.  Computed as
-    sum_env |<W|psi_env>|^2 / sum_env |psi_env|^2 over the T1-photon color
-    environments.
-
-    A term counts when it holds one photon in each signal channel and one at
-    T1 and nothing else: four single photons whose channels, in the basis
-    order, are :data:`_COLORBLIND_CHANNELS`.  It overlaps W when exactly two
-    of its signal photons are Blue.  Each term is classified in one pass over
-    its pairs, in term order, so the sums run in a fixed order.
-    """
-    w_amp = 1.0 / math.sqrt(3.0)
-    overlap_by_env: dict[Color, complex] = {}
-    norm_sq = 0.0
-    for basis, amp in state.items():
-        if len(basis) != 4:
-            continue
-        ((ch0, c0), n0), ((ch1, c1), n1), ((ch2, c2), n2), ((ch3, c3), n3) = basis
-        if (
-            n0 != 1 or n1 != 1 or n2 != 1 or n3 != 1
-            or (ch0, ch1, ch2, ch3) != _COLORBLIND_CHANNELS
-        ):
-            continue
-        norm_sq += amp.real * amp.real + amp.imag * amp.imag
-        env = (c0, c1, c2, c3)[_T1_POSITION]
-        if c0 + c1 + c2 + c3 - env == 2:  # Blue is 1: two Blue signal photons
-            overlap_by_env[env] = overlap_by_env.get(env, 0.0) + w_amp * amp
-    if norm_sq <= 0.0:
-        return 0.0
-    return sum(abs(o) ** 2 for o in overlap_by_env.values()) / norm_sq
+def _check_on_fock(spec: SweepSpec, rows) -> None:
+    """Check the six T1 amplitudes of the first cell of `spec`, which leads
+    each entry of `rows`, against the state the sparse Fock engine
+    propagates (0 where it pruned one), within 1e-12.  Amplitudes, not the
+    metric, are compared: pruning moves a ratio of tiny amplitudes.  A
+    mismatch is a bug, not an input error, so it raises a RuntimeError."""
+    cell = (spec.r1[0], spec.r2[0], spec.r3[0], spec.ad2_extinction[0])
+    circuit = canonical_w_circuit(*cell[:3], ad2_extinction=cell[3])
+    state = apply_mode_transform(two_pair_state(SOURCE_CHANNEL), build_transform(circuit))
+    for color in Color:
+        other = Color(1 - color)
+        for (s, j, k), amp in zip(_SIGNAL_SPLITS, _t1_amplitudes(rows, color)):
+            basis = basis_from_pattern(2 * color.letter + 2 * other.letter, (T1_CHANNEL, s, j, k))
+            fock, engine = state.amplitude(basis), np.ravel(amp)[0]
+            if not abs(fock - engine) <= 1e-12:
+                raise RuntimeError(
+                    f"row engine disagrees with the Fock engine at cell {cell} on "
+                    f"{basis!r}: {engine!r} against {fock!r}"
+                )

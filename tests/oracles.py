@@ -7,9 +7,10 @@ creation-operator algebra, closed-form parameter dependence instead of
 circuit simulation.  Tests compare the two routes; neither side is derived
 from the other, so agreement is evidence and disagreement is a bug.
 
-The last section keeps nine earlier versions of package functions that
-were rewritten with the same arithmetic in the same order; tests hold the
-rewrites to them bit for bit.
+The last section keeps earlier versions of package functions.  Tests hold
+each rewrite made with the same arithmetic in the same order to its earlier
+version bit for bit, and ``sweep``, which moved from the sparse Fock engine
+to the source rows, to :func:`per_cell_sweep` within a tolerance.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from wchip.herald import HERALD_TERMS, Branch
 
 
 def random_unitary(n: int, rng) -> np.ndarray:
@@ -192,7 +195,7 @@ def split_w_fidelity_colorblind(state, t1_channel=5, signal_channels=(2, 3, 4)):
     """The colour-blind W fidelity as first written: each term is split
     into its T1 and signal parts and classified with ``color_pattern``,
     rejected terms through a raised ``PatternMismatch``.  Same accumulation
-    order as ``wchip.optimize._w_fidelity_colorblind``."""
+    order as :func:`w_fidelity_colorblind`."""
     from wchip.errors import PatternMismatch
     from wchip.fock import color_pattern
 
@@ -216,6 +219,73 @@ def split_w_fidelity_colorblind(state, t1_channel=5, signal_channels=(2, 3, 4)):
     if norm_sq <= 0.0:
         return 0.0
     return sum(abs(o) ** 2 for o in overlap_by_env.values()) / norm_sq
+
+
+def w_fidelity_colorblind(state) -> float:
+    """The colour-blind W fidelity of a propagated state, as ``sweep``
+    computed it on the sparse Fock engine: W fidelity of the T1-conditioned
+    state when the herald detector counts photons but not colors, as
+    sum_env |<W|psi_env>|^2 / sum_env |psi_env|^2 over the T1-photon color
+    environments.
+
+    A term counts when it holds one photon in each signal channel and one at
+    T1 and nothing else: four single photons whose channels, in the basis
+    order, are :data:`_COLORBLIND_CHANNELS`.  It overlaps W when exactly two
+    of its signal photons are Blue.  Each term is classified in one pass over
+    its pairs, in term order, so the sums run in a fixed order.
+    """
+    w_amp = 1.0 / math.sqrt(3.0)
+    overlap_by_env = {}
+    norm_sq = 0.0
+    for basis, amp in state.items():
+        if len(basis) != 4:
+            continue
+        ((ch0, c0), n0), ((ch1, c1), n1), ((ch2, c2), n2), ((ch3, c3), n3) = basis
+        if (
+            n0 != 1 or n1 != 1 or n2 != 1 or n3 != 1
+            or (ch0, ch1, ch2, ch3) != _COLORBLIND_CHANNELS
+        ):
+            continue
+        norm_sq += amp.real * amp.real + amp.imag * amp.imag
+        env = (c0, c1, c2, c3)[_T1_POSITION]
+        if c0 + c1 + c2 + c3 - env == 2:  # Blue is 1: two Blue signal photons
+            overlap_by_env[env] = overlap_by_env.get(env, 0.0) + w_amp * amp
+    if norm_sq <= 0.0:
+        return 0.0
+    return sum(abs(o) ** 2 for o in overlap_by_env.values()) / norm_sq
+
+
+#: Channels of a term counted by :func:`w_fidelity_colorblind`, in basis
+#: (channel-major) order, and the position of the T1 photon among them: the
+#: T1 key of the herald term table, whatever the T1 photon's color.
+_COLORBLIND_CHANNELS, _T1_POSITION = next(
+    (channels, k) for channels, (branch, k, _) in HERALD_TERMS.items() if branch is Branch.T1
+)
+
+
+def per_cell_sweep(spec):
+    """``wchip.optimize.sweep`` before the row engine: every cell is
+    propagated on the sparse Fock engine and its metric read from the
+    state, ``herald`` for the herald probability and
+    :func:`w_fidelity_colorblind` for the W fidelity.  Returns the rows."""
+    import itertools
+
+    from wchip.circuit import SOURCE_CHANNEL, build_transform, canonical_w_circuit
+    from wchip.elements import two_pair_state
+    from wchip.fock import apply_mode_transform
+    from wchip.herald import herald
+
+    source = two_pair_state(SOURCE_CHANNEL)
+    rows = []
+    for r1, r2, r3, eps in itertools.product(spec.r1, spec.r2, spec.r3, spec.ad2_extinction):
+        circuit = canonical_w_circuit(r1, r2, r3, ad2_extinction=eps)
+        state = apply_mode_transform(source, build_transform(circuit))
+        if spec.metric == "herald_probability":
+            value = herald(state, Branch.T1).probability
+        else:
+            value = w_fidelity_colorblind(state)
+        rows.append((r1, r2, r3, eps, float(value)))
+    return tuple(rows)
 
 
 def per_term_dict_herald(state, branch, signal_channels=(2, 3, 4), t1_channel=5, t2_channel=6):

@@ -54,9 +54,10 @@ def _as_count(v):
 
 
 # Axis counts from 5 up to the default cap of 10**6 cells are valid and run
-# for up to minutes per sweep (about a millisecond per cell), so counts,
-# numeric strings included, are at most 4 or at least 10**7.  Cell caps
-# stay small: a larger cap would admit the large grids, which then run.
+# for up to seconds per example (about a second per 10**6-cell sweep, more
+# to format it), so counts, numeric strings included, are at most 4 or at
+# least 10**7.  Cell caps stay small: a larger cap would admit the large
+# grids, which then run.
 _COUNTS = st.one_of(
     st.integers(-2, 4),
     st.integers(10**7, 10**15),

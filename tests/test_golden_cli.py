@@ -10,8 +10,15 @@ herald classifier was rewritten around one term table, and
 was rewritten around one field table), so a change to any
 amplitude's last bit, to term order, or to formatting shows here.  Regenerate
 them only for a deliberate change of output, and say so in the change log.
+
+The one exception is the metric values of the two sweep documents.  They
+were written by the sparse Fock engine, and ``sweep`` now evaluates its
+grid on the source-row engine, which rounds differently in the last bits,
+so each metric value is compared within ``SWEEP_METRIC_TOL`` and every
+other byte of those documents exactly.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -42,6 +49,27 @@ CASES = (
 )
 FORMATS = ("json", "csv")
 
+SWEEP_METRIC_TOL = 1e-12
+
+#: The metric value that closes each row of a sweep document, by format:
+#: the fifth entry of a JSON row, the last field of a CSV line.  The column
+#: names are strings, so the header never matches.
+_SWEEP_METRIC = {
+    "json": re.compile(r"(\[\s*(?:[^\[\],]+,\s*){4})(-?[0-9][0-9.eE+-]*)(\s*\])"),
+    "csv": re.compile(r"^((?:[^,\n]*,){4})(-?[0-9][0-9.eE+-]*)()$", re.M),
+}
+
+
+def split_sweep_metric(document: bytes, fmt: str) -> tuple[str, list[float]]:
+    """A sweep document with each metric value cut out, and the values."""
+    values = []
+
+    def cut(match):
+        values.append(float(match[2]))
+        return match[1] + match[3]
+
+    return _SWEEP_METRIC[fmt].sub(cut, document.decode()), values
+
 
 def run_case(command, config, flags, fmt, out) -> int:
     """Run one case with its output written to `out`; the working directory
@@ -61,5 +89,12 @@ def test_document_is_byte_identical(tmp_path, monkeypatch, name, command, config
     monkeypatch.chdir(GOLDEN)
     out = tmp_path / f"{name}.{fmt}"
     assert run_case(command, config, flags, fmt, out) == 0
-    expected = (GOLDEN / "expected" / f"{name}.{fmt}").read_bytes()
-    assert out.read_bytes() == expected
+    actual, expected = out.read_bytes(), (GOLDEN / "expected" / f"{name}.{fmt}").read_bytes()
+    if command == "sweep":
+        (actual, values), (expected, reference) = (
+            split_sweep_metric(doc, fmt) for doc in (actual, expected)
+        )
+        assert len(values) == len(reference) > 0
+        deviation = max(abs(a - b) for a, b in zip(values, reference))
+        assert deviation <= SWEEP_METRIC_TOL
+    assert actual == expected

@@ -13,7 +13,7 @@ import wchip.optimize
 
 from wchip.circuit import build_transform, canonical_w_circuit
 from wchip.elements import two_pair_state
-from wchip.errors import GridTooLarge, ParamOutOfRange, ValidationError
+from wchip.errors import GridTooLarge, ParamOutOfRange, ValidationError, WchipError
 from wchip.fock import Color, FockBasisState, ModeLabel, PureState, apply_mode_transform
 from wchip.herald import Branch, herald
 from wchip.optimize import (
@@ -21,12 +21,18 @@ from wchip.optimize import (
     SweepSpec,
     herald_objective,
     herald_objective_batch,
-    _w_fidelity_colorblind,
     maximize,
     sweep,
 )
 
-from oracles import OPTIMAL_R, herald_prefactor, scipy_maximize, split_w_fidelity_colorblind
+from oracles import (
+    OPTIMAL_R,
+    herald_prefactor,
+    per_cell_sweep,
+    scipy_maximize,
+    split_w_fidelity_colorblind,
+    w_fidelity_colorblind,
+)
 
 
 def test_objective_equals_herald_probability():
@@ -413,6 +419,79 @@ _EPS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 _PHI = st.floats(-3.2, 3.2)
 
 
+def _axis(values):
+    return st.lists(values, min_size=1, max_size=3, unique=True).map(sorted)
+
+
+# Reflectivities at which the per-cell oracle keeps every counted amplitude
+# (at least about 5e-7) and so every bit of the colour-blind fidelity that
+# 1e-12 resolves; nearer the faces the Fock engine prunes them, which is the
+# defect the row engine mends (TestSweepFaces).
+_R_UNPRUNED = st.floats(0.01, 0.99)
+
+
+@st.composite
+def _sweep_specs(draw):
+    metric = draw(st.sampled_from(("herald_probability", "w_fidelity")))
+    r = _R if metric == "herald_probability" else _R_UNPRUNED
+    return SweepSpec(
+        r1=draw(_axis(r)), r2=draw(_axis(r)), r3=draw(_axis(r)),
+        ad2_extinction=draw(_axis(_EPS)), metric=metric,
+    )
+
+
+class TestSweepEngine:
+    """The row engine against the per-cell Fock loop it replaced, and the
+    one-cell check against the Fock engine that every sweep runs."""
+
+    @settings(max_examples=60)
+    @given(_sweep_specs())
+    def test_matches_the_per_cell_loop(self, spec):
+        table = sweep(spec)
+        expected = per_cell_sweep(spec)
+        assert len(table.rows) == len(expected)
+        for row, ref in zip(table.rows, expected):
+            assert row[:4] == ref[:4]
+            assert abs(row[4] - ref[4]) <= 1e-12, (row, ref)
+
+    @pytest.mark.parametrize("metric", ["herald_probability", "w_fidelity"])
+    def test_a_wrong_row_engine_raises(self, monkeypatch, metric):
+        source_rows = wchip.optimize._source_rows
+
+        def scaled(*args):
+            rows = source_rows(*args)
+            rows[Color.BLUE][3] = rows[Color.BLUE][3] * 1.001
+            return rows
+
+        monkeypatch.setattr(wchip.optimize, "_source_rows", scaled)
+        spec = SweepSpec(r1=(0.5,), r2=(0.6,), r3=(0.7,), ad2_extinction=(0.1,), metric=metric)
+        with pytest.raises(RuntimeError) as info:
+            sweep(spec)
+        assert not isinstance(info.value, WchipError)
+
+
+class TestSweepFaces:
+    """Cells on and next to the faces of the unit cube, where the Fock
+    engine prunes every counted amplitude."""
+
+    @pytest.mark.parametrize("cell", [(1e-15, 0.5, 0.7), (0.5, 1.0 - 1e-16, 0.7)])
+    def test_fidelity_of_a_tiny_herald_is_not_lost(self, cell):
+        spec = SweepSpec(*[(v,) for v in cell], ad2_extinction=(0.1,), metric="w_fidelity")
+        (row,) = sweep(spec).rows
+        assert row[-1] == pytest.approx(1.0 / 1.1, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("metric", ["herald_probability", "w_fidelity"])
+    def test_face_cells_read_zero_without_a_warning(self, capfd, metric):
+        face = (0.0, 0.5, 1.0)
+        spec = SweepSpec(r1=face, r2=face, r3=face, ad2_extinction=(0.0, 0.1, 1.0), metric=metric)
+        rows = sweep(spec).rows
+        assert capfd.readouterr().err == ""
+        for r1, r2, r3, _, value in rows:
+            on_face = {r1, r2, r3} & {0.0, 1.0}
+            assert (value == 0.0) if on_face else value > 0.0
+
+
 @st.composite
 def _near_w_terms(draw):
     """One photon of a random color on each of channels 2, 3, 4 and T1 (a
@@ -439,20 +518,21 @@ def _same_float_bits(a, b):
 
 
 class TestColorblindFidelityProperties:
-    """The one-pass classifier equals the split-and-pattern version it
-    replaced (kept in oracles.py) bit for bit."""
+    """The one-pass classifier the sweep used on the Fock engine equals the
+    split-and-pattern version it replaced bit for bit (both kept in
+    oracles.py)."""
 
     @given(_R, _R, _R, _PHI, _PHI, _PHI, _EPS)
     def test_on_random_canonical_cells(self, r1, r2, r3, phi1, phi2, phi3, eps):
         spec = canonical_w_circuit(r1, r2, r3, phi1, phi2, phi3, ad2_extinction=eps)
         state = apply_mode_transform(two_pair_state(0), build_transform(spec))
-        _same_float_bits(_w_fidelity_colorblind(state), split_w_fidelity_colorblind(state))
+        _same_float_bits(w_fidelity_colorblind(state), split_w_fidelity_colorblind(state))
 
     @given(st.lists(st.tuples(_near_w_terms(), st.complex_numbers(max_magnitude=2.0)),
                     min_size=1, max_size=12))
     def test_on_terms_near_the_counted_content(self, terms):
         state = PureState({FockBasisState(pairs): amp for pairs, amp in terms})
-        _same_float_bits(_w_fidelity_colorblind(state), split_w_fidelity_colorblind(state))
+        _same_float_bits(w_fidelity_colorblind(state), split_w_fidelity_colorblind(state))
 
     def test_counts_only_one_photon_per_signal_channel_and_t1(self):
         red, blue = Color.RED, Color.BLUE
@@ -469,4 +549,4 @@ class TestColorblindFidelityProperties:
              (ModeLabel(6, red), 1)]
         )
         state = PureState({w_term: 1.0, wrong: 1.0, stray: 5.0})
-        assert _w_fidelity_colorblind(state) == pytest.approx(1 / 6)
+        assert w_fidelity_colorblind(state) == pytest.approx(1 / 6)

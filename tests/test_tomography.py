@@ -120,6 +120,14 @@ def test_condition_on_blue_needs_population():
         run_tomography(rho, shots=100, diag_threshold=1.0)
 
 
+def test_block_trace_below_threshold_counts_as_empty():
+    # the channel-2 block holds 5e-13 of population: below the 1e-12
+    # threshold, so it is empty although its trace is not 0
+    rho = ThreePhotonRho(np.diag([2.5e-13, 2.5e-13, 1.0 - 5e-13]).astype(complex))
+    with pytest.raises(InvalidRho, match="no population with a blue photon in channel 2"):
+        run_tomography(rho, shots=None, diag_threshold=1.0)
+
+
 _UNIT = st.floats(0.05, 0.95)
 _PHASE = st.floats(-4.0, 4.0)
 _OFF = st.builds(complex, st.floats(-0.4, 0.4), st.floats(-0.4, 0.4))
