@@ -4,11 +4,9 @@ The heralded branch holds one photon per channel, two blue and one red, as
 energy conservation dictates, so every matrix lives in the ordered basis
 {|BBR>, |BRB>, |RBB>}.
 
-The constructor enforces hermiticity and unit trace.  Positivity is
-*reported* (:meth:`~ThreePhotonRho.min_eigenvalue`,
-:meth:`~ThreePhotonRho.is_physical`), not enforced: matrices reconstructed
-from finite-shot statistics may dip slightly negative and the point of
-linear inversion is to show exactly that, not to repair it.
+The constructor enforces hermiticity and unit trace, not positivity:
+matrices reconstructed from finite-shot statistics may dip slightly negative
+and the point of linear inversion is to show exactly that, not to repair it.
 """
 
 from __future__ import annotations
@@ -77,12 +75,6 @@ class ThreePhotonRho:
         the mean of all nine matrix entries."""
         w = np.full(3, 1.0 / np.sqrt(3.0))
         return float(np.real(w @ self.matrix @ w))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
-    def is_physical(self, tol: float = _PSD_TOL) -> bool:
-        return self.min_eigenvalue() >= -tol
 
     def as_json_dict(self) -> dict:
         return {

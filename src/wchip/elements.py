@@ -6,13 +6,14 @@ emits color-correlated photon pairs into a single channel.  Every element
 produces an exactly unitary :class:`~wchip.fock.ModeTransform` — imperfect
 filters mis-route photons, they never absorb them.
 
-:func:`coupler_transform` and :func:`adddrop_transform` are memoised: a
-Cartesian sweep repeats the same few elements in every cell.  Each memo keeps
-the :data:`MEMO_SIZE` most recently used transforms, keyed by an element's
-channels (and resonant color) and the exact bits of its float parameters, so
-``-0.0`` and ``0.0``, which compare and hash alike but build different
-entries, never share a transform.  A memoised matrix is read-only, and each
-distinct element is unitarity-checked when it is first built.
+:func:`coupler_transform` and :func:`adddrop_transform` are memoised: each
+canonical build repeats the crossing and, at zero extinction, the ideal
+router, and a circuit built twice in one process repeats all its elements.
+Each memo keeps the :data:`MEMO_SIZE` most recently used transforms, keyed by
+an element's channels (and resonant color) and the exact bits of its float
+parameters, so ``-0.0`` and ``0.0``, which compare and hash alike but build
+different entries, never share a transform.  A memoised matrix is read-only,
+and each distinct element is unitarity-checked when it is first built.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ Conventions fixed here, relied on everywhere else:
   channel, so sparse maps have a unique, reproducible key order.
 * ``ModeTransform.matrix`` uses the row convention: input operator ``i``
   maps to ``sum_j matrix[i, j] *`` (output operator ``j``).
-* Amplitudes below ``PRUNE_EPS`` are dropped after every transform to keep
-  supports sparse.
+* A state keeps every nonzero amplitude, however small, so no ratio depends
+  on the overall scale; only exact zeros (Hong-Ou-Mandel) are dropped.
 
 :func:`apply_mode_transform` expands each term's operator polynomial (a
 permanent with repeated rows; Scheel, quant-ph/0406127) over integer keys
@@ -24,8 +24,8 @@ list, so the per-photon step is one integer addition and one dict update.
 A term may hold at most ``MAX_PHOTONS`` photons.  A transform's sparse rows
 are built on first use and only for the input modes a state occupies (two of
 fourteen for the canonical source), and the kernel hands its finished
-amplitude map to a trusted :class:`PureState` constructor that prunes it in
-place instead of converting and re-inserting every term.
+amplitude map to a trusted :class:`PureState` constructor that drops its
+exact zeros in place instead of converting and re-inserting every term.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ from .errors import (
     TooManyPhotons,
     UnknownMode,
 )
-
-#: Amplitudes with magnitude below this are discarded after every transform.
-PRUNE_EPS = 1e-14
 
 #: Unitarity violations beyond this raise :class:`NotUnitary`.
 UNITARY_TOL = 1e-9
@@ -205,9 +202,8 @@ def basis_from_pattern(pattern: str, channels: Sequence[int]) -> FockBasisState:
 class PureState:
     """Sparse superposition ``sum_b amplitude(b) |b>``.
 
-    Terms with amplitude magnitude below :data:`PRUNE_EPS` are dropped at
-    construction; a NaN or infinite amplitude raises
-    :class:`ParamOutOfRange`.
+    Terms with amplitude exactly zero are dropped at construction; a NaN or
+    infinite amplitude raises :class:`ParamOutOfRange`.
     """
 
     __slots__ = ("_terms",)
@@ -222,15 +218,15 @@ class PureState:
             a = complex(a)
             if not cmath.isfinite(a):
                 raise ParamOutOfRange(f"amplitude of {b!r} must be finite, got {a}")
-            if abs(a) > PRUNE_EPS:
+            if a:
                 self._terms[b] = a
 
     @classmethod
     def _trusted(cls, terms: dict[FockBasisState, complex]) -> "PureState":
         """Trusted constructor: takes ``terms``, whose amplitudes are finite
-        complex numbers already, and prunes it in place as ``__init__`` does,
-        so the kept terms keep their order."""
-        for b in [b for b, a in terms.items() if not abs(a) > PRUNE_EPS]:
+        complex numbers already, and drops its zeros in place as ``__init__``
+        does, so the kept terms keep their order."""
+        for b in [b for b, a in terms.items() if not a]:
             del terms[b]
         state = object.__new__(cls)
         state._terms = terms
@@ -328,18 +324,13 @@ class ModeTransform:
         return [None] * len(self.modes)
 
     def _sparse_row(self, i: int) -> tuple[tuple[int, complex], ...]:
-        """``(key step, entry)`` for each entry of row ``i`` above
-        :data:`PRUNE_EPS`, where the key step ``1 << _FIELD_BITS * j`` adds
-        one photon to output mode ``j`` of an expansion key; built on first
-        use."""
+        """``(key step, entry)`` for each nonzero entry of row ``i``, where
+        the key step ``1 << _FIELD_BITS * j`` adds one photon to output mode
+        ``j`` of an expansion key; built on first use."""
         row = self._sparse_rows[i]
         if row is None:
-            entries = self.matrix[i]
-            kept = (np.abs(entries) > PRUNE_EPS).tolist()
             row = self._sparse_rows[i] = tuple(
-                (1 << _FIELD_BITS * j, u)
-                for j, (u, keep) in enumerate(zip(entries.tolist(), kept))
-                if keep
+                (1 << _FIELD_BITS * j, u) for j, u in enumerate(self.matrix[i].tolist()) if u
             )
         return row
 
@@ -378,7 +369,8 @@ def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureStat
     field per output mode, so adding a photon to mode ``j`` is one integer
     addition; each output key is decoded into its basis state and factor
     once per mode list and then looked up (a bounded table).  Only the rows
-    of occupied input modes are built.  The norm is preserved; output amplitudes below :data:`PRUNE_EPS` are pruned.
+    of occupied input modes are built.  The norm is preserved; output
+    amplitudes that cancel to exactly zero are dropped.
 
     Raises :class:`UnknownMode` when the state occupies a mode the transform
     does not list, and :class:`TooManyPhotons` for a term with more than

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .circuit import SIGNAL_CHANNELS, T1_CHANNEL, T2_CHANNEL
 from .density import BASIS_THREE, ThreePhotonRho
-from .errors import EmptyState, NotNormalized
+from .errors import EmptyState, NotNormalized, ParamOutOfRange
 from .fock import Color, FockBasisState, PureState, basis_from_pattern, color_pattern, inner_product
 
 _NORM_TOL = 1e-9
@@ -81,6 +82,13 @@ def w_state(branch: Branch) -> PureState:
     )
 
 
+def _scaled(terms: list) -> list:
+    """`terms` times the power of two that brings their largest part into
+    [0.5, 1): no ratio moves, and a weight below the normal floats is lifted."""
+    m = -max(math.frexp(max(abs(a.real), abs(a.imag)))[1] for _, a in terms)
+    return [(b, complex(math.ldexp(a.real, m), math.ldexp(a.imag, m))) for b, a in terms]
+
+
 def herald(state: PureState, branch: Branch) -> HeraldResult:
     """Condition on one herald branch of a propagated circuit output.
 
@@ -94,7 +102,9 @@ def herald(state: PureState, branch: Branch) -> HeraldResult:
 
         ``sqrt(max(0, 1 - P_T1 - P_T2))``
 
-    of the non-heralding four-photon remainder comes for free.
+    of the non-heralding four-photon remainder comes for free.  A branch weight
+    below the normal floats is summed again on rescaled amplitudes; a four-photon
+    one (|beta| under about 1e-77) raises :class:`ParamOutOfRange`.
     """
     branch = Branch(branch)
     four_sq = 0.0
@@ -120,7 +130,13 @@ def herald(state: PureState, branch: Branch) -> HeraldResult:
         stripped = FockBasisState._from_sorted(basis[:k] + basis[k + 1 :])
         branch_terms[hit].append((stripped, amp))
         branch_sq[hit] += p
-    if four_sq <= 0.0:
+    tiny = sys.float_info.min
+    if four_sq < tiny or (branch_terms[branch] and branch_sq[branch] < tiny and four_sq < 0.25):
+        four = [(b, a) for b, a in state.items() if sum(n for _, n in b) == 4]
+        if four_sq >= tiny:  # only the branch weight underflows
+            return herald(PureState(_scaled(four)), branch)
+        if four:
+            raise ParamOutOfRange(f"four-photon weight {four_sq!r} underflows (|beta| too small)")
         return HeraldResult(0.0, None, 0.0)
     p_t1 = branch_sq[Branch.T1] / four_sq
     p_t2 = branch_sq[Branch.T2] / four_sq
@@ -128,9 +144,9 @@ def herald(state: PureState, branch: Branch) -> HeraldResult:
     prob = p_t1 if branch is Branch.T1 else p_t2
     if prob <= 0.0:
         return HeraldResult(0.0, None, residual)
-    scale = 1.0 / math.sqrt(branch_sq[branch])
-    heralded = PureState({b: a * scale for b, a in branch_terms[branch]})
-    return HeraldResult(prob, heralded, residual)
+    terms = _scaled(branch_terms[branch])
+    scale = 1.0 / math.sqrt(sum(a.real * a.real + a.imag * a.imag for _, a in terms))
+    return HeraldResult(prob, PureState({b: a * scale for b, a in terms}), residual)
 
 
 def w_fidelity(state3: PureState, target: Branch) -> float:

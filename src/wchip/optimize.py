@@ -91,7 +91,7 @@ def herald_objective(r1: float, r2: float, r3: float) -> float:
     """P(T1 herald | double pair) of the canonical circuit, from simulation."""
     _check_unit_interval(float(r1), float(r2), float(r3))
     spec = canonical_w_circuit(float(r1), float(r2), float(r3))
-    state = apply_mode_transform(two_pair_state(0), build_transform(spec))
+    state = apply_mode_transform(two_pair_state(SOURCE_CHANNEL), build_transform(spec))
     return herald(state, Branch.T1).probability
 
 
@@ -413,10 +413,9 @@ def sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the metric over the grid, rows in lexicographic cell order.
 
     The grid runs on the source-row engine, as broadcast arrays in slabs of
-    r1 planes (at most ``_SCAN_SLAB_CELLS`` cells, at least one plane).  No
-    amplitude is pruned, so a cell whose amplitudes are tiny but nonzero
-    reads its true metric.  The first cell is checked against the sparse
-    Fock engine (:func:`_check_on_fock`).
+    r1 planes (at most ``_SCAN_SLAB_CELLS`` cells, at least one plane).  The
+    first cell is checked against the sparse Fock engine
+    (:func:`_check_on_fock`).
     """
     check_cell_count(spec.n_cells, spec.cell_cap)
     metric = _herald_probability if spec.metric == "herald_probability" else _colorblind_fidelity
@@ -442,9 +441,8 @@ def sweep(spec: SweepSpec) -> SweepTable:
 def _check_on_fock(spec: SweepSpec, rows) -> None:
     """Check the six T1 amplitudes of the first cell of `spec`, which leads
     each entry of `rows`, against the state the sparse Fock engine
-    propagates (0 where it pruned one), within 1e-12.  Amplitudes, not the
-    metric, are compared: pruning moves a ratio of tiny amplitudes.  A
-    mismatch is a bug, not an input error, so it raises a RuntimeError."""
+    propagates, within 1e-12.  A mismatch is a bug, not an input error, so
+    it raises a RuntimeError."""
     cell = (spec.r1[0], spec.r2[0], spec.r3[0], spec.ad2_extinction[0])
     circuit = canonical_w_circuit(*cell[:3], ad2_extinction=cell[3])
     state = apply_mode_transform(two_pair_state(SOURCE_CHANNEL), build_transform(circuit))

@@ -16,6 +16,7 @@ to the source rows, to :func:`per_cell_sweep` within a tolerance.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -129,12 +130,11 @@ def tuple_key_apply_mode_transform(state, transform):
     is rebuilt from its key.  Same arithmetic in the same order as
     :func:`wchip.fock.apply_mode_transform`, so the two agree bit for bit."""
     from wchip.errors import UnknownMode
-    from wchip.fock import PRUNE_EPS, FockBasisState, PureState
+    from wchip.fock import FockBasisState, PureState
 
     sqf = tuple(math.sqrt(math.factorial(k)) for k in range(33))
     rows = tuple(
-        tuple((j, complex(row[j])) for j in np.flatnonzero(np.abs(row) > PRUNE_EPS))
-        for row in transform.matrix
+        tuple((j, complex(row[j])) for j in np.flatnonzero(row)) for row in transform.matrix
     )
     mode_pos = {m: i for i, m in enumerate(transform.modes)}
     modes = transform.modes
@@ -291,8 +291,9 @@ def per_cell_sweep(spec):
 def per_term_dict_herald(state, branch, signal_channels=(2, 3, 4), t1_channel=5, t2_channel=6):
     """``herald`` as it was before the term table: each four-photon term is
     classified with a per-channel count dict and ``ModeLabel`` comparisons.
-    Same accumulation order as :func:`wchip.herald.herald`, so the two agree
-    bit for bit."""
+    Same accumulation order and underflow rules as
+    :func:`wchip.herald.herald`, so the two agree bit for bit."""
+    from wchip.errors import ParamOutOfRange
     from wchip.fock import Color, FockBasisState, ModeLabel, PureState
     from wchip.herald import Branch, HeraldResult
 
@@ -342,16 +343,30 @@ def per_term_dict_herald(state, branch, signal_channels=(2, 3, 4), t1_channel=5,
         )
         branch_terms[slot][stripped] = amp
         branch_sq[slot] += p
-    if four_sq <= 0.0:
+    # the underflow rules of herald: a named error for the sector's weight,
+    # power-of-two rescales for the branch's
+    def scaled(terms):
+        m = -max(math.frexp(max(abs(a.real), abs(a.imag)))[1] for _, a in terms)
+        return [(b, complex(math.ldexp(a.real, m), math.ldexp(a.imag, m))) for b, a in terms]
+
+    four = [(b, a) for b, a in state.items() if sum(n for _, n in b) == 4]
+    if four_sq < sys.float_info.min:
+        if four:
+            raise ParamOutOfRange(f"four-photon weight {four_sq!r} underflows")
         return HeraldResult(0.0, None, 0.0)
+    if branch_sq[branch] < sys.float_info.min and branch_terms[branch] and four_sq < 0.25:
+        return per_term_dict_herald(
+            PureState(scaled(four)), branch, signal_channels, t1_channel, t2_channel
+        )
     p_t1 = branch_sq[Branch.T1] / four_sq
     p_t2 = branch_sq[Branch.T2] / four_sq
     residual = math.sqrt(max(0.0, 1.0 - p_t1 - p_t2))
     prob = p_t1 if branch is Branch.T1 else p_t2
     if prob <= 0.0:
         return HeraldResult(0.0, None, residual)
-    scale = 1.0 / math.sqrt(branch_sq[branch])
-    heralded = PureState({b: a * scale for b, a in branch_terms[branch].items()})
+    terms = scaled(list(branch_terms[branch].items()))
+    scale = 1.0 / math.sqrt(sum(a.real * a.real + a.imag * a.imag for _, a in terms))
+    heralded = PureState({b: a * scale for b, a in terms})
     return HeraldResult(prob, heralded, residual)
 
 
@@ -403,17 +418,12 @@ def uncached_build_transform(spec):
 
 def eager_sparse_rows(transform):
     """``ModeTransform._sparse_rows`` before lazy rows: every row of the
-    matrix at once, as ``(key step, entry)`` pairs above ``PRUNE_EPS``."""
-    from wchip.fock import _FIELD_BITS, PRUNE_EPS
+    matrix at once, as ``(key step, entry)`` pairs for its nonzero entries."""
+    from wchip.fock import _FIELD_BITS
 
-    kept = (np.abs(transform.matrix) > PRUNE_EPS).tolist()
     return tuple(
-        tuple(
-            (1 << _FIELD_BITS * j, u)
-            for j, (u, keep) in enumerate(zip(row, row_kept))
-            if keep
-        )
-        for row, row_kept in zip(transform.matrix.tolist(), kept)
+        tuple((1 << _FIELD_BITS * j, u) for j, u in enumerate(row) if u)
+        for row in transform.matrix.tolist()
     )
 
 

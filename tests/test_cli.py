@@ -45,6 +45,78 @@ def test_simulate_with_zero_beta_is_a_clean_null_run(tmp_path, capsys):
     assert doc["coincidence_distribution"] is None
 
 
+def _same_numbers(actual, expected, tol=1e-12):
+    """Same document shape, and every number within `tol` of its reference."""
+    if isinstance(expected, dict):
+        return actual.keys() == expected.keys() and all(
+            _same_numbers(actual[key], value, tol) for key, value in expected.items()
+        )
+    if isinstance(expected, list):
+        return len(actual) == len(expected) and all(map(_same_numbers, actual, expected))
+    if isinstance(expected, float):
+        return isinstance(actual, float) and abs(actual - expected) <= tol
+    return actual == expected
+
+
+def _csv_cells(text):
+    """A CSV document's rows of cells, as floats where they parse as one."""
+
+    def cell(field):
+        try:
+            return float(field)
+        except ValueError:
+            return field
+
+    return [[cell(field) for field in line.split(",")] for line in text.splitlines()]
+
+
+class TestSmallBeta:
+    """Every herald number is a ratio inside the four-photon sector, so the
+    documents at beta = 1e-7 match those at beta = 0.1 but for the echoed
+    beta."""
+
+    @staticmethod
+    def _run(tmp_path, capsys, command, beta, *flags, **fields):
+        cfg = _write(tmp_path, "b.json", {"canonical": OPT, "beta": beta, **fields})
+        code = main([command, "--config", cfg, *flags])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["simulate", "herald"])
+    def test_json_matches_beta_of_one_tenth(self, tmp_path, capsys, command):
+        docs = []
+        for beta in (1e-7, 0.1):
+            code, captured = self._run(tmp_path, capsys, command, beta)
+            assert code == 0
+            docs.append(json.loads(captured.out))
+            docs[-1].pop("beta", None)
+        assert _same_numbers(*docs)
+        if command == "simulate":
+            assert docs[0]["coincidence_distribution"]["BBR"] == pytest.approx(1 / 3, abs=1e-12)
+
+    @pytest.mark.parametrize("command", ["simulate", "herald"])
+    def test_csv_matches_beta_of_one_tenth(self, tmp_path, capsys, command):
+        small, reference = (
+            _csv_cells(self._run(tmp_path, capsys, command, beta, "--format", "csv")[1].out)
+            for beta in (1e-7, 0.1)
+        )
+        assert len(reference) > 2
+        assert _same_numbers(small, reference)
+
+    def test_tomo_of_the_circuit_state_sees_the_w_state(self, tmp_path, capsys):
+        code, captured = self._run(
+            tmp_path, capsys, "tomo", 1e-7, state="circuit", shots=20000, seed=1
+        )
+        assert code == 0
+        assert json.loads(captured.out)["report"]["W-consistent"] is True
+
+    @pytest.mark.parametrize("command", ["simulate", "herald", "tomo"])
+    def test_an_underflowing_beta_is_a_named_error(self, tmp_path, capsys, command):
+        fields = {"shots": 1000} if command == "tomo" else {}
+        code, captured = self._run(tmp_path, capsys, command, 1e-100, **fields)
+        assert code == 1
+        assert captured.err.startswith("error:") and "underflows" in captured.err
+
+
 def test_herald_csv_format(capsys, sim_config):
     assert main(["herald", "--config", sim_config, "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

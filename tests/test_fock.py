@@ -73,9 +73,17 @@ def test_inner_product_basics():
     assert inner_product(s, s) == pytest.approx(1.0)
 
 
-def test_prune_drops_tiny_amplitudes():
-    s = PureState({FockBasisState.single(B0): 1.0, FockBasisState.single(R0): 1e-15})
-    assert len(s) == 1
+def test_tiny_amplitudes_are_kept():
+    # Only exact zeros are dropped: at construction, in a transform's rows
+    # and in the kernel's output.
+    tiny, zero = FockBasisState.single(R0), FockBasisState.single(R1)
+    s = PureState({FockBasisState.single(B0): 1.0, tiny: 1e-300, zero: 0.0})
+    assert [b for b, _ in s.items()] == [FockBasisState.single(B0), tiny]
+    assert s.amplitude(tiny) == 1e-300
+    eps = 1e-20
+    xf = ModeTransform((B0, B1), np.array([[1.0, eps], [-eps, 1.0]], dtype=complex))
+    out = apply_mode_transform(PureState.basis(FockBasisState.single(B0)), xf)
+    assert out.amplitude(FockBasisState.single(B1)) == eps
 
 
 @pytest.mark.parametrize("amp", [math.nan, math.inf, complex(0.0, -math.inf), complex(math.nan, 0.0)])

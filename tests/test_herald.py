@@ -8,15 +8,23 @@ two must agree up to one global constant for every parameter draw.
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from wchip.circuit import build_transform, canonical_w_circuit
-from wchip.elements import two_pair_state
-from wchip.errors import EmptyState, NotNormalized
+from wchip.circuit import (
+    CANONICAL_CHANNELS,
+    SOURCE_CHANNEL,
+    CircuitSpec,
+    build_transform,
+    canonical_w_circuit,
+    propagate,
+)
+from wchip.elements import AddDropFilter, DirectionalCoupler, SourceSpec, two_pair_state
+from wchip.errors import EmptyState, NotNormalized, ParamOutOfRange
 from wchip.fock import Color, FockBasisState, ModeLabel, PureState, apply_mode_transform, inner_product
 from wchip.herald import (
     COLOR_PATTERNS,
@@ -245,7 +253,13 @@ class TestTermTableMatchesPerTermDict:
     def test_on_terms_near_a_herald(self, terms):
         state = PureState({FockBasisState(pairs): amp for pairs, amp in terms})
         for branch in (Branch.T1, Branch.T2):
-            _same_result_bits(herald(state, branch), per_term_dict_herald(state, branch))
+            try:
+                result = herald(state, branch)
+            except ParamOutOfRange:  # an underflowing four-photon weight
+                with pytest.raises(ParamOutOfRange):
+                    per_term_dict_herald(state, branch)
+                continue
+            _same_result_bits(result, per_term_dict_herald(state, branch))
 
     def test_near_herald_edits_are_rejected(self):
         red, blue = Color.RED, Color.BLUE
@@ -262,3 +276,91 @@ class TestTermTableMatchesPerTermDict:
         assert res.probability == pytest.approx(1 / 5)
         assert [b for b, _ in res.heralded_state.items()] == [FockBasisState(signal)]
         assert herald(state, Branch.T2).probability == 0.0
+
+
+# ---------------------------------------------------------------------------
+# herald numbers do not depend on the pair amplitude
+# ---------------------------------------------------------------------------
+
+
+def _herald_numbers(state):
+    """P_T1, W fidelity on T1, P_T2, W fidelity on T2 (None when the branch
+    heralds nothing)."""
+    numbers = []
+    for branch in (Branch.T1, Branch.T2):
+        res = herald(state, branch)
+        fidelity = None if res.heralded_state is None else w_fidelity(res.heralded_state, branch)
+        numbers += [res.probability, fidelity]
+    return numbers
+
+
+@st.composite
+def _devices(draw):
+    """A phased canonical circuit with extinction and its source channel, or
+    a circuit-file mesh on the canonical registry with the source on any
+    channel."""
+    if draw(st.booleans()):
+        r = draw(st.tuples(_UNIT, _UNIT, _UNIT))
+        phi = draw(st.tuples(_PHI, _PHI, _PHI))
+        return canonical_w_circuit(*r, *phi, ad2_extinction=draw(_UNIT)), SOURCE_CHANNEL
+    n = len(CANONICAL_CHANNELS)
+    channel = st.integers(0, n - 1)
+    elements = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            pair = draw(st.lists(channel, min_size=2, max_size=2, unique=True))
+            elements.append(DirectionalCoupler.from_reflectivity(pair, draw(_UNIT), draw(_PHI)))
+        else:
+            chans = draw(st.lists(channel, min_size=3, max_size=3, unique=True))
+            elements.append(AddDropFilter(*chans, draw(st.sampled_from(Color)), draw(_UNIT)))
+    phases = draw(st.one_of(st.just(()), st.tuples(*[_PHI] * n)))
+    return CircuitSpec(CANONICAL_CHANNELS, tuple(elements), phases), draw(channel)
+
+
+class TestBetaIndependence:
+    """Every herald number is a ratio inside the four-photon sector, whose
+    amplitudes all scale with beta**2, so none may depend on beta."""
+
+    @seed(20161)
+    @settings(max_examples=200)
+    @given(_devices(), st.floats(math.log(1e-12), math.log(0.5)), _PHI)
+    def test_matches_beta_of_one_tenth(self, device, log_beta, phase):
+        spec, channel = device
+        beta = cmath.rect(math.exp(log_beta), phase)
+        numbers = _herald_numbers(propagate(SourceSpec(channel, beta), spec))
+        reference = _herald_numbers(propagate(SourceSpec(channel, 0.1), spec))
+        for x, x0 in zip(numbers, reference):
+            if x0 is None:
+                assert x is None
+            else:
+                # a subnormal number holds fewer bits than 1e-12 resolves
+                assert abs(x - x0) <= 1e-12 * max(x0, sys.float_info.min), (numbers, reference)
+
+    @pytest.mark.parametrize("beta", [1e-7, 1e-12, 1e-70])
+    def test_tiny_beta_heralds_the_w_state(self, beta):
+        state = propagate(SourceSpec(SOURCE_CHANNEL, beta), canonical_w_circuit(*OPT))
+        for branch in (Branch.T1, Branch.T2):
+            res = herald(state, branch)
+            assert res.probability == pytest.approx(3 / 64, abs=1e-12)
+            assert w_fidelity(res.heralded_state, branch) == pytest.approx(1.0, abs=1e-12)
+
+    def test_tiny_probability_at_small_beta_keeps_its_precision(self):
+        # P_T1 is about 1e-296, so at beta = 1e-5 the branch weight
+        # P_T1 * |beta|**4 underflows while the sector weight does not
+        r = (0.5, 1e-74, 1e-74)
+        state = propagate(SourceSpec(SOURCE_CHANNEL, 1e-5), canonical_w_circuit(*r))
+        p = herald(state, Branch.T1).probability
+        assert p == pytest.approx(12.0 * herald_prefactor(*r), rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [1e-80, 1e-100])
+    def test_underflowing_four_photon_weight_is_a_named_error(self, beta):
+        state = propagate(SourceSpec(SOURCE_CHANNEL, beta), canonical_w_circuit(*OPT))
+        with pytest.raises(ParamOutOfRange, match="underflows"):
+            herald(state, Branch.T1)
+
+    @pytest.mark.parametrize(
+        "source", [SourceSpec(SOURCE_CHANNEL, 0.0), SourceSpec(SOURCE_CHANNEL, 0.1, 1)]
+    )
+    def test_no_double_pair_heralds_nothing(self, source):
+        res = herald(propagate(source, canonical_w_circuit(*OPT)), Branch.T1)
+        assert (res.probability, res.heralded_state, res.residual_weight) == (0.0, None, 0.0)

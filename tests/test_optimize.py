@@ -423,19 +423,11 @@ def _axis(values):
     return st.lists(values, min_size=1, max_size=3, unique=True).map(sorted)
 
 
-# Reflectivities at which the per-cell oracle keeps every counted amplitude
-# (at least about 5e-7) and so every bit of the colour-blind fidelity that
-# 1e-12 resolves; nearer the faces the Fock engine prunes them, which is the
-# defect the row engine mends (TestSweepFaces).
-_R_UNPRUNED = st.floats(0.01, 0.99)
-
-
 @st.composite
 def _sweep_specs(draw):
     metric = draw(st.sampled_from(("herald_probability", "w_fidelity")))
-    r = _R if metric == "herald_probability" else _R_UNPRUNED
     return SweepSpec(
-        r1=draw(_axis(r)), r2=draw(_axis(r)), r3=draw(_axis(r)),
+        r1=draw(_axis(_R)), r2=draw(_axis(_R)), r3=draw(_axis(_R)),
         ad2_extinction=draw(_axis(_EPS)), metric=metric,
     )
 
@@ -471,8 +463,8 @@ class TestSweepEngine:
 
 
 class TestSweepFaces:
-    """Cells on and next to the faces of the unit cube, where the Fock
-    engine prunes every counted amplitude."""
+    """Cells on and next to the faces of the unit cube, where every counted
+    amplitude is zero or tiny."""
 
     @pytest.mark.parametrize("cell", [(1e-15, 0.5, 0.7), (0.5, 1.0 - 1e-16, 0.7)])
     def test_fidelity_of_a_tiny_herald_is_not_lost(self, cell):
