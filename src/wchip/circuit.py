@@ -160,7 +160,11 @@ def canonical_w_circuit(
 
 
 def propagate(src: SourceSpec, spec: CircuitSpec) -> PureState:
-    """Push the source emission through the circuit."""
+    """Push the source emission through the circuit.  With ``max_order`` 2, a
+    nonzero beta whose square underflows to 0 (|beta| under about 1.6e-162)
+    would lose the double pair silently, so it raises ParamOutOfRange."""
+    if src.max_order == 2 and src.beta != 0 and src.beta * src.beta == 0:
+        raise ParamOutOfRange(f"beta**2 underflows (|beta| too small), got beta = {src.beta}")
     return apply_mode_transform(source_state(src), build_transform(spec))
 
 

@@ -163,7 +163,8 @@ def transmission(r):
     reflectivity ``r``; broadcasts over arrays, and a float gives a float.
     Both square roots round correctly, so they agree bit for bit."""
     if isinstance(r, float):
-        return math.sqrt(max(0.0, 1.0 - r * r))
+        t2 = 1.0 - r * r
+        return math.sqrt(t2) if t2 > 0.0 else 0.0
     return np.sqrt(np.maximum(0.0, 1.0 - r * r))
 
 

@@ -10,19 +10,19 @@ provably change the heralded component only by a global phase.
 vanishes on every face of the unit cube, so the scan covers the interior)
 followed by bounded Nelder-Mead refinement (:func:`minimize`, a port of
 scipy's, so the package needs only numpy at runtime).  The scan, each
-Nelder-Mead step and every cell of ``sweep`` run on an engine on the source
-rows: every element is linear and keeps colors apart, and the input
-|2_B, 2_R> sits on one channel, so each amplitude a metric counts needs only
-row ``SOURCE_CHANNEL`` of each color's transfer matrix (a permanent with
-repeated rows; Scheel, quant-ph/0406127).  The engine keeps those rows as
-per-channel lists, ``rows[color][channel]``, and pushes them through the
-element blocks as explicit sums over the block entries.  Each entry
-broadcasts: an array over a slab of r1 planes in the scan and the sweep, a
-Python float at a Nelder-Mead point, with the same operations in the same
-order in both, so a point gives the bits of its grid cell.  Each call is
-checked once against the full sparse Fock engine: ``maximize`` reports
-:func:`herald_objective` at the chosen point, and ``sweep`` compares its
-first cell's amplitudes with the propagated state's.
+Nelder-Mead step and every cell of ``sweep`` run on one straight-line engine
+on the source rows: every element is linear and keeps colors apart, and the
+input |2_B, 2_R> sits on one channel, so each amplitude a metric counts
+needs only row ``SOURCE_CHANNEL`` of each color's transfer matrix (a
+permanent with repeated rows; Scheel, quant-ph/0406127), which has six
+nonzero entries on the canonical circuit (:func:`_source_amplitudes`).  Each
+entry broadcasts: an array over a slab of r1 planes in the scan and the
+sweep, a Python float at a Nelder-Mead point, with the same operations in
+the same order in both, so a point gives the bits of its grid cell.  Each
+call is checked once against the full sparse Fock engine, and a mismatch
+raises a RuntimeError: ``maximize`` compares the engine's value at the
+chosen point with :func:`herald_objective`'s, and ``sweep`` its first cell's
+amplitudes with the propagated state's.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .circuit import (
-    CANONICAL_CHANNELS,
-    CANONICAL_COUPLERS,
-    CANONICAL_ROUTER,
     SIGNAL_CHANNELS,
     SOURCE_CHANNEL,
     T1_CHANNEL,
@@ -54,8 +51,8 @@ from .herald import Branch, herald
 #: Default coarse-grid step of :func:`maximize`.  The objective factorizes
 #: into three single-variable terms each with one interior maximum, so a
 #: 0.04 scan already brackets the basin.  At 0.04 over the default bounds
-#: the scan is three engine calls of about 2 ms together, and the whole
-#: ``maximize`` takes about 5 ms, most of it the ~140 Nelder-Mead steps.
+#: the scan is three engine calls of about 0.5 ms together, and the whole
+#: ``maximize`` takes about 2.2 ms, 1 ms of it the ~140 Nelder-Mead steps.
 GRID_STEP = 0.04
 
 #: Default coarse-grid bounds; the objective is identically zero whenever
@@ -95,43 +92,34 @@ def herald_objective(r1: float, r2: float, r3: float) -> float:
     return herald(state, Branch.T1).probability
 
 
-def _source_rows(r1, r2, r3, columns) -> list[list]:
-    """Row ``SOURCE_CHANNEL`` of each color's transfer matrix of the
-    canonical circuit, as ``rows[color][channel]``, with ``columns[color]``
-    the columns of that color's router block (:func:`_router_columns`).
+def _router(extinction) -> tuple:
+    """The resonant (Blue) entries ``(sqrt(eps), sqrt(1 - eps))`` of the
+    router's input row at `extinction`, a float or an array."""
+    return adddrop_block(extinction, resonant=True)[0][1:]
 
-    Every phase of the canonical circuit is 0, so a coupler's block
-    ``coupler_block(r, t, 0)`` is the real ``((t, r), (-r, t))``: it sends
-    the entries ``(u_a, u_b)`` of its channels to ``(t u_a - r u_b, r u_a +
-    t u_b)``; complex rows would only add imaginary parts of exactly +-0.
-    Each entry broadcasts over ``(r1, r2, r3)`` and the columns.  The
-    couplers act alike on both colors, so one row goes through them.
+
+_IDEAL_ROUTER = _router(0.0)  # the router the search assumes
+
+
+def _source_amplitudes(r1, r2, r3, router=_IDEAL_ROUTER) -> tuple:
+    """The six nonzero entries of row ``SOURCE_CHANNEL`` of each color's
+    transfer matrix of the canonical circuit: ``(Red T1, Blue T1, Blue T2,
+    ch 2, ch 3, ch 4)``, so entry ``color`` is that color's T1 entry.
+
+    Every phase is 0, so coupler k acts on both colors as the real
+    ``((t_k, r_k), (-r_k, t_k))``: h = r1 reaches the herald arm, t1 r2 ch 2,
+    and the crossing (t = 0) moves t1 t2 to ch 3, leaving ch 0 empty; the
+    last coupler splits it into t3 on ch 3 and r3 on ch 4.  The router passes
+    Red's h to T1 and splits Blue's by ``router = (sqrt(eps), sqrt(1 -
+    eps))`` (:func:`_router`; ideal by default) into T1 and T2.  The products
+    keep the order of the full matrix pass, which only adds exact zeros (x +
+    0.0 == x), so the bits are its own up to the sign of a zero, which every
+    metric squares away.  Entries broadcast over r1, r2, r3 and `router`.
     """
-    r = (r1, r2, r3)
-    row = [0.0] * len(CANONICAL_CHANNELS)
-    row[SOURCE_CHANNEL] = 1.0
-    for (a, b), k in CANONICAL_COUPLERS:
-        rk = 1.0 if k is None else r[k]
-        tk = transmission(rk)
-        ua, ub = row[a], row[b]
-        row[a], row[b] = ua * tk - ub * rk, ua * rk + ub * tk
-    old = [row[ch] for ch in _ROUTER_PORTS]
-    rows = []
-    for color_columns in columns:
-        color_row = list(row)
-        for ch, column in zip(_ROUTER_PORTS, color_columns):
-            color_row[ch] = _total(map(operator.mul, old, column))
-        rows.append(color_row)
-    return rows
-
-
-def _router_columns(extinction) -> tuple:
-    """Each color's router-block columns at `extinction`, a float or an array."""
-    return tuple(tuple(zip(*adddrop_block(extinction, c is CANONICAL_ROUTER[3]))) for c in Color)
-
-
-_IDEAL_ROUTER = _router_columns(0.0)  # the router the search assumes
-_ROUTER_PORTS = CANONICAL_ROUTER[:3]  # its (input, through, drop) channels
+    leak, drop = router
+    t1 = transmission(r1)
+    t12 = t1 * transmission(r2)
+    return r1, r1 * leak, r1 * drop, t1 * r2, t12 * transmission(r3), t12 * r3
 
 
 def _total(terms):
@@ -146,31 +134,32 @@ def herald_objective_batch(r1, r2, r3):
     # [()] unwraps a 0-d array into a numpy scalar; arrays pass through.
     r = tuple(np.asarray(v, dtype=float)[()] for v in (r1, r2, r3))
     _check_unit_interval(*r)
-    return _herald_probability(_source_rows(*r, _IDEAL_ROUTER))
+    return _herald_probability(_source_amplitudes(*r))
 
 
 def _t1_amplitudes(rows, color: Color) -> list:
     """Amplitude of each term with one photon of `color` at T1 and one on
-    each signal channel, per split ``(s, j, k)``: a color's pair is (1/sqrt
-    2)(sum_j u_j a_j^dag)^2 |0>, with amplitude sqrt(2) u_j u_k on modes
-    j != k, so the term with the other photon of `color` on s and the other
-    color's pair on j, k has 2 u_T1 u_s v_j v_k."""
-    u, v = rows[color], rows[1 - color]
-    return [2.0 * u[T1_CHANNEL] * u[s] * v[j] * v[k] for s, j, k in _SIGNAL_SPLITS]
+    each signal channel, per split ``(s, j, k)`` of :data:`_SIGNAL_SPLITS`:
+    a color's pair is (1/sqrt 2)(sum_j u_j a_j^dag)^2 |0>, with amplitude
+    sqrt(2) u_j u_k on modes j != k, so the term with the other photon of
+    `color` on s and the other color's pair on j, k has 2 u_T1 u_s v_j v_k."""
+    t1, s2, s3, s4 = rows[color], rows[3], rows[4], rows[5]
+    return [2.0 * t1 * s2 * s3 * s4, 2.0 * t1 * s3 * s2 * s4, 2.0 * t1 * s4 * s2 * s3]
 
 
 def _herald_probability(rows):
     """P(T1 herald | double pair): the weight of the terms with a Red
     photon at T1 and one photon on each signal channel, over the
     four-photon norm |u_R|^4 |u_B|^4."""
-    red, blue = rows
-    weight = 0.0
-    for s, j, k in _SIGNAL_SPLITS:  # _t1_amplitudes(rows, RED), inlined: hot in the search
-        amp = 2.0 * red[T1_CHANNEL] * red[s] * blue[j] * blue[k]
-        weight = weight + amp * amp
-    norm_red = _total(map(operator.mul, red, red))
-    norm_blue = _total(map(operator.mul, blue, blue))
-    return weight / (norm_red * norm_red * norm_blue * norm_blue)
+    red_t1, blue_t1, blue_t2, s2, s3, s4 = rows
+    # _t1_amplitudes(rows, RED), inlined: hot in the search
+    a2 = 2.0 * red_t1 * s2 * s3 * s4
+    a3 = 2.0 * red_t1 * s3 * s2 * s4
+    a4 = 2.0 * red_t1 * s4 * s2 * s3
+    signal = s2 * s2 + s3 * s3 + s4 * s4
+    norm_red = signal + red_t1 * red_t1
+    norm_blue = signal + blue_t1 * blue_t1 + blue_t2 * blue_t2
+    return (a2 * a2 + a3 * a3 + a4 * a4) / (norm_red * norm_red * norm_blue * norm_blue)
 
 
 def _colorblind_fidelity(rows):
@@ -286,7 +275,8 @@ def maximize(
     ``lo`` to the last point not past ``hi``) feeds the best cell into
     Nelder-Mead refinement (:func:`minimize`) on the unit cube.
     Both use the row engine of :func:`herald_objective_batch`; the returned
-    value is :func:`herald_objective` at the returned point.  Deterministic:
+    value is :func:`herald_objective` at the returned point, where the engine
+    must agree with it within 1e-12 (else a RuntimeError).  Deterministic:
     ties resolve to the first grid cell in lexicographic order.
 
     `tol` is the ``xatol`` of :func:`minimize`, the simplex width at which
@@ -329,7 +319,7 @@ def maximize(
     # Simplex points are lists of floats inside the cube, so the objective
     # runs on Python floats and skips the checks of the batch entry point.
     candidate = minimize(
-        lambda x: -_herald_probability(_source_rows(*x, _IDEAL_ROUTER)),
+        lambda x: -_herald_probability(_source_amplitudes(*x)),
         _initial_simplex(best, grid_step),
         xatol=float(tol),
         fatol=1e-14,
@@ -339,6 +329,11 @@ def maximize(
     if value < best_val:  # refinement must never lose to the scan
         candidate = best
         value = herald_objective(*best)
+    engine = _herald_probability(_source_amplitudes(*candidate))
+    if not abs(engine - value) <= 1e-12:  # a bug, not an input error
+        raise RuntimeError(
+            f"row engine disagrees with the Fock engine at {candidate}: {engine!r} against {value!r}"
+        )
     return OptimizationResult(candidate[0], candidate[1], candidate[2], value)
 
 
@@ -421,20 +416,20 @@ def sweep(spec: SweepSpec) -> SweepTable:
     metric = _herald_probability if spec.metric == "herald_probability" else _colorblind_fidelity
     r2 = np.array(spec.r2)[:, np.newaxis, np.newaxis]
     r3 = np.array(spec.r3)[:, np.newaxis]
-    columns = _router_columns(np.array(spec.ad2_extinction))
+    router = _router(np.array(spec.ad2_extinction))
     plane = (len(spec.r2), len(spec.r3), len(spec.ad2_extinction))
     planes = max(1, _SCAN_SLAB_CELLS // math.prod(plane))
     values = []
     for start in range(0, len(spec.r1), planes):
         r1 = np.array(spec.r1[start : start + planes])[:, np.newaxis, np.newaxis, np.newaxis]
-        rows = _source_rows(r1, r2, r3, columns)
+        rows = _source_amplitudes(r1, r2, r3, router)
         if start == 0:
             _check_on_fock(spec, rows)
         values += np.broadcast_to(metric(rows), (len(r1), *plane)).ravel().tolist()
     cells = itertools.product(spec.r1, spec.r2, spec.r3, spec.ad2_extinction)
     return SweepTable(
         columns=("r1", "r2", "r3", "ad2_extinction", spec.metric),
-        rows=tuple((*cell, value) for cell, value in zip(cells, values)),
+        rows=tuple(map(tuple.__add__, cells, zip(values))),
     )
 
 

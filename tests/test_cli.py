@@ -116,6 +116,24 @@ class TestSmallBeta:
         assert code == 1
         assert captured.err.startswith("error:") and "underflows" in captured.err
 
+    @pytest.mark.parametrize("command", ["simulate", "herald"])
+    @pytest.mark.parametrize("beta", [1e-162, 1e-200, [1e-170, 1e-170]])
+    def test_a_beta_whose_square_underflows_is_a_named_error(
+        self, tmp_path, capsys, command, beta
+    ):
+        code, captured = self._run(tmp_path, capsys, command, beta)
+        assert code == 1
+        assert captured.err.startswith("error:") and "underflows" in captured.err
+
+    @pytest.mark.parametrize("beta, max_order", [(0.0, 2), (1e-200, 1), (0.0, 1)])
+    def test_a_source_without_a_double_pair_heralds_nothing(
+        self, tmp_path, capsys, beta, max_order
+    ):
+        code, captured = self._run(tmp_path, capsys, "herald", beta, max_order=max_order)
+        assert code == 0 and captured.err == ""
+        for branch in json.loads(captured.out)["branches"].values():
+            assert branch == {"fidelity_W": None, "probability": 0.0, "residual_weight": 0.0}
+
 
 def test_herald_csv_format(capsys, sim_config):
     assert main(["herald", "--config", sim_config, "--format", "csv"]) == 0

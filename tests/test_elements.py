@@ -73,6 +73,13 @@ class TestDirectionalCoupler:
                     assert xf.matrix[i, j] == 0.0
 
 
+    @pytest.mark.parametrize("r", [0.0, -0.0, 1e-300, 0.3, 0.5, 1.0 - 1e-16, 1.0, 1.5, -2.0])
+    def test_float_transmission_equals_the_array_branch(self, r):
+        t = wchip.elements.transmission(r)
+        assert type(t) is float
+        assert t.hex() == float(wchip.elements.transmission(np.array([r]))[0]).hex()
+
+
 class TestAddDropFilter:
     def _filter(self, eps=0.0):
         return AddDropFilter(1, 5, 6, Color.BLUE, eps)

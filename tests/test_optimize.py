@@ -117,6 +117,9 @@ class TestBatchedEngine:
 # as often as the interior.
 _R = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 _CELLS = st.lists(st.tuples(_R, _R, _R), min_size=1, max_size=8)
+# Extinction over [0, 1], the ideal and the disabled router drawn as often
+# as the interior.
+_EPS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 class TestBatchedEngineProperties:
@@ -135,6 +138,44 @@ class TestBatchedEngineProperties:
         array = herald_objective_batch(*np.array(cells).T)
         for cell, value in zip(cells, array):
             assert abs(value - herald_objective(*cell)) <= 1e-12
+
+
+# As _R, with -0.0, which passes the unit-interval check, drawn as often.
+_R_SIGNED = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestSourceAmplitudes:
+    """The straight-line source-row engine: its entries against the full
+    transfer matrix, and its float calls against its array cells."""
+
+    @settings(max_examples=60)
+    @given(st.lists(st.tuples(_R_SIGNED, _R_SIGNED, _R_SIGNED), min_size=1, max_size=8))
+    def test_a_float_point_equals_its_array_cell_bit_for_bit(self, cells):
+        array = herald_objective_batch(*np.array(cells).T)
+        for cell, value in zip(cells, array):
+            # the Nelder-Mead objective: Python floats, no checks
+            point = wchip.optimize._herald_probability(
+                wchip.optimize._source_amplitudes(*cell)
+            )
+            assert type(point) is float
+            assert np.float64(point).tobytes() == value.tobytes()
+
+    @settings(max_examples=60)
+    @given(_R, _R, _R, _EPS)
+    def test_entries_are_the_transfer_matrix_rows(self, r1, r2, r3, eps):
+        o = wchip.optimize
+        amplitudes = o._source_amplitudes(r1, r2, r3, o._router(eps))
+        signal = dict(zip((2, 3, 4), amplitudes[3:]))
+        expected = {
+            Color.RED: {**signal, 5: amplitudes[0]},
+            Color.BLUE: {**signal, 5: amplitudes[1], 6: amplitudes[2]},
+        }
+        transform = build_transform(canonical_w_circuit(r1, r2, r3, ad2_extinction=eps))
+        for color in Color:
+            row = transform.matrix[transform.modes.index(ModeLabel(0, color))]
+            for mode, entry in zip(transform.modes, row):
+                want = expected[color].get(mode.channel, 0.0) if mode.color is color else 0.0
+                assert abs(entry - want) <= 1e-12, (color, mode, entry, want)
 
 
 def _sparse_maximize(tol, step, lo, hi):
@@ -179,6 +220,17 @@ class TestMaximize:
         monkeypatch.setattr(wchip.optimize, "herald_objective", counted)
         res = maximize(1e-3, grid_step=0.2, grid_bounds=(0.2, 0.8))
         assert calls == [(res.r1, res.r2, res.r3)]
+
+    def test_a_wrong_row_engine_raises(self, monkeypatch):
+        # a scaled objective peaks at the same point, so only the check
+        # against the Fock engine can see it
+        probability = wchip.optimize._herald_probability
+        monkeypatch.setattr(
+            wchip.optimize, "_herald_probability", lambda rows: probability(rows) * 1.001
+        )
+        with pytest.raises(RuntimeError, match="row engine disagrees") as info:
+            maximize(1e-3, grid_step=0.2, grid_bounds=(0.2, 0.8))
+        assert not isinstance(info.value, WchipError)
 
     def test_refines_through_the_module_level_minimize(self, monkeypatch):
         # maximize looks minimize up at call time, so a wrapper installed on
@@ -413,9 +465,6 @@ class TestSweep:
             assert 0.0 <= value <= 1.0
 
 
-# Extinction over [0, 1], the ideal and the disabled router drawn as often
-# as the interior.
-_EPS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 _PHI = st.floats(-3.2, 3.2)
 
 
@@ -448,14 +497,13 @@ class TestSweepEngine:
 
     @pytest.mark.parametrize("metric", ["herald_probability", "w_fidelity"])
     def test_a_wrong_row_engine_raises(self, monkeypatch, metric):
-        source_rows = wchip.optimize._source_rows
+        source_amplitudes = wchip.optimize._source_amplitudes
 
         def scaled(*args):
-            rows = source_rows(*args)
-            rows[Color.BLUE][3] = rows[Color.BLUE][3] * 1.001
-            return rows
+            rows = source_amplitudes(*args)
+            return (*rows[:4], rows[4] * 1.001, rows[5])  # the ch 3 entry
 
-        monkeypatch.setattr(wchip.optimize, "_source_rows", scaled)
+        monkeypatch.setattr(wchip.optimize, "_source_amplitudes", scaled)
         spec = SweepSpec(r1=(0.5,), r2=(0.6,), r3=(0.7,), ad2_extinction=(0.1,), metric=metric)
         with pytest.raises(RuntimeError) as info:
             sweep(spec)
