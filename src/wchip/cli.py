@@ -15,10 +15,12 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
+import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +45,8 @@ from .errors import (
     WchipError,
 )
 from .fock import PureState, basis_from_pattern
-from .herald import Branch, coincidence_distribution, herald, rho_biseparable, rho_incoherent, w_fidelity, w_state
-from .optimize import GRID_BOUNDS, GRID_STEP, SweepSpec, check_cell_count, maximize, sweep
+from .herald import Branch, coincidence_distribution, herald, herald_branches, rho_biseparable, rho_incoherent, w_fidelity, w_state
+from .optimize import GRID_BOUNDS, GRID_STEP, SweepSpec, SweepTable, check_cell_count, maximize, sweep
 from .tomography import DEFAULT_DIAG_THRESHOLD, discriminate, run_tomography
 
 SCHEMA_VERSION = 1
@@ -259,8 +261,7 @@ def _herald_summary(state) -> tuple[dict, dict[str, float | None], dict | None]:
     branches: dict = {}
     fidelities: dict[str, float | None] = {}
     dist = None
-    for branch in (Branch.T1, Branch.T2):
-        result = herald(state, branch)
+    for branch, result in herald_branches(state).items():
         branches[branch.value] = {
             "probability": float(result.probability),
             "residual_weight": float(result.residual_weight),
@@ -385,11 +386,44 @@ def cmd_optimize(cfg: dict) -> dict | str:
     }
 
 
-def cmd_sweep(cfg: dict) -> dict | str:
+#: Rows of a sweep document formatted and written at a time.
+_ROWS_PER_WRITE = 2**14
+
+#: The text of a sweep document's row, by format: before its first value,
+#: after each axis value, after the metric value, and between two rows.
+_ROW_TEXT = {
+    "csv": ("", ",", "\n", ""),
+    "json": ("    [\n      ", ",\n      ", "\n    ]", ",\n"),
+}
+
+
+def cmd_sweep(cfg: dict) -> Iterator[str]:
     table = sweep(cfg["sweep"])
-    if cfg["format"] == "csv":
-        return table.to_csv()
-    return {"columns": list(table.columns), "rows": [list(row) for row in table.rows]}
+    if cfg["format"] == "json" and not np.isfinite(table.values).all():
+        raise ValueError("Out of range float values are not JSON compliant")  # as json.dumps
+    return _sweep_document(table, cfg["format"])
+
+
+def _sweep_document(table: SweepTable, fmt: str) -> Iterator[str]:
+    """The sweep document in `fmt`, one slab of rows at a time: the bytes of
+    the whole table dumped at once (as ``json.dumps`` for JSON), with each
+    axis value and each metric value formatted once."""
+    if fmt == "csv":
+        head, tail = ",".join(table.columns) + "\n", ""
+    else:
+        document = _json_document("sweep", {"columns": list(table.columns), "rows": []})
+        head, tail = document.split('"rows": []')
+        head, tail = head + '"rows": [\n', "\n  ]" + tail
+    yield head
+    start, sep, end, between = _ROW_TEXT[fmt]
+    first, *rest = ([repr(v) + sep for v in axis] for axis in table.axes)
+    prefixes = map("".join, itertools.product([start + text for text in first], *rest))
+    join = (end + between).join
+    for k in range(0, len(table.values), _ROWS_PER_WRITE):
+        values = table.values[k : k + _ROWS_PER_WRITE].tolist()
+        cells = itertools.islice(prefixes, len(values))
+        yield (between if k else "") + join(map(str.__add__, cells, map(float.__repr__, values))) + end
+    yield tail
 
 
 _COMMANDS = {
@@ -423,9 +457,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _json_document(command: str, body: dict) -> str:
+    document = {"schema_version": SCHEMA_VERSION, "command": command, **body}
+    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _write_output(chunks: Iterable[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     path = Path(out)
     base = os.environ.get("WCHIP_OUT_DIR")
@@ -433,7 +472,8 @@ def _write_output(text: str, out: str | None) -> None:
         path = Path(base) / path
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(text.encode("utf-8"))
+        with path.open("wb") as stream:
+            stream.writelines(chunk.encode("utf-8") for chunk in chunks)
     except (OSError, ValueError) as exc:  # a directory, or a NUL in the path
         raise ConfigError(f"field 'out': cannot write {str(path)!r}: {exc}") from None
 
@@ -447,9 +487,8 @@ def main(argv=None) -> int:
         cfg = _build_config(args)
         body = _COMMANDS[args.command](cfg)
         if isinstance(body, dict):
-            document = {"schema_version": SCHEMA_VERSION, "command": args.command, **body}
-            body = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
-        _write_output(body, cfg["out"])
+            body = _json_document(args.command, body)
+        _write_output((body,) if isinstance(body, str) else body, cfg["out"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -106,7 +106,18 @@ def herald(state: PureState, branch: Branch) -> HeraldResult:
     below the normal floats is summed again on rescaled amplitudes; a four-photon
     one (|beta| under about 1e-77) raises :class:`ParamOutOfRange`.
     """
-    branch = Branch(branch)
+    return _herald_branch(state, _herald_scan(state), Branch(branch))
+
+
+def herald_branches(state: PureState) -> dict[Branch, HeraldResult]:
+    """:func:`herald` of both branches, T1 first, from one pass over `state`."""
+    scan = _herald_scan(state)
+    return {branch: _herald_branch(state, scan, branch) for branch in Branch}
+
+
+def _herald_scan(state: PureState) -> tuple[float, dict, dict]:
+    """The four-photon weight of `state`, and each branch's heralding terms
+    (signal photons only) and their weight, in one pass over its terms."""
     four_sq = 0.0
     branch_terms: dict[Branch, list] = {Branch.T1: [], Branch.T2: []}
     branch_sq = {Branch.T1: 0.0, Branch.T2: 0.0}
@@ -130,6 +141,12 @@ def herald(state: PureState, branch: Branch) -> HeraldResult:
         stripped = FockBasisState._from_sorted(basis[:k] + basis[k + 1 :])
         branch_terms[hit].append((stripped, amp))
         branch_sq[hit] += p
+    return four_sq, branch_terms, branch_sq
+
+
+def _herald_branch(state: PureState, scan: tuple, branch: Branch) -> HeraldResult:
+    """:func:`herald` of `branch` from the :func:`_herald_scan` of `state`."""
+    four_sq, branch_terms, branch_sq = scan
     tiny = sys.float_info.min
     if four_sq < tiny or (branch_terms[branch] and branch_sq[branch] < tiny and four_sq < 0.25):
         four = [(b, a) for b, a in state.items() if sum(n for _, n in b) == 4]

@@ -384,18 +384,37 @@ class SweepSpec:
         return len(self.r1) * len(self.r2) * len(self.r3) * len(self.ad2_extinction)
 
 
-@dataclass(frozen=True)
+class _Rows:
+    """The rows of a :class:`SweepTable`, built as they are read: ``cell +
+    (value,)`` for each grid cell in lexicographic order, the metric value a
+    Python float."""
+
+    __slots__ = ("_axes", "_values")
+
+    def __init__(self, axes: tuple[tuple[float, ...], ...], values: np.ndarray):
+        self._axes, self._values = axes, values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self):
+        return map(tuple.__add__, itertools.product(*self._axes), zip(self._values.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class SweepTable:
-    """Sweep output: a header and one row per grid cell."""
+    """Sweep output: the header, the four axes ``(r1, r2, r3,
+    ad2_extinction)`` and one read-only float64 array holding the metric
+    value of every cell in lexicographic cell order (the last axis fastest).
+    ``rows`` reads them as ``cell + (value,)`` tuples without storing any."""
 
     columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
+    axes: tuple[tuple[float, ...], ...]
+    values: np.ndarray
 
-    def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
+    @property
+    def rows(self) -> _Rows:
+        return _Rows(self.axes, self.values)
 
 
 def check_cell_count(n_cells: int, cell_cap: int) -> None:
@@ -405,10 +424,11 @@ def check_cell_count(n_cells: int, cell_cap: int) -> None:
 
 
 def sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate the metric over the grid, rows in lexicographic cell order.
+    """Evaluate the metric over the grid, values in lexicographic cell order.
 
     The grid runs on the source-row engine, as broadcast arrays in slabs of
-    r1 planes (at most ``_SCAN_SLAB_CELLS`` cells, at least one plane).  The
+    r1 planes (at most ``_SCAN_SLAB_CELLS`` cells, at least one plane), each
+    written straight into the table's value array; no row is built.  The
     first cell is checked against the sparse Fock engine
     (:func:`_check_on_fock`).
     """
@@ -419,18 +439,31 @@ def sweep(spec: SweepSpec) -> SweepTable:
     router = _router(np.array(spec.ad2_extinction))
     plane = (len(spec.r2), len(spec.r3), len(spec.ad2_extinction))
     planes = max(1, _SCAN_SLAB_CELLS // math.prod(plane))
-    values = []
+    values = np.empty((len(spec.r1), *plane))
     for start in range(0, len(spec.r1), planes):
         r1 = np.array(spec.r1[start : start + planes])[:, np.newaxis, np.newaxis, np.newaxis]
         rows = _source_amplitudes(r1, r2, r3, router)
         if start == 0:
             _check_on_fock(spec, rows)
-        values += np.broadcast_to(metric(rows), (len(r1), *plane)).ravel().tolist()
-    cells = itertools.product(spec.r1, spec.r2, spec.r3, spec.ad2_extinction)
+        values[start : start + planes] = metric(rows)  # broadcasts over the slab
+    values = values.reshape(-1)
+    values.flags.writeable = False
     return SweepTable(
         columns=("r1", "r2", "r3", "ad2_extinction", spec.metric),
-        rows=tuple(map(tuple.__add__, cells, zip(values))),
+        axes=(spec.r1, spec.r2, spec.r3, spec.ad2_extinction),
+        values=values,
     )
+
+
+#: The term of each T1 amplitude of :func:`_t1_amplitudes`, by the color
+#: of the T1 photon, in :data:`_SIGNAL_SPLITS` order.
+_T1_TERMS = {
+    color: tuple(
+        basis_from_pattern(2 * color.letter + 2 * Color(1 - color).letter, (T1_CHANNEL, *split))
+        for split in _SIGNAL_SPLITS
+    )
+    for color in Color
+}
 
 
 def _check_on_fock(spec: SweepSpec, rows) -> None:
@@ -441,10 +474,8 @@ def _check_on_fock(spec: SweepSpec, rows) -> None:
     cell = (spec.r1[0], spec.r2[0], spec.r3[0], spec.ad2_extinction[0])
     circuit = canonical_w_circuit(*cell[:3], ad2_extinction=cell[3])
     state = apply_mode_transform(two_pair_state(SOURCE_CHANNEL), build_transform(circuit))
-    for color in Color:
-        other = Color(1 - color)
-        for (s, j, k), amp in zip(_SIGNAL_SPLITS, _t1_amplitudes(rows, color)):
-            basis = basis_from_pattern(2 * color.letter + 2 * other.letter, (T1_CHANNEL, s, j, k))
+    for color, terms in _T1_TERMS.items():
+        for basis, amp in zip(terms, _t1_amplitudes(rows, color)):
             fock, engine = state.amplitude(basis), np.ravel(amp)[0]
             if not abs(fock - engine) <= 1e-12:
                 raise RuntimeError(

@@ -10,7 +10,9 @@ from the other, so agreement is evidence and disagreement is a bug.
 The last section keeps earlier versions of package functions.  Tests hold
 each rewrite made with the same arithmetic in the same order to its earlier
 version bit for bit, and ``sweep``, which moved from the sparse Fock engine
-to the source rows, to :func:`per_cell_sweep` within a tolerance.
+to the source rows, to :func:`per_cell_sweep` within a tolerance.  The
+streamed ``wchip sweep`` documents are held to the whole-document writers
+:func:`sweep_csv` and :func:`sweep_json` byte for byte.
 """
 
 from __future__ import annotations
@@ -286,6 +288,57 @@ def per_cell_sweep(spec):
             value = w_fidelity_colorblind(state)
         rows.append((r1, r2, r3, eps, float(value)))
     return tuple(rows)
+
+
+def eager_sweep_rows(spec):
+    """The rows of ``wchip.optimize.sweep`` before its table held one value
+    array: each slab's metric values listed as Python floats, then one
+    ``cell + (value,)`` tuple built per cell, all held at once."""
+    import itertools
+
+    from wchip import optimize
+
+    metric = (
+        optimize._herald_probability
+        if spec.metric == "herald_probability"
+        else optimize._colorblind_fidelity
+    )
+    r2 = np.array(spec.r2)[:, np.newaxis, np.newaxis]
+    r3 = np.array(spec.r3)[:, np.newaxis]
+    router = optimize._router(np.array(spec.ad2_extinction))
+    plane = (len(spec.r2), len(spec.r3), len(spec.ad2_extinction))
+    planes = max(1, optimize._SCAN_SLAB_CELLS // math.prod(plane))
+    values = []
+    for start in range(0, len(spec.r1), planes):
+        r1 = np.array(spec.r1[start : start + planes])[:, np.newaxis, np.newaxis, np.newaxis]
+        rows = optimize._source_amplitudes(r1, r2, r3, router)
+        values += np.broadcast_to(metric(rows), (len(r1), *plane)).ravel().tolist()
+    cells = itertools.product(spec.r1, spec.r2, spec.r3, spec.ad2_extinction)
+    return tuple(map(tuple.__add__, cells, zip(values)))
+
+
+def sweep_csv(table) -> str:
+    """``SweepTable.to_csv`` before ``wchip sweep`` streamed its document:
+    the header, then ``repr`` of every entry of every row, all joined at
+    once."""
+    lines = [",".join(table.columns)]
+    for row in table.rows:
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def sweep_json(table) -> str:
+    """The JSON ``wchip sweep`` document before it was streamed: the whole
+    document built from the rows, then dumped at once."""
+    import json
+
+    document = {
+        "schema_version": 1,
+        "command": "sweep",
+        "columns": list(table.columns),
+        "rows": [list(row) for row in table.rows],
+    }
+    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def per_term_dict_herald(state, branch, signal_channels=(2, 3, 4), t1_channel=5, t2_channel=6):

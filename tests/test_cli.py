@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 from wchip.cli import main
 from wchip.errors import ParamOutOfRange
+from wchip.optimize import SweepSpec, sweep
+
+from oracles import sweep_csv, sweep_json
 
 OPT = {"r1": 0.5, "r2": 1 / math.sqrt(3), "r3": 1 / math.sqrt(2)}
 
@@ -265,6 +268,107 @@ def test_sweep_range_object(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 5
     assert lines[1].startswith("0.2,")
+
+
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _sweep_blocks(draw):
+    """A sweep config block of a small random grid, faces included."""
+    block = {
+        name: draw(st.lists(_UNIT, min_size=1, max_size=3, unique=True))
+        for name in ("r1", "r2", "r3", "ad2_extinction")
+    }
+    block["metric"] = draw(st.sampled_from(["herald_probability", "w_fidelity"]))
+    return block
+
+
+class TestStreamedSweep:
+    """``wchip sweep`` writes its document a slab of rows at a time, after
+    the grid is done, with the bytes of the whole-document writers kept in
+    oracles.py."""
+
+    # more cells than one slab of rows, so the document is written in pieces
+    BLOCK = {
+        "r1": {"start": 0.05, "stop": 0.95, "num": 30},
+        "r2": {"start": 0.02, "stop": 1.0, "num": 30},
+        "r3": [0.3, 0.7],
+        "ad2_extinction": {"start": 0.0, "stop": 0.5, "num": 10},
+        "metric": "w_fidelity",
+    }
+
+    @settings(max_examples=40)
+    @given(_sweep_blocks(), st.sampled_from(["csv", "json"]))
+    def test_matches_the_whole_document_writers(self, block, fmt):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = os.path.join(tmp, "c.json"), os.path.join(tmp, f"out.{fmt}")
+            with open(cfg, "w") as handle:
+                json.dump({"sweep": block}, handle)
+            assert main(["sweep", "--config", cfg, "--format", fmt, "--out", out]) == 0
+            with open(out, "rb") as handle:
+                oracle = sweep_csv if fmt == "csv" else sweep_json
+                assert handle.read() == oracle(sweep(SweepSpec(**block))).encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_and_out_give_the_same_bytes(self, tmp_path, capsysbinary, fmt):
+        from wchip.cli import _ROWS_PER_WRITE, _sweep
+
+        table = sweep(_sweep(self.BLOCK, "sweep"))
+        assert len(table.values) > _ROWS_PER_WRITE
+        cfg = _write(tmp_path, "c.json", {"sweep": self.BLOCK})
+        assert main(["sweep", "--config", cfg, "--format", fmt]) == 0
+        printed = capsysbinary.readouterr().out
+        out = tmp_path / f"out.{fmt}"
+        assert main(["sweep", "--config", cfg, "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == printed
+        assert printed == (sweep_csv if fmt == "csv" else sweep_json)(table).encode()
+
+    def test_out_dir_env_prefixes_a_relative_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("WCHIP_OUT_DIR", str(tmp_path / "results"))
+        cfg = _write(tmp_path, "c.json", {"sweep": {"r1": [0.4, 0.5], "r2": 0.5, "r3": 0.5}})
+        assert main(["sweep", "--config", cfg, "--out", "nested/s.csv"]) == 0
+        target = tmp_path / "results" / "nested" / "s.csv"
+        assert target.read_text().startswith("r1,r2,r3,ad2_extinction,herald_probability\n")
+        assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_directory_is_2(self, tmp_path, capsys, fmt):
+        cfg = _write(tmp_path, "c.json", {"sweep": {"r1": [0.4, 0.5], "r2": 0.5, "r3": 0.5}})
+        assert main(["sweep", "--config", cfg, "--format", fmt, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: field 'out':")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_failed_fock_check_leaves_no_file(self, tmp_path, monkeypatch, capsys, fmt):
+        import wchip.optimize
+
+        source_amplitudes = wchip.optimize._source_amplitudes
+
+        def scaled(*args):
+            rows = source_amplitudes(*args)
+            return (*rows[:4], rows[4] * 1.001, rows[5])  # the ch 3 entry
+
+        monkeypatch.setattr(wchip.optimize, "_source_amplitudes", scaled)
+        cfg = _write(tmp_path, "c.json", {"sweep": self.BLOCK})
+        out = tmp_path / "nested" / f"out.{fmt}"
+        assert main(["sweep", "--config", cfg, "--format", fmt, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("internal error: RuntimeError: row engine disagrees")
+        assert not (tmp_path / "nested").exists()
+
+    def test_a_non_finite_value_is_refused_in_json_only(self, tmp_path, monkeypatch, capsys):
+        import wchip.optimize
+
+        monkeypatch.setattr(wchip.optimize, "_herald_probability", lambda rows: rows[0] * math.nan)
+        cfg = _write(tmp_path, "c.json", {"sweep": {"r1": [0.4, 0.5], "r2": 0.5, "r3": 0.5}})
+        out = tmp_path / "out.json"
+        assert main(["sweep", "--config", cfg, "--format", "json", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("internal error: ValueError: Out of range float")
+        assert not out.exists()
+        with pytest.raises(ValueError):  # json.dumps refuses it too
+            sweep_json(sweep(SweepSpec(r1=(0.4, 0.5), r2=(0.5,), r3=(0.5,))))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", cfg, "--format", "csv", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == ["0.4,0.5,0.5,0.0,nan", "0.5,0.5,0.5,0.0,nan"]
 
 
 class TestExitCodes:

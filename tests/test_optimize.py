@@ -27,9 +27,11 @@ from wchip.optimize import (
 
 from oracles import (
     OPTIMAL_R,
+    eager_sweep_rows,
     herald_prefactor,
     per_cell_sweep,
     scipy_maximize,
+    sweep_csv,
     split_w_fidelity_colorblind,
     w_fidelity_colorblind,
 )
@@ -430,9 +432,12 @@ class TestSweep:
             assert value == pytest.approx(herald_objective(r1, r2, r3), abs=1e-15)
 
     def test_csv_is_deterministic_text(self):
+        from wchip.cli import _sweep_document
+
         spec = SweepSpec(r1=(0.5,), r2=(0.5,), r3=(0.5,))
-        assert sweep(spec).to_csv() == sweep(spec).to_csv()
-        assert sweep(spec).to_csv().startswith("r1,r2,r3,ad2_extinction,")
+        text = "".join(_sweep_document(sweep(spec), "csv"))
+        assert text == "".join(_sweep_document(sweep(spec), "csv")) == sweep_csv(sweep(spec))
+        assert text.startswith("r1,r2,r3,ad2_extinction,")
 
     def test_fidelity_metric_ideal_router(self):
         spec = SweepSpec(
@@ -508,6 +513,39 @@ class TestSweepEngine:
         with pytest.raises(RuntimeError) as info:
             sweep(spec)
         assert not isinstance(info.value, WchipError)
+
+
+def _bits(rows):
+    return [tuple(map(float.hex, row)) for row in rows]
+
+
+class TestLazyRows:
+    """``SweepTable.rows`` is built as it is read, from the axes and the
+    value array, and gives exactly the tuples the eager table held
+    (:func:`eager_sweep_rows`)."""
+
+    @settings(max_examples=60)
+    @given(_sweep_specs())
+    def test_gives_the_eager_tuples(self, spec):
+        table, expected = sweep(spec), eager_sweep_rows(spec)
+        rows = table.rows
+        assert len(rows) == len(expected) == spec.n_cells
+        listed = list(rows)
+        assert _bits(listed) == _bits(expected)
+        assert all(type(row) is tuple and all(type(v) is float for v in row) for row in listed)
+        assert [row[:4] for row in rows] == [row[:4] for row in expected]
+        assert _bits(table.rows) == _bits(listed)  # a second read gives the same rows
+        one = SweepSpec(*[(v,) for v in expected[0][:4]], metric=spec.metric)
+        (row,) = sweep(one).rows
+        assert _bits([row]) == _bits(eager_sweep_rows(one))
+
+    def test_values_are_one_read_only_array(self):
+        table = sweep(SweepSpec(r1=(0.3, 0.5), r2=(0.4,), r3=(0.7,), ad2_extinction=(0.0, 0.1)))
+        assert table.axes == ((0.3, 0.5), (0.4,), (0.7,), (0.0, 0.1))
+        assert table.values.dtype == np.float64 and table.values.shape == (4,)
+        assert [row[4] for row in table.rows] == table.values.tolist()
+        with pytest.raises(ValueError):
+            table.values[0] = 0.0
 
 
 class TestSweepFaces:
