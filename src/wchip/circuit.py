@@ -159,12 +159,32 @@ def canonical_w_circuit(
     return CircuitSpec(CANONICAL_CHANNELS, couplers + (router,))
 
 
-def propagate(src: SourceSpec, spec: CircuitSpec) -> PureState:
-    """Push the source emission through the circuit.  With ``max_order`` 2, a
-    nonzero beta whose square underflows to 0 (|beta| under about 1.6e-162)
-    would lose the double pair silently, so it raises ParamOutOfRange."""
+def transfer_rows(spec: CircuitSpec, channel: int) -> tuple[list[complex], list[complex]]:
+    """Row `channel` of the Red and of the Blue transfer matrix of `spec`,
+    read from ``build_transform(spec).matrix``: entry j of each is the entry
+    from that color's mode on `channel` to its mode on channel j (no element
+    mixes colors, so the other color's columns hold 0)."""
+    n = len(spec.channels)
+    matrix = build_transform(spec).matrix
+    _, pos = _mode_table(n)
+    return tuple(
+        matrix[pos[ModeLabel(channel, color)], [pos[ModeLabel(j, color)] for j in range(n)]].tolist()
+        for color in Color
+    )
+
+
+def check_double_pair(src: SourceSpec) -> None:
+    """With ``max_order`` 2, a nonzero beta whose square underflows to 0
+    (|beta| under about 1.6e-162) would lose the double pair silently, so it
+    raises ParamOutOfRange."""
     if src.max_order == 2 and src.beta != 0 and src.beta * src.beta == 0:
         raise ParamOutOfRange(f"beta**2 underflows (|beta| too small), got beta = {src.beta}")
+
+
+def propagate(src: SourceSpec, spec: CircuitSpec) -> PureState:
+    """Push the source emission through the circuit, after
+    :func:`check_double_pair`."""
+    check_double_pair(src)
     return apply_mode_transform(source_state(src), build_transform(spec))
 
 

@@ -6,6 +6,11 @@ deterministic output document to stdout or ``--out``.  Identical config and
 seed always produce byte-identical output.  The only environment override is
 ``WCHIP_OUT_DIR``, which prefixes relative output paths.
 
+``simulate`` and ``herald`` read both herald branches from the source rows
+of the circuit (``transfer_rows`` and ``herald_rows``); ``tomo`` heralds the
+propagated sparse state (``propagate`` and ``herald``), whose last bits its
+sampled draws keep.
+
 Exit codes: 0 success; 1 internal failure; 2 config validation;
 3 counting diagonals not uniform; 4 sweep grid too large.
 """
@@ -34,6 +39,7 @@ from .circuit import (
     parse_number,
     propagate,
     read_json,
+    transfer_rows,
 )
 from .elements import SourceSpec
 from .errors import (
@@ -45,7 +51,7 @@ from .errors import (
     WchipError,
 )
 from .fock import PureState, basis_from_pattern
-from .herald import Branch, coincidence_distribution, herald, herald_branches, rho_biseparable, rho_incoherent, w_fidelity, w_state
+from .herald import Branch, coincidence_distribution, herald, herald_rows, rho_biseparable, rho_incoherent, w_fidelity, w_state
 from .optimize import GRID_BOUNDS, GRID_STEP, SweepSpec, SweepTable, check_cell_count, maximize, sweep
 from .tomography import DEFAULT_DIAG_THRESHOLD, discriminate, run_tomography
 
@@ -257,11 +263,14 @@ def _complex_json(z: complex):
 # ---------------------------------------------------------------------------
 
 
-def _herald_summary(state) -> tuple[dict, dict[str, float | None], dict | None]:
+def _herald_summary(spec, source) -> tuple[dict, dict[str, float | None], dict | None]:
+    """Both branches' probability and residual, W fidelity and, on T1, the
+    coincidence distribution, from the source rows of `spec` alone
+    (:func:`herald_rows`)."""
     branches: dict = {}
     fidelities: dict[str, float | None] = {}
     dist = None
-    for branch, result in herald_branches(state).items():
+    for branch, result in herald_rows(transfer_rows(spec, source.channel), source).items():
         branches[branch.value] = {
             "probability": float(result.probability),
             "residual_weight": float(result.residual_weight),
@@ -282,8 +291,7 @@ def _herald_summary(state) -> tuple[dict, dict[str, float | None], dict | None]:
 
 def cmd_simulate(cfg: dict) -> dict | str:
     spec, source = _resolve_circuit(cfg)
-    state = propagate(source, spec)
-    branches, fidelities, dist = _herald_summary(state)
+    branches, fidelities, dist = _herald_summary(spec, source)
     if cfg["format"] == "csv":
         lines = ["pattern,probability"]
         for pattern in sorted(dist) if dist else ():
@@ -300,8 +308,7 @@ def cmd_simulate(cfg: dict) -> dict | str:
 
 def cmd_herald(cfg: dict) -> dict | str:
     spec, source = _resolve_circuit(cfg)
-    state = propagate(source, spec)
-    branches, fidelities, _ = _herald_summary(state)
+    branches, fidelities, _ = _herald_summary(spec, source)
     if cfg["format"] == "csv":
         lines = ["branch,probability,fidelity_W,residual_weight"]
         for name in ("T1", "T2"):

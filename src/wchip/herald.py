@@ -6,6 +6,10 @@ one photon at a target detector: a Red photon at T1, or a Blue photon at T2.
 Conditioned on the T1 event the signal photons form the W state with two
 blue and one red photon; the T2 event gives the color-flipped partner.
 
+:func:`herald` conditions a propagated sparse state; :func:`herald_rows`
+gives both branches of the same state from the source channel's transfer
+rows alone, as every heralding term comes from the double pair.
+
 ``rho_incoherent`` and ``rho_biseparable`` build the two mixed states whose
 threefold counting statistics are identical to the W state's — they are the
 reason counting alone cannot certify the entanglement, and tomography can.
@@ -21,8 +25,9 @@ from enum import Enum
 
 import numpy as np
 
-from .circuit import SIGNAL_CHANNELS, T1_CHANNEL, T2_CHANNEL
+from .circuit import SIGNAL_CHANNELS, T1_CHANNEL, T2_CHANNEL, check_double_pair
 from .density import BASIS_THREE, ThreePhotonRho
+from .elements import SourceSpec
 from .errors import EmptyState, NotNormalized, ParamOutOfRange
 from .fock import Color, FockBasisState, PureState, basis_from_pattern, color_pattern, inner_product
 
@@ -82,6 +87,10 @@ def w_state(branch: Branch) -> PureState:
     )
 
 
+#: :func:`w_state` of each branch, built once.
+_W_STATES = {branch: w_state(branch) for branch in Branch}
+
+
 def _scaled(terms: list) -> list:
     """`terms` times the power of two that brings their largest part into
     [0.5, 1): no ratio moves, and a weight below the normal floats is lifted."""
@@ -106,18 +115,7 @@ def herald(state: PureState, branch: Branch) -> HeraldResult:
     below the normal floats is summed again on rescaled amplitudes; a four-photon
     one (|beta| under about 1e-77) raises :class:`ParamOutOfRange`.
     """
-    return _herald_branch(state, _herald_scan(state), Branch(branch))
-
-
-def herald_branches(state: PureState) -> dict[Branch, HeraldResult]:
-    """:func:`herald` of both branches, T1 first, from one pass over `state`."""
-    scan = _herald_scan(state)
-    return {branch: _herald_branch(state, scan, branch) for branch in Branch}
-
-
-def _herald_scan(state: PureState) -> tuple[float, dict, dict]:
-    """The four-photon weight of `state`, and each branch's heralding terms
-    (signal photons only) and their weight, in one pass over its terms."""
+    branch = Branch(branch)
     four_sq = 0.0
     branch_terms: dict[Branch, list] = {Branch.T1: [], Branch.T2: []}
     branch_sq = {Branch.T1: 0.0, Branch.T2: 0.0}
@@ -141,12 +139,6 @@ def _herald_scan(state: PureState) -> tuple[float, dict, dict]:
         stripped = FockBasisState._from_sorted(basis[:k] + basis[k + 1 :])
         branch_terms[hit].append((stripped, amp))
         branch_sq[hit] += p
-    return four_sq, branch_terms, branch_sq
-
-
-def _herald_branch(state: PureState, scan: tuple, branch: Branch) -> HeraldResult:
-    """:func:`herald` of `branch` from the :func:`_herald_scan` of `state`."""
-    four_sq, branch_terms, branch_sq = scan
     tiny = sys.float_info.min
     if four_sq < tiny or (branch_terms[branch] and branch_sq[branch] < tiny and four_sq < 0.25):
         four = [(b, a) for b, a in state.items() if sum(n for _, n in b) == 4]
@@ -155,15 +147,99 @@ def _herald_branch(state: PureState, scan: tuple, branch: Branch) -> HeraldResul
         if four:
             raise ParamOutOfRange(f"four-photon weight {four_sq!r} underflows (|beta| too small)")
         return HeraldResult(0.0, None, 0.0)
+    return _conditioned(branch_terms[branch], branch_sq, four_sq, branch)
+
+
+def _conditioned(terms: list, branch_sq: dict, four_sq: float, branch: Branch) -> HeraldResult:
+    """The :class:`HeraldResult` of `branch` from its heralding terms
+    (signal photons only) and both branches' weights in a four-photon
+    sector of weight `four_sq`."""
     p_t1 = branch_sq[Branch.T1] / four_sq
     p_t2 = branch_sq[Branch.T2] / four_sq
     residual = math.sqrt(max(0.0, 1.0 - p_t1 - p_t2))
     prob = p_t1 if branch is Branch.T1 else p_t2
     if prob <= 0.0:
         return HeraldResult(0.0, None, residual)
-    terms = _scaled(branch_terms[branch])
+    terms = _scaled(terms)
     scale = 1.0 / math.sqrt(sum(a.real * a.real + a.imag * a.imag for _, a in terms))
     return HeraldResult(prob, PureState({b: a * scale for b, a in terms}), residual)
+
+
+def _row_terms(channels: tuple[int, ...], k: int, color: Color) -> tuple:
+    """The heralding terms of the :data:`HERALD_TERMS` entry ``channels ->
+    (branch, k, color)`` as ``(signal basis, s, j, l)``: the herald color's
+    other photon on signal channel s, the other color's pair on j and l.
+    They are ordered by their Red channels, as :func:`apply_mode_transform`
+    emits them, so both engines give a heralded state its terms in one order."""
+    signal = channels[:k] + channels[k + 1 :]
+    other = Color(1 - color)
+    terms = []
+    for s in signal:
+        j, l = (ch for ch in signal if ch != s)
+        pattern = "".join(color.letter if ch == s else other.letter for ch in signal)
+        red = sorted((channels[k], s) if color is Color.RED else (j, l))
+        terms.append((red, (basis_from_pattern(pattern, signal), s, j, l)))
+    return tuple(term for _, term in sorted(terms))
+
+
+#: Per branch: the herald photon's color and channel, and the heralding
+#: terms of :func:`_row_terms`.
+_ROW_TERMS = {
+    branch: (color, channels[k], _row_terms(channels, k, color))
+    for channels, (branch, k, color) in HERALD_TERMS.items()
+}
+
+#: Channels a transfer row must span for :data:`_ROW_TERMS` to index it.
+_ROW_WIDTH = 1 + max(max(channels) for channels in HERALD_TERMS)
+
+
+def heralding_amplitude(u_h, u_s, v_j, v_l):
+    """Amplitude per beta**2 of the term with photons of one color on the
+    herald channel h and on signal channel s, and the other color's pair on
+    signal channels j and l, from the entries of the source rows u (that
+    color's) and v (the other's).  Each color's pair propagates as
+    (1/sqrt 2)(sum_j u_j a_j^dag)^2 |0> (a permanent with repeated rows;
+    Scheel, quant-ph/0406127), with amplitude sqrt(2) u_j u_k on modes
+    j != k, so the term has ``2 u_h u_s v_j v_l``.  Entries may be complex
+    or real scalars or broadcast arrays."""
+    return 2.0 * u_h * u_s * v_j * v_l
+
+
+def herald_rows(rows: tuple, source: SourceSpec) -> dict[Branch, HeraldResult]:
+    """:func:`herald` of both branches, T1 first, of ``propagate(source,
+    spec)``, from ``rows = transfer_rows(spec, source.channel)`` alone.
+
+    Only the double pair |2_B, 2_R> holds four photons: each heralding term
+    has amplitude ``beta**2`` times :func:`heralding_amplitude`, and the
+    four-photon sector weighs ``|beta**2|**2 (|u|**2 |v|**2)**2`` for the
+    rows u and v of the two colors.  The probabilities are their ratios
+    with beta left out, and each heralded state of at most three terms
+    keeps the phase of beta**2, so the results
+    are :func:`herald`'s up to rounding, with its errors at the same beta:
+    :func:`check_double_pair` and the four-photon weight floor.  A
+    subnormal branch weight leaves the heralded state intact, as there.
+    """
+    check_double_pair(source)
+    beta2 = source.beta * source.beta if source.max_order == 2 else 0j
+    if not beta2:  # no double pair
+        return dict.fromkeys(Branch, HeraldResult(0.0, None, 0.0))
+    rows = [list(row) + [0j] * (_ROW_WIDTH - len(row)) for row in rows]
+    norm_sq = [sum(a.real * a.real + a.imag * a.imag for a in row) for row in rows]
+    four_sq = (norm_sq[0] * norm_sq[1]) ** 2
+    weight = abs(beta2) ** 2 * four_sq
+    if weight < sys.float_info.min:
+        raise ParamOutOfRange(f"four-photon weight {weight!r} underflows (|beta| too small)")
+    phase = beta2 / abs(beta2)
+    branch_terms, branch_sq = {}, {}
+    for branch, (color, h, terms) in _ROW_TERMS.items():
+        u, v = rows[color], rows[1 - color]
+        amps = [(basis, heralding_amplitude(u[h], u[s], v[j], v[l])) for basis, s, j, l in terms]
+        branch_sq[branch] = sum(a.real * a.real + a.imag * a.imag for _, a in amps)
+        branch_terms[branch] = [(basis, a * phase) for basis, a in amps if a]
+    return {
+        branch: _conditioned(branch_terms[branch], branch_sq, four_sq, branch)
+        for branch in Branch
+    }
 
 
 def w_fidelity(state3: PureState, target: Branch) -> float:
@@ -171,7 +247,7 @@ def w_fidelity(state3: PureState, target: Branch) -> float:
     nsq = state3.norm_sq()
     if abs(nsq - 1.0) > _NORM_TOL:
         raise NotNormalized(f"state norm**2 = {nsq:.12g}, expected 1")
-    overlap = inner_product(w_state(Branch(target)), state3)
+    overlap = inner_product(_W_STATES[Branch(target)], state3)
     return min(1.0, abs(overlap) ** 2)
 
 

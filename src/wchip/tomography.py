@@ -22,6 +22,7 @@ whole run is a pure function of (input state, shots, seed).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -51,6 +52,7 @@ _PHASES = (0.0, math.pi / 2.0)
 DEFAULT_DIAG_THRESHOLD = 0.02
 
 
+@functools.lru_cache(maxsize=8)  # the seven labels of a run
 def _fnv1a64(label: str) -> int:
     h = 0xCBF29CE484222325
     for byte in label.encode("utf-8"):
@@ -273,14 +275,18 @@ class DiscriminationReport:
         }
 
 
+#: The two counterexample mixtures, built once (their matrices are read-only).
+_RHO_S, _RHO_B = rho_incoherent(), rho_biseparable()
+
+
 def discriminate(rho: ThreePhotonRho, *, threshold: float = 0.9) -> DiscriminationReport:
     """Compare a reconstructed matrix against the W projector and the two
     counterexample mixtures; flags W-consistency at fidelity > threshold."""
     fid = rho.fidelity_w()
     return DiscriminationReport(
         fidelity_w=fid,
-        trace_distance_to_rho_s=trace_distance(rho, rho_incoherent()),
-        trace_distance_to_rho_b=trace_distance(rho, rho_biseparable()),
+        trace_distance_to_rho_s=trace_distance(rho, _RHO_S),
+        trace_distance_to_rho_b=trace_distance(rho, _RHO_B),
         w_consistent=bool(fid > float(threshold)),
         threshold=float(threshold),
     )

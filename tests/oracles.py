@@ -10,7 +10,8 @@ from the other, so agreement is evidence and disagreement is a bug.
 The last section keeps earlier versions of package functions.  Tests hold
 each rewrite made with the same arithmetic in the same order to its earlier
 version bit for bit, and ``sweep``, which moved from the sparse Fock engine
-to the source rows, to :func:`per_cell_sweep` within a tolerance.  The
+to the source rows, to :func:`per_cell_sweep` within a tolerance, as
+``simulate`` and ``herald`` are held to :func:`sparse_herald_summary`.  The
 streamed ``wchip sweep`` documents are held to the whole-document writers
 :func:`sweep_csv` and :func:`sweep_json` byte for byte.
 """
@@ -288,6 +289,32 @@ def per_cell_sweep(spec):
             value = w_fidelity_colorblind(state)
         rows.append((r1, r2, r3, eps, float(value)))
     return tuple(rows)
+
+
+def sparse_herald_summary(spec, source):
+    """``wchip.cli._herald_summary`` before the source rows: the propagated
+    state of the whole source, heralded on both branches by ``herald``.
+    Returns each branch's probability and residual weight, each branch's
+    W fidelity (None when it heralds nothing) and the T1 coincidence
+    distribution (None likewise)."""
+    from wchip.circuit import propagate
+    from wchip.herald import coincidence_distribution, herald, w_fidelity
+
+    state = propagate(source, spec)
+    branches, fidelities, dist = {}, {}, None
+    for branch in Branch:
+        result = herald(state, branch)
+        branches[branch.value] = {
+            "probability": float(result.probability),
+            "residual_weight": float(result.residual_weight),
+        }
+        if result.heralded_state is None:
+            fidelities[branch.value] = None
+        else:
+            fidelities[branch.value] = float(w_fidelity(result.heralded_state, branch))
+            if branch is Branch.T1:
+                dist = coincidence_distribution(result.heralded_state)
+    return branches, fidelities, dist
 
 
 def eager_sweep_rows(spec):

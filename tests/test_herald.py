@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from wchip.circuit import (
@@ -23,6 +23,7 @@ from wchip.circuit import (
     canonical_w_circuit,
     propagate,
 )
+from wchip.cli import _herald_summary
 from wchip.elements import AddDropFilter, DirectionalCoupler, SourceSpec, two_pair_state
 from wchip.errors import EmptyState, NotNormalized, ParamOutOfRange
 from wchip.fock import Color, FockBasisState, ModeLabel, PureState, apply_mode_transform, inner_product
@@ -38,7 +39,7 @@ from wchip.herald import (
     w_state,
 )
 
-from oracles import herald_prefactor, per_term_dict_herald, rho_b_matrix
+from oracles import herald_prefactor, per_term_dict_herald, rho_b_matrix, sparse_herald_summary
 
 OPT = (0.5, 1 / math.sqrt(3), 1 / math.sqrt(2))
 
@@ -295,12 +296,12 @@ def _herald_numbers(state):
 
 
 @st.composite
-def _devices(draw):
+def _devices(draw, reflectivity=_UNIT):
     """A phased canonical circuit with extinction and its source channel, or
     a circuit-file mesh on the canonical registry with the source on any
-    channel."""
+    channel; coupler reflectivities are drawn from `reflectivity`."""
     if draw(st.booleans()):
-        r = draw(st.tuples(_UNIT, _UNIT, _UNIT))
+        r = draw(st.tuples(reflectivity, reflectivity, reflectivity))
         phi = draw(st.tuples(_PHI, _PHI, _PHI))
         return canonical_w_circuit(*r, *phi, ad2_extinction=draw(_UNIT)), SOURCE_CHANNEL
     n = len(CANONICAL_CHANNELS)
@@ -309,7 +310,9 @@ def _devices(draw):
     for _ in range(draw(st.integers(1, 8))):
         if draw(st.booleans()):
             pair = draw(st.lists(channel, min_size=2, max_size=2, unique=True))
-            elements.append(DirectionalCoupler.from_reflectivity(pair, draw(_UNIT), draw(_PHI)))
+            elements.append(
+                DirectionalCoupler.from_reflectivity(pair, draw(reflectivity), draw(_PHI))
+            )
         else:
             chans = draw(st.lists(channel, min_size=3, max_size=3, unique=True))
             elements.append(AddDropFilter(*chans, draw(st.sampled_from(Color)), draw(_UNIT)))
@@ -364,3 +367,56 @@ class TestBetaIndependence:
     def test_no_double_pair_heralds_nothing(self, source):
         res = herald(propagate(source, canonical_w_circuit(*OPT)), Branch.T1)
         assert (res.probability, res.heralded_state, res.residual_weight) == (0.0, None, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# simulate and herald on the source rows
+# ---------------------------------------------------------------------------
+
+#: As _UNIT, and log-uniform down to 1e-74, where a heralding amplitude, a
+#: branch weight or a probability can leave the normal floats.
+_DEEP_UNIT = st.one_of(_UNIT, st.floats(math.log(1e-74), 0.0).map(math.exp))
+
+
+def _assert_close(value, reference, resolved=True):
+    """Both numbers within 1e-12, or both None.  Where the branch
+    probability is not `resolved` (below the normal floats, on both
+    engines), rounding decides whether it is 0 and the branch heralds
+    nothing (None), so one side may be None and the other a number."""
+    if value is None or reference is None:
+        assert (value is None) == (reference is None) or not resolved, (value, reference)
+    else:
+        assert abs(value - reference) <= 1e-12, (value, reference)
+
+
+#: Reflectivities where P_T1 is about 1.5e-323: the sparse chain rounds it
+#: to 0 and heralds nothing, the rows keep it and herald the W state.
+_SUBNORMAL_HERALD = (canonical_w_circuit(*[10**-54.01] * 3), SOURCE_CHANNEL)
+
+
+class TestRowsMatchSparse:
+    """``simulate`` and ``herald`` read both branches from the source rows
+    (``cli._herald_summary``); they must give the numbers of the sparse
+    chain they replaced (``oracles.sparse_herald_summary``) within 1e-12."""
+
+    @settings(max_examples=200)
+    @given(_devices(_DEEP_UNIT), st.floats(math.log(1e-12), math.log(0.5)), _PHI)
+    @example(_SUBNORMAL_HERALD, math.log(0.1), 0.0)
+    def test_matches_the_sparse_chain(self, device, log_beta, phase):
+        spec, channel = device
+        source = SourceSpec(channel, cmath.rect(math.exp(log_beta), phase))
+        branches, fidelities, dist = _herald_summary(spec, source)
+        ref_branches, ref_fidelities, ref_dist = sparse_herald_summary(spec, source)
+        for name in ("T1", "T2"):
+            for key in ("probability", "residual_weight"):
+                _assert_close(branches[name][key], ref_branches[name][key])
+            probabilities = (branches[name]["probability"], ref_branches[name]["probability"])
+            resolved = max(probabilities) >= sys.float_info.min
+            _assert_close(fidelities[name], ref_fidelities[name], resolved)
+            if name == "T1":
+                for pattern in COLOR_PATTERNS:
+                    _assert_close(
+                        None if dist is None else dist[pattern],
+                        None if ref_dist is None else ref_dist[pattern],
+                        resolved,
+                    )

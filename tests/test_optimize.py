@@ -486,6 +486,21 @@ def _sweep_specs(draw):
     )
 
 
+def _scale_an_entry(monkeypatch, k):
+    """Make the row engine wrong where the sweep writes from it: entry `k`
+    of each slab's source rows (4 is ch 3, 1 the Blue T1 leak) scaled by
+    1.001 when the rows are arrays, left as is on Python floats."""
+    source_amplitudes = wchip.optimize._source_amplitudes
+
+    def scaled(*args):
+        rows = source_amplitudes(*args)
+        if np.ndim(rows[k]) == 0:
+            return rows
+        return (*rows[:k], rows[k] * 1.001, *rows[k + 1 :])
+
+    monkeypatch.setattr(wchip.optimize, "_source_amplitudes", scaled)
+
+
 class TestSweepEngine:
     """The row engine against the per-cell Fock loop it replaced, and the
     one-cell check against the Fock engine that every sweep runs."""
@@ -502,17 +517,48 @@ class TestSweepEngine:
 
     @pytest.mark.parametrize("metric", ["herald_probability", "w_fidelity"])
     def test_a_wrong_row_engine_raises(self, monkeypatch, metric):
-        source_amplitudes = wchip.optimize._source_amplitudes
-
-        def scaled(*args):
-            rows = source_amplitudes(*args)
-            return (*rows[:4], rows[4] * 1.001, rows[5])  # the ch 3 entry
-
-        monkeypatch.setattr(wchip.optimize, "_source_amplitudes", scaled)
+        _scale_an_entry(monkeypatch, 4)
         spec = SweepSpec(r1=(0.5,), r2=(0.6,), r3=(0.7,), ad2_extinction=(0.1,), metric=metric)
         with pytest.raises(RuntimeError) as info:
             sweep(spec)
         assert not isinstance(info.value, WchipError)
+
+    @pytest.mark.parametrize("metric", ["herald_probability", "w_fidelity"])
+    @pytest.mark.parametrize(
+        "entry, r2, extinction",
+        [(4, (0.0, 0.6), (0.1,)), (4, (-0.0, 1.0, 0.6), (0.1,)), (1, (0.6,), (0.0, 0.1))],
+        ids=["ch3-one-face", "ch3-two-faces", "leak-at-zero-extinction"],
+    )
+    def test_a_wrong_row_engine_raises_on_a_grid_that_starts_on_a_face(
+        self, monkeypatch, metric, entry, r2, extinction
+    ):
+        # Every amplitude is 0 on a face of the cube, and the Blue T1 ones
+        # at zero extinction, where the mutant is right, so the checked
+        # cell must be the first one inside the cube and off zero extinction.
+        _scale_an_entry(monkeypatch, entry)
+        spec = SweepSpec(r1=(0.5,), r2=r2, r3=(0.7,), ad2_extinction=extinction, metric=metric)
+        with pytest.raises(RuntimeError, match=r"at cell \(0\.5, 0\.6, 0\.7, 0\.1\)"):
+            sweep(spec)
+
+    def test_the_checked_cell_is_read_from_its_own_slab(self, monkeypatch):
+        # One r1 plane per slab: the first cell inside lies in the third slab.
+        monkeypatch.setattr(wchip.optimize, "_SCAN_SLAB_CELLS", 1)
+        _scale_an_entry(monkeypatch, 4)
+        spec = SweepSpec(r1=(0.0, 1.0, 0.5, 0.4), r2=(0.6,), r3=(0.7,), ad2_extinction=(0.1,))
+        with pytest.raises(RuntimeError, match=r"at cell \(0\.5, 0\.6, 0\.7, 0\.1\)"):
+            sweep(spec)
+
+    def test_a_grid_with_no_cell_inside_is_checked_at_its_first_cell(self, monkeypatch):
+        checked = []
+        fock_state = wchip.optimize.apply_mode_transform
+
+        def spy(state, transform):
+            checked.append(transform)
+            return fock_state(state, transform)
+
+        monkeypatch.setattr(wchip.optimize, "apply_mode_transform", spy)
+        table = sweep(SweepSpec(r1=(0.0, 1.0), r2=(0.5,), r3=(0.7,)))
+        assert table.values.tolist() == [0.0, 0.0] and len(checked) == 1
 
 
 def _bits(rows):
