@@ -50,7 +50,9 @@ class HeraldResult:
 
     ``probability`` is conditioned on the double-pair emission (the
     four-photon sector).  ``heralded_state`` is the normalized signal-channel
-    state, or None when the probability is zero.  ``residual_weight`` is the
+    state, or None when the branch heralds nothing: no heralding amplitude
+    is nonzero.  A probability below the subnormal floats rounds to 0.0
+    while the state is still given.  ``residual_weight`` is the
     magnitude of the four-photon remainder that feeds neither branch; it is
     reported for bookkeeping and never asserted numerically.
     """
@@ -91,11 +93,12 @@ def w_state(branch: Branch) -> PureState:
 _W_STATES = {branch: w_state(branch) for branch in Branch}
 
 
-def _scaled(terms: list) -> list:
-    """`terms` times the power of two that brings their largest part into
-    [0.5, 1): no ratio moves, and a weight below the normal floats is lifted."""
+def _scaled(terms: list) -> tuple[list, int]:
+    """`terms` times the power of two ``2**m`` that brings their largest
+    part into [0.5, 1), and `m`: no ratio moves, and a weight below the
+    normal floats is lifted."""
     m = -max(math.frexp(max(abs(a.real), abs(a.imag)))[1] for _, a in terms)
-    return [(b, complex(math.ldexp(a.real, m), math.ldexp(a.imag, m))) for b, a in terms]
+    return [(b, complex(math.ldexp(a.real, m), math.ldexp(a.imag, m))) for b, a in terms], m
 
 
 def herald(state: PureState, branch: Branch) -> HeraldResult:
@@ -143,7 +146,7 @@ def herald(state: PureState, branch: Branch) -> HeraldResult:
     if four_sq < tiny or (branch_terms[branch] and branch_sq[branch] < tiny and four_sq < 0.25):
         four = [(b, a) for b, a in state.items() if sum(n for _, n in b) == 4]
         if four_sq >= tiny:  # only the branch weight underflows
-            return herald(PureState(_scaled(four)), branch)
+            return herald(PureState(_scaled(four)[0]), branch)
         if four:
             raise ParamOutOfRange(f"four-photon weight {four_sq!r} underflows (|beta| too small)")
         return HeraldResult(0.0, None, 0.0)
@@ -157,11 +160,14 @@ def _conditioned(terms: list, branch_sq: dict, four_sq: float, branch: Branch) -
     p_t1 = branch_sq[Branch.T1] / four_sq
     p_t2 = branch_sq[Branch.T2] / four_sq
     residual = math.sqrt(max(0.0, 1.0 - p_t1 - p_t2))
-    prob = p_t1 if branch is Branch.T1 else p_t2
-    if prob <= 0.0:
+    if not terms:  # no heralding amplitude is nonzero
         return HeraldResult(0.0, None, residual)
-    terms = _scaled(terms)
-    scale = 1.0 / math.sqrt(sum(a.real * a.real + a.imag * a.imag for _, a in terms))
+    prob = p_t1 if branch is Branch.T1 else p_t2
+    terms, m = _scaled(terms)
+    weight = sum(a.real * a.real + a.imag * a.imag for _, a in terms)
+    if prob < sys.float_info.min:  # the squares underflowed: take the lifted ones
+        prob = math.ldexp(weight / four_sq, -2 * m)
+    scale = 1.0 / math.sqrt(weight)
     return HeraldResult(prob, PureState({b: a * scale for b, a in terms}), residual)
 
 

@@ -34,6 +34,7 @@ transfer matrix (timeit, 2-core Xeon, Python 3.11).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -59,7 +60,7 @@ from .herald import Branch, herald, heralding_amplitude
 #: into three single-variable terms each with one interior maximum, so a
 #: 0.04 scan already brackets the basin.  At 0.04 over the default bounds
 #: the scan is three engine calls of about 0.5 ms together, and the whole
-#: ``maximize`` takes about 2.2 ms, 1 ms of it the ~140 Nelder-Mead steps.
+#: ``maximize`` takes about 2.0 ms, 0.5 ms of it the ~140 Nelder-Mead steps.
 GRID_STEP = 0.04
 
 #: Default coarse-grid bounds; the objective is identically zero whenever
@@ -189,11 +190,11 @@ _SIGNAL_SPLITS = tuple(
 )
 
 
-def _trial(xbar: list, worst: list, a: float, b: float) -> list:
-    """The trial point ``a xbar - b worst`` of a Nelder-Mead step, clipped
-    to the unit cube as ``np.clip`` does it."""
-    point = (a * c - b * w for c, w in zip(xbar, worst))
-    return [1.0 if x > 1.0 else (x if x > 0.0 else 0.0) for x in point]
+def _trial(pairs: list, a: float, b: float) -> list:
+    """The trial point ``a xbar - b worst`` of a Nelder-Mead step, from the
+    ``(xbar, worst)`` coordinate pairs, clipped to the unit cube as
+    ``np.clip`` does it."""
+    return [1.0 if (x := a * c - b * w) > 1.0 else (x if x > 0.0 else 0.0) for c, w in pairs]
 
 
 def minimize(fun, simplex, *, xatol: float, fatol: float, maxiter: int) -> tuple[float, ...]:
@@ -207,9 +208,20 @@ def minimize(fun, simplex, *, xatol: float, fatol: float, maxiter: int) -> tuple
     1)] * n, options={"initial_simplex": simplex, "xatol": xatol, "fatol":
     fatol, "maxiter": maxiter})``, so it visits the same points bit for bit
     and evaluates `fun` (on a list of floats) as often.  Every trial point is
-    clipped to the cube.  The search stops once the vertices lie within
-    `xatol` of the best one in every coordinate and their values within
-    `fatol` of its value, or after `maxiter` iterations.
+    clipped to the cube.  The search stops once the vertices' values lie
+    within `fatol` of the best one and their coordinates within `xatol` of
+    its coordinates, or after `maxiter` iterations.
+
+    scipy sorts the simplex by value after every step.  Here it stays
+    sorted instead: a step other than a shrink replaces only the worst
+    vertex and leaves the others in order, so a stable sort would put the
+    new vertex after every vertex of lower or equal value, which is where
+    ``bisect.bisect_right`` inserts it.  On distinct values every sort,
+    scipy's argsort too, gives that order; on ties this port keeps the
+    stable one.  A shrink moves every vertex but the best and is followed
+    by a full stable sort.  On sorted values the `fatol` test is the
+    spread ``fsim[-1] - fsim[0]``.  Sorting needs a total order, so `fun`
+    must not return NaN.
     """
     # scipy first reflects the vertices past an upper bound back inside and
     # clips them.  That never fires on the simplex of maximize, whose
@@ -220,48 +232,49 @@ def minimize(fun, simplex, *, xatol: float, fatol: float, maxiter: int) -> tuple
     n = len(sim) - 1
 
     def by_value() -> None:
-        # stable; scipy's argsort gives the same order on distinct values
-        order = sorted(range(n + 1), key=fsim.__getitem__)
+        order = sorted(range(n + 1), key=fsim.__getitem__)  # stable
         sim[:] = [sim[i] for i in order]
         fsim[:] = [fsim[i] for i in order]
 
     by_value()
-    iterations = 1
-    while iterations < maxiter:
-        best, fbest = sim[0], fsim[0]
-        if (
-            max(abs(c - b) for vertex in sim[1:] for c, b in zip(vertex, best)) <= xatol
-            and max(abs(fbest - f) for f in fsim[1:]) <= fatol
+    for _ in range(1, maxiter):
+        best = sim[0]
+        if fsim[-1] - fsim[0] <= fatol and all(
+            abs(c - b) <= xatol for vertex in sim[1:] for c, b in zip(vertex, best)
         ):
             break
-        xbar = [_total(column) / n for column in zip(*sim[:-1])]
-        worst = sim[-1]
-        xr = _trial(xbar, worst, 2.0, 1.0)
+        total = best
+        for vertex in sim[1:-1]:  # the centroid, summed left to right
+            total = map(operator.add, total, vertex)
+        pairs = [(s / n, w) for s, w in zip(total, sim[-1])]
+        xr = _trial(pairs, 2.0, 1.0)
         fxr = fun(xr)
-        if fxr < fbest:
-            xe = _trial(xbar, worst, 3.0, 2.0)
+        if fxr < fsim[0]:
+            xe = _trial(pairs, 3.0, 2.0)
             fxe = fun(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            x, fx = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+            x, fx = xr, fxr
         else:
             if fxr < fsim[-1]:  # outside contraction
-                xc = _trial(xbar, worst, 1.5, 0.5)
-                fxc = fun(xc)
-                accepted = fxc <= fxr
+                x = _trial(pairs, 1.5, 0.5)
+                fx = fun(x)
+                accepted = fx <= fxr
             else:  # inside contraction
-                xc = _trial(xbar, worst, 0.5, -0.5)
-                fxc = fun(xc)
-                accepted = fxc < fsim[-1]
-            if accepted:
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink towards the best vertex; scipy's clip of the
-                # result never fires, as it lies between two vertices in the cube
+                x = _trial(pairs, 0.5, -0.5)
+                fx = fun(x)
+                accepted = fx < fsim[-1]
+            if not accepted:  # shrink towards the best vertex; scipy's clip
+                # of the result never fires, as it lies between two vertices
                 for j in range(1, n + 1):
                     sim[j] = [b + 0.5 * (c - b) for c, b in zip(sim[j], best)]
                     fsim[j] = fun(sim[j])
-        iterations += 1
-        by_value()
+                by_value()
+                continue
+        del sim[-1], fsim[-1]
+        at = bisect.bisect_right(fsim, fx)
+        sim.insert(at, x)
+        fsim.insert(at, fx)
     return tuple(sim[0])
 
 

@@ -424,10 +424,11 @@ def per_term_dict_herald(state, branch, signal_channels=(2, 3, 4), t1_channel=5,
         branch_terms[slot][stripped] = amp
         branch_sq[slot] += p
     # the underflow rules of herald: a named error for the sector's weight,
-    # power-of-two rescales for the branch's
+    # power-of-two rescales for the branch's, and a branch that heralds
+    # nothing only when it has no term
     def scaled(terms):
         m = -max(math.frexp(max(abs(a.real), abs(a.imag)))[1] for _, a in terms)
-        return [(b, complex(math.ldexp(a.real, m), math.ldexp(a.imag, m))) for b, a in terms]
+        return [(b, complex(math.ldexp(a.real, m), math.ldexp(a.imag, m))) for b, a in terms], m
 
     four = [(b, a) for b, a in state.items() if sum(n for _, n in b) == 4]
     if four_sq < sys.float_info.min:
@@ -436,16 +437,19 @@ def per_term_dict_herald(state, branch, signal_channels=(2, 3, 4), t1_channel=5,
         return HeraldResult(0.0, None, 0.0)
     if branch_sq[branch] < sys.float_info.min and branch_terms[branch] and four_sq < 0.25:
         return per_term_dict_herald(
-            PureState(scaled(four)), branch, signal_channels, t1_channel, t2_channel
+            PureState(scaled(four)[0]), branch, signal_channels, t1_channel, t2_channel
         )
     p_t1 = branch_sq[Branch.T1] / four_sq
     p_t2 = branch_sq[Branch.T2] / four_sq
     residual = math.sqrt(max(0.0, 1.0 - p_t1 - p_t2))
     prob = p_t1 if branch is Branch.T1 else p_t2
-    if prob <= 0.0:
+    if not branch_terms[branch]:
         return HeraldResult(0.0, None, residual)
-    terms = scaled(list(branch_terms[branch].items()))
-    scale = 1.0 / math.sqrt(sum(a.real * a.real + a.imag * a.imag for _, a in terms))
+    terms, m = scaled(list(branch_terms[branch].items()))
+    weight = sum(a.real * a.real + a.imag * a.imag for _, a in terms)
+    if prob < sys.float_info.min:
+        prob = math.ldexp(weight / four_sq, -2 * m)
+    scale = 1.0 / math.sqrt(weight)
     heralded = PureState({b: a * scale for b, a in terms})
     return HeraldResult(prob, heralded, residual)
 
@@ -665,6 +669,67 @@ def scipy_maximize(tol=1e-4, *, grid_step=0.04, grid_bounds=(0.1, 0.9)):
         candidate = best
         value = herald_objective(*best)
     return (candidate[0], candidate[1], candidate[2], value)
+
+
+def sorted_minimize(fun, simplex, *, xatol, fatol, maxiter):
+    """``wchip.optimize.minimize`` before its bookkeeping was rewritten: the
+    simplex is re-sorted (stably) after every step, both stopping tests scan
+    every vertex, each centroid column is a ``functools.reduce`` and each
+    trial point a generator.  The new version visits the same points with
+    the same arithmetic, so the two agree bit for bit."""
+    import functools
+    import operator
+
+    def trial(xbar, worst, a, b):
+        point = (a * c - b * w for c, w in zip(xbar, worst))
+        return [1.0 if x > 1.0 else (x if x > 0.0 else 0.0) for x in point]
+
+    sim = [[float(c) for c in vertex] for vertex in simplex]
+    fsim = [fun(vertex) for vertex in sim]
+    n = len(sim) - 1
+
+    def by_value():
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        sim[:] = [sim[i] for i in order]
+        fsim[:] = [fsim[i] for i in order]
+
+    by_value()
+    iterations = 1
+    while iterations < maxiter:
+        best, fbest = sim[0], fsim[0]
+        if (
+            max(abs(c - b) for vertex in sim[1:] for c, b in zip(vertex, best)) <= xatol
+            and max(abs(fbest - f) for f in fsim[1:]) <= fatol
+        ):
+            break
+        xbar = [functools.reduce(operator.add, column) / n for column in zip(*sim[:-1])]
+        worst = sim[-1]
+        xr = trial(xbar, worst, 2.0, 1.0)
+        fxr = fun(xr)
+        if fxr < fbest:
+            xe = trial(xbar, worst, 3.0, 2.0)
+            fxe = fun(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = trial(xbar, worst, 1.5, 0.5)
+                fxc = fun(xc)
+                accepted = fxc <= fxr
+            else:
+                xc = trial(xbar, worst, 0.5, -0.5)
+                fxc = fun(xc)
+                accepted = fxc < fsim[-1]
+            if accepted:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = [b + 0.5 * (c - b) for c, b in zip(sim[j], best)]
+                    fsim[j] = fun(sim[j])
+        iterations += 1
+        by_value()
+    return tuple(sim[0])
 
 
 def pair_rho_run_tomography(source, shots=None, seed=0, *, diag_threshold=0.02):

@@ -84,6 +84,16 @@ class TestSmallBeta:
         code = main([command, "--config", cfg, *flags])
         return code, capsys.readouterr()
 
+    def test_tomo_of_a_subnormal_herald_probability(self, tmp_path, capsys):
+        # P_T1 is about 1e-323, yet the heralded state is the W state
+        tiny = {name: 10**-54.01 for name in OPT}
+        flags = ("--shots", "4000", "--seed", "1")
+        code, captured = self._run(tmp_path, capsys, "tomo", 0.1, *flags, canonical=tiny)
+        assert code == 0, captured.err
+        doc = json.loads(captured.out)
+        for name in ("a", "b", "c"):
+            assert doc["coefficients"][name]["re"] == pytest.approx(1 / 3, abs=0.05)
+
     @pytest.mark.parametrize("command", ["simulate", "herald"])
     def test_json_matches_beta_of_one_tenth(self, tmp_path, capsys, command):
         docs = []

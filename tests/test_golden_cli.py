@@ -51,6 +51,7 @@ CASES = (
     ("tomo-thresholds", "tomo", "tomo_thresholds.json", ()),
     ("optimize-default", "optimize", None, ()),
     ("optimize-small", "optimize", "optimize_small.json", ()),
+    ("optimize-tight", "optimize", "optimize_tight.json", ()),
     ("sweep-herald", "sweep", "sweep_herald.json", ()),
     ("sweep-fidelity", "sweep", "sweep_fidelity.json", ()),
 )

@@ -22,6 +22,7 @@ from wchip.circuit import (
     build_transform,
     canonical_w_circuit,
     propagate,
+    transfer_rows,
 )
 from wchip.cli import _herald_summary
 from wchip.elements import AddDropFilter, DirectionalCoupler, SourceSpec, two_pair_state
@@ -33,6 +34,7 @@ from wchip.herald import (
     coincidence_distribution,
     coincidence_distribution_rho,
     herald,
+    herald_rows,
     rho_biseparable,
     rho_incoherent,
     w_fidelity,
@@ -389,8 +391,9 @@ def _assert_close(value, reference, resolved=True):
         assert abs(value - reference) <= 1e-12, (value, reference)
 
 
-#: Reflectivities where P_T1 is about 1.5e-323: the sparse chain rounds it
-#: to 0 and heralds nothing, the rows keep it and herald the W state.
+#: Reflectivities where P_T1 is about 1e-323: each squared heralding
+#: amplitude rounds to a subnormal, or to 0 on the sparse chain, whose
+#: amplitudes carry beta**2, yet both engines herald the W state.
 _SUBNORMAL_HERALD = (canonical_w_circuit(*[10**-54.01] * 3), SOURCE_CHANNEL)
 
 
@@ -398,6 +401,20 @@ class TestRowsMatchSparse:
     """``simulate`` and ``herald`` read both branches from the source rows
     (``cli._herald_summary``); they must give the numbers of the sparse
     chain they replaced (``oracles.sparse_herald_summary``) within 1e-12."""
+
+    def test_a_subnormal_probability_still_heralds_the_w_state(self):
+        # a branch heralds nothing only when no heralding amplitude is
+        # nonzero, never because its probability rounds to 0
+        spec, channel = _SUBNORMAL_HERALD
+        source = SourceSpec(channel, 0.1)
+        rows = herald_rows(transfer_rows(spec, channel), source)
+        state = propagate(source, spec)
+        for branch in Branch:
+            res = herald(state, branch)
+            assert 0.0 < res.probability < sys.float_info.min
+            assert res.probability == rows[branch].probability
+            assert res.heralded_state is not None
+            assert w_fidelity(res.heralded_state, branch) == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=200)
     @given(_devices(_DEEP_UNIT), st.floats(math.log(1e-12), math.log(0.5)), _PHI)

@@ -31,6 +31,7 @@ from oracles import (
     herald_prefactor,
     per_cell_sweep,
     scipy_maximize,
+    sorted_minimize,
     sweep_csv,
     split_w_fidelity_colorblind,
     w_fidelity_colorblind,
@@ -367,9 +368,9 @@ class TestNelderMeadPort:
         trials = []
         trial = wchip.optimize._trial
 
-        def counted(xbar, worst, a, b):
+        def counted(pairs, a, b):
             trials.append((a, b))
-            return trial(xbar, worst, a, b)
+            return trial(pairs, a, b)
 
         monkeypatch.setattr(wchip.optimize, "_trial", counted)
         # from a corner of the cube, where clipped trial points force shrinks
@@ -400,6 +401,71 @@ class TestNelderMeadPort:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+def _negated_herald(x):
+    """The objective ``maximize`` hands to ``minimize``."""
+    return -wchip.optimize._herald_probability(wchip.optimize._source_amplitudes(*x))
+
+
+def _quantised(x):
+    """A bowl at 0.3 per axis cut into steps of 1/8, so most values tie."""
+    return math.floor(8.0 * sum((c - 0.3) ** 2 for c in x)) / 8.0
+
+
+_OBJECTIVES = {"herald": _negated_herald, "rosenbrock": _rosenbrock, "quantised": _quantised}
+
+
+@st.composite
+def _edge_simplices(draw):
+    """Simplices of ``maximize``'s shape, centred on corners, faces and
+    interior points of the cube alike."""
+    coordinate = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    center = draw(st.tuples(*[coordinate] * 3))
+    return wchip.optimize._initial_simplex(center, draw(st.floats(0.01, 0.49)))
+
+
+def _bits_of_run(minimizer, fun, simplex, **options):
+    """The points `minimizer` evaluates `fun` at, in order, and its result,
+    each coordinate as its exact bits."""
+    points = []
+
+    def recorded(x):
+        points.append(tuple(map(float.hex, x)))
+        return fun(x)
+
+    result = minimizer(recorded, simplex, **options)
+    return points, tuple(map(float.hex, result))
+
+
+class TestSortedInsertion:
+    """``minimize`` keeps the simplex sorted by inserting each new vertex;
+    the version that re-sorted it after every step (``sorted_minimize`` in
+    oracles.py) must visit the same points and return the same vertex bit
+    for bit.  Ties are included: the quantised objective gives many, where
+    only the stable order is a reference and scipy's argsort is not."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_edge_simplices(), st.sampled_from(sorted(_OBJECTIVES)), _TOL, st.integers(1, 400))
+    def test_visits_the_points_of_the_resorting_version(self, simplex, name, xatol, maxiter):
+        options = {"xatol": xatol, "fatol": 1e-14, "maxiter": maxiter}
+        fun = _OBJECTIVES[name]
+        expected = _bits_of_run(sorted_minimize, fun, simplex, **options)
+        assert _bits_of_run(wchip.optimize.minimize, fun, simplex, **options) == expected
+
+    @settings(max_examples=12, deadline=None)
+    @given(_edge_simplices(), st.sampled_from(sorted(_OBJECTIVES)))
+    def test_every_maxiter_up_to_the_natural_stop(self, simplex, name):
+        # a run cut by maxiter ends after any kind of step, a shrink too
+        fun = _OBJECTIVES[name]
+        natural = _bits_of_run(sorted_minimize, fun, simplex, xatol=1e-4, fatol=1e-14, maxiter=200)
+        for maxiter in range(1, 201):
+            options = {"xatol": 1e-4, "fatol": 1e-14, "maxiter": maxiter}
+            run = _bits_of_run(wchip.optimize.minimize, fun, simplex, **options)
+            assert run == _bits_of_run(sorted_minimize, fun, simplex, **options)
+            if run == natural:
+                break
+        assert run == natural
 
 
 class TestSweep:
