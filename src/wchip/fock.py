@@ -21,11 +21,11 @@ permanent with repeated rows; Scheel, quant-ph/0406127) over integer keys
 with one fixed-width occupation field per output mode, and reuses each
 output basis state with its sqrt(m!) factor from a bounded table per mode
 list, so the per-photon step is one integer addition and one dict update.
-A term may hold at most ``MAX_PHOTONS`` photons.  A transform's sparse rows
-are built on first use and only for the input modes a state occupies (two of
-fourteen for the canonical source), and the kernel hands its finished
-amplitude map to a trusted :class:`PureState` constructor that drops its
-exact zeros in place instead of converting and re-inserting every term.
+A term may hold at most ``MAX_PHOTONS`` photons.  Each call builds the
+sparse rows of only the input modes its state occupies (two of fourteen for
+the canonical source), and hands its finished amplitude map to a trusted
+:class:`PureState` constructor that drops its exact zeros in place instead
+of converting and re-inserting every term.
 """
 
 from __future__ import annotations
@@ -318,22 +318,6 @@ class ModeTransform:
     def _mode_pos(self) -> dict[ModeLabel, int]:
         return {m: i for i, m in enumerate(self.modes)}
 
-    @cached_property
-    def _sparse_rows(self) -> list[tuple[tuple[int, complex], ...] | None]:
-        """Per input mode, the row :meth:`_sparse_row` built, or ``None``."""
-        return [None] * len(self.modes)
-
-    def _sparse_row(self, i: int) -> tuple[tuple[int, complex], ...]:
-        """``(key step, entry)`` for each nonzero entry of row ``i``, where
-        the key step ``1 << _FIELD_BITS * j`` adds one photon to output mode
-        ``j`` of an expansion key; built on first use."""
-        row = self._sparse_rows[i]
-        if row is None:
-            row = self._sparse_rows[i] = tuple(
-                (1 << _FIELD_BITS * j, u) for j, u in enumerate(self.matrix[i].tolist()) if u
-            )
-        return row
-
 
 @lru_cache(maxsize=_OUTPUT_TABLES)
 def _output_table(modes: tuple[ModeLabel, ...]) -> dict[int, tuple[FockBasisState, float]]:
@@ -368,21 +352,24 @@ def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureStat
     The polynomial is keyed by an integer holding one fixed-width occupation
     field per output mode, so adding a photon to mode ``j`` is one integer
     addition; each output key is decoded into its basis state and factor
-    once per mode list and then looked up (a bounded table).  Only the rows
-    of occupied input modes are built.  The norm is preserved; output
-    amplitudes that cancel to exactly zero are dropped.
+    once per mode list and then looked up (a bounded table).  Each call
+    builds the rows of the input modes it meets.  The norm is preserved;
+    output amplitudes that cancel to exactly zero are dropped.
 
     Raises :class:`UnknownMode` when the state occupies a mode the transform
     does not list, and :class:`TooManyPhotons` for a term with more than
     :data:`MAX_PHOTONS` photons.
     """
     mode_pos = transform._mode_pos
-    sparse_row = transform._sparse_row
+    matrix = transform.matrix
     modes = transform.modes
     outputs = _output_table(modes)
     if len(outputs) > _OUTPUT_TABLE_SIZE:
         outputs.clear()
     sqf = _SQRT_FACT
+    # per input mode met: (key step adding a photon to output mode j, entry)
+    # for each nonzero entry j of its row
+    rows: dict[ModeLabel, tuple[tuple[int, complex], ...]] = {}
     out: dict[FockBasisState, complex] = {}
     for basis, amp in state._terms.items():
         if not basis:
@@ -392,15 +379,20 @@ def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureStat
         photons = 0
         denom = 1.0
         for mode, count in basis:
-            i = mode_pos.get(mode)
-            if i is None:
-                raise UnknownMode(f"state occupies mode {mode} absent from transform")
+            row = rows.get(mode)
+            if row is None:
+                i = mode_pos.get(mode)
+                if i is None:
+                    raise UnknownMode(f"state occupies mode {mode} absent from transform")
+                row = rows[mode] = tuple(
+                    (1 << _FIELD_BITS * j, u) for j, u in enumerate(matrix[i].tolist()) if u
+                )
             photons += count
             if photons > MAX_PHOTONS:
                 raise TooManyPhotons(
                     f"term {basis!r} holds more than {MAX_PHOTONS} photons"
                 )
-            row_list.append((sparse_row(i), count))
+            row_list.append((row, count))
             denom *= sqf[count]
         poly: dict[int, complex] = {0: amp / denom}
         for row, count in row_list:

@@ -8,7 +8,9 @@ blue and one red photon; the T2 event gives the color-flipped partner.
 
 :func:`herald` conditions a propagated sparse state; :func:`herald_rows`
 gives both branches of the same state from the source channel's transfer
-rows alone, as every heralding term comes from the double pair.
+rows alone, as every heralding term comes from the double pair.  Both
+engines, the reference :func:`w_state` and ``optimize``'s T1 amplitudes
+read the heralding terms from one table, :func:`heralding_terms`.
 
 ``rho_incoherent`` and ``rho_biseparable`` build the two mixed states whose
 threefold counting statistics are identical to the W state's — they are the
@@ -17,6 +19,7 @@ reason counting alone cannot certify the entanglement, and tomography can.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -29,7 +32,7 @@ from .circuit import SIGNAL_CHANNELS, T1_CHANNEL, T2_CHANNEL, check_double_pair
 from .density import BASIS_THREE, ThreePhotonRho
 from .elements import SourceSpec
 from .errors import EmptyState, NotNormalized, ParamOutOfRange
-from .fock import Color, FockBasisState, PureState, basis_from_pattern, color_pattern, inner_product
+from .fock import Color, FockBasisState, ModeLabel, PureState, color_pattern, inner_product
 
 _NORM_TOL = 1e-9
 
@@ -62,31 +65,54 @@ class HeraldResult:
     residual_weight: float
 
 
-def _herald_term(branch: Branch, channel: int, color: Color):
-    channels = tuple(sorted((*SIGNAL_CHANNELS, channel)))
-    return channels, (branch, channels.index(channel), color)
+@functools.cache
+def heralding_terms(h: int, color: Color) -> tuple:
+    """The terms with a photon of `color` on herald channel h and one photon
+    on each signal channel, one per signal split ``(s, j, l)`` in
+    :data:`SIGNAL_CHANNELS` order (the color's other photon on s, the other
+    color's pair on j < l): ``((s, j, l), four-photon basis, signal
+    basis)``.  Each has amplitude ``beta**2`` times
+    :func:`heralding_amplitude` of ``(u_h, u_s, v_j, v_l)``."""
+    other = Color(1 - color)
+    terms = []
+    for s in SIGNAL_CHANNELS:
+        j, l = (ch for ch in SIGNAL_CHANNELS if ch != s)
+        photons = ((s, color), (j, other), (l, other))
+        signal = FockBasisState((ModeLabel(*photon), 1) for photon in photons)
+        terms.append(((s, j, l), FockBasisState((*signal, (ModeLabel(h, color), 1))), signal))
+    return tuple(terms)
 
 
-#: The heralding terms: channels of the four single photons in basis
-#: (channel-major) order -> (branch, position of the herald photon among
-#: them, its color).  A four-photon term heralds the branch when its photons
-#: sit one per channel on a key of this table and the herald photon has
-#: that color.
-HERALD_TERMS = dict(
-    (_herald_term(Branch.T1, T1_CHANNEL, Color.RED), _herald_term(Branch.T2, T2_CHANNEL, Color.BLUE))
-)
+#: Per branch: the herald photon's color and channel, and its
+#: :func:`heralding_terms` as ``(signal basis, s, j, l)`` sorted by signal
+#: basis, the order in which :func:`apply_mode_transform` emits them, so
+#: both engines give a heralded state its terms in one order.
+_ROW_TERMS = {
+    branch: (color, h, tuple(sorted((b, *split) for split, _, b in heralding_terms(h, color))))
+    for branch, color, h in ((Branch.T1, Color.RED, T1_CHANNEL), (Branch.T2, Color.BLUE, T2_CHANNEL))
+}
 
+#: The heralding terms as :func:`herald` classifies them: channels of the
+#: four single photons in basis (channel-major) order -> (branch, position
+#: of the herald photon among them, its color).  A four-photon term heralds
+#: the branch when its photons sit one per channel on a key of this table
+#: and the herald photon has that color.
+HERALD_TERMS = {
+    channels: (branch, channels.index(h), color)
+    for branch, (color, h, _) in _ROW_TERMS.items()
+    for channels in [tuple(mode.channel for mode, _ in heralding_terms(h, color)[0][1])]
+}
 
-def _w_patterns(branch: Branch) -> tuple[str, ...]:
-    return ("BBR", "BRB", "RBB") if branch is Branch.T1 else ("RRB", "RBR", "BRR")
+#: Channels a transfer row must span for :data:`_ROW_TERMS` to index it.
+_ROW_WIDTH = 1 + max(max(channels) for channels in HERALD_TERMS)
 
 
 def w_state(branch: Branch) -> PureState:
-    """The reference W state of the branch on the signal channels."""
+    """The reference W state of the branch on the signal channels, its
+    terms in the order BBR, BRB, RBB on T1 (RRB, RBR, BRR on T2)."""
+    color, h, _ = _ROW_TERMS[Branch(branch)]
     amp = 1.0 / math.sqrt(3.0)
-    return PureState(
-        {basis_from_pattern(p, SIGNAL_CHANNELS): amp for p in _w_patterns(branch)}
-    )
+    return PureState({signal: amp for _, _, signal in reversed(heralding_terms(h, color))})
 
 
 #: :func:`w_state` of each branch, built once.
@@ -169,34 +195,6 @@ def _conditioned(terms: list, branch_sq: dict, four_sq: float, branch: Branch) -
         prob = math.ldexp(weight / four_sq, -2 * m)
     scale = 1.0 / math.sqrt(weight)
     return HeraldResult(prob, PureState({b: a * scale for b, a in terms}), residual)
-
-
-def _row_terms(channels: tuple[int, ...], k: int, color: Color) -> tuple:
-    """The heralding terms of the :data:`HERALD_TERMS` entry ``channels ->
-    (branch, k, color)`` as ``(signal basis, s, j, l)``: the herald color's
-    other photon on signal channel s, the other color's pair on j and l.
-    They are ordered by their Red channels, as :func:`apply_mode_transform`
-    emits them, so both engines give a heralded state its terms in one order."""
-    signal = channels[:k] + channels[k + 1 :]
-    other = Color(1 - color)
-    terms = []
-    for s in signal:
-        j, l = (ch for ch in signal if ch != s)
-        pattern = "".join(color.letter if ch == s else other.letter for ch in signal)
-        red = sorted((channels[k], s) if color is Color.RED else (j, l))
-        terms.append((red, (basis_from_pattern(pattern, signal), s, j, l)))
-    return tuple(term for _, term in sorted(terms))
-
-
-#: Per branch: the herald photon's color and channel, and the heralding
-#: terms of :func:`_row_terms`.
-_ROW_TERMS = {
-    branch: (color, channels[k], _row_terms(channels, k, color))
-    for channels, (branch, k, color) in HERALD_TERMS.items()
-}
-
-#: Channels a transfer row must span for :data:`_ROW_TERMS` to index it.
-_ROW_WIDTH = 1 + max(max(channels) for channels in HERALD_TERMS)
 
 
 def heralding_amplitude(u_h, u_s, v_j, v_l):

@@ -24,8 +24,9 @@ raises a RuntimeError: ``maximize`` compares the engine's value at the
 chosen point with :func:`herald_objective`'s, and ``sweep`` the amplitudes of
 one cell inside the cube, as its slab computed them, with the propagated
 state's.  The CLI's ``simulate`` and ``herald`` read the general complex
-rows of any circuit (``circuit.transfer_rows``, ``herald.herald_rows``);
-both engines build each heralding amplitude with
+rows of any circuit (``circuit.transfer_rows``, ``herald.herald_rows``).
+Both engines read the heralding terms from one table,
+``herald.heralding_terms``, and build each amplitude with
 ``herald.heralding_amplitude``.  This real-float case of the canonical
 circuit stays separate because it is cheap: an objective call takes about
 1.6 us against about 235 us through the general rows, which build the full
@@ -53,8 +54,8 @@ from .circuit import (
 )
 from .elements import adddrop_block, transmission, two_pair_state
 from .errors import GridTooLarge, ParamOutOfRange, ValidationError
-from .fock import Color, apply_mode_transform, basis_from_pattern
-from .herald import Branch, herald, heralding_amplitude
+from .fock import Color, apply_mode_transform
+from .herald import Branch, herald, heralding_amplitude, heralding_terms
 
 #: Default coarse-grid step of :func:`maximize`.  The objective factorizes
 #: into three single-variable terms each with one interior maximum, so a
@@ -83,18 +84,9 @@ CELL_CAP = 10**6
 _SCAN_SLAB_CELLS = 7 * 21 * 21
 
 
-def _check_unit_interval(r1, r2, r3) -> None:
-    inside = [(val >= 0.0) & (val <= 1.0) for val in (r1, r2, r3)]
-    if np.asarray(inside[0] & inside[1] & inside[2]).all():  # one reduction
-        return
-    for name, val, ok in zip(("r1", "r2", "r3"), (r1, r2, r3), inside):
-        if not np.all(ok):
-            raise ParamOutOfRange(f"{name} must lie in [0, 1], got {val}")
-
-
 def herald_objective(r1: float, r2: float, r3: float) -> float:
-    """P(T1 herald | double pair) of the canonical circuit, from simulation."""
-    _check_unit_interval(float(r1), float(r2), float(r3))
+    """P(T1 herald | double pair) of the canonical circuit, from simulation;
+    an r outside [0, 1] raises :class:`ParamOutOfRange` naming it."""
     spec = canonical_w_circuit(float(r1), float(r2), float(r3))
     state = apply_mode_transform(two_pair_state(SOURCE_CHANNEL), build_transform(spec))
     return herald(state, Branch.T1).probability
@@ -137,23 +129,15 @@ def _total(terms):
     return functools.reduce(operator.add, terms)
 
 
-def herald_objective_batch(r1, r2, r3):
-    """:func:`herald_objective` on broadcast arrays of reflectivities."""
-    # [()] unwraps a 0-d array into a numpy scalar; arrays pass through.
-    r = tuple(np.asarray(v, dtype=float)[()] for v in (r1, r2, r3))
-    _check_unit_interval(*r)
-    return _herald_probability(_source_amplitudes(*r))
-
-
 def _t1_amplitudes(rows, color: Color) -> list:
     """Amplitude of each term with one photon of `color` at T1 and one on
-    each signal channel, per split ``(s, j, k)`` of :data:`_SIGNAL_SPLITS`
-    (:func:`heralding_amplitude`; both colors share the signal entries)."""
-    t1, s2, s3, s4 = rows[color], rows[3], rows[4], rows[5]
+    each signal channel, in the split order of ``heralding_terms(T1_CHANNEL,
+    color)`` (:func:`heralding_amplitude`; both colors share the signal
+    entries)."""
+    signal = dict(zip(SIGNAL_CHANNELS, rows[3:]))
     return [
-        heralding_amplitude(t1, s2, s3, s4),
-        heralding_amplitude(t1, s3, s2, s4),
-        heralding_amplitude(t1, s4, s2, s3),
+        heralding_amplitude(rows[color], signal[s], signal[j], signal[l])
+        for (s, j, l), _, _ in heralding_terms(T1_CHANNEL, color)
     ]
 
 
@@ -182,12 +166,6 @@ def _colorblind_fidelity(rows):
     overlap = _total(red_t1)
     total = _total(amp * amp for amp in red_t1 + _t1_amplitudes(rows, Color.BLUE))
     return np.divide(overlap * overlap / 3.0, total, out=np.zeros_like(total), where=total > 0.0)
-
-
-#: Each signal channel with the two signal channels left beside it.
-_SIGNAL_SPLITS = tuple(
-    (s, *(ch for ch in SIGNAL_CHANNELS if ch != s)) for s in SIGNAL_CHANNELS
-)
 
 
 def _trial(pairs: list, a: float, b: float) -> list:
@@ -296,7 +274,8 @@ def maximize(
     A coarse scan with the given step over ``grid_bounds`` (per axis, from
     ``lo`` to the last point not past ``hi``) feeds the best cell into
     Nelder-Mead refinement (:func:`minimize`) on the unit cube.
-    Both use the row engine of :func:`herald_objective_batch`; the returned
+    Both call the row engine (:func:`_herald_probability` of
+    :func:`_source_amplitudes`) on points inside the cube; the returned
     value is :func:`herald_objective` at the returned point, where the engine
     must agree with it within 1e-12 (else a RuntimeError).  Deterministic:
     ties resolve to the first grid cell in lexicographic order.
@@ -330,16 +309,15 @@ def maximize(
     best_val = -1.0
     best = (axis[0], axis[0], axis[0])
     for start in range(0, len(axis), planes):
-        slab = herald_objective_batch(
-            grid[start : start + planes, np.newaxis, np.newaxis], plane_r2, plane_r3
-        )
+        r1 = grid[start : start + planes, np.newaxis, np.newaxis]
+        slab = _herald_probability(_source_amplitudes(r1, plane_r2, plane_r3))
         i1, i2, i3 = np.unravel_index(np.argmax(slab), slab.shape)
         if slab[i1, i2, i3] > best_val:  # strict: earlier slabs win ties
             best_val = float(slab[i1, i2, i3])
             best = (axis[start + i1], axis[i2], axis[i3])
 
     # Simplex points are lists of floats inside the cube, so the objective
-    # runs on Python floats and skips the checks of the batch entry point.
+    # runs on Python floats, with no range check, as the scan does.
     candidate = minimize(
         lambda x: -_herald_probability(_source_amplitudes(*x)),
         _initial_simplex(best, grid_step),
@@ -481,17 +459,6 @@ def sweep(spec: SweepSpec) -> SweepTable:
     )
 
 
-#: The term of each T1 amplitude of :func:`_t1_amplitudes`, by the color
-#: of the T1 photon, in :data:`_SIGNAL_SPLITS` order.
-_T1_TERMS = {
-    color: tuple(
-        basis_from_pattern(2 * color.letter + 2 * Color(1 - color).letter, (T1_CHANNEL, *split))
-        for split in _SIGNAL_SPLITS
-    )
-    for color in Color
-}
-
-
 def _checked_cell(spec: SweepSpec) -> tuple[int, int, int, int]:
     """Index of the cell :func:`_check_on_fock` checks: on the r1, r2 and r3
     axes the first value inside (0, 1), and on the extinction axis the
@@ -514,8 +481,9 @@ def _check_on_fock(spec: SweepSpec, index: tuple[int, ...], entries) -> None:
     cell = tuple(axis[i] for axis, i in zip(axes, index))
     circuit = canonical_w_circuit(*cell[:3], ad2_extinction=cell[3])
     state = apply_mode_transform(two_pair_state(SOURCE_CHANNEL), build_transform(circuit))
-    for color, terms in _T1_TERMS.items():
-        for basis, engine in zip(terms, _t1_amplitudes(entries, color)):
+    for color in Color:
+        terms = heralding_terms(T1_CHANNEL, color)
+        for (_, basis, _), engine in zip(terms, _t1_amplitudes(entries, color)):
             fock = state.amplitude(basis)
             if not abs(fock - engine) <= 1e-12:
                 raise RuntimeError(

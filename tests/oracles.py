@@ -501,8 +501,9 @@ def uncached_build_transform(spec):
 
 
 def eager_sparse_rows(transform):
-    """``ModeTransform._sparse_rows`` before lazy rows: every row of the
-    matrix at once, as ``(key step, entry)`` pairs for its nonzero entries."""
+    """The kernel's sparse rows before they were built per input mode:
+    every row of the matrix at once, as ``(key step, entry)`` pairs for its
+    nonzero entries."""
     from wchip.fock import _FIELD_BITS
 
     return tuple(

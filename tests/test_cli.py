@@ -697,14 +697,14 @@ class TestGridBounds:
         import wchip.optimize
 
         scanned = []
-        batch = wchip.optimize.herald_objective_batch
+        source_amplitudes = wchip.optimize._source_amplitudes
 
         def recorded(*cell):
             if any(np.ndim(v) for v in cell):  # grid slabs; simplex points are scalars
                 scanned.extend(np.ravel(v) for v in cell)
-            return batch(*cell)
+            return source_amplitudes(*cell)
 
-        monkeypatch.setattr(wchip.optimize, "herald_objective_batch", recorded)
+        monkeypatch.setattr(wchip.optimize, "_source_amplitudes", recorded)
         # 0.2 + 2 * 0.3 = 0.8 lies past 0.7
         cfg = _write(tmp_path, "o.json", {"grid_step": 0.3, "grid_bounds": [0.2, 0.7]})
         assert main(["optimize", "--config", cfg]) == 0

@@ -37,7 +37,6 @@ from wchip.fock import (
 
 from oracles import (
     eager_apply_mode_transform,
-    eager_sparse_rows,
     monomial_amplitudes,
     occupation_amplitudes,
     random_unitary,
@@ -291,9 +290,10 @@ class TestKernelMatchesTupleKeyExpansion:
 
 
 class TestKernelMatchesEagerRows:
-    """Rows built on first use and the trusted output constructor give the
-    bits of the kernel that built every row up front and passed its output
-    through ``PureState.__init__`` (kept in oracles.py)."""
+    """Rows built per call for the modes a state meets and the trusted
+    output constructor give the bits of the kernel that built every row up
+    front and passed its output through ``PureState.__init__`` (kept in
+    oracles.py)."""
 
     @given(st.data())
     def test_random_lossless_transforms(self, data):
@@ -305,11 +305,6 @@ class TestKernelMatchesEagerRows:
             apply_mode_transform(state, transform),
             eager_apply_mode_transform(state, transform),
         )
-        occupied = {transform.modes.index(m) for basis, _ in state.items() for m, _ in basis}
-        built = transform._sparse_rows
-        eager = eager_sparse_rows(transform)
-        for i, row in enumerate(built):
-            assert row == (eager[i] if i in occupied else None)
 
     def test_cancelled_amplitude_is_pruned(self):
         # Hong-Ou-Mandel: one photon in each input of a balanced coupler

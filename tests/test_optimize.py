@@ -19,8 +19,9 @@ from wchip.herald import Branch, herald
 from wchip.optimize import (
     OptimizationResult,
     SweepSpec,
+    _herald_probability,
+    _source_amplitudes,
     herald_objective,
-    herald_objective_batch,
     maximize,
     sweep,
 )
@@ -62,8 +63,12 @@ def test_objective_vanishes_on_cube_faces():
 
 
 def test_objective_gates_parameters():
-    with pytest.raises(ParamOutOfRange):
-        herald_objective(-0.1, 0.5, 0.5)
+    for k, name in enumerate(("r1", "r2", "r3")):
+        for bad in (-0.1, 1.2, math.nan):
+            cell = [0.5, 0.5, 0.5]
+            cell[k] = bad
+            with pytest.raises(ParamOutOfRange, match=rf"^{name} must lie in \[0, 1\]"):
+                herald_objective(*cell)
 
 
 def test_per_axis_optima_match_scalar_minimizer():
@@ -84,7 +89,7 @@ class TestBatchedEngine:
 
     def test_matches_sparse_objective_on_random_cells(self):
         cells = np.random.default_rng(41).uniform(0.0, 1.0, size=(200, 3))
-        batched = herald_objective_batch(cells[:, 0], cells[:, 1], cells[:, 2])
+        batched = _herald_probability(_source_amplitudes(cells[:, 0], cells[:, 1], cells[:, 2]))
         assert batched.shape == (200,)
         for (r1, r2, r3), value in zip(cells, batched):
             assert abs(value - herald_objective(r1, r2, r3)) <= 1e-12
@@ -92,28 +97,23 @@ class TestBatchedEngine:
     def test_matches_sparse_objective_on_cube_faces(self):
         axis = (0.0, 0.35, 0.8, 1.0)
         faces = [c for c in itertools.product(axis, repeat=3) if {0.0, 1.0} & set(c)]
-        batched = herald_objective_batch(*np.array(faces).T)
+        batched = _herald_probability(_source_amplitudes(*np.array(faces).T))
         for cell, value in zip(faces, batched):
             assert herald_objective(*cell) == 0.0
             assert value == 0.0
 
     def test_broadcasts_a_grid_plane(self):
         axis = np.array([0.2, 0.45, 0.7])
-        plane = herald_objective_batch(0.5, axis[:, np.newaxis], axis[np.newaxis, :])
+        rows = _source_amplitudes(0.5, axis[:, np.newaxis], axis[np.newaxis, :])
+        plane = _herald_probability(rows)
         assert plane.shape == (3, 3)
         for (i, r2), (j, r3) in itertools.product(enumerate(axis), repeat=2):
             assert plane[i, j] == pytest.approx(herald_objective(0.5, r2, r3), abs=1e-12)
 
     def test_scalar_cell_at_the_optimum(self):
-        value = herald_objective_batch(*OPTIMAL_R)
+        value = _herald_probability(_source_amplitudes(*OPTIMAL_R))
         assert np.ndim(value) == 0
         assert value == pytest.approx(3 / 64, abs=1e-15)
-
-    def test_gates_parameters(self):
-        with pytest.raises(ParamOutOfRange):
-            herald_objective_batch(np.array([0.5, 1.2]), 0.5, 0.5)
-        with pytest.raises(ParamOutOfRange):
-            herald_objective_batch(0.5, math.nan, 0.5)
 
 
 # Reflectivities in the unit cube, the faces (where the objective is 0) drawn
@@ -129,16 +129,16 @@ class TestBatchedEngineProperties:
     @settings(max_examples=60)
     @given(_CELLS)
     def test_scalar_call_equals_its_array_cell_bit_for_bit(self, cells):
-        array = herald_objective_batch(*np.array(cells).T)
+        array = _herald_probability(_source_amplitudes(*np.array(cells).T))
         for cell, value in zip(cells, array):
-            scalar = herald_objective_batch(*(np.float64(r) for r in cell))
+            scalar = _herald_probability(_source_amplitudes(*(np.float64(r) for r in cell)))
             assert np.ndim(scalar) == 0
             assert np.float64(scalar).tobytes() == value.tobytes()
 
     @settings(max_examples=60)
     @given(_CELLS)
     def test_matches_the_sparse_objective(self, cells):
-        array = herald_objective_batch(*np.array(cells).T)
+        array = _herald_probability(_source_amplitudes(*np.array(cells).T))
         for cell, value in zip(cells, array):
             assert abs(value - herald_objective(*cell)) <= 1e-12
 
@@ -154,7 +154,7 @@ class TestSourceAmplitudes:
     @settings(max_examples=60)
     @given(st.lists(st.tuples(_R_SIGNED, _R_SIGNED, _R_SIGNED), min_size=1, max_size=8))
     def test_a_float_point_equals_its_array_cell_bit_for_bit(self, cells):
-        array = herald_objective_batch(*np.array(cells).T)
+        array = _herald_probability(_source_amplitudes(*np.array(cells).T))
         for cell, value in zip(cells, array):
             # the Nelder-Mead objective: Python floats, no checks
             point = wchip.optimize._herald_probability(
