@@ -17,13 +17,16 @@ Conventions fixed here, relied on everywhere else:
   on the overall scale; only exact zeros (Hong-Ou-Mandel) are dropped.
 
 :func:`apply_mode_transform` expands each term's operator polynomial (a
-permanent with repeated rows; Scheel, quant-ph/0406127) over integer keys
-with one fixed-width occupation field per output mode, and reuses each
-output basis state with its sqrt(m!) factor from a bounded table per mode
-list, so the per-photon step is one integer addition and one dict update.
-A term may hold at most ``MAX_PHOTONS`` photons.  Each call builds the
-sparse rows of only the input modes its state occupies (two of fourteen for
-the canonical source), and hands its finished amplitude map to a trusted
+permanent with repeated rows; Scheel, quant-ph/0406127) by replaying an
+expansion plan: which products of the previous photon's coefficients and the
+row entries start or add to which output key, recorded once per term shape
+(mode list, and the nonzero columns and occupation of each input mode the
+term meets) together with each final key's basis state and sqrt(m!) factor.
+At most ``_PLANS`` plans are kept, oldest dropped first, and a plan of more
+than ``_PLAN_PRODUCTS`` products is used once and not kept.  A term may hold
+at most ``MAX_PHOTONS`` photons.  Each call builds the sparse rows of only
+the input modes its state occupies (two of fourteen for the canonical
+source), and hands its finished amplitude map to a trusted
 :class:`PureState` constructor that drops its exact zeros in place instead
 of converting and re-inserting every term.
 """
@@ -34,7 +37,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -64,10 +67,10 @@ _SQRT_FACT = tuple(math.sqrt(math.factorial(k)) for k in range(MAX_PHOTONS + 1))
 _FIELD_BITS = MAX_PHOTONS.bit_length()
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 
-#: Bounds of the interned output bases: mode lists kept, and entries per
-#: mode list before its table is cleared.
-_OUTPUT_TABLES = 8
-_OUTPUT_TABLE_SIZE = 4096
+#: Bounds of the expansion plans: plans kept, and the product count above
+#: which a plan is used once and not kept.
+_PLANS = 8
+_PLAN_PRODUCTS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +322,6 @@ class ModeTransform:
         return {m: i for i, m in enumerate(self.modes)}
 
 
-@lru_cache(maxsize=_OUTPUT_TABLES)
-def _output_table(modes: tuple[ModeLabel, ...]) -> dict[int, tuple[FockBasisState, float]]:
-    """Interned output bases of :func:`apply_mode_transform` over one mode
-    list, keyed by expansion key: ``(basis, prod_j sqrt(m_j!))``."""
-    return {}
-
-
 def _output_basis(modes: tuple[ModeLabel, ...], key: int) -> tuple[FockBasisState, float]:
     """Decode an expansion key into its basis state and its bosonic factor
     ``prod_j sqrt(m_j!)``, multiplied in ascending mode order."""
@@ -343,18 +339,64 @@ def _output_basis(modes: tuple[ModeLabel, ...], key: int) -> tuple[FockBasisStat
     return FockBasisState._from_sorted(pairs), scale
 
 
+#: Expansion plans kept, oldest first: ``(modes, shape) -> plan``.
+_plans: dict[tuple, tuple] = {}
+
+
+def _plan(modes: tuple[ModeLabel, ...], shape: tuple[tuple[tuple[int, ...], int], ...]) -> tuple:
+    """Expansion plan of a term whose input modes meet rows with nonzero
+    columns ``cols`` ``count`` times each, for ``(cols, count)`` in `shape`.
+
+    Returns ``(steps, bases, scales)``.  ``steps`` holds, per photon, the
+    ``(source, entry)`` of each new key's first product and the ``(source,
+    entry, target)`` of each later product, in the order the key-by-key
+    expansion meets them; ``bases`` and ``scales`` give each final key's
+    basis state and ``prod_j sqrt(m_j!)``.
+    """
+    plan = _plans.get((modes, shape))
+    if plan is not None:
+        return plan
+    keys = [0]
+    steps = []
+    products = 0
+    for cols, count in shape:
+        row = [1 << _FIELD_BITS * j for j in cols]
+        for _ in range(count):
+            index: dict[int, int] = {}
+            firsts = []
+            laters = []
+            for s, key in enumerate(keys):
+                for e, step in enumerate(row):
+                    t = index.setdefault(key + step, len(firsts))
+                    if t == len(firsts):
+                        firsts.append((s, e))
+                    else:
+                        laters.append((s, e, t))
+            steps.append((firsts, laters))
+            products += len(firsts) + len(laters)
+            keys = list(index)
+    bases, scales = zip(*[_output_basis(modes, key) for key in keys])
+    plan = steps, bases, scales
+    if products <= _PLAN_PRODUCTS:
+        if len(_plans) >= _PLANS:
+            del _plans[next(iter(_plans))]
+        _plans[modes, shape] = plan
+    return plan
+
+
 def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureState:
     """Rewrite every basis term through the transform's operator substitution.
 
     For each term, every occupied input operator is replaced by its row
     expansion and the polynomial is re-expanded over output occupation
     vectors, with the bosonic sqrt(n!) normalizations applied on both sides.
-    The polynomial is keyed by an integer holding one fixed-width occupation
-    field per output mode, so adding a photon to mode ``j`` is one integer
-    addition; each output key is decoded into its basis state and factor
-    once per mode list and then looked up (a bounded table).  Each call
-    builds the rows of the input modes it meets.  The norm is preserved;
-    output amplitudes that cancel to exactly zero are dropped.
+    The expansion is replayed from the term shape's plan (:func:`_plan`):
+    the first product of each output key, then each later product added in
+    the order the key-by-key expansion met it, so every amplitude keeps the
+    bits of that expansion.  At most ``_PLANS`` plans are kept, and a plan
+    of more than ``_PLAN_PRODUCTS`` products is not kept.  Each call builds
+    the rows of the input modes it meets.  The norm is preserved; output
+    amplitudes that cancel to exactly zero are dropped.
 
     Raises :class:`UnknownMode` when the state occupies a mode the transform
     does not list, and :class:`TooManyPhotons` for a term with more than
@@ -363,19 +405,16 @@ def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureStat
     mode_pos = transform._mode_pos
     matrix = transform.matrix
     modes = transform.modes
-    outputs = _output_table(modes)
-    if len(outputs) > _OUTPUT_TABLE_SIZE:
-        outputs.clear()
     sqf = _SQRT_FACT
-    # per input mode met: (key step adding a photon to output mode j, entry)
-    # for each nonzero entry j of its row
-    rows: dict[ModeLabel, tuple[tuple[int, complex], ...]] = {}
+    # per input mode met: (nonzero columns of its row, their entries)
+    rows: dict[ModeLabel, tuple[tuple[int, ...], list[complex]]] = {}
     out: dict[FockBasisState, complex] = {}
     for basis, amp in state._terms.items():
         if not basis:
             out[_VACUUM] = out.get(_VACUUM, 0.0) + amp
             continue
-        row_list = []
+        shape = []
+        entries = []
         photons = 0
         denom = 1.0
         for mode, count in basis:
@@ -384,33 +423,34 @@ def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureStat
                 i = mode_pos.get(mode)
                 if i is None:
                     raise UnknownMode(f"state occupies mode {mode} absent from transform")
-                row = rows[mode] = tuple(
-                    (1 << _FIELD_BITS * j, u) for j, u in enumerate(matrix[i].tolist()) if u
-                )
+                full = matrix[i].tolist()
+                cols = tuple(j for j, u in enumerate(full) if u)
+                row = rows[mode] = cols, [full[j] for j in cols]
             photons += count
             if photons > MAX_PHOTONS:
                 raise TooManyPhotons(
                     f"term {basis!r} holds more than {MAX_PHOTONS} photons"
                 )
-            row_list.append((row, count))
+            shape.append((row[0], count))
+            entries += [row[1]] * count
             denom *= sqf[count]
-        poly: dict[int, complex] = {0: amp / denom}
-        for row, count in row_list:
-            for _ in range(count):
-                nxt: dict[int, complex] = {}
-                for key, coeff in poly.items():
-                    for step, u in row:
-                        nk = key + step
-                        prev = nxt.get(nk)
-                        nxt[nk] = coeff * u if prev is None else prev + coeff * u
-                poly = nxt
-        for key, coeff in poly.items():
-            entry = outputs.get(key)
-            if entry is None:
-                entry = outputs[key] = _output_basis(modes, key)
-            new_basis, scale = entry
+        steps, bases, scales = _plan(modes, tuple(shape))
+        coeffs = [amp / denom]
+        for (firsts, laters), u in zip(steps, entries):
+            vals = [coeffs[s] * u[e] for s, e in firsts]
+            for s, e, t in laters:
+                vals[t] += coeffs[s] * u[e]
+            coeffs = vals
+        # multiplied also by a factor of 1.0, which turns x - 0j into x + 0j
+        # for x > 0, as the key-by-key expansion did
+        term = dict(zip(bases, [c * f for c, f in zip(coeffs, scales)]))
+        # a term meeting no earlier output (one of another photon number) is
+        # merged on the hashes its own dict already holds
+        if out.keys().isdisjoint(term.keys()):
+            out.update(term)
+            continue
+        for new_basis, val in term.items():
             prev = out.get(new_basis)
-            val = coeff * scale
             out[new_basis] = val if prev is None else prev + val
     return PureState._trusted(out)
 

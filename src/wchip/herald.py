@@ -25,6 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 import numpy as np
 
@@ -151,7 +152,7 @@ def herald(state: PureState, branch: Branch) -> HeraldResult:
     for basis, amp in state.items():
         if len(basis) != 4:
             # Fewer pairs may still hold four photons; none of them heralds.
-            if len(basis) < 4 and sum(n for _, n in basis) == 4:
+            if len(basis) < 4 and sum(map(itemgetter(1), basis)) == 4:
                 four_sq += amp.real * amp.real + amp.imag * amp.imag
             continue
         ((ch0, c0), n0), ((ch1, c1), n1), ((ch2, c2), n2), ((ch3, c3), n3) = basis
@@ -170,7 +171,7 @@ def herald(state: PureState, branch: Branch) -> HeraldResult:
         branch_sq[hit] += p
     tiny = sys.float_info.min
     if four_sq < tiny or (branch_terms[branch] and branch_sq[branch] < tiny and four_sq < 0.25):
-        four = [(b, a) for b, a in state.items() if sum(n for _, n in b) == 4]
+        four = [(b, a) for b, a in state.items() if sum(map(itemgetter(1), b)) == 4]
         if four_sq >= tiny:  # only the branch weight underflows
             return herald(PureState(_scaled(four)[0]), branch)
         if four:

@@ -350,6 +350,30 @@ class TestMatchesUncachedPath:
         for state in (two_pair_state(loaded_source.channel), source_state(loaded_source)):
             assert abs(apply_mode_transform(state, transform).norm() - state.norm()) <= 1e-12
 
+    def test_bosonic_factor_one_turns_a_negative_zero_positive(self):
+        # (x - 0j) * 1.0 is x + 0j for x > 0: the kernel multiplies every
+        # output by its bosonic factor, also where the factor is 1.0
+        red, blue = Color.RED, Color.BLUE
+        spec = CircuitSpec(
+            ("c0", "c1", "c2"),
+            (
+                DirectionalCoupler.from_reflectivity((2, 0), 1.0, 0.0),
+                AddDropFilter(1, 0, 2, red, 0.0),
+                AddDropFilter(2, 0, 1, red, 0.0),
+                AddDropFilter(2, 1, 0, blue, 0.5),
+                AddDropFilter(1, 0, 2, red, 0.5),
+            ),
+            (),
+        )
+        transform = build_transform(spec)
+        state = two_pair_state(0)
+        out = apply_mode_transform(state, transform)
+        assert _state_bits(out) == _state_bits(eager_apply_mode_transform(state, transform))
+        basis = FockBasisState(
+            (ModeLabel(ch, color), 1) for ch in (0, 2) for color in (red, blue)
+        )
+        assert math.copysign(1.0, out.amplitude(basis).imag) == 1.0
+
 
 def test_propagate_vacuum_source_stays_vacuum():
     spec = canonical_w_circuit(0.5, 0.5, 0.5)

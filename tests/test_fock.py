@@ -14,7 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wchip.fock
-from wchip.circuit import SIGNAL_CHANNELS
+from wchip.circuit import SIGNAL_CHANNELS, build_transform, canonical_w_circuit
+from wchip.elements import two_pair_state
 from wchip.errors import (
     DimensionMismatch,
     NotUnitary,
@@ -316,6 +317,18 @@ class TestKernelMatchesEagerRows:
         assert FockBasisState([(B0, 1), (B1, 1)]) not in dict(out.items())
         _same_bits(out, eager_apply_mode_transform(state, transform))
 
+    def test_a_key_met_three_times(self):
+        # |3_B0> through three modes: |1_B0, 1_B1, 1_B2> sums three products
+        # at the last photon, added in the order the expansion met them (this
+        # unitary rounds the sum differently in the reverse order)
+        modes = (B0, B1, ModeLabel(2, Color.BLUE))
+        transform = ModeTransform(modes, random_unitary(3, np.random.default_rng(0)))
+        state = PureState.basis(FockBasisState([(B0, 3)]))
+        _same_bits(
+            apply_mode_transform(state, transform),
+            eager_apply_mode_transform(state, transform),
+        )
+
 
 class TestKernelEdges:
     def test_thirty_two_photons_in_one_mode(self):
@@ -330,29 +343,40 @@ class TestKernelEdges:
         with pytest.raises(TooManyPhotons):
             apply_mode_transform(state, ModeTransform((R0, B0, R1, B1), np.eye(4)))
 
-    def test_interning_is_bounded_over_many_mode_lists(self):
+    def test_plans_are_bounded_over_many_mode_lists(self):
         state = PureState.basis(FockBasisState.single(R0))
         for channel in range(1, 60):
             modes = (R0, ModeLabel(channel, Color.RED))
             u = np.array([[0.6, 0.8], [-0.8, 0.6]], dtype=complex)
             out = apply_mode_transform(state, ModeTransform(modes, u))
             assert len(out) == 2
-        info = wchip.fock._output_table.cache_info()
-        assert info.currsize <= wchip.fock._OUTPUT_TABLES
+        assert len(wchip.fock._plans) <= wchip.fock._PLANS
 
-    def test_interning_is_bounded_within_one_mode_list(self):
-        # ten modes and six photons: 5005 output terms, more than the table
-        # holds, so the next call starts from an empty table
+    def test_a_plan_over_the_product_bound_is_not_kept(self):
+        # ten modes and six photons: 30,030 products and 5,005 output terms
         modes = tuple(ModeLabel(ch, color) for ch in range(5) for color in Color)
         transform = ModeTransform(modes, random_unitary(10, np.random.default_rng(2)))
         state = PureState.basis(FockBasisState([(modes[0], 3), (modes[1], 3)]))
-        table = wchip.fock._output_table(transform.modes)
+        held = list(wchip.fock._plans.items())
         for _ in range(2):
             out = apply_mode_transform(state, transform)
             assert len(out) == 5005
-            assert len(table) <= wchip.fock._OUTPUT_TABLE_SIZE + len(out)
-        assert len(wchip.fock._output_table(transform.modes)) == 5005
-        _same_bits(out, tuple_key_apply_mode_transform(state, transform))
+            _same_bits(out, tuple_key_apply_mode_transform(state, transform))
+            assert list(wchip.fock._plans.items()) == held
+
+    def test_the_two_pair_term_reuses_its_plan(self, monkeypatch):
+        transform = build_transform(canonical_w_circuit(0.5, 0.6, 0.7))
+        state = two_pair_state(0)
+        wchip.fock._plans.clear()
+        first = apply_mode_transform(state, transform)
+        assert len(wchip.fock._plans) == 1
+
+        def decode(modes, key):
+            raise AssertionError("a reused plan decodes no output key")
+
+        monkeypatch.setattr(wchip.fock, "_output_basis", decode)
+        _same_bits(apply_mode_transform(state, transform), first)
+        assert len(wchip.fock._plans) == 1
 
 
 # ---------------------------------------------------------------------------
