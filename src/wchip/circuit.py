@@ -121,7 +121,7 @@ def build_transform(spec: CircuitSpec) -> ModeTransform:
     mat = np.eye(len(modes), dtype=complex)
     for el in spec.elements:
         sub = coupler_transform(el) if isinstance(el, DirectionalCoupler) else adddrop_transform(el)
-        idx = [pos[m] for m in sub.modes]
+        idx = list(map(pos.__getitem__, sub.modes))
         mat[:, idx] = mat[:, idx] @ sub.matrix
     if any(p != 0.0 for p in spec.phases):
         col_phase = np.array(

@@ -123,7 +123,9 @@ def _canonical(block, field: str) -> dict:
 
 def _axis(value, field: str):
     """``(length, build)`` of one sweep axis, where ``build()`` returns its
-    values, so that the grid is sized before any axis is built."""
+    values, so that the grid is sized before any axis is built.  A range
+    object gives ``start + k * step`` and ends exactly at ``stop``, as
+    ``numpy.linspace`` does, so rounding never puts its end past [0, 1]."""
     if isinstance(value, dict):
         if value.keys() != {"start", "stop", "num"}:
             raise ValidationError(
@@ -137,7 +139,7 @@ def _axis(value, field: str):
         if num == 1:
             return 1, lambda: (start,)
         step = (stop - start) / (num - 1)
-        return num, lambda: tuple(start + k * step for k in range(num))
+        return num, lambda: (*(start + k * step for k in range(num - 1)), stop)
     values = tuple(
         parse_number(v, field) for v in (value if isinstance(value, (list, tuple)) else (value,))
     )

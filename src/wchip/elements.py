@@ -31,6 +31,8 @@ from .fock import Color, FockBasisState, ModeLabel, ModeTransform, PureState
 
 _COUPLER_TOL = 1e-9
 
+_COLORS = tuple(Color)  # iterating the enum class is slow
+
 #: Transforms each element-transform memo keeps.  An entry takes about
 #: 1.4 kB, so the two memos full hold about 0.7 MB; random devices miss
 #: every time and fill them, which is why they must stay small.
@@ -168,16 +170,14 @@ def transmission(r):
     return np.sqrt(np.maximum(0.0, 1.0 - r * r))
 
 
-def coupler_block(r, t, phi=0.0):
+def coupler_block(r: float, t: float, phi: float = 0.0):
     """Single-color action of a coupler on its channel pair ``(a, b)``:
-    ``((t, r e^{i phi}), (-r e^{-i phi}, t))``, rows indexed by input.
-
-    The entries are returned as nested tuples and broadcast, so arrays of
-    parameters give entries of shape ``broadcast_shape`` and scalars give
-    numpy scalars.
-    """
-    cross = r * np.exp(1j * phi)
-    return ((t, cross), (-np.conj(cross), t))
+    ``((t, r e^{i phi}), (-r e^{-i phi}, t))``, rows indexed by input, as
+    nested tuples of Python numbers.  The cross term is the complex product
+    ``(r + 0j) e^{i phi}``, as numpy forms ``r * np.exp(1j * phi)``, so the
+    entries have its bits."""
+    cross = complex(r) * cmath.exp(1j * phi)
+    return ((t, cross), (-cross.conjugate(), t))
 
 
 def adddrop_block(extinction, resonant: bool):
@@ -203,10 +203,10 @@ def _color_blocks(channels, blocks) -> ModeTransform:
     colors; its matrix is read-only, so that a memo can share it."""
     # Channel-major, color-minor: the canonical order when the channels
     # ascend, and ModeTransform reorders them otherwise.
-    modes = tuple(ModeLabel(ch, color) for ch in channels for color in Color)
+    modes = tuple(ModeLabel(ch, color) for ch in channels for color in _COLORS)
     mat = np.zeros((len(modes), len(modes)), dtype=complex)
-    for color in Color:
-        mat[color :: len(Color), color :: len(Color)] = blocks[color]
+    for color in _COLORS:
+        mat[color :: len(_COLORS), color :: len(_COLORS)] = blocks[color]
     transform = ModeTransform(modes, mat)
     transform.matrix.flags.writeable = False
     return transform
@@ -215,14 +215,14 @@ def _color_blocks(channels, blocks) -> ModeTransform:
 @lru_cache(maxsize=MEMO_SIZE)
 def _coupler_memo(channels: tuple[int, int], params: bytes) -> ModeTransform:
     block = coupler_block(*_COUPLER_PARAMS.unpack(params))
-    return _color_blocks(channels, {color: block for color in Color})
+    return _color_blocks(channels, (block,) * len(_COLORS))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _adddrop_memo(channels: tuple[int, int, int], resonant: Color, params: bytes) -> ModeTransform:
     (extinction,) = _ADDDROP_PARAMS.unpack(params)
     return _color_blocks(
-        channels, {color: adddrop_block(extinction, color is resonant) for color in Color}
+        channels, tuple(adddrop_block(extinction, color is resonant) for color in _COLORS)
     )
 
 

@@ -60,8 +60,8 @@ from .herald import Branch, herald, heralding_amplitude, heralding_terms
 #: Default coarse-grid step of :func:`maximize`.  The objective factorizes
 #: into three single-variable terms each with one interior maximum, so a
 #: 0.04 scan already brackets the basin.  At 0.04 over the default bounds
-#: the scan is three engine calls of about 0.5 ms together, and the whole
-#: ``maximize`` takes about 2.0 ms, 0.5 ms of it the ~140 Nelder-Mead steps.
+#: ``maximize`` takes about 1.0 ms: the scan's three engine calls and the
+#: ~140 Nelder-Mead steps about 0.35 ms each, the Fock check 0.3 ms.
 GRID_STEP = 0.04
 
 #: Default coarse-grid bounds; the objective is identically zero whenever
@@ -78,10 +78,17 @@ _GRID_TOL = 1e-9
 #: built.
 CELL_CAP = 10**6
 
-#: Cells per engine call of the grid scan: seven r1 planes of the default
-#: 21-point axis, so the default scan takes three calls.  Finer grids take
-#: fewer planes per call (at least one), which bounds the temporaries.
-_SCAN_SLAB_CELLS = 7 * 21 * 21
+#: Most cells per engine call of the scan and the sweep (:func:`_slabs`),
+#: 32 kB per float64 temporary: on four grid shapes the time per cell fell
+#: steeply up to about 3,000 cells a call, and on two it rose past 9,000.
+_SCAN_SLAB_CELLS = 4096
+
+
+def _slabs(planes: int, plane_cells: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of the fewest runs of r1 planes of `plane_cells`
+    cells that fit ``_SCAN_SLAB_CELLS`` (one plane at least), split evenly."""
+    count = -(-planes // max(1, _SCAN_SLAB_CELLS // plane_cells))
+    return [(k * planes // count, (k + 1) * planes // count) for k in range(count)]
 
 
 def herald_objective(r1: float, r2: float, r3: float) -> float:
@@ -305,11 +312,10 @@ def maximize(
     axis = [min(lo + k * grid_step, hi) for k in range(steps + 1)]
     grid = np.array(axis)
     plane_r2, plane_r3 = grid[:, np.newaxis], grid[np.newaxis, :]
-    planes = max(1, _SCAN_SLAB_CELLS // (len(axis) * len(axis)))
     best_val = -1.0
     best = (axis[0], axis[0], axis[0])
-    for start in range(0, len(axis), planes):
-        r1 = grid[start : start + planes, np.newaxis, np.newaxis]
+    for start, stop in _slabs(len(axis), len(axis) * len(axis)):
+        r1 = grid[start:stop, np.newaxis, np.newaxis]
         slab = _herald_probability(_source_amplitudes(r1, plane_r2, plane_r3))
         i1, i2, i3 = np.unravel_index(np.argmax(slab), slab.shape)
         if slab[i1, i2, i3] > best_val:  # strict: earlier slabs win ties
@@ -427,11 +433,10 @@ def sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the metric over the grid, values in lexicographic cell order.
 
     The grid runs on the source-row engine, as broadcast arrays in slabs of
-    r1 planes (at most ``_SCAN_SLAB_CELLS`` cells, at least one plane), each
-    written straight into the table's value array; no row is built.  One
-    cell's entries, as its slab computed them, are checked against the
-    sparse Fock engine before that slab's values are written
-    (:func:`_check_on_fock`).
+    r1 planes (:func:`_slabs`), each written straight into the table's value
+    array; no row is built.  One cell's entries, as its slab computed them,
+    are checked against the sparse Fock engine before that slab's values are
+    written (:func:`_check_on_fock`).
     """
     check_cell_count(spec.n_cells, spec.cell_cap)
     checked = _checked_cell(spec)
@@ -440,16 +445,14 @@ def sweep(spec: SweepSpec) -> SweepTable:
     r3 = np.array(spec.r3)[:, np.newaxis]
     router = _router(np.array(spec.ad2_extinction))
     plane = (len(spec.r2), len(spec.r3), len(spec.ad2_extinction))
-    planes = max(1, _SCAN_SLAB_CELLS // math.prod(plane))
     values = np.empty((len(spec.r1), *plane))
-    for start in range(0, len(spec.r1), planes):
-        r1 = np.array(spec.r1[start : start + planes])[:, np.newaxis, np.newaxis, np.newaxis]
+    for start, stop in _slabs(len(spec.r1), math.prod(plane)):
+        r1 = np.array(spec.r1[start:stop])[:, np.newaxis, np.newaxis, np.newaxis]
         rows = _source_amplitudes(r1, r2, r3, router)
-        if start <= checked[0] < start + planes:
-            at = (checked[0] - start, *checked[1:])
-            slab = (len(r1), *plane)
-            _check_on_fock(spec, checked, [np.broadcast_to(entry, slab).item(at) for entry in rows])
-        values[start : start + planes] = metric(rows)  # broadcasts over the slab
+        if start <= checked[0] < stop:
+            at = (checked[0] - start, *checked[1:])  # an entry's length-1 axes read 0
+            _check_on_fock(spec, checked, [e.item(*map(operator.mod, at, e.shape)) for e in rows])
+        values[start:stop] = metric(rows)  # broadcasts over the slab
     values = values.reshape(-1)
     values.flags.writeable = False
     return SweepTable(

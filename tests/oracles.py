@@ -454,15 +454,42 @@ def per_term_dict_herald(state, branch, signal_channels=(2, 3, 4), t1_channel=5,
     return HeraldResult(prob, heralded, residual)
 
 
+def looped_color_pattern(basis, channels) -> str:
+    """``wchip.fock.color_pattern`` before its checks were merged: photon by
+    photon, raising on the first doubled photon or repeated channel."""
+    from wchip.errors import PatternMismatch
+
+    message = f"expected one photon in each of channels {tuple(channels)}, got {basis!r}"
+    if len(basis) != len(channels):
+        raise PatternMismatch(message)
+    by_channel = {}
+    for mode, count in basis:
+        if count != 1 or mode.channel in by_channel:
+            raise PatternMismatch(message)
+        by_channel[mode.channel] = mode.color
+    try:
+        return "".join(by_channel[ch].letter for ch in channels)
+    except KeyError:
+        raise PatternMismatch(message) from None
+
+
+def numpy_coupler_block(r, t, phi=0.0):
+    """``wchip.elements.coupler_block`` before it took Python scalars: numpy
+    forms the cross term, and arrays of parameters broadcast."""
+    cross = r * np.exp(1j * phi)
+    return ((t, cross), (-np.conj(cross), t))
+
+
 def uncached_element_transform(element):
     """``coupler_transform`` or ``adddrop_transform`` as they were before
-    the memo: every call builds the element's transform afresh."""
-    from wchip.elements import DirectionalCoupler, adddrop_block, coupler_block
+    the memo and the Python-number blocks: every call builds the element's
+    transform afresh from numpy-scalar blocks."""
+    from wchip.elements import DirectionalCoupler, adddrop_block
     from wchip.fock import Color, ModeLabel, ModeTransform
 
     if isinstance(element, DirectionalCoupler):
         channels = element.channels
-        block = coupler_block(element.r, element.t, element.phi)
+        block = numpy_coupler_block(element.r, element.t, element.phi)
         blocks = {color: block for color in Color}
     else:
         channels = (element.input_channel, element.through_channel, element.drop_channel)
@@ -573,7 +600,7 @@ def scipy_maximize(tol=1e-4, *, grid_step=0.04, grid_bounds=(0.1, 0.9)):
         SOURCE_CHANNEL,
         T1_CHANNEL,
     )
-    from wchip.elements import adddrop_block, coupler_block
+    from wchip.elements import adddrop_block
     from wchip.errors import ParamOutOfRange
     from wchip.fock import Color
     from wchip.optimize import CELL_CAP, _SCAN_SLAB_CELLS, _GRID_TOL, herald_objective
@@ -593,7 +620,7 @@ def scipy_maximize(tol=1e-4, *, grid_step=0.04, grid_bounds=(0.1, 0.9)):
         for chans, k in CANONICAL_COUPLERS:
             rk = 1.0 if k is None else r[k]
             tk = np.sqrt(np.maximum(0.0, 1.0 - rk * rk))  # the numpy-only transmission
-            _apply_block(row, chans, coupler_block(rk, tk))
+            _apply_block(row, chans, numpy_coupler_block(rk, tk))
         input_channel, through, drop, resonant = CANONICAL_ROUTER
         rows = []
         for color in Color:

@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -280,7 +281,39 @@ def test_sweep_range_object(tmp_path, capsys):
     assert lines[1].startswith("0.2,")
 
 
+@pytest.mark.parametrize(
+    "axis",
+    [{"start": 0.1, "stop": 1.0, "num": 8}, {"start": 0.3, "stop": 0.0, "num": 38}],
+    ids=["ends-past-one", "ends-below-zero"],
+)
+def test_sweep_range_ends_exactly_at_stop(tmp_path, capsys, axis):
+    # start + k * step rounds to 1.0000000000000002 and -5.6e-17 at the end
+    # of these ranges, outside [0, 1]
+    cfg = _write(tmp_path, "sweep.json", {"sweep": {"r1": axis, "r2": 0.5, "r3": 0.5}})
+    assert main(["sweep", "--config", cfg]) == 0
+    r1 = [float(line.split(",")[0]) for line in capsys.readouterr().out.split("\n")[1:-1]]
+    assert len(r1) == axis["num"]
+    assert r1[0] == axis["start"] and r1[-1] == axis["stop"]
+    assert r1 == np.linspace(axis["start"], axis["stop"], axis["num"]).tolist()
+
+
 _UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=40)
+@given(_UNIT, _UNIT, st.integers(1, 60))
+def test_sweep_range_stays_inside_its_ends(start, stop, num):
+    block = {"r1": {"start": start, "stop": stop, "num": num}, "r2": 0.5, "r3": 0.5}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "c.json"), os.path.join(tmp, "out.csv")
+        with open(cfg, "w") as handle:
+            json.dump({"sweep": block}, handle)
+        assert main(["sweep", "--config", cfg, "--out", out]) == 0
+        with open(out) as handle:
+            r1 = [float(line.split(",")[0]) for line in handle.read().split("\n")[1:-1]]
+    # one point is the start, as in numpy.linspace
+    assert len(r1) == num and r1[0] == start and r1[-1] == (stop if num > 1 else start)
+    assert all(min(start, stop) <= v <= max(start, stop) for v in r1)
 
 
 @st.composite

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from wchip.circuit import CircuitSpec, build_transform, canonical_w_circuit
 from wchip.elements import (
     AddDropFilter,
     DirectionalCoupler,
@@ -18,7 +21,7 @@ import wchip.elements
 from wchip.errors import ChannelCollision, NotUnitary, OrderOutOfRange, ParamOutOfRange
 from wchip.fock import Color, FockBasisState, ModeLabel, PureState, apply_mode_transform
 
-from oracles import uncached_element_transform
+from oracles import uncached_build_transform, uncached_element_transform
 
 
 class TestDirectionalCoupler:
@@ -170,6 +173,61 @@ class TestMemo:
         assert coupler_transform(
             DirectionalCoupler.from_reflectivity((0, 1), 0.37, 0.2)
         ).matrix[0, 0] == xf.matrix[0, 0]
+
+
+# Exact zeros and ones with both signs of zero, and arbitrary values.
+_UNIT = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
+_PHASE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
+
+
+def _assert_builds_like_the_oracle(spec):
+    """Each element's transform and the circuit's, built afresh, have the
+    modes and matrix bits of the uncached builds in oracles.py."""
+    wchip.elements._coupler_memo.cache_clear()
+    wchip.elements._adddrop_memo.cache_clear()
+    for element in spec.elements:
+        transform = (
+            coupler_transform(element)
+            if isinstance(element, DirectionalCoupler)
+            else adddrop_transform(element)
+        )
+        assert _bits(transform) == _bits(uncached_element_transform(element))
+    assert _bits(build_transform(spec)) == _bits(uncached_build_transform(spec))
+
+
+class TestScalarBlocks:
+    """Each element's matrix is written from blocks of Python numbers, with
+    the bits of the numpy-scalar blocks it was written from before, and
+    every transform is still checked for unitarity."""
+
+    @given(st.tuples(_UNIT, _UNIT, _UNIT), st.tuples(_PHASE, _PHASE, _PHASE), _UNIT)
+    def test_canonical_circuits_keep_their_bits(self, r, phi, extinction):
+        _assert_builds_like_the_oracle(canonical_w_circuit(*r, *phi, ad2_extinction=extinction))
+
+    @given(_UNIT, _PHASE, _UNIT, _PHASE, _UNIT, st.sampled_from(Color))
+    def test_descending_channels_keep_their_bits(self, r1, phi1, r2, phi2, extinction, color):
+        # every element lists its channels in descending order, so each
+        # transform reorders its modes into the canonical order
+        spec = CircuitSpec(
+            ("a", "b", "c", "d", "e"),
+            (
+                DirectionalCoupler.from_reflectivity((3, 1), r1, phi1),
+                AddDropFilter(4, 2, 0, color, extinction),
+                DirectionalCoupler.from_reflectivity((4, 0), r2, phi2),
+            ),
+        )
+        _assert_builds_like_the_oracle(spec)
+
+    def test_a_block_off_unitarity_by_2e_9_is_not_built(self):
+        # The coupler's own closure check would refuse these parameters, so
+        # the block goes to the memo's builder directly.
+        r = 0.6
+        pack = wchip.elements._COUPLER_PARAMS.pack
+        with pytest.raises(NotUnitary, match=r"deviates from unitarity by 2e-09"):
+            wchip.elements._coupler_memo((0, 1), pack(r, math.sqrt(1.0 - r * r + 2e-9), 0.3))
+        # half the tolerance off still builds
+        transform = wchip.elements._coupler_memo((0, 1), pack(r, math.sqrt(1.0 - r * r + 5e-10), 0.3))
+        assert 4e-10 < transform.unitarity_deviation() <= 1e-9
 
 
 class TestSource:

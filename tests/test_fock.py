@@ -20,6 +20,7 @@ from wchip.errors import (
     DimensionMismatch,
     NotUnitary,
     ParamOutOfRange,
+    PatternMismatch,
     TooManyPhotons,
     UnknownMode,
 )
@@ -38,6 +39,7 @@ from wchip.fock import (
 
 from oracles import (
     eager_apply_mode_transform,
+    looped_color_pattern,
     monomial_amplitudes,
     occupation_amplitudes,
     random_unitary,
@@ -141,6 +143,20 @@ def test_unknown_mode_raises():
 def test_lossless_gate_rejects_nonunitary_matrix():
     with pytest.raises(NotUnitary):
         _transform((B0, B1), [[1.0, 0.5], [0.5, 1.0]])
+
+
+@given(st.integers(1, 14), st.integers(0, 2**32 - 1), st.floats(0.0, 2e-9))
+def test_unitarity_deviation_is_the_largest_gram_entry_off_identity(n, seed, noise):
+    # the in-place diagonal subtract gives the bits of |M M^dagger - I|'s max
+    rng = np.random.default_rng(seed)
+    m = random_unitary(n, rng) + noise * rng.standard_normal((n, n))
+    modes = tuple(ModeLabel(k, Color.RED) for k in range(n))
+    expected = float(np.max(np.abs(m @ m.conj().T - np.eye(n))))
+    if expected <= wchip.fock.UNITARY_TOL:
+        assert _transform(modes, m).unitarity_deviation() == expected
+    else:
+        with pytest.raises(NotUnitary, match=f"deviates from unitarity by {expected:.3g}$"):
+            _transform(modes, m)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -387,6 +403,30 @@ class TestKernelEdges:
 def test_color_pattern_roundtrip():
     basis = basis_from_pattern("BRB", (2, 3, 4))
     assert color_pattern(basis, (2, 3, 4)) == "BRB"
+
+
+def _pattern_or_error(pattern, basis, channels):
+    try:
+        return pattern(basis, channels)
+    except PatternMismatch as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 4), st.sampled_from(Color), st.integers(1, 2)),
+        max_size=4,
+        unique_by=lambda photon: photon[:2],
+    ),
+    st.lists(st.integers(0, 4), max_size=4),
+)
+def test_color_pattern_equals_the_looped_version(photons, channels):
+    # doubled photons, both colors on a channel, missing, stray and
+    # repeated channels: the same pattern or the same error
+    basis = FockBasisState((ModeLabel(ch, color), n) for ch, color, n in photons)
+    assert _pattern_or_error(color_pattern, basis, tuple(channels)) == _pattern_or_error(
+        looped_color_pattern, basis, tuple(channels)
+    )
 
 
 def test_reduce_w_conditioned_pair_block():

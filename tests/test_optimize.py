@@ -17,6 +17,7 @@ from wchip.errors import GridTooLarge, ParamOutOfRange, ValidationError, WchipEr
 from wchip.fock import Color, FockBasisState, ModeLabel, PureState, apply_mode_transform
 from wchip.herald import Branch, herald
 from wchip.optimize import (
+    GRID_STEP,
     OptimizationResult,
     SweepSpec,
     _herald_probability,
@@ -625,6 +626,101 @@ class TestSweepEngine:
         monkeypatch.setattr(wchip.optimize, "apply_mode_transform", spy)
         table = sweep(SweepSpec(r1=(0.0, 1.0), r2=(0.5,), r3=(0.7,)))
         assert table.values.tolist() == [0.0, 0.0] and len(checked) == 1
+
+
+@st.composite
+def _slab_grids(draw):
+    """A sweep over a grid of random shape: planes of 1 to 200 cells, 1 to
+    30 of them, any values in the unit cube, either metric."""
+    sizes = draw(st.tuples(*(st.integers(1, n) for n in (30, 10, 4, 5))))
+    axes = [draw(st.lists(_R, min_size=n, max_size=n)) for n in sizes]
+    metric = draw(st.sampled_from(("herald_probability", "w_fidelity")))
+    return SweepSpec(*axes, metric=metric)
+
+
+class TestSlabs:
+    """A grid runs in the fewest slabs of r1 planes that fit the slab cap,
+    split evenly, and the values do not depend on the cap."""
+
+    @pytest.mark.parametrize(
+        "planes, plane_cells, bounds",
+        [
+            (21, 21 * 21, [(0, 7), (7, 14), (14, 21)]),  # maximize's default scan
+            (21, 21 * 8, [(0, 21)]),  # a 21 x 21 x 1 x 8 sweep
+            (3, 10**4, [(0, 1), (1, 2), (2, 3)]),  # a plane past the cap
+            (10, 1000, [(0, 3), (3, 6), (6, 10)]),
+        ],
+    )
+    def test_bounds(self, planes, plane_cells, bounds):
+        assert wchip.optimize._slabs(planes, plane_cells) == bounds
+
+    @given(st.integers(1, 500), st.integers(1, 10**5))
+    def test_fewest_even_slabs_within_the_cap(self, planes, plane_cells):
+        bounds = wchip.optimize._slabs(planes, plane_cells)
+        fit = max(1, wchip.optimize._SCAN_SLAB_CELLS // plane_cells)
+        sizes = [stop - start for start, stop in bounds]
+        assert bounds[0][0] == 0 and bounds[-1][1] == planes
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        assert len(bounds) == -(-planes // fit)  # no fewer slabs can fit
+        assert 1 <= min(sizes) and max(sizes) <= fit and max(sizes) - min(sizes) <= 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(_slab_grids())
+    def test_sweep_values_do_not_depend_on_the_cap(self, spec):
+        # one plane per slab, the default, and one slab for the whole grid
+        values = []
+        for cap in (1, wchip.optimize._SCAN_SLAB_CELLS, spec.n_cells + 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(wchip.optimize, "_SCAN_SLAB_CELLS", cap)
+                values.append(sweep(spec).values.tobytes())
+        assert values[0] == values[1] == values[2]
+
+    @pytest.mark.parametrize("grid_step", [GRID_STEP, 0.1])
+    def test_maximize_does_not_depend_on_the_cap(self, monkeypatch, grid_step):
+        cells = len(np.arange(0.1, 0.9 + 1e-9, grid_step)) ** 3
+        results = []
+        for cap in (1, wchip.optimize._SCAN_SLAB_CELLS, cells + 1):
+            monkeypatch.setattr(wchip.optimize, "_SCAN_SLAB_CELLS", cap)
+            results.append(maximize(grid_step=grid_step))
+        assert results[0] == results[1] == results[2]
+
+
+class TestInRunCheck:
+    """Every call is checked against the Fock engine exactly once, whatever
+    its slab count: the wrapped functions count the calls, as the benchmark's
+    tracer counts them."""
+
+    @staticmethod
+    def _count(monkeypatch, *names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(wchip.optimize, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(wchip.optimize, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("cap", [1, wchip.optimize._SCAN_SLAB_CELLS, 10**6])
+    @pytest.mark.parametrize("metric", ["herald_probability", "w_fidelity"])
+    def test_each_sweep_propagates_one_cell(self, monkeypatch, cap, metric):
+        monkeypatch.setattr(wchip.optimize, "_SCAN_SLAB_CELLS", cap)
+        calls = self._count(monkeypatch, "build_transform", "apply_mode_transform")
+        axis = tuple(np.linspace(0.05, 0.95, 21).tolist())
+        spec = SweepSpec(axis, axis, (0.7,), (0.0, 0.01, 0.1), metric=metric)
+        for expected in (1, 2):
+            sweep(spec)
+            assert calls == {"build_transform": expected, "apply_mode_transform": expected}
+
+    @pytest.mark.parametrize("cap", [1, wchip.optimize._SCAN_SLAB_CELLS, 10**6])
+    @pytest.mark.parametrize("grid_step", [GRID_STEP, 0.1])
+    def test_each_maximize_calls_the_objective_once(self, monkeypatch, cap, grid_step):
+        monkeypatch.setattr(wchip.optimize, "_SCAN_SLAB_CELLS", cap)
+        calls = self._count(monkeypatch, "herald_objective")
+        maximize(grid_step=grid_step)
+        assert calls == {"herald_objective": 1}
 
 
 def _bits(rows):
