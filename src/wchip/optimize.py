@@ -21,25 +21,25 @@ sweep, a Python float at a Nelder-Mead point, with the same operations in
 the same order in both, so a point gives the bits of its grid cell.  Each
 call is checked once against the full sparse Fock engine, and a mismatch
 raises a RuntimeError: ``maximize`` compares the engine's value at the
-chosen point with :func:`herald_objective`'s, and ``sweep`` the amplitudes of
-one cell inside the cube, as its slab computed them, with the propagated
-state's.  The CLI's ``simulate`` and ``herald`` read the general complex
-rows of any circuit (``circuit.transfer_rows``, ``herald.herald_rows``).
-Both engines read the heralding terms from one table,
-``herald.heralding_terms``, and build each amplitude with
-``herald.heralding_amplitude``.  This real-float case of the canonical
-circuit stays separate because it is cheap: an objective call takes about
-1.6 us against about 235 us through the general rows, which build the full
-transfer matrix (timeit, 2-core Xeon, Python 3.11).
+chosen point with :func:`herald_objective`'s, and ``sweep`` the T1
+amplitudes and the metric value of one cell inside the cube, as its slab
+computed them, with the propagated state's.  The CLI's ``simulate`` and
+``herald`` read the general complex rows of any circuit
+(``circuit.transfer_rows``, ``herald.herald_rows``).  Both engines read the
+heralding terms from one table, ``herald.heralding_terms``, and build each
+amplitude with ``herald.heralding_amplitude``.  This real-float case of the
+canonical circuit stays separate because it is cheap: an objective call
+takes about 1.6 us against about 235 us through the general rows, which
+build the full transfer matrix (timeit, 2-core Xeon, Python 3.11).
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -51,11 +51,12 @@ from .circuit import (
     T1_CHANNEL,
     build_transform,
     canonical_w_circuit,
+    parse_integer,
 )
 from .elements import adddrop_block, transmission, two_pair_state
 from .errors import GridTooLarge, ParamOutOfRange, ValidationError
 from .fock import Color, apply_mode_transform
-from .herald import Branch, herald, heralding_amplitude, heralding_terms
+from .herald import Branch, _scaled, herald, heralding_amplitude, heralding_terms
 
 #: Default coarse-grid step of :func:`maximize`.  The objective factorizes
 #: into three single-variable terms each with one interior maximum, so a
@@ -129,31 +130,12 @@ def _source_amplitudes(r1, r2, r3, router=_IDEAL_ROUTER) -> tuple:
     return r1, r1 * leak, r1 * drop, t1 * r2, t12 * transmission(r3), t12 * r3
 
 
-def _total(terms):
-    """Left-to-right sum of `terms`.  Unlike the built-in ``sum``, which
-    compensates the rounding of float terms from Python 3.12 on, it rounds
-    Python floats, numpy scalars and arrays alike."""
-    return functools.reduce(operator.add, terms)
-
-
-def _t1_amplitudes(rows, color: Color) -> list:
-    """Amplitude of each term with one photon of `color` at T1 and one on
-    each signal channel, in the split order of ``heralding_terms(T1_CHANNEL,
-    color)`` (:func:`heralding_amplitude`; both colors share the signal
-    entries)."""
-    signal = dict(zip(SIGNAL_CHANNELS, rows[3:]))
-    return [
-        heralding_amplitude(rows[color], signal[s], signal[j], signal[l])
-        for (s, j, l), _, _ in heralding_terms(T1_CHANNEL, color)
-    ]
-
-
 def _herald_probability(rows):
     """P(T1 herald | double pair): the weight of the terms with a Red
     photon at T1 and one photon on each signal channel, over the
     four-photon norm |u_R|^4 |u_B|^4."""
     red_t1, blue_t1, blue_t2, s2, s3, s4 = rows
-    # _t1_amplitudes(rows, RED), inlined: hot in the search
+    # the three Red T1 amplitudes (heralding_amplitude), inlined: hot in the search
     a2 = 2.0 * red_t1 * s2 * s3 * s4
     a3 = 2.0 * red_t1 * s3 * s2 * s4
     a4 = 2.0 * red_t1 * s4 * s2 * s3
@@ -166,13 +148,16 @@ def _herald_probability(rows):
 def _colorblind_fidelity(rows):
     """W fidelity of the T1-conditioned state when the T1 detector counts
     photons but not colors, the robustness metric of extinction sweeps: a
-    Blue photon leaked to T1 leaves signal photons that do not overlap W,
-    so it is |sum of the Red T1 amplitudes|^2 / 3 over the weight of all
-    six T1 terms, and 0.0 where that weight is 0."""
-    red_t1 = _t1_amplitudes(rows, Color.RED)
-    overlap = _total(red_t1)
-    total = _total(amp * amp for amp in red_t1 + _t1_amplitudes(rows, Color.BLUE))
-    return np.divide(overlap * overlap / 3.0, total, out=np.zeros_like(total), where=total > 0.0)
+    Blue photon leaked to T1 leaves signal photons that do not overlap W.
+    The colors share the signal entries, so the fidelity, |sum of the Red T1
+    amplitudes|^2 / 3 over the weight of all six, is the ratio ``1 / (1 +
+    (Blue T1 / Red T1)^2)``, which no underflow reaches; 0.0 where the Red
+    T1 entry or a signal entry is 0 (each tested: their product can underflow)."""
+    red_t1, blue_t1, _, s2, s3, s4 = rows
+    red_lit = red_t1 != 0.0
+    ratio = blue_t1 / np.where(red_lit, red_t1, 1.0)  # no 0/0 where Red is dark
+    lit = red_lit & (s2 != 0.0) & (s3 != 0.0) & (s4 != 0.0)
+    return np.where(lit, 1.0 / (1.0 + ratio * ratio), 0.0)
 
 
 def _trial(pairs: list, a: float, b: float) -> list:
@@ -376,14 +361,14 @@ class SweepSpec:
             vals = tuple(float(v) for v in getattr(self, name))
             if not vals:
                 raise ValidationError(f"sweep axis {name} is empty")
-            if any(not 0.0 <= v <= 1.0 for v in vals):
-                raise ParamOutOfRange(f"sweep axis {name} leaves [0, 1]: {vals}")
+            if any(not (v == 0.0 or sys.float_info.min <= v <= 1.0) for v in vals):
+                raise ParamOutOfRange(f"sweep axis {name} leaves [0, 1] or is subnormal: {vals}")
             object.__setattr__(self, name, vals)
         if self.metric not in ("herald_probability", "w_fidelity"):
             raise ValidationError(f"unknown sweep metric {self.metric!r}")
-        if int(self.cell_cap) < 1:
+        object.__setattr__(self, "cell_cap", parse_integer(self.cell_cap, "cell_cap"))
+        if self.cell_cap < 1:
             raise ValidationError("cell cap must be positive")
-        object.__setattr__(self, "cell_cap", int(self.cell_cap))
 
     @property
     def n_cells(self) -> int:
@@ -434,9 +419,9 @@ def sweep(spec: SweepSpec) -> SweepTable:
 
     The grid runs on the source-row engine, as broadcast arrays in slabs of
     r1 planes (:func:`_slabs`), each written straight into the table's value
-    array; no row is built.  One cell's entries, as its slab computed them,
-    are checked against the sparse Fock engine before that slab's values are
-    written (:func:`_check_on_fock`).
+    array; no row is built.  One cell's entries and metric value, as its
+    slab computed them, are checked against the sparse Fock engine
+    (:func:`_check_on_fock`).
     """
     check_cell_count(spec.n_cells, spec.cell_cap)
     checked = _checked_cell(spec)
@@ -449,10 +434,11 @@ def sweep(spec: SweepSpec) -> SweepTable:
     for start, stop in _slabs(len(spec.r1), math.prod(plane)):
         r1 = np.array(spec.r1[start:stop])[:, np.newaxis, np.newaxis, np.newaxis]
         rows = _source_amplitudes(r1, r2, r3, router)
+        values[start:stop] = metric(rows)  # broadcasts over the slab
         if start <= checked[0] < stop:
             at = (checked[0] - start, *checked[1:])  # an entry's length-1 axes read 0
-            _check_on_fock(spec, checked, [e.item(*map(operator.mod, at, e.shape)) for e in rows])
-        values[start:stop] = metric(rows)  # broadcasts over the slab
+            entries = [e.item(*map(operator.mod, at, e.shape)) for e in rows]
+            _check_on_fock(spec, checked, entries, values.item(checked))
     values = values.reshape(-1)
     values.flags.writeable = False
     return SweepTable(
@@ -475,21 +461,40 @@ def _checked_cell(spec: SweepSpec) -> tuple[int, int, int, int]:
     return (*inside, leaking)
 
 
-def _check_on_fock(spec: SweepSpec, index: tuple[int, ...], entries) -> None:
-    """Check the six T1 amplitudes of the cell at `index` of `spec`, built
-    from its six source-row `entries` as its slab computed them, against the
-    state the sparse Fock engine propagates, within 1e-12.  A mismatch is a
-    bug, not an input error, so it raises a RuntimeError."""
+def _check_on_fock(spec: SweepSpec, index: tuple[int, ...], entries, value: float) -> None:
+    """Check the cell at `index` of `spec` against the state the sparse Fock
+    engine propagates, within 1e-12: its six T1 amplitudes from its source-row
+    `entries` and its metric `value`, as its slab computed them, against the
+    engine's (its value from amplitudes rescaled by a power of two).  A
+    mismatch is a bug, so it raises a RuntimeError; a cell whose engine
+    amplitudes underflow while its entries are nonzero is a ParamOutOfRange."""
     axes = (spec.r1, spec.r2, spec.r3, spec.ad2_extinction)
     cell = tuple(axis[i] for axis, i in zip(axes, index))
     circuit = canonical_w_circuit(*cell[:3], ad2_extinction=cell[3])
     state = apply_mode_transform(two_pair_state(SOURCE_CHANNEL), build_transform(circuit))
+    signal = dict(zip(SIGNAL_CHANNELS, entries[3:]))  # both colors share them
+    compared, amplitudes = [], []
     for color in Color:
-        terms = heralding_terms(T1_CHANNEL, color)
-        for (_, basis, _), engine in zip(terms, _t1_amplitudes(entries, color)):
+        for (s, j, l), basis, _ in heralding_terms(T1_CHANNEL, color):
             fock = state.amplitude(basis)
-            if not abs(fock - engine) <= 1e-12:
-                raise RuntimeError(
-                    f"row engine disagrees with the Fock engine at cell {cell} on "
-                    f"{basis!r}: {engine!r} against {fock!r}"
-                )
+            engine = heralding_amplitude(entries[color], signal[s], signal[j], signal[l])
+            compared.append((basis, engine, fock))
+            if fock:  # _scaled reads nonzero terms
+                amplitudes.append((color, fock))
+    fock = 0.0
+    if amplitudes:
+        amplitudes, m = _scaled(amplitudes)
+        red = [a for color, a in amplitudes if color is Color.RED]
+        if spec.metric == "herald_probability":
+            fock = math.ldexp(sum(abs(a) ** 2 for a in red), -2 * m)
+        else:
+            fock = abs(sum(red)) ** 2 / 3.0 / sum(abs(a) ** 2 for _, a in amplitudes)
+    # the largest part below 2**-1022, the normal floats, or none at all
+    if (not amplitudes or m >= 1022) and entries[0] and all(entries[3:]):
+        raise ParamOutOfRange(f"the T1 amplitudes of cell {cell} underflow on the Fock engine")
+    for what, engine, fock in [*compared, (spec.metric, value, fock)]:
+        if not abs(fock - engine) <= 1e-12:
+            raise RuntimeError(
+                f"row engine disagrees with the Fock engine at cell {cell} on {what}: "
+                f"{engine!r} against {fock!r}"
+            )

@@ -194,17 +194,23 @@ def tuple_key_apply_mode_transform(state, transform):
     return PureState(out)
 
 
+def _lifted(amps: list) -> list:
+    """`amps` times the power of two that brings the largest part of the
+    nonzero ones into [0.5, 1): every ratio is kept bit for bit wherever
+    nothing underflows, and a square below the normal floats is lifted."""
+    m = -max((math.frexp(max(abs(a.real), abs(a.imag)))[1] for a in amps if a), default=0)
+    return [complex(math.ldexp(a.real, m), math.ldexp(a.imag, m)) for a in amps]
+
+
 def split_w_fidelity_colorblind(state, t1_channel=5, signal_channels=(2, 3, 4)):
     """The colour-blind W fidelity as first written: each term is split
     into its T1 and signal parts and classified with ``color_pattern``,
     rejected terms through a raised ``PatternMismatch``.  Same accumulation
-    order as :func:`w_fidelity_colorblind`."""
+    order and rescaling as :func:`w_fidelity_colorblind`."""
     from wchip.errors import PatternMismatch
     from wchip.fock import color_pattern
 
-    w_amp = 1.0 / math.sqrt(3.0)
-    overlap_by_env = {}
-    norm_sq = 0.0
+    counted = []
     for basis, amp in state.items():
         if sum(n for _, n in basis) != 4:
             continue
@@ -215,31 +221,43 @@ def split_w_fidelity_colorblind(state, t1_channel=5, signal_channels=(2, 3, 4)):
             pattern = color_pattern(signal_part, signal_channels)
         except PatternMismatch:
             continue
+        counted.append((t1_part[0][0].color, pattern in ("BBR", "BRB", "RBB"), amp))
+    return _colorblind_ratio(counted)
+
+
+def _colorblind_ratio(counted) -> float:
+    """sum_env |<W|psi_env>|^2 / sum_env |psi_env|^2 from the counted terms
+    ``(T1 photon's color, overlaps W, amplitude)``, in their order; 0.0 when
+    their weight is 0.  A weight below the normal floats is summed again on
+    amplitudes lifted by :func:`_lifted`, as ``herald`` does, so the ratio
+    keeps its bits wherever the squares do not underflow."""
+    w_amp = 1.0 / math.sqrt(3.0)
+    overlap_by_env = {}
+    norm_sq = 0.0
+    for env, overlaps, amp in counted:
         norm_sq += amp.real * amp.real + amp.imag * amp.imag
-        if pattern in ("BBR", "BRB", "RBB"):
-            env = t1_part[0][0].color
+        if overlaps:
             overlap_by_env[env] = overlap_by_env.get(env, 0.0) + w_amp * amp
+    amps = [amp for *_, amp in counted]
+    if norm_sq < sys.float_info.min and any(amps):  # lifted, the weight is at least 1/4
+        lifted = _lifted(amps)
+        return _colorblind_ratio([(*term[:2], amp) for term, amp in zip(counted, lifted)])
     if norm_sq <= 0.0:
         return 0.0
     return sum(abs(o) ** 2 for o in overlap_by_env.values()) / norm_sq
 
 
-def w_fidelity_colorblind(state) -> float:
-    """The colour-blind W fidelity of a propagated state, as ``sweep``
-    computed it on the sparse Fock engine: W fidelity of the T1-conditioned
-    state when the herald detector counts photons but not colors, as
-    sum_env |<W|psi_env>|^2 / sum_env |psi_env|^2 over the T1-photon color
-    environments.
+def colorblind_terms(state) -> list:
+    """The terms the colour-blind W fidelity counts, in term order, as
+    ``(T1 photon's color, overlaps W, amplitude)``.
 
     A term counts when it holds one photon in each signal channel and one at
     T1 and nothing else: four single photons whose channels, in the basis
     order, are :data:`_COLORBLIND_CHANNELS`.  It overlaps W when exactly two
     of its signal photons are Blue.  Each term is classified in one pass over
-    its pairs, in term order, so the sums run in a fixed order.
+    its pairs.
     """
-    w_amp = 1.0 / math.sqrt(3.0)
-    overlap_by_env = {}
-    norm_sq = 0.0
+    counted = []
     for basis, amp in state.items():
         if len(basis) != 4:
             continue
@@ -249,13 +267,20 @@ def w_fidelity_colorblind(state) -> float:
             or (ch0, ch1, ch2, ch3) != _COLORBLIND_CHANNELS
         ):
             continue
-        norm_sq += amp.real * amp.real + amp.imag * amp.imag
         env = (c0, c1, c2, c3)[_T1_POSITION]
-        if c0 + c1 + c2 + c3 - env == 2:  # Blue is 1: two Blue signal photons
-            overlap_by_env[env] = overlap_by_env.get(env, 0.0) + w_amp * amp
-    if norm_sq <= 0.0:
-        return 0.0
-    return sum(abs(o) ** 2 for o in overlap_by_env.values()) / norm_sq
+        counted.append((env, c0 + c1 + c2 + c3 - env == 2, amp))  # Blue is 1
+    return counted
+
+
+def w_fidelity_colorblind(state) -> float:
+    """The colour-blind W fidelity of a propagated state, as ``sweep``
+    computed it on the sparse Fock engine: W fidelity of the T1-conditioned
+    state when the herald detector counts photons but not colors, as
+    sum_env |<W|psi_env>|^2 / sum_env |psi_env|^2 over the T1-photon color
+    environments, summed over :func:`colorblind_terms` in a fixed order.
+    Where the squares underflow, the amplitudes are rescaled by a power of
+    two first (:func:`_colorblind_ratio`)."""
+    return _colorblind_ratio(colorblind_terms(state))
 
 
 #: Channels of a term counted by :func:`w_fidelity_colorblind`, in basis
@@ -266,28 +291,49 @@ _COLORBLIND_CHANNELS, _T1_POSITION = next(
 )
 
 
+def _propagated(cell):
+    """The two-pair state propagated through the canonical circuit of
+    ``cell = (r1, r2, r3, ad2_extinction)`` on the sparse Fock engine."""
+    from wchip.circuit import SOURCE_CHANNEL, build_transform, canonical_w_circuit
+    from wchip.elements import two_pair_state
+    from wchip.fock import apply_mode_transform
+
+    circuit = canonical_w_circuit(*cell[:3], ad2_extinction=cell[3])
+    return apply_mode_transform(two_pair_state(SOURCE_CHANNEL), build_transform(circuit))
+
+
+def t1_amplitudes_underflow(cell, state=None) -> bool:
+    """Whether `cell` lies inside the unit cube (each r in (0, 1)) while
+    every T1 amplitude counted by :func:`colorblind_terms` in its
+    propagated `state` lies below the normal floats: the cells where the
+    Fock engine cannot resolve the colour-blind fidelity."""
+    state = _propagated(cell) if state is None else state
+    amps = [amp for *_, amp in colorblind_terms(state)]
+    largest = max((max(abs(a.real), abs(a.imag)) for a in amps), default=0.0)
+    return all(0.0 < r < 1.0 for r in cell[:3]) and largest < sys.float_info.min
+
+
 def per_cell_sweep(spec):
     """``wchip.optimize.sweep`` before the row engine: every cell is
     propagated on the sparse Fock engine and its metric read from the
     state, ``herald`` for the herald probability and
-    :func:`w_fidelity_colorblind` for the W fidelity.  Returns the rows."""
+    :func:`w_fidelity_colorblind` for the W fidelity, both on amplitudes
+    rescaled by a power of two.  Returns the rows; a W fidelity is None at
+    a cell where :func:`t1_amplitudes_underflow` holds."""
     import itertools
 
-    from wchip.circuit import SOURCE_CHANNEL, build_transform, canonical_w_circuit
-    from wchip.elements import two_pair_state
-    from wchip.fock import apply_mode_transform
     from wchip.herald import herald
 
-    source = two_pair_state(SOURCE_CHANNEL)
     rows = []
-    for r1, r2, r3, eps in itertools.product(spec.r1, spec.r2, spec.r3, spec.ad2_extinction):
-        circuit = canonical_w_circuit(r1, r2, r3, ad2_extinction=eps)
-        state = apply_mode_transform(source, build_transform(circuit))
+    for cell in itertools.product(spec.r1, spec.r2, spec.r3, spec.ad2_extinction):
+        state = _propagated(cell)
         if spec.metric == "herald_probability":
-            value = herald(state, Branch.T1).probability
+            value = float(herald(state, Branch.T1).probability)
+        elif t1_amplitudes_underflow(cell, state):
+            value = None
         else:
-            value = w_fidelity_colorblind(state)
-        rows.append((r1, r2, r3, eps, float(value)))
+            value = float(w_fidelity_colorblind(state))
+        rows.append((*cell, value))
     return tuple(rows)
 
 

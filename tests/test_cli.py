@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line driver: exit codes, output formats,
 flag/config precedence, and byte-level determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wchip.cli import main
+from wchip.cli import _axis, _sweep, main
 from wchip.errors import ParamOutOfRange
-from wchip.optimize import SweepSpec, sweep
+from wchip.optimize import SweepSpec, herald_objective, sweep
 
 from oracles import sweep_csv, sweep_json
 
@@ -308,7 +310,15 @@ def test_sweep_range_stays_inside_its_ends(start, stop, num):
         cfg, out = os.path.join(tmp, "c.json"), os.path.join(tmp, "out.csv")
         with open(cfg, "w") as handle:
             json.dump({"sweep": block}, handle)
-        assert main(["sweep", "--config", cfg, "--out", out]) == 0
+        status, err = _main_and_stderr(["sweep", "--config", cfg, "--out", out])
+        if status:
+            # a named error, at an r1 below the normal floats or so close to
+            # them that the checked cell's T1 amplitudes underflow
+            r1 = _axis(block["r1"], "r1")[1]()
+            assert 0.0 < min(v for v in r1 if v > 0.0) < 1e-300
+            assert (status, err.split(":")[0]) in ((1, "error"), (2, "config error"))
+            assert ("underflow" if status == 1 else "subnormal") in err
+            return
         with open(out) as handle:
             r1 = [float(line.split(",")[0]) for line in handle.read().split("\n")[1:-1]]
     # one point is the start, as in numpy.linspace
@@ -316,11 +326,21 @@ def test_sweep_range_stays_inside_its_ends(start, stop, num):
     assert all(min(start, stop) <= v <= max(start, stop) for v in r1)
 
 
+def _main_and_stderr(argv):
+    """``main(argv)`` and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main(argv)
+    return status, err.getvalue()
+
+
 @st.composite
 def _sweep_blocks(draw):
-    """A sweep config block of a small random grid, faces included."""
+    """A sweep config block of a small random grid, faces included, of
+    axis values a SweepSpec accepts (no subnormal)."""
+    value = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, allow_subnormal=False))
     block = {
-        name: draw(st.lists(_UNIT, min_size=1, max_size=3, unique=True))
+        name: draw(st.lists(value, min_size=1, max_size=3, unique=True))
         for name in ("r1", "r2", "r3", "ad2_extinction")
     }
     block["metric"] = draw(st.sampled_from(["herald_probability", "w_fidelity"]))
@@ -348,14 +368,20 @@ class TestStreamedSweep:
             cfg, out = os.path.join(tmp, "c.json"), os.path.join(tmp, f"out.{fmt}")
             with open(cfg, "w") as handle:
                 json.dump({"sweep": block}, handle)
-            assert main(["sweep", "--config", cfg, "--format", fmt, "--out", out]) == 0
+            status, err = _main_and_stderr(["sweep", "--config", cfg, "--format", fmt, "--out", out])
+            if status:  # the checked cell underflows on the Fock engine
+                with pytest.raises(ParamOutOfRange) as info:
+                    sweep(SweepSpec(**block))
+                assert (status, err) == (1, f"error: {info.value}\n")
+                assert not os.path.exists(out)
+                return
             with open(out, "rb") as handle:
                 oracle = sweep_csv if fmt == "csv" else sweep_json
                 assert handle.read() == oracle(sweep(SweepSpec(**block))).encode()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stdout_and_out_give_the_same_bytes(self, tmp_path, capsysbinary, fmt):
-        from wchip.cli import _ROWS_PER_WRITE, _sweep
+        from wchip.cli import _ROWS_PER_WRITE
 
         table = sweep(_sweep(self.BLOCK, "sweep"))
         assert len(table.values) > _ROWS_PER_WRITE
@@ -401,17 +427,50 @@ class TestStreamedSweep:
     def test_a_non_finite_value_is_refused_in_json_only(self, tmp_path, monkeypatch, capsys):
         import wchip.optimize
 
-        monkeypatch.setattr(wchip.optimize, "_herald_probability", lambda rows: rows[0] * math.nan)
-        cfg = _write(tmp_path, "c.json", {"sweep": {"r1": [0.4, 0.5], "r2": 0.5, "r3": 0.5}})
+        # NaN on every cell but the checked one (r1 = 0.3), whose value the
+        # in-run check compares with the Fock engine's
+        herald_probability = wchip.optimize._herald_probability
+        monkeypatch.setattr(
+            wchip.optimize,
+            "_herald_probability",
+            lambda rows: np.where(rows[0] == 0.3, herald_probability(rows), math.nan),
+        )
+        checked = herald_objective(0.3, 0.5, 0.5)
+        cfg = _write(tmp_path, "c.json", {"sweep": {"r1": [0.3, 0.4, 0.5], "r2": 0.5, "r3": 0.5}})
         out = tmp_path / "out.json"
         assert main(["sweep", "--config", cfg, "--format", "json", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("internal error: ValueError: Out of range float")
         assert not out.exists()
         with pytest.raises(ValueError):  # json.dumps refuses it too
-            sweep_json(sweep(SweepSpec(r1=(0.4, 0.5), r2=(0.5,), r3=(0.5,))))
+            sweep_json(sweep(SweepSpec(r1=(0.3, 0.4, 0.5), r2=(0.5,), r3=(0.5,))))
         out = tmp_path / "out.csv"
         assert main(["sweep", "--config", cfg, "--format", "csv", "--out", str(out)]) == 0
-        assert out.read_text().splitlines()[1:] == ["0.4,0.5,0.5,0.0,nan", "0.5,0.5,0.5,0.0,nan"]
+        lines = out.read_text().splitlines()
+        assert abs(float(lines[1].split(",")[-1]) - checked) <= 1e-12
+        assert lines[2:] == ["0.4,0.5,0.5,0.0,nan", "0.5,0.5,0.5,0.0,nan"]
+
+    def test_a_cell_whose_squares_underflow_reads_one(self, tmp_path, capsys):
+        block = {"r1": 0.5, "r2": 0.5, "r3": 3.5617438556386685e-160, "metric": "w_fidelity"}
+        cfg = _write(tmp_path, "c.json", {"sweep": block})
+        assert main(["sweep", "--config", cfg, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "0.5,0.5,3.5617438556386685e-160,0.0,1.0"
+
+    @pytest.mark.parametrize("metric", ["herald_probability", "w_fidelity"])
+    def test_a_checked_cell_that_underflows_is_a_named_error(self, tmp_path, capsys, metric):
+        block = {"r1": 0.5, "r2": 1e-200, "r3": [1e-200, 0.5], "metric": metric}
+        cfg = _write(tmp_path, "c.json", {"sweep": block})
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the T1 amplitudes of cell (0.5, 1e-200, 1e-200, 0.0) underflow")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["r1", "r2", "r3", "ad2_extinction"])
+    def test_a_subnormal_axis_value_is_2(self, tmp_path, capsys, name):
+        block = {"r1": 0.5, "r2": 0.5, "r3": 0.5, name: [0.0, 1e-310]}
+        cfg = _write(tmp_path, "c.json", {"sweep": block})
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "subnormal" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from oracles import (
     sorted_minimize,
     sweep_csv,
     split_w_fidelity_colorblind,
+    t1_amplitudes_underflow,
     w_fidelity_colorblind,
 )
 
@@ -124,6 +126,9 @@ _CELLS = st.lists(st.tuples(_R, _R, _R), min_size=1, max_size=8)
 # Extinction over [0, 1], the ideal and the disabled router drawn as often
 # as the interior.
 _EPS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# A sweep axis value, r or extinction: any value SweepSpec accepts, which
+# is any in [0, 1] but a subnormal, the faces drawn as often as the interior.
+_AXIS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, allow_subnormal=False))
 
 
 class TestBatchedEngineProperties:
@@ -478,6 +483,24 @@ class TestSweep:
         with pytest.raises(ValidationError):
             SweepSpec(r1=(0.5,), r2=(0.5,), r3=(0.5,), metric="coupling")
 
+    @given(st.sampled_from(("r1", "r2", "r3", "ad2_extinction")),
+           st.floats(0.0, sys.float_info.min, exclude_min=True, exclude_max=True))
+    def test_a_subnormal_axis_value_is_refused(self, name, value):
+        axes = {"r1": (0.5,), "r2": (0.5,), "r3": (0.5,), "ad2_extinction": (0.0,)}
+        with pytest.raises(ParamOutOfRange, match=rf"sweep axis {name} leaves \[0, 1\] or is subnormal"):
+            SweepSpec(**{**axes, name: (0.0, value)})
+        assert SweepSpec(**{**axes, name: (0.0, sys.float_info.min)}).n_cells == 2
+
+    @pytest.mark.parametrize("cap", [2.7, True, False, "3", None, 0, -1, 0.0])
+    def test_a_cell_cap_that_is_no_positive_integer_is_refused(self, cap):
+        with pytest.raises(ValidationError):
+            SweepSpec(r1=(0.5,), r2=(0.5,), r3=(0.5,), cell_cap=cap)
+
+    @pytest.mark.parametrize("cap, taken", [(3, 3), (3.0, 3), (10**6, 10**6)])
+    def test_an_integral_cell_cap_is_taken(self, cap, taken):
+        spec = SweepSpec(r1=(0.5,), r2=(0.5,), r3=(0.5,), cell_cap=cap)
+        assert spec.cell_cap == taken and type(spec.cell_cap) is int
+
     def test_cell_cap(self):
         axis = tuple(np.linspace(0.1, 0.9, 101))
         spec = SweepSpec(r1=axis, r2=axis, r3=axis)
@@ -548,9 +571,34 @@ def _axis(values):
 def _sweep_specs(draw):
     metric = draw(st.sampled_from(("herald_probability", "w_fidelity")))
     return SweepSpec(
-        r1=draw(_axis(_R)), r2=draw(_axis(_R)), r3=draw(_axis(_R)),
-        ad2_extinction=draw(_axis(_EPS)), metric=metric,
+        r1=draw(_axis(_AXIS)), r2=draw(_axis(_AXIS)), r3=draw(_axis(_AXIS)),
+        ad2_extinction=draw(_axis(_AXIS)), metric=metric,
     )
+
+
+def _checked(spec):
+    """The cell the in-run check reads: on each r axis the first value
+    inside (0, 1), on the extinction axis the first above 0, else the
+    axis's first."""
+    *rs, eps = spec.r1, spec.r2, spec.r3, spec.ad2_extinction
+    return (
+        *(next((v for v in axis if 0.0 < v < 1.0), axis[0]) for axis in rs),
+        next((v for v in eps if v > 0.0), eps[0]),
+    )
+
+
+def _sweep_or_underflow(spec):
+    """``sweep(spec)``, or None where it raises ParamOutOfRange, which it
+    must do exactly when the Fock engine's T1 amplitudes underflow at the
+    checked cell, and name that cell."""
+    cell = _checked(spec)
+    try:
+        table = sweep(spec)
+    except ParamOutOfRange as exc:
+        assert t1_amplitudes_underflow(cell) and f"cell {cell} underflow" in str(exc)
+        return None
+    assert not t1_amplitudes_underflow(cell)
+    return table
 
 
 def _scale_an_entry(monkeypatch, k):
@@ -575,12 +623,16 @@ class TestSweepEngine:
     @settings(max_examples=60)
     @given(_sweep_specs())
     def test_matches_the_per_cell_loop(self, spec):
-        table = sweep(spec)
+        table = _sweep_or_underflow(spec)
+        if table is None:
+            return
         expected = per_cell_sweep(spec)
         assert len(table.rows) == len(expected)
         for row, ref in zip(table.rows, expected):
             assert row[:4] == ref[:4]
-            assert abs(row[4] - ref[4]) <= 1e-12, (row, ref)
+            # where the Fock engine's amplitudes underflow, the closed form
+            value = 1.0 / (1.0 + row[3]) if ref[4] is None else ref[4]
+            assert abs(row[4] - value) <= 1e-12, (row, ref)
 
     @pytest.mark.parametrize("metric", ["herald_probability", "w_fidelity"])
     def test_a_wrong_row_engine_raises(self, monkeypatch, metric):
@@ -615,6 +667,31 @@ class TestSweepEngine:
         with pytest.raises(RuntimeError, match=r"at cell \(0\.5, 0\.6, 0\.7, 0\.1\)"):
             sweep(spec)
 
+    def test_a_fidelity_weighting_blue_twice_raises(self, monkeypatch):
+        # Its amplitudes are right, so only the check of the value sees it.
+        colorblind_fidelity = wchip.optimize._colorblind_fidelity
+
+        def blue_twice(rows):
+            red_t1, blue_t1, *rest = rows
+            return colorblind_fidelity((red_t1, blue_t1 * math.sqrt(2.0), *rest))
+
+        monkeypatch.setattr(wchip.optimize, "_colorblind_fidelity", blue_twice)
+        spec = SweepSpec((0.0, 0.5), (0.6,), (0.7,), (0.0, 0.1), metric="w_fidelity")
+        with pytest.raises(RuntimeError, match=r"at cell \(0\.5, 0\.6, 0\.7, 0\.1\) on w_fidelity"):
+            sweep(spec)
+
+    def test_a_scaled_herald_probability_raises(self, monkeypatch):
+        herald_probability = wchip.optimize._herald_probability
+        monkeypatch.setattr(
+            wchip.optimize, "_herald_probability", lambda rows: herald_probability(rows) * 1.001
+        )
+        spec = SweepSpec((0.0, 0.5), (0.6,), (0.7,), (0.0, 0.1))
+        with pytest.raises(
+            RuntimeError, match=r"at cell \(0\.5, 0\.6, 0\.7, 0\.1\) on herald_probability"
+        ) as info:
+            sweep(spec)
+        assert not isinstance(info.value, WchipError)
+
     def test_a_grid_with_no_cell_inside_is_checked_at_its_first_cell(self, monkeypatch):
         checked = []
         fock_state = wchip.optimize.apply_mode_transform
@@ -633,7 +710,7 @@ def _slab_grids(draw):
     """A sweep over a grid of random shape: planes of 1 to 200 cells, 1 to
     30 of them, any values in the unit cube, either metric."""
     sizes = draw(st.tuples(*(st.integers(1, n) for n in (30, 10, 4, 5))))
-    axes = [draw(st.lists(_R, min_size=n, max_size=n)) for n in sizes]
+    axes = [draw(st.lists(_AXIS, min_size=n, max_size=n)) for n in sizes]
     metric = draw(st.sampled_from(("herald_probability", "w_fidelity")))
     return SweepSpec(*axes, metric=metric)
 
@@ -672,7 +749,8 @@ class TestSlabs:
         for cap in (1, wchip.optimize._SCAN_SLAB_CELLS, spec.n_cells + 1):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(wchip.optimize, "_SCAN_SLAB_CELLS", cap)
-                values.append(sweep(spec).values.tobytes())
+                table = _sweep_or_underflow(spec)
+                values.append(None if table is None else table.values.tobytes())
         assert values[0] == values[1] == values[2]
 
     @pytest.mark.parametrize("grid_step", [GRID_STEP, 0.1])
@@ -735,7 +813,9 @@ class TestLazyRows:
     @settings(max_examples=60)
     @given(_sweep_specs())
     def test_gives_the_eager_tuples(self, spec):
-        table, expected = sweep(spec), eager_sweep_rows(spec)
+        table, expected = _sweep_or_underflow(spec), eager_sweep_rows(spec)
+        if table is None:
+            return
         rows = table.rows
         assert len(rows) == len(expected) == spec.n_cells
         listed = list(rows)
@@ -744,8 +824,9 @@ class TestLazyRows:
         assert [row[:4] for row in rows] == [row[:4] for row in expected]
         assert _bits(table.rows) == _bits(listed)  # a second read gives the same rows
         one = SweepSpec(*[(v,) for v in expected[0][:4]], metric=spec.metric)
-        (row,) = sweep(one).rows
-        assert _bits([row]) == _bits(eager_sweep_rows(one))
+        if (table := _sweep_or_underflow(one)) is not None:
+            (row,) = table.rows
+            assert _bits([row]) == _bits(eager_sweep_rows(one))
 
     def test_values_are_one_read_only_array(self):
         table = sweep(SweepSpec(r1=(0.3, 0.5), r2=(0.4,), r3=(0.7,), ad2_extinction=(0.0, 0.1)))
@@ -776,6 +857,48 @@ class TestSweepFaces:
         for r1, r2, r3, _, value in rows:
             on_face = {r1, r2, r3} & {0.0, 1.0}
             assert (value == 0.0) if on_face else value > 0.0
+
+
+class TestColorblindRatio:
+    """The colour-blind fidelity is the scale-free amplitude ratio
+    1 / (1 + (Blue T1 / Red T1)^2): exact where every product of entries
+    underflows, and checked against the Fock engine at one cell."""
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            (0.5, 0.5, 3.5617438556386685e-160, 0.0),  # read 1.0002188662727074
+            (0.5, 1e-100, 1e-60, 0.1),  # read 0.9094781682641108
+            (0.5, 1e-200, 0.5, 0.1),  # read 0.0
+        ],
+    )
+    def test_cells_whose_squares_underflow(self, cell):
+        (row,) = sweep(SweepSpec(*[(v,) for v in cell], metric="w_fidelity")).rows
+        assert abs(row[-1] - 1.0 / (1.0 + cell[3])) <= 1e-12 and row[-1] <= 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(*[_axis(_AXIS)] * 4).map(lambda axes: SweepSpec(*axes, metric="w_fidelity")))
+    def test_is_one_over_one_plus_extinction_inside_and_zero_on_the_faces(self, spec):
+        table = _sweep_or_underflow(spec)
+        if table is None:
+            return
+        for r1, r2, r3, eps, value in table.rows:
+            assert 0.0 <= value <= 1.0
+            if {r1, r2, r3} & {0.0, 1.0}:
+                assert value == 0.0
+            else:
+                assert abs(value - 1.0 / (1.0 + eps)) <= 1e-12
+
+    @pytest.mark.parametrize("metric", ["herald_probability", "w_fidelity"])
+    def test_a_checked_cell_that_underflows_on_the_fock_engine_is_named(self, metric):
+        spec = SweepSpec((0.0, 0.5), (1e-200,), (1e-200,), (0.0, 0.1), metric=metric)
+        with pytest.raises(ParamOutOfRange, match=r"cell \(0\.5, 1e-200, 1e-200, 0\.1\) underflow"):
+            sweep(spec)
+
+    def test_a_cell_that_underflows_off_the_check_is_exact(self):
+        spec = SweepSpec((0.5,), (0.5, 1e-200), (1e-200,), (0.1,), metric="w_fidelity")
+        assert t1_amplitudes_underflow((0.5, 1e-200, 1e-200, 0.1))
+        assert [abs(v - 1.0 / 1.1) <= 1e-12 for v in sweep(spec).values] == [True, True]
 
 
 @st.composite
