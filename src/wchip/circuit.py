@@ -150,9 +150,8 @@ def canonical_w_circuit(
             raise ParamOutOfRange(f"{name} must lie in [0, 1], got {val}")
     r = (float(r1), float(r2), float(r3))
     phi = (float(phi1), float(phi2), float(phi3))
-    dc = DirectionalCoupler.from_reflectivity
     couplers = tuple(
-        dc(chans, 1.0, 0.0) if k is None else dc(chans, r[k], phi[k])
+        DirectionalCoupler(chans, 1.0) if k is None else DirectionalCoupler(chans, r[k], phi=phi[k])
         for chans, k in CANONICAL_COUPLERS
     )
     router = AddDropFilter(*CANONICAL_ROUTER, extinction=float(ad2_extinction))
@@ -343,10 +342,10 @@ def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
             if "r" not in entry:
                 raise ValidationError(f"{where}: coupler needs a reflectivity 'r'")
             elements.append(
-                DirectionalCoupler.from_reflectivity(
+                DirectionalCoupler(
                     (resolve(chans[0], where), resolve(chans[1], where)),
                     parse_number(entry["r"], f"{where} r"),
-                    parse_number(entry.get("phi", 0.0), f"{where} phi"),
+                    phi=parse_number(entry.get("phi", 0.0), f"{where} phi"),
                 )
             )
         else:

@@ -21,15 +21,13 @@ from __future__ import annotations
 import cmath
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ChannelCollision, NotUnitary, OrderOutOfRange, ParamOutOfRange
+from .errors import ChannelCollision, OrderOutOfRange, ParamOutOfRange
 from .fock import Color, FockBasisState, ModeLabel, ModeTransform, PureState
-
-_COUPLER_TOL = 1e-9
 
 _COLORS = tuple(Color)  # iterating the enum class is slow
 
@@ -39,14 +37,15 @@ _COLORS = tuple(Color)  # iterating the enum class is slow
 MEMO_SIZE = 256
 
 #: Exact bits of an element's float parameters, the memo key's numeric part.
-_COUPLER_PARAMS = struct.Struct("<3d")
+_COUPLER_PARAMS = struct.Struct("<2d")
 _ADDDROP_PARAMS = struct.Struct("<d")
 
 
 @dataclass(frozen=True)
 class DirectionalCoupler:
     """Evanescent coupler between two channels: beamsplitter with reflection
-    ``r``, transmission ``t`` (``r**2 + t**2 = 1``) and cross phase ``phi``.
+    ``r`` and cross phase ``phi``; its transmission ``t = sqrt(1 - r**2)`` is
+    derived from ``r`` (:func:`transmission`), never set.
 
     The single-color action on the channel pair ``(a, b)`` is taken as the
     unitary
@@ -63,7 +62,7 @@ class DirectionalCoupler:
 
     channels: tuple[int, int]
     r: float
-    t: float
+    _: KW_ONLY
     phi: float = 0.0
 
     def __post_init__(self):
@@ -73,27 +72,18 @@ class DirectionalCoupler:
         if a < 0 or b < 0:
             raise ParamOutOfRange("channel indices must be non-negative")
         object.__setattr__(self, "channels", (a, b))
-        r, t = float(self.r), float(self.t)
-        if not (0.0 <= r <= 1.0 and 0.0 <= t <= 1.0):
-            raise ParamOutOfRange(f"r and t must lie in [0, 1], got r={r}, t={t}")
-        closure = abs(r * r + t * t - 1.0)
-        if closure > _COUPLER_TOL:
-            raise NotUnitary(f"r**2 + t**2 deviates from 1 by {closure:.3g}")
+        r = float(self.r)
+        if not 0.0 <= r <= 1.0:
+            raise ParamOutOfRange(f"reflectivity must lie in [0, 1], got {r}")
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "t", t)
         phi = float(self.phi)
         if not math.isfinite(phi):
             raise ParamOutOfRange(f"phase phi must be finite, got {phi}")
         object.__setattr__(self, "phi", phi)
 
-    @classmethod
-    def from_reflectivity(
-        cls, channels: tuple[int, int], r: float, phi: float = 0.0
-    ) -> "DirectionalCoupler":
-        r = float(r)
-        if not 0.0 <= r <= 1.0:
-            raise ParamOutOfRange(f"reflectivity must lie in [0, 1], got {r}")
-        return cls(channels, r, float(transmission(r)), phi)
+    @property
+    def t(self) -> float:
+        return transmission(self.r)
 
 
 @dataclass(frozen=True)
@@ -170,12 +160,13 @@ def transmission(r):
     return np.sqrt(np.maximum(0.0, 1.0 - r * r))
 
 
-def coupler_block(r: float, t: float, phi: float = 0.0):
+def coupler_block(r: float, phi: float = 0.0):
     """Single-color action of a coupler on its channel pair ``(a, b)``:
-    ``((t, r e^{i phi}), (-r e^{-i phi}, t))``, rows indexed by input, as
-    nested tuples of Python numbers.  The cross term is the complex product
-    ``(r + 0j) e^{i phi}``, as numpy forms ``r * np.exp(1j * phi)``, so the
-    entries have its bits."""
+    ``((t, r e^{i phi}), (-r e^{-i phi}, t))`` with ``t = transmission(r)``,
+    rows indexed by input, as nested tuples of Python numbers.  The cross
+    term is the complex product ``(r + 0j) e^{i phi}``, as numpy forms
+    ``r * np.exp(1j * phi)``, so the entries have its bits."""
+    t = transmission(r)
     cross = complex(r) * cmath.exp(1j * phi)
     return ((t, cross), (-cross.conjugate(), t))
 
@@ -230,7 +221,7 @@ def coupler_transform(dc: DirectionalCoupler) -> ModeTransform:
     """Four-mode transform of a coupler: :func:`coupler_block` acts
     identically on the Red and the Blue modes of the two channels.
     Memoised (see the module docstring)."""
-    return _coupler_memo(dc.channels, _COUPLER_PARAMS.pack(dc.r, dc.t, dc.phi))
+    return _coupler_memo(dc.channels, _COUPLER_PARAMS.pack(dc.r, dc.phi))
 
 
 def adddrop_transform(ad: AddDropFilter) -> ModeTransform:

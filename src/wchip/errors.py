@@ -28,8 +28,7 @@ class DimensionMismatch(WchipError):
 
 
 class NotUnitary(WchipError):
-    """A transform fails the unitarity check or holds a non-finite entry, or
-    coupler coefficients violate r**2 + t**2 = 1 beyond tolerance."""
+    """A transform fails the unitarity check or holds a non-finite entry."""
 
 
 class ChannelCollision(WchipError):

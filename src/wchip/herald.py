@@ -123,8 +123,9 @@ _W_STATES = {branch: w_state(branch) for branch in Branch}
 def _scaled(terms: list) -> tuple[list, int]:
     """`terms` times the power of two ``2**m`` that brings their largest
     part into [0.5, 1), and `m`: no ratio moves, and a weight below the
-    normal floats is lifted."""
-    m = -max(math.frexp(max(abs(a.real), abs(a.imag)))[1] for _, a in terms)
+    normal floats is lifted.  The exponent is read from the nonzero terms
+    only (an exact zero has none); with no nonzero term `m` is 0."""
+    m = -max((math.frexp(max(abs(a.real), abs(a.imag)))[1] for _, a in terms if a), default=0)
     return [(b, complex(math.ldexp(a.real, m), math.ldexp(a.imag, m))) for b, a in terms], m
 
 

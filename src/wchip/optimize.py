@@ -449,16 +449,18 @@ def sweep(spec: SweepSpec) -> SweepTable:
 
 
 def _checked_cell(spec: SweepSpec) -> tuple[int, int, int, int]:
-    """Index of the cell :func:`_check_on_fock` checks: on the r1, r2 and r3
-    axes the first value inside (0, 1), and on the extinction axis the
-    first above 0, so that every T1 amplitude, the leaked Blue ones too, is
-    nonzero; an axis with no such value gives its first."""
-    inside = (
-        next((i for i, v in enumerate(axis) if 0.0 < v < 1.0), 0)
-        for axis in (spec.r1, spec.r2, spec.r3)
-    )
-    leaking = next((i for i, v in enumerate(spec.ad2_extinction) if v > 0.0), 0)
-    return (*inside, leaking)
+    """Index of the cell :func:`_check_on_fock` checks: on each axis the
+    inside value nearest 1/2, the first on ties, so that every T1 amplitude,
+    the leaked Blue ones too, is nonzero and, where the axis allows, far
+    from underflow.  Inside means in (0, 1) for r1, r2 and r3 and above 0 for
+    the extinction; an axis with no inside value gives its first."""
+
+    def nearest_half(axis: tuple[float, ...], top: float) -> int:
+        inside = (i for i, v in enumerate(axis) if 0.0 < v < top)
+        return min(inside, key=lambda i: abs(axis[i] - 0.5), default=0)
+
+    r1, r2, r3 = (nearest_half(axis, 1.0) for axis in (spec.r1, spec.r2, spec.r3))
+    return r1, r2, r3, nearest_half(spec.ad2_extinction, math.inf)
 
 
 def _check_on_fock(spec: SweepSpec, index: tuple[int, ...], entries, value: float) -> None:
@@ -473,26 +475,22 @@ def _check_on_fock(spec: SweepSpec, index: tuple[int, ...], entries, value: floa
     circuit = canonical_w_circuit(*cell[:3], ad2_extinction=cell[3])
     state = apply_mode_transform(two_pair_state(SOURCE_CHANNEL), build_transform(circuit))
     signal = dict(zip(SIGNAL_CHANNELS, entries[3:]))  # both colors share them
-    compared, amplitudes = [], []
+    compared = []
     for color in Color:
         for (s, j, l), basis, _ in heralding_terms(T1_CHANNEL, color):
-            fock = state.amplitude(basis)
             engine = heralding_amplitude(entries[color], signal[s], signal[j], signal[l])
-            compared.append((basis, engine, fock))
-            if fock:  # _scaled reads nonzero terms
-                amplitudes.append((color, fock))
-    fock = 0.0
-    if amplitudes:
-        amplitudes, m = _scaled(amplitudes)
-        red = [a for color, a in amplitudes if color is Color.RED]
-        if spec.metric == "herald_probability":
-            fock = math.ldexp(sum(abs(a) ** 2 for a in red), -2 * m)
-        else:
-            fock = abs(sum(red)) ** 2 / 3.0 / sum(abs(a) ** 2 for _, a in amplitudes)
+            compared.append((color, basis, engine, state.amplitude(basis)))
+    amplitudes, m = _scaled([(color, fock) for color, _, _, fock in compared])
+    red = [a for color, a in amplitudes if color is Color.RED]
+    weight = sum(abs(a) ** 2 for _, a in amplitudes)  # 0 only with no nonzero amplitude
+    if spec.metric == "herald_probability":
+        fock = math.ldexp(sum(abs(a) ** 2 for a in red), -2 * m)
+    else:
+        fock = abs(sum(red)) ** 2 / 3.0 / weight if weight else 0.0
     # the largest part below 2**-1022, the normal floats, or none at all
-    if (not amplitudes or m >= 1022) and entries[0] and all(entries[3:]):
+    if (not weight or m >= 1022) and entries[0] and all(entries[3:]):
         raise ParamOutOfRange(f"the T1 amplitudes of cell {cell} underflow on the Fock engine")
-    for what, engine, fock in [*compared, (spec.metric, value, fock)]:
+    for _, what, engine, fock in [*compared, (None, spec.metric, value, fock)]:
         if not abs(fock - engine) <= 1e-12:
             raise RuntimeError(
                 f"row engine disagrees with the Fock engine at cell {cell} on {what}: "

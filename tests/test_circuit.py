@@ -91,7 +91,7 @@ def test_idle_couplers_route_everything_to_channel_three():
 
 
 def test_terminal_phases_multiply_per_channel():
-    base = CircuitSpec(("a", "b"), (DirectionalCoupler.from_reflectivity((0, 1), 0.6),))
+    base = CircuitSpec(("a", "b"), (DirectionalCoupler((0, 1), 0.6),))
     phased = CircuitSpec(base.channels, base.elements, (0.0, 0.9))
     photon = PureState.basis(FockBasisState.single(ModeLabel(0, Color.BLUE)))
     out0 = apply_mode_transform(photon, build_transform(base))
@@ -112,7 +112,7 @@ class TestValidation:
             CircuitSpec(("x", "x"))
 
     def test_unregistered_element_channel_names_index(self):
-        dc = DirectionalCoupler.from_reflectivity((0, 7), 0.5)
+        dc = DirectionalCoupler((0, 7), 0.5)
         with pytest.raises(ValidationError, match="element 0"):
             CircuitSpec(("a", "b"), (dc,))
 
@@ -183,9 +183,9 @@ class TestJson:
         spec = CircuitSpec(
             ("in", "tap", "out", "x"),
             (
-                DirectionalCoupler.from_reflectivity((0, 1), 0.3, -0.0),
+                DirectionalCoupler((0, 1), 0.3, phi=-0.0),
                 AddDropFilter(1, 2, 3, Color.RED, extinction=0.25),
-                DirectionalCoupler.from_reflectivity((2, 0), 0.8, 1.1),
+                DirectionalCoupler((2, 0), 0.8, phi=1.1),
             ),
             (0.0, -0.4, 0.1, 2.0),
         )
@@ -333,7 +333,7 @@ class TestMatchesUncachedPath:
             if data.draw(st.booleans()):
                 a, b = data.draw(st.lists(channel, min_size=2, max_size=2, unique=True))
                 r, phi = data.draw(_UNIT), data.draw(_PHASE)
-                elements.append(DirectionalCoupler.from_reflectivity((a, b), r, phi))
+                elements.append(DirectionalCoupler((a, b), r, phi=phi))
             else:
                 chans = data.draw(st.lists(channel, min_size=3, max_size=3, unique=True))
                 color = data.draw(st.sampled_from(Color))
@@ -357,7 +357,7 @@ class TestMatchesUncachedPath:
         spec = CircuitSpec(
             ("c0", "c1", "c2"),
             (
-                DirectionalCoupler.from_reflectivity((2, 0), 1.0, 0.0),
+                DirectionalCoupler((2, 0), 1.0, phi=0.0),
                 AddDropFilter(1, 0, 2, red, 0.0),
                 AddDropFilter(2, 0, 1, red, 0.0),
                 AddDropFilter(2, 1, 0, blue, 0.5),

@@ -427,15 +427,15 @@ class TestStreamedSweep:
     def test_a_non_finite_value_is_refused_in_json_only(self, tmp_path, monkeypatch, capsys):
         import wchip.optimize
 
-        # NaN on every cell but the checked one (r1 = 0.3), whose value the
+        # NaN on every cell but the checked one (r1 = 0.5), whose value the
         # in-run check compares with the Fock engine's
         herald_probability = wchip.optimize._herald_probability
         monkeypatch.setattr(
             wchip.optimize,
             "_herald_probability",
-            lambda rows: np.where(rows[0] == 0.3, herald_probability(rows), math.nan),
+            lambda rows: np.where(rows[0] == 0.5, herald_probability(rows), math.nan),
         )
-        checked = herald_objective(0.3, 0.5, 0.5)
+        checked = herald_objective(0.5, 0.5, 0.5)
         cfg = _write(tmp_path, "c.json", {"sweep": {"r1": [0.3, 0.4, 0.5], "r2": 0.5, "r3": 0.5}})
         out = tmp_path / "out.json"
         assert main(["sweep", "--config", cfg, "--format", "json", "--out", str(out)]) == 1
@@ -446,8 +446,8 @@ class TestStreamedSweep:
         out = tmp_path / "out.csv"
         assert main(["sweep", "--config", cfg, "--format", "csv", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert abs(float(lines[1].split(",")[-1]) - checked) <= 1e-12
-        assert lines[2:] == ["0.4,0.5,0.5,0.0,nan", "0.5,0.5,0.5,0.0,nan"]
+        assert lines[1:3] == ["0.3,0.5,0.5,0.0,nan", "0.4,0.5,0.5,0.0,nan"]
+        assert abs(float(lines[3].split(",")[-1]) - checked) <= 1e-12
 
     def test_a_cell_whose_squares_underflow_reads_one(self, tmp_path, capsys):
         block = {"r1": 0.5, "r2": 0.5, "r3": 3.5617438556386685e-160, "metric": "w_fidelity"}
@@ -457,7 +457,7 @@ class TestStreamedSweep:
 
     @pytest.mark.parametrize("metric", ["herald_probability", "w_fidelity"])
     def test_a_checked_cell_that_underflows_is_a_named_error(self, tmp_path, capsys, metric):
-        block = {"r1": 0.5, "r2": 1e-200, "r3": [1e-200, 0.5], "metric": metric}
+        block = {"r1": 0.5, "r2": 1e-200, "r3": [1e-200], "metric": metric}
         cfg = _write(tmp_path, "c.json", {"sweep": block})
         out = tmp_path / "out.csv"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1

@@ -1,5 +1,6 @@
 """Tests for the optical-element transforms and the pair source."""
 
+import cmath
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wchip.circuit import CircuitSpec, build_transform, canonical_w_circuit
+from wchip.circuit import CANONICAL_CHANNELS, CircuitSpec, build_transform, canonical_w_circuit
 from wchip.elements import (
     AddDropFilter,
     DirectionalCoupler,
@@ -24,38 +25,53 @@ from wchip.fock import Color, FockBasisState, ModeLabel, PureState, apply_mode_t
 from oracles import uncached_build_transform, uncached_element_transform
 
 
+# Up to 50 couplers, each (channel pair of the canonical registry, r, phi).
+_CHANNEL = st.integers(0, len(CANONICAL_CHANNELS) - 1)
+_COUPLER_CHAIN = st.lists(
+    st.tuples(
+        st.lists(_CHANNEL, min_size=2, max_size=2, unique=True),
+        st.floats(0.0, 1.0),
+        st.floats(-4.0, 4.0),
+    ),
+    min_size=1,
+    max_size=50,
+)
+
+
 class TestDirectionalCoupler:
-    def test_from_reflectivity_closes_energy(self):
-        dc = DirectionalCoupler.from_reflectivity((0, 1), 0.3)
+    def test_transmission_closes_energy(self):
+        dc = DirectionalCoupler((0, 1), 0.3)
         assert dc.r**2 + dc.t**2 == pytest.approx(1.0)
 
     def test_rejects_same_channel_twice(self):
         with pytest.raises(ChannelCollision):
-            DirectionalCoupler((2, 2), 0.5, math.sqrt(0.75))
+            DirectionalCoupler((2, 2), 0.5)
 
     def test_rejects_out_of_range_reflectivity(self):
         with pytest.raises(ParamOutOfRange):
-            DirectionalCoupler.from_reflectivity((0, 1), 1.2)
+            DirectionalCoupler((0, 1), 1.2)
 
-    def test_rejects_broken_energy_closure(self):
-        with pytest.raises(NotUnitary):
+    def test_a_transmission_argument_is_a_type_error(self):
+        # t is derived from r, and phi is keyword-only, so an old
+        # (channels, r, t) call can never read t as a phase
+        with pytest.raises(TypeError):
             DirectionalCoupler((0, 1), 1.0, 1.0)
 
     def test_rejects_non_finite_phase(self):
         with pytest.raises(ParamOutOfRange, match="finite"):
-            DirectionalCoupler.from_reflectivity((0, 1), 0.5, math.nan)
+            DirectionalCoupler((0, 1), 0.5, phi=math.nan)
 
     def test_transform_is_unitary_for_any_phase(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             r = float(rng.uniform(0, 1))
             phi = float(rng.uniform(-math.pi, math.pi))
-            xf = coupler_transform(DirectionalCoupler.from_reflectivity((0, 1), r, phi))
+            xf = coupler_transform(DirectionalCoupler((0, 1), r, phi=phi))
             assert xf.unitarity_deviation() < 1e-12
 
     def test_symmetric_form_at_quarter_phase(self):
         # at phi = pi/2 the cross terms coincide: [[t, ir], [ir, t]]
-        dc = DirectionalCoupler.from_reflectivity((0, 1), 0.6, math.pi / 2)
+        dc = DirectionalCoupler((0, 1), 0.6, phi=math.pi / 2)
         xf = coupler_transform(dc)
         blue = [ModeLabel(0, Color.BLUE), ModeLabel(1, Color.BLUE)]
         i0, i1 = (xf.modes.index(m) for m in blue)
@@ -64,17 +80,25 @@ class TestDirectionalCoupler:
         assert xf.matrix[i0, i0] == pytest.approx(0.8)
 
     def test_channel_exchange_transposes_matrix(self):
-        fwd = coupler_transform(DirectionalCoupler.from_reflectivity((0, 1), 0.43, 0.7))
-        rev = coupler_transform(DirectionalCoupler.from_reflectivity((1, 0), 0.43, 0.7))
+        fwd = coupler_transform(DirectionalCoupler((0, 1), 0.43, phi=0.7))
+        rev = coupler_transform(DirectionalCoupler((1, 0), 0.43, phi=0.7))
         assert np.allclose(rev.matrix, fwd.matrix.T)
 
     def test_colors_never_mix(self):
-        xf = coupler_transform(DirectionalCoupler.from_reflectivity((0, 1), 0.5, 0.2))
+        xf = coupler_transform(DirectionalCoupler((0, 1), 0.5, phi=0.2))
         for i, mi in enumerate(xf.modes):
             for j, mj in enumerate(xf.modes):
                 if mi.color != mj.color:
                     assert xf.matrix[i, j] == 0.0
 
+
+    @given(_COUPLER_CHAIN)
+    def test_any_chain_of_accepted_couplers_builds(self, chain):
+        couplers = tuple(DirectionalCoupler(pair, r, phi=phi) for pair, r, phi in chain)
+        for dc in couplers:
+            assert dc.t.hex() == wchip.elements.transmission(dc.r).hex()
+        transform = build_transform(CircuitSpec(CANONICAL_CHANNELS, couplers))
+        assert transform.unitarity_deviation() <= 1e-9
 
     @pytest.mark.parametrize("r", [0.0, -0.0, 1e-300, 0.3, 0.5, 1.0 - 1e-16, 1.0, 1.5, -2.0])
     def test_float_transmission_equals_the_array_branch(self, r):
@@ -133,10 +157,9 @@ class TestMemo:
         "plus, minus",
         [
             (AddDropFilter(1, 5, 6, Color.BLUE, 0.0), AddDropFilter(1, 5, 6, Color.BLUE, -0.0)),
-            (DirectionalCoupler((0, 1), 0.0, 1.0), DirectionalCoupler((0, 1), -0.0, 1.0)),
-            (DirectionalCoupler((0, 1), 1.0, 0.0), DirectionalCoupler((0, 1), 1.0, -0.0)),
+            (DirectionalCoupler((0, 1), 0.0), DirectionalCoupler((0, 1), -0.0)),
         ],
-        ids=["extinction", "coupler-r", "coupler-t"],
+        ids=["extinction", "coupler-r"],
     )
     def test_negative_zero_after_its_twin_equals_its_fresh_build(self, plus, minus):
         transform = adddrop_transform if isinstance(plus, AddDropFilter) else coupler_transform
@@ -156,7 +179,7 @@ class TestMemo:
             assert memo.cache_info().maxsize == bound
         for k in range(bound + 40):
             eps = k / (bound + 40)
-            dc = DirectionalCoupler.from_reflectivity((0, 1), eps, 0.5)
+            dc = DirectionalCoupler((0, 1), eps, phi=0.5)
             ad = AddDropFilter(1, 5, 6, Color.RED, eps)
             assert _bits(coupler_transform(dc)) == _bits(uncached_element_transform(dc))
             assert _bits(adddrop_transform(ad)) == _bits(uncached_element_transform(ad))
@@ -164,14 +187,14 @@ class TestMemo:
                 assert memo.cache_info().currsize <= bound
 
     def test_writing_to_a_memoised_matrix_raises(self):
-        xf = coupler_transform(DirectionalCoupler.from_reflectivity((0, 1), 0.37, 0.2))
+        xf = coupler_transform(DirectionalCoupler((0, 1), 0.37, phi=0.2))
         with pytest.raises(ValueError, match="read-only"):
             xf.matrix[0, 0] = 2.0
         ad = adddrop_transform(AddDropFilter(1, 5, 6, Color.BLUE, 0.01))
         with pytest.raises(ValueError, match="read-only"):
             ad.matrix[:] = 0.0
         assert coupler_transform(
-            DirectionalCoupler.from_reflectivity((0, 1), 0.37, 0.2)
+            DirectionalCoupler((0, 1), 0.37, phi=0.2)
         ).matrix[0, 0] == xf.matrix[0, 0]
 
 
@@ -211,22 +234,25 @@ class TestScalarBlocks:
         spec = CircuitSpec(
             ("a", "b", "c", "d", "e"),
             (
-                DirectionalCoupler.from_reflectivity((3, 1), r1, phi1),
+                DirectionalCoupler((3, 1), r1, phi=phi1),
                 AddDropFilter(4, 2, 0, color, extinction),
-                DirectionalCoupler.from_reflectivity((4, 0), r2, phi2),
+                DirectionalCoupler((4, 0), r2, phi=phi2),
             ),
         )
         _assert_builds_like_the_oracle(spec)
 
     def test_a_block_off_unitarity_by_2e_9_is_not_built(self):
-        # The coupler's own closure check would refuse these parameters, so
-        # the block goes to the memo's builder directly.
-        r = 0.6
-        pack = wchip.elements._COUPLER_PARAMS.pack
+        # A coupler's t is derived from r, so the off-unitary block goes to
+        # the memo's builder directly.
+        def block(off):
+            t = math.sqrt(1.0 - 0.6 * 0.6 + off)
+            cross = complex(0.6) * cmath.exp(0.3j)
+            return ((t, cross), (-cross.conjugate(), t))
+
         with pytest.raises(NotUnitary, match=r"deviates from unitarity by 2e-09"):
-            wchip.elements._coupler_memo((0, 1), pack(r, math.sqrt(1.0 - r * r + 2e-9), 0.3))
+            wchip.elements._color_blocks((0, 1), (block(2e-9),) * 2)
         # half the tolerance off still builds
-        transform = wchip.elements._coupler_memo((0, 1), pack(r, math.sqrt(1.0 - r * r + 5e-10), 0.3))
+        transform = wchip.elements._color_blocks((0, 1), (block(5e-10),) * 2)
         assert 4e-10 < transform.unitarity_deviation() <= 1e-9
 
 

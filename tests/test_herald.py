@@ -40,6 +40,7 @@ from wchip.fock import (
 from wchip.herald import (
     COLOR_PATTERNS,
     Branch,
+    _scaled,
     coincidence_distribution,
     coincidence_distribution_rho,
     herald,
@@ -323,7 +324,7 @@ def _devices(draw, reflectivity=_UNIT, extinction=_UNIT):
         if draw(st.booleans()):
             pair = draw(st.lists(channel, min_size=2, max_size=2, unique=True))
             elements.append(
-                DirectionalCoupler.from_reflectivity(pair, draw(reflectivity), draw(_PHI))
+                DirectionalCoupler(pair, draw(reflectivity), phi=draw(_PHI))
             )
         else:
             chans = draw(st.lists(channel, min_size=3, max_size=3, unique=True))
@@ -379,6 +380,18 @@ class TestBetaIndependence:
     def test_no_double_pair_heralds_nothing(self, source):
         res = herald(propagate(source, canonical_w_circuit(*OPT)), Branch.T1)
         assert (res.probability, res.heralded_state, res.residual_weight) == (0.0, None, 0.0)
+
+
+def test_scaling_reads_the_exponent_of_the_nonzero_terms_only():
+    # an exact zero has no exponent: read as 0, it left tiny terms unscaled
+    terms = [("a", 0j), ("b", complex(3e-160, -1e-160)), ("c", 0j), ("d", 2e-160j)]
+    scaled, m = _scaled(terms)
+    assert m == -math.frexp(3e-160)[1] and m > 500
+    assert [b for b, _ in scaled] == ["a", "b", "c", "d"]
+    for (_, a), (_, a0) in zip(scaled, terms):
+        assert a == complex(math.ldexp(a0.real, m), math.ldexp(a0.imag, m))
+    assert 0.5 <= scaled[1][1].real < 1.0
+    assert _scaled([("a", 0j)]) == ([("a", 0j)], 0)
 
 
 # ---------------------------------------------------------------------------

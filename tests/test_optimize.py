@@ -577,13 +577,17 @@ def _sweep_specs(draw):
 
 
 def _checked(spec):
-    """The cell the in-run check reads: on each r axis the first value
-    inside (0, 1), on the extinction axis the first above 0, else the
-    axis's first."""
+    """The cell the in-run check reads: on each axis the inside value
+    nearest 1/2, the first on ties (inside: in (0, 1) on an r axis, above 0
+    on the extinction axis), else the axis's first."""
+
+    def nearest_half(axis, inside):
+        return min(filter(inside, axis), key=lambda v: abs(v - 0.5), default=axis[0])
+
     *rs, eps = spec.r1, spec.r2, spec.r3, spec.ad2_extinction
     return (
-        *(next((v for v in axis if 0.0 < v < 1.0), axis[0]) for axis in rs),
-        next((v for v in eps if v > 0.0), eps[0]),
+        *(nearest_half(axis, lambda v: 0.0 < v < 1.0) for axis in rs),
+        nearest_half(eps, lambda v: v > 0.0),
     )
 
 
@@ -653,14 +657,14 @@ class TestSweepEngine:
     ):
         # Every amplitude is 0 on a face of the cube, and the Blue T1 ones
         # at zero extinction, where the mutant is right, so the checked
-        # cell must be the first one inside the cube and off zero extinction.
+        # cell must be one inside the cube and off zero extinction.
         _scale_an_entry(monkeypatch, entry)
         spec = SweepSpec(r1=(0.5,), r2=r2, r3=(0.7,), ad2_extinction=extinction, metric=metric)
         with pytest.raises(RuntimeError, match=r"at cell \(0\.5, 0\.6, 0\.7, 0\.1\)"):
             sweep(spec)
 
     def test_the_checked_cell_is_read_from_its_own_slab(self, monkeypatch):
-        # One r1 plane per slab: the first cell inside lies in the third slab.
+        # One r1 plane per slab: the checked cell (r1 = 0.5) lies in the third slab.
         monkeypatch.setattr(wchip.optimize, "_SCAN_SLAB_CELLS", 1)
         _scale_an_entry(monkeypatch, 4)
         spec = SweepSpec(r1=(0.0, 1.0, 0.5, 0.4), r2=(0.6,), r3=(0.7,), ad2_extinction=(0.1,))
@@ -894,6 +898,22 @@ class TestColorblindRatio:
         spec = SweepSpec((0.0, 0.5), (1e-200,), (1e-200,), (0.0, 0.1), metric=metric)
         with pytest.raises(ParamOutOfRange, match=r"cell \(0\.5, 1e-200, 1e-200, 0\.1\) underflow"):
             sweep(spec)
+
+    def test_a_grid_with_a_resolvable_cell_is_checked_there(self):
+        # The first inside cell underflows on the Fock engine; the one
+        # nearest 1/2 on each axis does not.
+        spec = SweepSpec((0.5,), (1e-200, 0.5), (1e-200, 0.5), metric="w_fidelity")
+        assert wchip.optimize._checked_cell(spec) == (0, 1, 1, 0)
+        assert sweep(spec).values.tolist() == [1.0] * 4
+
+    def test_the_checked_cell_is_the_inside_value_nearest_one_half(self):
+        # 0.4 and 0.6, and 0.25 and 0.75, tie at 1/2: the first wins; 1.0 is
+        # outside an r axis but inside the extinction axis
+        spec = SweepSpec((0.0, 0.9, 0.4, 0.6), (1.0, 1e-200), (0.0,), (0.0, 1.0, 0.25, 0.75))
+        assert wchip.optimize._checked_cell(spec) == (2, 1, 0, 2)
+        # 1e-200 and 1.0 tie at 1/2 in floating point
+        spec = SweepSpec((0.5,), (0.5,), (0.5,), (1e-200, 1.0))
+        assert wchip.optimize._checked_cell(spec) == (0, 0, 0, 0)
 
     def test_a_cell_that_underflows_off_the_check_is_exact(self):
         spec = SweepSpec((0.5,), (0.5, 1e-200), (1e-200,), (0.1,), metric="w_fidelity")
