@@ -143,18 +143,15 @@ def canonical_w_circuit(
     """The canonical heralded-W device: :data:`CANONICAL_COUPLERS` followed
     by :data:`CANONICAL_ROUTER` (see the module docstring for the layout).
 
-    Transmissions are derived as t_i = sqrt(1 - r_i**2).
+    Transmissions are derived as t_i = sqrt(1 - r_i**2).  Each element reads
+    its own parameters, so a bad r raises the coupler's ParamOutOfRange.
     """
-    for name, val in (("r1", r1), ("r2", r2), ("r3", r3)):
-        if not 0.0 <= float(val) <= 1.0:
-            raise ParamOutOfRange(f"{name} must lie in [0, 1], got {val}")
-    r = (float(r1), float(r2), float(r3))
-    phi = (float(phi1), float(phi2), float(phi3))
+    r, phi = (r1, r2, r3), (phi1, phi2, phi3)
     couplers = tuple(
         DirectionalCoupler(chans, 1.0) if k is None else DirectionalCoupler(chans, r[k], phi=phi[k])
         for chans, k in CANONICAL_COUPLERS
     )
-    router = AddDropFilter(*CANONICAL_ROUTER, extinction=float(ad2_extinction))
+    router = AddDropFilter(*CANONICAL_ROUTER, extinction=ad2_extinction)
     return CircuitSpec(CANONICAL_CHANNELS, couplers + (router,))
 
 

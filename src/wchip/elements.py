@@ -10,17 +10,17 @@ filters mis-route photons, they never absorb them.
 canonical build repeats the crossing and, at zero extinction, the ideal
 router, and a circuit built twice in one process repeats all its elements.
 Each memo keeps the :data:`MEMO_SIZE` most recently used transforms, keyed by
-an element's channels (and resonant color) and the exact bits of its float
-parameters, so ``-0.0`` and ``0.0``, which compare and hash alike but build
-different entries, never share a transform.  A memoised matrix is read-only,
-and each distinct element is unitarity-checked when it is first built.
+the element itself.  Each constructor reads its parameters once, and turns
+``-0.0`` into ``0.0``, so two elements compare equal exactly when they build
+the same matrix bits.  A memoised matrix is read-only, and each distinct
+element is unitarity-checked when it is first built.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import struct
+import operator
 from dataclasses import KW_ONLY, dataclass
 from functools import lru_cache
 
@@ -36,9 +36,18 @@ _COLORS = tuple(Color)  # iterating the enum class is slow
 #: every time and fill them, which is why they must stay small.
 MEMO_SIZE = 256
 
-#: Exact bits of an element's float parameters, the memo key's numeric part.
-_COUPLER_PARAMS = struct.Struct("<2d")
-_ADDDROP_PARAMS = struct.Struct("<d")
+
+def _channel(value) -> int:
+    """A channel index: an int or a numpy integer, not a bool, never negative."""
+    try:
+        channel = operator.index(value)
+    except TypeError:
+        channel = None
+    if channel is None or isinstance(value, bool):
+        raise ParamOutOfRange(f"channel index must be an integer, got {value!r}")
+    if channel < 0:
+        raise ParamOutOfRange(f"channel index must be non-negative, got {channel}")
+    return channel
 
 
 @dataclass(frozen=True)
@@ -66,17 +75,15 @@ class DirectionalCoupler:
     phi: float = 0.0
 
     def __post_init__(self):
-        a, b = (int(self.channels[0]), int(self.channels[1]))
+        a, b = map(_channel, self.channels)
         if a == b:
             raise ChannelCollision(f"coupler needs two distinct channels, got {a}")
-        if a < 0 or b < 0:
-            raise ParamOutOfRange("channel indices must be non-negative")
         object.__setattr__(self, "channels", (a, b))
-        r = float(self.r)
+        r = float(self.r) + 0.0  # -0.0 reads as 0.0
         if not 0.0 <= r <= 1.0:
             raise ParamOutOfRange(f"reflectivity must lie in [0, 1], got {r}")
         object.__setattr__(self, "r", r)
-        phi = float(self.phi)
+        phi = float(self.phi) + 0.0
         if not math.isfinite(phi):
             raise ParamOutOfRange(f"phase phi must be finite, got {phi}")
         object.__setattr__(self, "phi", phi)
@@ -103,16 +110,14 @@ class AddDropFilter:
     extinction: float = 0.0
 
     def __post_init__(self):
-        chans = (int(self.input_channel), int(self.through_channel), int(self.drop_channel))
+        chans = tuple(map(_channel, (self.input_channel, self.through_channel, self.drop_channel)))
         if len(set(chans)) != 3:
             raise ChannelCollision(f"add-drop channels must be distinct, got {chans}")
-        if min(chans) < 0:
-            raise ParamOutOfRange("channel indices must be non-negative")
         object.__setattr__(self, "input_channel", chans[0])
         object.__setattr__(self, "through_channel", chans[1])
         object.__setattr__(self, "drop_channel", chans[2])
         object.__setattr__(self, "resonant_color", Color(self.resonant_color))
-        eps = float(self.extinction)
+        eps = float(self.extinction) + 0.0
         if not 0.0 <= eps <= 1.0:
             raise ParamOutOfRange(f"extinction must lie in [0, 1], got {eps}")
         object.__setattr__(self, "extinction", eps)
@@ -128,10 +133,7 @@ class SourceSpec:
     max_order: int = 2
 
     def __post_init__(self):
-        ch = int(self.channel)
-        if ch < 0:
-            raise ParamOutOfRange("source channel must be non-negative")
-        object.__setattr__(self, "channel", ch)
+        object.__setattr__(self, "channel", _channel(self.channel))
         beta = complex(self.beta)
         if not cmath.isfinite(beta):
             raise ParamOutOfRange(f"beta must be finite, got {beta}")
@@ -139,10 +141,9 @@ class SourceSpec:
         if max(abs(beta.real), abs(beta.imag)) > 1.0 or abs(beta) > 1.0:
             raise ParamOutOfRange(f"|beta|**2 must not exceed 1, got beta = {beta}")
         object.__setattr__(self, "beta", beta)
-        order = int(self.max_order)
-        if order not in (0, 1, 2):
-            raise OrderOutOfRange(f"max_order must be 0, 1 or 2, got {order}")
-        object.__setattr__(self, "max_order", order)
+        if isinstance(self.max_order, bool) or self.max_order not in (0, 1, 2):
+            raise OrderOutOfRange(f"max_order must be 0, 1 or 2, got {self.max_order!r}")
+        object.__setattr__(self, "max_order", int(self.max_order))
 
 
 # ---------------------------------------------------------------------------
@@ -204,32 +205,21 @@ def _color_blocks(channels, blocks) -> ModeTransform:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _coupler_memo(channels: tuple[int, int], params: bytes) -> ModeTransform:
-    block = coupler_block(*_COUPLER_PARAMS.unpack(params))
-    return _color_blocks(channels, (block,) * len(_COLORS))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _adddrop_memo(channels: tuple[int, int, int], resonant: Color, params: bytes) -> ModeTransform:
-    (extinction,) = _ADDDROP_PARAMS.unpack(params)
-    return _color_blocks(
-        channels, tuple(adddrop_block(extinction, color is resonant) for color in _COLORS)
-    )
-
-
 def coupler_transform(dc: DirectionalCoupler) -> ModeTransform:
     """Four-mode transform of a coupler: :func:`coupler_block` acts
     identically on the Red and the Blue modes of the two channels.
     Memoised (see the module docstring)."""
-    return _coupler_memo(dc.channels, _COUPLER_PARAMS.pack(dc.r, dc.phi))
+    return _color_blocks(dc.channels, (coupler_block(dc.r, dc.phi),) * len(_COLORS))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def adddrop_transform(ad: AddDropFilter) -> ModeTransform:
     """Six-mode transform of an add-drop filter: :func:`adddrop_block` on
     each color, resonant for ``ad.resonant_color`` only.  Memoised (see the
     module docstring)."""
     chans = (ad.input_channel, ad.through_channel, ad.drop_channel)
-    return _adddrop_memo(chans, ad.resonant_color, _ADDDROP_PARAMS.pack(ad.extinction))
+    blocks = tuple(adddrop_block(ad.extinction, color is ad.resonant_color) for color in _COLORS)
+    return _color_blocks(chans, blocks)
 
 
 # ---------------------------------------------------------------------------

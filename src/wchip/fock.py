@@ -42,6 +42,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .density import BASIS_THREE, ThreePhotonRho
 from .errors import (
     DimensionMismatch,
     EmptyState,
@@ -461,8 +462,6 @@ def reduce_to_channels(state: PureState, keep: Iterable[int]):
 
     Raises :class:`DimensionMismatch` when the photon content does not fit.
     """
-    from .density import BASIS_THREE, ThreePhotonRho
-
     keep = tuple(sorted({int(c) for c in keep}))
     if len(keep) != 3:
         raise DimensionMismatch(f"can reduce to 3 channels, got {len(keep)}")

@@ -94,8 +94,9 @@ def _slabs(planes: int, plane_cells: int) -> list[tuple[int, int]]:
 
 def herald_objective(r1: float, r2: float, r3: float) -> float:
     """P(T1 herald | double pair) of the canonical circuit, from simulation;
-    an r outside [0, 1] raises :class:`ParamOutOfRange` naming it."""
-    spec = canonical_w_circuit(float(r1), float(r2), float(r3))
+    an r outside [0, 1] raises the coupler's :class:`ParamOutOfRange`,
+    "reflectivity must lie in [0, 1], got ..."."""
+    spec = canonical_w_circuit(r1, r2, r3)
     state = apply_mode_transform(two_pair_state(SOURCE_CHANNEL), build_transform(spec))
     return herald(state, Branch.T1).probability
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -94,6 +95,14 @@ def herald_prefactor(r1: float, r2: float, r3: float) -> float:
     t2 = math.sqrt(1.0 - r2 * r2)
     t3 = math.sqrt(1.0 - r3 * r3)
     return (r1 * t1**3 * r2 * t2**2 * r3 * t3) ** 2
+
+
+def exact_herald_probability(r1: float, r2: float, r3: float) -> Fraction:
+    """The paper's law P_T1 = 12 r1^2 (1-r1^2)^3 r2^2 (1-r2^2)^2 r3^2 (1-r3^2)
+    in exact rational arithmetic at the given floats: every t_i enters
+    squared, so no square root is taken and nothing rounds."""
+    s1, s2, s3 = (Fraction(r) ** 2 for r in (r1, r2, r3))
+    return 12 * s1 * (1 - s1) ** 3 * s2 * (1 - s2) ** 2 * s3 * (1 - s3)
 
 
 # Reflectivities maximizing each factor of the prefactor, solved per axis:

@@ -525,6 +525,15 @@ class TestExitCodes:
         )
         assert main(["simulate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("field", ["r1", "r2", "r3"])
+    @pytest.mark.parametrize("bad", [-0.1, 1.2])
+    def test_a_bad_reflectivity_is_the_couplers_error(self, tmp_path, capsys, field, bad):
+        cfg = _write(tmp_path, "c.json", {"canonical": {**OPT, field: bad}, "beta": 0.1})
+        assert main(["herald", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: field 'canonical': reflectivity must lie in [0, 1], got {bad}\n"
+        )
+
     def test_nonuniform_diagonals_is_3(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", {"state": "product_bbr", "shots": 1000})
         assert main(["tomo", "--config", cfg]) == 3
@@ -588,6 +597,7 @@ class TestNumericFields:
             ("simulate", {"canonical": OPT, "beta": [1e308, 1e308]}, "beta"),
             ("sweep", {"sweep": {"r1": [10**400], "r2": [0.5], "r3": [0.5]}}, "sweep.r1"),
             ("sweep", {"sweep": {"r1": 10**400, "r2": [0.5], "r3": [0.5]}}, "sweep.r1"),
+            ("herald", {"canonical": {**OPT, "r2": math.nan}, "beta": 0.1}, "canonical.r2"),
         ],
     )
     def test_bad_number_is_2(self, tmp_path, capsys, command, doc, field):

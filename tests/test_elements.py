@@ -51,6 +51,16 @@ class TestDirectionalCoupler:
         with pytest.raises(ParamOutOfRange):
             DirectionalCoupler((0, 1), 1.2)
 
+    def test_rejects_a_non_integer_channel(self):
+        # int() would truncate it and build the coupler on channels (0, 1)
+        with pytest.raises(ParamOutOfRange, match="channel index must be an integer, got 1.9"):
+            DirectionalCoupler((0, 1.9), 0.3)
+        assert DirectionalCoupler((np.int64(2), 1), 0.3).channels == (2, 1)
+
+    def test_stores_negative_zeros_as_zero(self):
+        dc = DirectionalCoupler((0, 1), -0.0, phi=-0.0)
+        assert math.copysign(1.0, dc.r) == math.copysign(1.0, dc.phi) == 1.0
+
     def test_a_transmission_argument_is_a_type_error(self):
         # t is derived from r, and phi is keyword-only, so an old
         # (channels, r, t) call can never read t as a phase
@@ -119,6 +129,14 @@ class TestAddDropFilter:
         with pytest.raises(ParamOutOfRange):
             AddDropFilter(1, 5, 6, Color.BLUE, extinction=-0.1)
 
+    def test_rejects_a_non_integer_channel(self):
+        # int() would truncate it and route to channel 5
+        with pytest.raises(ParamOutOfRange, match="channel index must be an integer, got 5.7"):
+            AddDropFilter(1, 5.7, 6, Color.BLUE)
+
+    def test_stores_a_negative_zero_extinction_as_zero(self):
+        assert math.copysign(1.0, AddDropFilter(1, 5, 6, Color.BLUE, -0.0).extinction) == 1.0
+
     def test_ideal_routing(self):
         xf = adddrop_transform(self._filter())
         blue_in = PureState.basis(FockBasisState.single(ModeLabel(1, Color.BLUE)))
@@ -149,9 +167,19 @@ def _bits(transform):
     return transform.modes, transform.matrix.tobytes()
 
 
+def _clear_memos():
+    coupler_transform.cache_clear()
+    adddrop_transform.cache_clear()
+
+
+# Exact zeros and ones with both signs of zero, and arbitrary values.
+_UNIT = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
+_PHASE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
+
+
 class TestMemo:
-    """The element transforms are memoised by the exact bits of their
-    parameters, in bounded memos of read-only matrices."""
+    """The element transforms are memoised by the element itself, in
+    bounded memos of read-only matrices."""
 
     @pytest.mark.parametrize(
         "plus, minus",
@@ -163,19 +191,18 @@ class TestMemo:
     )
     def test_negative_zero_after_its_twin_equals_its_fresh_build(self, plus, minus):
         transform = adddrop_transform if isinstance(plus, AddDropFilter) else coupler_transform
-        wchip.elements._coupler_memo.cache_clear()
-        wchip.elements._adddrop_memo.cache_clear()
-        # the twins compare and hash alike, yet build different entries
+        _clear_memos()
+        # the constructor reads -0.0 as 0.0, so the twins share one entry
         assert plus == minus and hash(plus) == hash(minus)
         first = transform(plus)
         second = transform(minus)
-        assert _bits(first) == _bits(uncached_element_transform(plus))
+        assert second is first
         assert _bits(second) == _bits(uncached_element_transform(minus))
-        assert _bits(second) != _bits(first)
+        assert _bits(first) == _bits(uncached_element_transform(plus))
 
     def test_memo_never_holds_more_than_its_bound(self):
         bound = wchip.elements.MEMO_SIZE
-        for memo in (wchip.elements._coupler_memo, wchip.elements._adddrop_memo):
+        for memo in (coupler_transform, adddrop_transform):
             assert memo.cache_info().maxsize == bound
         for k in range(bound + 40):
             eps = k / (bound + 40)
@@ -183,8 +210,30 @@ class TestMemo:
             ad = AddDropFilter(1, 5, 6, Color.RED, eps)
             assert _bits(coupler_transform(dc)) == _bits(uncached_element_transform(dc))
             assert _bits(adddrop_transform(ad)) == _bits(uncached_element_transform(ad))
-            for memo in (wchip.elements._coupler_memo, wchip.elements._adddrop_memo):
+            for memo in (coupler_transform, adddrop_transform):
                 assert memo.cache_info().currsize <= bound
+
+    @given(_UNIT, _PHASE, _UNIT, st.sampled_from(Color))
+    def test_signed_zero_twins_build_one_transform(self, r, phi, eps, color):
+        def twin(x):  # flips the sign of a zero, keeps any other value
+            return -x if x == 0.0 else x
+
+        pairs = (
+            (coupler_transform, DirectionalCoupler((3, 1), r, phi=phi),
+             DirectionalCoupler((3, 1), twin(r), phi=twin(phi))),
+            (adddrop_transform, AddDropFilter(1, 5, 6, color, eps),
+             AddDropFilter(1, 5, 6, color, twin(eps))),
+        )
+        for transform, element, other in pairs:
+            # repr writes each float's sign and bits, so the twins store alike
+            assert repr(other) == repr(element)
+            builds = []
+            for first, second in ((other, element), (element, other)):
+                _clear_memos()
+                builds += [transform(first), transform(second)]
+            expected = _bits(uncached_element_transform(element))
+            assert _bits(uncached_element_transform(other)) == expected
+            assert [_bits(build) for build in builds] == [expected] * 4
 
     def test_writing_to_a_memoised_matrix_raises(self):
         xf = coupler_transform(DirectionalCoupler((0, 1), 0.37, phi=0.2))
@@ -198,16 +247,10 @@ class TestMemo:
         ).matrix[0, 0] == xf.matrix[0, 0]
 
 
-# Exact zeros and ones with both signs of zero, and arbitrary values.
-_UNIT = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
-_PHASE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
-
-
 def _assert_builds_like_the_oracle(spec):
     """Each element's transform and the circuit's, built afresh, have the
     modes and matrix bits of the uncached builds in oracles.py."""
-    wchip.elements._coupler_memo.cache_clear()
-    wchip.elements._adddrop_memo.cache_clear()
+    _clear_memos()
     for element in spec.elements:
         transform = (
             coupler_transform(element)
@@ -274,6 +317,19 @@ class TestSource:
     def test_max_order_is_gated(self):
         with pytest.raises(OrderOutOfRange):
             SourceSpec(0, 0.1, max_order=3)
+
+    def test_a_non_integer_max_order_is_gated(self):
+        # int() would truncate 2.7 to 2
+        for order in (2.7, True):
+            with pytest.raises(OrderOutOfRange, match=f"got {order}"):
+                SourceSpec(0, 0.1, max_order=order)
+        assert SourceSpec(0, 0.1, max_order=np.int64(1)).max_order == 1
+
+    def test_rejects_a_non_integer_channel(self):
+        # int() would truncate it and emit into channel 0
+        for channel in (0.9, True):
+            with pytest.raises(ParamOutOfRange, match=f"must be an integer, got {channel}"):
+                SourceSpec(channel=channel, beta=0.1)
 
     def test_expansion_amplitudes(self):
         beta = 0.2
