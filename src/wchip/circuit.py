@@ -60,6 +60,9 @@ CANONICAL_COUPLERS = (
 #: resonant for Blue, so the Red herald photon passes through to T1.
 CANONICAL_ROUTER = (HERALD_ARM, T1_CHANNEL, T2_CHANNEL, Color.BLUE)
 
+#: The crossing, one element shared by every canonical device.
+_CROSSING = next(DirectionalCoupler(chans, 1.0) for chans, k in CANONICAL_COUPLERS if k is None)
+
 
 @dataclass(frozen=True)
 class CircuitSpec:
@@ -76,9 +79,9 @@ class CircuitSpec:
     phases: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "channels", tuple(str(c) for c in self.channels))
+        object.__setattr__(self, "channels", tuple(map(str, self.channels)))
         object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
+        object.__setattr__(self, "phases", tuple(map(float, self.phases)))
         self.validate()
 
     def validate(self) -> None:
@@ -94,8 +97,8 @@ class CircuitSpec:
                 refs = (el.input_channel, el.through_channel, el.drop_channel)
             else:
                 raise ValidationError(f"element {k}: unsupported type {type(el).__name__}")
-            bad = [ch for ch in refs if not 0 <= ch < n]
-            if bad:
+            if min(refs) < 0 or max(refs) >= n:
+                bad = [ch for ch in refs if not 0 <= ch < n]
                 raise ValidationError(
                     f"element {k} ({type(el).__name__}): unregistered channel(s) {bad}"
                 )
@@ -108,21 +111,23 @@ class CircuitSpec:
 
 
 @lru_cache(maxsize=16)
-def _mode_table(n_channels: int) -> tuple[tuple[ModeLabel, ...], dict[ModeLabel, int]]:
-    """Canonical mode list of a registry of ``n_channels`` channels, and
-    each mode's position in it."""
+def _mode_table(n_channels: int) -> tuple[tuple[ModeLabel, ...], dict[ModeLabel, int], np.ndarray]:
+    """Canonical mode list of a registry of ``n_channels`` channels, each
+    mode's position in it, and the read-only identity over those modes."""
     modes = tuple(sorted(ModeLabel(ch, color) for ch in range(n_channels) for color in Color))
-    return modes, {m: i for i, m in enumerate(modes)}
+    identity = np.eye(len(modes), dtype=complex)
+    identity.flags.writeable = False
+    return modes, {m: i for i, m in enumerate(modes)}, identity
 
 
 def build_transform(spec: CircuitSpec) -> ModeTransform:
     """Ordered product of the element transforms over the full mode set."""
-    modes, pos = _mode_table(len(spec.channels))
-    mat = np.eye(len(modes), dtype=complex)
+    modes, pos, identity = _mode_table(len(spec.channels))
+    mat = identity.copy()
     for el in spec.elements:
         sub = coupler_transform(el) if isinstance(el, DirectionalCoupler) else adddrop_transform(el)
-        idx = list(map(pos.__getitem__, sub.modes))
-        mat[:, idx] = mat[:, idx] @ sub.matrix
+        idx = np.fromiter(map(pos.__getitem__, sub.modes), np.intp, len(sub.modes))
+        mat[:, idx] = mat[:, idx] @ sub.matrix  # the product's bits need this F-ordered copy
     if any(p != 0.0 for p in spec.phases):
         col_phase = np.array(
             [np.exp(1j * spec.phases[m.channel]) for m in modes], dtype=complex
@@ -148,7 +153,7 @@ def canonical_w_circuit(
     """
     r, phi = (r1, r2, r3), (phi1, phi2, phi3)
     couplers = tuple(
-        DirectionalCoupler(chans, 1.0) if k is None else DirectionalCoupler(chans, r[k], phi=phi[k])
+        _CROSSING if k is None else DirectionalCoupler(chans, r[k], phi=phi[k])
         for chans, k in CANONICAL_COUPLERS
     )
     router = AddDropFilter(*CANONICAL_ROUTER, extinction=ad2_extinction)
@@ -162,7 +167,7 @@ def transfer_rows(spec: CircuitSpec, channel: int) -> tuple[list[complex], list[
     mixes colors, so the other color's columns hold 0)."""
     n = len(spec.channels)
     matrix = build_transform(spec).matrix
-    _, pos = _mode_table(n)
+    _, pos, _ = _mode_table(n)
     return tuple(
         matrix[pos[ModeLabel(channel, color)], [pos[ModeLabel(j, color)] for j in range(n)]].tolist()
         for color in Color

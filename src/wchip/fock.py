@@ -436,14 +436,14 @@ def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureStat
         # multiplied also by a factor of 1.0, which turns x - 0j into x + 0j
         # for x > 0, as the key-by-key expansion did
         term = dict(zip(bases, [c * f for c, f in zip(coeffs, scales)]))
-        # a term meeting no earlier output (one of another photon number) is
-        # merged on the hashes its own dict already holds
-        if out.keys().isdisjoint(term.keys()):
+        if not out:  # the first output: the term's own dict, never copied
+            out = term
+        elif out.keys().isdisjoint(term.keys()):  # disjoint: update() reuses the term's hashes
             out.update(term)
-            continue
-        for new_basis, val in term.items():
-            prev = out.get(new_basis)
-            out[new_basis] = val if prev is None else prev + val
+        else:
+            for new_basis, val in term.items():
+                prev = out.get(new_basis)
+                out[new_basis] = val if prev is None else prev + val
     return PureState._trusted(out)
 
 

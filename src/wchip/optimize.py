@@ -19,18 +19,19 @@ nonzero entries on the canonical circuit (:func:`_source_amplitudes`).  Each
 entry broadcasts: an array over a slab of r1 planes in the scan and the
 sweep, a Python float at a Nelder-Mead point, with the same operations in
 the same order in both, so a point gives the bits of its grid cell.  Each
-call is checked once against the full sparse Fock engine, and a mismatch
-raises a RuntimeError: ``maximize`` compares the engine's value at the
-chosen point with :func:`herald_objective`'s, and ``sweep`` the T1
+call is checked once against the full sparse Fock engine, relatively, and a
+mismatch raises a RuntimeError: ``maximize`` compares the engine's value at
+the chosen point with :func:`herald_objective`'s, and ``sweep`` the T1
 amplitudes and the metric value of one cell inside the cube, as its slab
 computed them, with the propagated state's.  The CLI's ``simulate`` and
 ``herald`` read the general complex rows of any circuit
 (``circuit.transfer_rows``, ``herald.herald_rows``).  Both engines read the
 heralding terms from one table, ``herald.heralding_terms``, and build each
 amplitude with ``herald.heralding_amplitude``.  This real-float case of the
-canonical circuit stays separate because it is cheap: an objective call
-takes about 1.6 us against about 235 us through the general rows, which
-build the full transfer matrix (timeit, 2-core Xeon, Python 3.11).
+canonical circuit stays separate because it is cheap: an objective call at
+a new point takes about 1.1 us against about 245 us through the general
+rows, which build the full transfer matrix (timeit, best of 25 repeats in
+each of three processes, 2-core Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ from .herald import Branch, _scaled, herald, heralding_amplitude, heralding_term
 #: Default coarse-grid step of :func:`maximize`.  The objective factorizes
 #: into three single-variable terms each with one interior maximum, so a
 #: 0.04 scan already brackets the basin.  At 0.04 over the default bounds
-#: ``maximize`` takes about 1.0 ms: the scan's three engine calls and the
-#: ~140 Nelder-Mead steps about 0.35 ms each, the Fock check 0.3 ms.
+#: ``maximize`` takes about 1.1 ms: the ~140 Nelder-Mead steps about 0.4 ms,
+#: the Fock check 0.25 ms and the rest, mostly the scan's three engine
+#: calls, 0.45 ms (timeit, as in the module docstring).
 GRID_STEP = 0.04
 
 #: Default coarse-grid bounds; the objective is identically zero whenever
@@ -92,12 +94,16 @@ def _slabs(planes: int, plane_cells: int) -> list[tuple[int, int]]:
     return [(k * planes // count, (k + 1) * planes // count) for k in range(count)]
 
 
+#: The input of every Fock check: :func:`apply_mode_transform` never changes it.
+_TWO_PAIRS = two_pair_state(SOURCE_CHANNEL)
+
+
 def herald_objective(r1: float, r2: float, r3: float) -> float:
     """P(T1 herald | double pair) of the canonical circuit, from simulation;
     an r outside [0, 1] raises the coupler's :class:`ParamOutOfRange`,
     "reflectivity must lie in [0, 1], got ..."."""
     spec = canonical_w_circuit(r1, r2, r3)
-    state = apply_mode_transform(two_pair_state(SOURCE_CHANNEL), build_transform(spec))
+    state = apply_mode_transform(_TWO_PAIRS, build_transform(spec))
     return herald(state, Branch.T1).probability
 
 
@@ -270,7 +276,7 @@ def maximize(
     Both call the row engine (:func:`_herald_probability` of
     :func:`_source_amplitudes`) on points inside the cube; the returned
     value is :func:`herald_objective` at the returned point, where the engine
-    must agree with it within 1e-12 (else a RuntimeError).  Deterministic:
+    must agree with it within 1e-12 relative (else a RuntimeError).  Deterministic:
     ties resolve to the first grid cell in lexicographic order.
 
     `tol` is the ``xatol`` of :func:`minimize`, the simplex width at which
@@ -322,7 +328,7 @@ def maximize(
         candidate = best
         value = herald_objective(*best)
     engine = _herald_probability(_source_amplitudes(*candidate))
-    if not abs(engine - value) <= 1e-12:  # a bug, not an input error
+    if not _agrees(engine, value, value):  # a bug, not an input error
         raise RuntimeError(
             f"row engine disagrees with the Fock engine at {candidate}: {engine!r} against {value!r}"
         )
@@ -457,42 +463,56 @@ def _checked_cell(spec: SweepSpec) -> tuple[int, int, int, int]:
     the extinction; an axis with no inside value gives its first."""
 
     def nearest_half(axis: tuple[float, ...], top: float) -> int:
-        inside = (i for i, v in enumerate(axis) if 0.0 < v < top)
-        return min(inside, key=lambda i: abs(axis[i] - 0.5), default=0)
+        best, gap = 0, math.inf
+        for i, v in enumerate(axis):
+            if 0.0 < v < top and abs(v - 0.5) < gap:  # strict: the first wins ties
+                best, gap = i, abs(v - 0.5)
+        return best
 
     r1, r2, r3 = (nearest_half(axis, 1.0) for axis in (spec.r1, spec.r2, spec.r3))
     return r1, r2, r3, nearest_half(spec.ad2_extinction, math.inf)
 
 
+#: The T1 terms the check compares, ``(color, (s, j, l), four-photon basis)``.
+_T1_TERMS = tuple((c, split, b) for c in Color for split, b, _ in heralding_terms(T1_CHANNEL, c))
+
+
+def _agrees(engine: float, reference, scale: float) -> bool:
+    """Whether `engine` lies within 1e-12 `scale` of `reference`, `scale` taken
+    as at least the least normal float: below it floats lose relative precision."""
+    return abs(reference - engine) <= 1e-12 * max(scale, sys.float_info.min)
+
+
 def _check_on_fock(spec: SweepSpec, index: tuple[int, ...], entries, value: float) -> None:
     """Check the cell at `index` of `spec` against the state the sparse Fock
-    engine propagates, within 1e-12: its six T1 amplitudes from its source-row
-    `entries` and its metric `value`, as its slab computed them, against the
-    engine's (its value from amplitudes rescaled by a power of two).  A
-    mismatch is a bug, so it raises a RuntimeError; a cell whose engine
-    amplitudes underflow while its entries are nonzero is a ParamOutOfRange."""
+    engine propagates (:func:`_agrees`): the six T1 amplitudes of its source-row
+    `entries` within 1e-12 * 2**-m, 2**m bringing the largest Fock one into
+    [0.5, 1) (:func:`herald._scaled`), and its metric `value`, as its slab
+    computed it, within 1e-12 times itself.  A mismatch is a bug: RuntimeError;
+    Fock amplitudes that underflow at nonzero entries are a ParamOutOfRange."""
     axes = (spec.r1, spec.r2, spec.r3, spec.ad2_extinction)
     cell = tuple(axis[i] for axis, i in zip(axes, index))
     circuit = canonical_w_circuit(*cell[:3], ad2_extinction=cell[3])
-    state = apply_mode_transform(two_pair_state(SOURCE_CHANNEL), build_transform(circuit))
+    state = apply_mode_transform(_TWO_PAIRS, build_transform(circuit))
     signal = dict(zip(SIGNAL_CHANNELS, entries[3:]))  # both colors share them
     compared = []
-    for color in Color:
-        for (s, j, l), basis, _ in heralding_terms(T1_CHANNEL, color):
-            engine = heralding_amplitude(entries[color], signal[s], signal[j], signal[l])
-            compared.append((color, basis, engine, state.amplitude(basis)))
+    for color, (s, j, l), basis in _T1_TERMS:
+        engine = heralding_amplitude(entries[color], signal[s], signal[j], signal[l])
+        compared.append((color, basis, engine, state.amplitude(basis)))
     amplitudes, m = _scaled([(color, fock) for color, _, _, fock in compared])
     red = [a for color, a in amplitudes if color is Color.RED]
     weight = sum(abs(a) ** 2 for _, a in amplitudes)  # 0 only with no nonzero amplitude
     if spec.metric == "herald_probability":
-        fock = math.ldexp(sum(abs(a) ** 2 for a in red), -2 * m)
+        metric = math.ldexp(sum(abs(a) ** 2 for a in red), -2 * m)
     else:
-        fock = abs(sum(red)) ** 2 / 3.0 / weight if weight else 0.0
+        metric = abs(sum(red)) ** 2 / 3.0 / weight if weight else 0.0
     # the largest part below 2**-1022, the normal floats, or none at all
     if (not weight or m >= 1022) and entries[0] and all(entries[3:]):
         raise ParamOutOfRange(f"the T1 amplitudes of cell {cell} underflow on the Fock engine")
-    for _, what, engine, fock in [*compared, (None, spec.metric, value, fock)]:
-        if not abs(fock - engine) <= 1e-12:
+    unit = math.ldexp(1.0, -m)  # the largest Fock part lies in [unit / 2, unit)
+    checks = [(basis, engine, fock, unit) for _, basis, engine, fock in compared]
+    for what, engine, fock, scale in [*checks, (spec.metric, value, metric, metric)]:
+        if not _agrees(engine, fock, scale):
             raise RuntimeError(
                 f"row engine disagrees with the Fock engine at cell {cell} on {what}: "
                 f"{engine!r} against {fock!r}"

@@ -399,6 +399,21 @@ def eager_sweep_rows(spec):
     return tuple(map(tuple.__add__, cells, zip(values)))
 
 
+def min_checked_cell(spec) -> tuple[int, int, int, int]:
+    """``wchip.optimize._checked_cell`` as a ``min`` over a generator: on
+    each axis the index of the inside value nearest 1/2, the first on ties
+    (``min`` keeps the first of equal keys), index 0 where no value is
+    inside.  Inside means in (0, 1) on r1, r2 and r3 and above 0 on the
+    extinction axis."""
+
+    def nearest_half(axis, top):
+        inside = (i for i, v in enumerate(axis) if 0.0 < v < top)
+        return min(inside, key=lambda i: abs(axis[i] - 0.5), default=0)
+
+    r1, r2, r3 = (nearest_half(axis, 1.0) for axis in (spec.r1, spec.r2, spec.r3))
+    return r1, r2, r3, nearest_half(spec.ad2_extinction, math.inf)
+
+
 def sweep_csv(table) -> str:
     """``SweepTable.to_csv`` before ``wchip sweep`` streamed its document:
     the header, then ``repr`` of every entry of every row, all joined at

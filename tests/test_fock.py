@@ -306,6 +306,29 @@ class TestKernelMatchesTupleKeyExpansion:
         )
 
 
+class TestInputIsLeftAsItWas:
+    """``apply_mode_transform`` never changes its input and never hands it
+    its output's term map, so one state can feed every call (the double
+    pair of ``optimize``) and the output can own the map it is given."""
+
+    @given(st.data())
+    def test_random_states_with_the_vacuum(self, data):
+        transform = data.draw(_lossless_transforms())
+        modes = data.draw(st.permutations(transform.modes))
+        k = data.draw(st.integers(1, len(modes)))
+        terms = list(data.draw(_states_on(modes[:k])).items())
+        at = data.draw(st.integers(0, len(terms)))
+        terms.insert(at, (FockBasisState.vacuum(), data.draw(_COMPLEX.filter(bool))))
+        state = PureState(terms)
+        held, before = state._terms, list(state.items())
+        first = apply_mode_transform(state, transform)
+        second = apply_mode_transform(state, transform)
+        assert state._terms is held
+        _same_bits(state, PureState(before))
+        _same_bits(first, second)
+        assert first._terms is not held and second._terms is not first._terms
+
+
 class TestKernelMatchesEagerRows:
     """Rows built per call for the modes a state meets and the trusted
     output constructor give the bits of the kernel that built every row up

@@ -13,7 +13,7 @@ from scipy.optimize import minimize, minimize_scalar
 
 import wchip.optimize
 
-from wchip.circuit import build_transform, canonical_w_circuit
+from wchip.circuit import SOURCE_CHANNEL, build_transform, canonical_w_circuit
 from wchip.elements import two_pair_state
 from wchip.errors import GridTooLarge, ParamOutOfRange, ValidationError, WchipError
 from wchip.fock import Color, FockBasisState, ModeLabel, PureState, apply_mode_transform
@@ -34,6 +34,7 @@ from oracles import (
     eager_sweep_rows,
     exact_herald_probability,
     herald_prefactor,
+    min_checked_cell,
     per_cell_sweep,
     scipy_maximize,
     sorted_minimize,
@@ -285,6 +286,15 @@ class TestMaximize:
         with pytest.raises(RuntimeError, match="row engine disagrees") as info:
             maximize(1e-3, grid_step=0.2, grid_bounds=(0.2, 0.8))
         assert not isinstance(info.value, WchipError)
+
+    def test_a_fock_value_off_by_1e_11_relative_raises(self, monkeypatch):
+        # about 4.7e-13 apart at the optimum, inside an absolute 1e-12
+        objective = wchip.optimize.herald_objective
+        monkeypatch.setattr(
+            wchip.optimize, "herald_objective", lambda *r: objective(*r) * (1.0 + 1e-11)
+        )
+        with pytest.raises(RuntimeError, match="row engine disagrees"):
+            maximize()
 
     def test_refines_through_the_module_level_minimize(self, monkeypatch):
         # maximize looks minimize up at call time, so a wrapper installed on
@@ -622,18 +632,28 @@ def _sweep_specs(draw):
 
 
 def _checked(spec):
-    """The cell the in-run check reads: on each axis the inside value
-    nearest 1/2, the first on ties (inside: in (0, 1) on an r axis, above 0
-    on the extinction axis), else the axis's first."""
+    """The cell the in-run check reads (:func:`min_checked_cell`)."""
+    axes = (spec.r1, spec.r2, spec.r3, spec.ad2_extinction)
+    return tuple(axis[i] for axis, i in zip(axes, min_checked_cell(spec)))
 
-    def nearest_half(axis, inside):
-        return min(filter(inside, axis), key=lambda v: abs(v - 0.5), default=axis[0])
 
-    *rs, eps = spec.r1, spec.r2, spec.r3, spec.ad2_extinction
-    return (
-        *(nearest_half(axis, lambda v: 0.0 < v < 1.0) for axis in rs),
-        nearest_half(eps, lambda v: v > 0.0),
-    )
+#: Axis values with exact ties about 1/2 (0.25 and 0.75, 0.375 and 0.625),
+#: the faces 0.0, -0.0 and 1.0, and 1/2 itself.
+_CHECKED_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.25, 0.75, 0.375, 0.625, 0.5]),
+    st.floats(0.0, 1.0, allow_subnormal=False),
+)
+
+
+class TestCheckedCell:
+    """The cell the in-run check reads is the generator-and-``min`` rule it
+    replaced (:func:`min_checked_cell`), ties and faces included; fixed
+    examples are in ``TestColorblindRatio``."""
+
+    @given(st.lists(st.lists(_CHECKED_VALUES, min_size=1, max_size=6), min_size=4, max_size=4))
+    def test_is_the_min_rule(self, axes):
+        spec = SweepSpec(*axes)
+        assert wchip.optimize._checked_cell(spec) == min_checked_cell(spec)
 
 
 def _sweep_or_underflow(spec):
@@ -650,17 +670,18 @@ def _sweep_or_underflow(spec):
     return table
 
 
-def _scale_an_entry(monkeypatch, k):
+def _scale_an_entry(monkeypatch, k, factor=1.001):
     """Make the row engine wrong where the sweep writes from it: entry `k`
-    of each slab's source rows (4 is ch 3, 1 the Blue T1 leak) scaled by
-    1.001 when the rows are arrays, left as is on Python floats."""
+    of each slab's source rows (0 is Red T1, 4 ch 3, 1 the Blue T1 leak)
+    scaled by `factor` when the rows are arrays, left as is on Python
+    floats."""
     source_amplitudes = wchip.optimize._source_amplitudes
 
     def scaled(*args):
         rows = source_amplitudes(*args)
         if np.ndim(rows[k]) == 0:
             return rows
-        return (*rows[:k], rows[k] * 1.001, *rows[k + 1 :])
+        return (*rows[:k], rows[k] * factor, *rows[k + 1 :])
 
     monkeypatch.setattr(wchip.optimize, "_source_amplitudes", scaled)
 
@@ -706,6 +727,15 @@ class TestSweepEngine:
         _scale_an_entry(monkeypatch, entry)
         spec = SweepSpec(r1=(0.5,), r2=r2, r3=(0.7,), ad2_extinction=extinction, metric=metric)
         with pytest.raises(RuntimeError, match=r"at cell \(0\.5, 0\.6, 0\.7, 0\.1\)"):
+            sweep(spec)
+
+    @pytest.mark.parametrize("metric", ["herald_probability", "w_fidelity"])
+    def test_a_wrong_row_engine_raises_where_every_amplitude_is_tiny(self, monkeypatch, metric):
+        # The T1 amplitudes are about 1e-14 and the probability 3e-27, each
+        # far below an absolute 1e-12.
+        _scale_an_entry(monkeypatch, 0, factor=2.0)
+        spec = SweepSpec(r1=(1e-13,), r2=(0.5,), r3=(0.5,), metric=metric)
+        with pytest.raises(RuntimeError, match=r"at cell \(1e-13, 0\.5, 0\.5, 0\.0\)"):
             sweep(spec)
 
     def test_the_checked_cell_is_read_from_its_own_slab(self, monkeypatch):
@@ -810,6 +840,18 @@ class TestSlabs:
             monkeypatch.setattr(wchip.optimize, "_SCAN_SLAB_CELLS", cap)
             results.append(maximize(grid_step=grid_step))
         assert results[0] == results[1] == results[2]
+
+
+def test_the_shared_double_pair_is_left_as_built():
+    shared = wchip.optimize._TWO_PAIRS
+    sweep(SweepSpec((0.3, 0.5), (0.6,), (0.7,), (0.0, 0.1), metric="w_fidelity"))
+    sweep(SweepSpec((0.3, 0.5), (0.6,), (0.7,), (0.0, 0.1)))
+    herald_objective(0.5, 0.6, 0.7)
+    built = two_pair_state(SOURCE_CHANNEL)
+    assert len(shared) == 1
+    assert [(b, a.real.hex(), a.imag.hex()) for b, a in shared.items()] == [
+        (b, a.real.hex(), a.imag.hex()) for b, a in built.items()
+    ]
 
 
 class TestInRunCheck:
