@@ -35,7 +35,7 @@ from .elements import (
     coupler_transform,
     source_state,
 )
-from .errors import ParamOutOfRange, ValidationError
+from .errors import ParamOutOfRange, UnknownMode, ValidationError
 from .fock import Color, ModeLabel, ModeTransform, PureState, apply_mode_transform
 
 #: Channel registry of the canonical device; index = position in this tuple.
@@ -166,6 +166,8 @@ def transfer_rows(spec: CircuitSpec, channel: int) -> tuple[list[complex], list[
     from that color's mode on `channel` to its mode on channel j (no element
     mixes colors, so the other color's columns hold 0)."""
     n = len(spec.channels)
+    if not 0 <= channel < n:
+        raise UnknownMode(f"channel {channel} absent from the circuit's {n} channels")
     matrix = build_transform(spec).matrix
     _, pos, _ = _mode_table(n)
     return tuple(

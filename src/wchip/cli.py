@@ -11,6 +11,10 @@ of the circuit (``transfer_rows`` and ``herald_rows``); ``tomo`` heralds the
 propagated sparse state (``propagate`` and ``herald``), whose last bits its
 sampled draws keep.
 
+This module alone states the format of every document: each JSON body is
+encoded by ``_json_document`` and each CSV table written by ``_csv``, from
+the fields of the result types, which hold data only.
+
 Exit codes: 0 success; 1 internal failure; 2 config validation;
 3 counting diagonals not uniform; 4 sweep grid too large.
 """
@@ -41,6 +45,7 @@ from .circuit import (
     read_json,
     transfer_rows,
 )
+from .density import BASIS_THREE
 from .elements import SourceSpec
 from .errors import (
     ConfigError,
@@ -260,6 +265,15 @@ def _complex_json(z: complex):
     return {"re": float(z.real), "im": float(z.imag)}
 
 
+def _csv(columns: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """A CSV table: the header, then one line per row, with a number as
+    ``repr(float(v))``, None as an empty cell and a string as itself."""
+    lines = [columns]
+    for row in rows:
+        lines.append("" if v is None else v if isinstance(v, str) else repr(float(v)) for v in row)
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -295,10 +309,7 @@ def cmd_simulate(cfg: dict) -> dict | str:
     spec, source = _resolve_circuit(cfg)
     branches, fidelities, dist = _herald_summary(spec, source)
     if cfg["format"] == "csv":
-        lines = ["pattern,probability"]
-        for pattern in sorted(dist) if dist else ():
-            lines.append(f"{pattern},{dist[pattern]!r}")
-        return "\n".join(lines) + "\n"
+        return _csv(("pattern", "probability"), ((p, dist[p]) for p in sorted(dist or ())))
     return {
         "beta": _complex_json(source.beta),
         "herald": branches,
@@ -311,27 +322,11 @@ def cmd_simulate(cfg: dict) -> dict | str:
 def cmd_herald(cfg: dict) -> dict | str:
     spec, source = _resolve_circuit(cfg)
     branches, fidelities, _ = _herald_summary(spec, source)
+    rows = {name: {**branches[name], "fidelity_W": fidelities[name]} for name in ("T1", "T2")}
     if cfg["format"] == "csv":
-        lines = ["branch,probability,fidelity_W,residual_weight"]
-        for name in ("T1", "T2"):
-            fid = fidelities[name]
-            lines.append(
-                ",".join(
-                    [
-                        name,
-                        repr(branches[name]["probability"]),
-                        "" if fid is None else repr(fid),
-                        repr(branches[name]["residual_weight"]),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
-    return {
-        "branches": {
-            name: {**branches[name], "fidelity_W": fidelities[name]}
-            for name in ("T1", "T2")
-        },
-    }
+        columns = ("probability", "fidelity_W", "residual_weight")
+        return _csv(("branch", *columns), ((name, *map(rows[name].get, columns)) for name in rows))
+    return {"branches": rows}
 
 
 def _tomo_source(cfg: dict):
@@ -360,19 +355,44 @@ def cmd_tomo(cfg: dict) -> dict | str:
         diag_threshold=cfg["diag_threshold"],
     )
     report = discriminate(result.rho, threshold=cfg["w_threshold"])
+    rho = result.rho.matrix
     if cfg["format"] == "csv":
-        return result.rho.to_csv()
+        columns = (f"{label}_{part}" for label in BASIS_THREE for part in ("re", "im"))
+        rows = zip(BASIS_THREE, ([x for z in row for x in (z.real, z.imag)] for row in rho))
+        return _csv(("basis", *columns), ((label, *row) for label, row in rows))
     return {
         "state": cfg["state"],
         "shots": result.shots,
         "seed": cfg["seed"],
         "diagonals": {k: float(v) for k, v in result.diagonal_frequencies.items()},
         "coefficients": {
-            name: est.as_json_dict() for name, est in result.coefficients.items()
+            name: {**_complex_json(c.value), "se_re": float(c.se_re), "se_im": float(c.se_im)}
+            for name, c in result.coefficients.items()
         },
-        "rho": result.rho.as_json_dict(),
-        "records": [record.as_json_dict() for record in result.records],
-        "report": report.as_json_dict(),
+        "rho": {"basis": list(BASIS_THREE), "re": rho.real.tolist(), "im": rho.imag.tolist()},
+        "records": [
+            {
+                "n_plus": int(rec.n_plus),
+                "n_minus": int(rec.n_minus),
+                "shots": int(rec.shots),
+                "seed": int(rec.seed),
+                "setting": {
+                    "channel_pair": list(rec.setting.channel_pair),
+                    "phase": rec.setting.phase,
+                    "conditioned_on": [
+                        rec.setting.conditioned_on[0], rec.setting.conditioned_on[1].letter
+                    ],
+                },
+            }
+            for rec in result.records
+        ],
+        "report": {
+            "fidelity_W": float(report.fidelity_w),
+            "trace_distance_to_rhoS": float(report.trace_distance_to_rho_s),
+            "trace_distance_to_rhoB": float(report.trace_distance_to_rho_b),
+            "W-consistent": bool(report.w_consistent),
+            "threshold": float(report.threshold),
+        },
     }
 
 
@@ -384,7 +404,7 @@ def cmd_optimize(cfg: dict) -> dict | str:
     except ParamOutOfRange as exc:  # tol, grid_step or grid_bounds out of range
         raise ConfigError(str(exc)) from None
     if cfg["format"] == "csv":
-        return "r1,r2,r3,value\n" + ",".join(repr(float(v)) for v in result) + "\n"
+        return _csv(result._fields, (result,))
     return {
         "r1": result.r1,
         "r2": result.r2,
@@ -418,7 +438,7 @@ def _sweep_document(table: SweepTable, fmt: str) -> Iterator[str]:
     the whole table dumped at once (as ``json.dumps`` for JSON), with each
     axis value and each metric value formatted once."""
     if fmt == "csv":
-        head, tail = ",".join(table.columns) + "\n", ""
+        head, tail = _csv(table.columns, ()), ""
     else:
         document = _json_document("sweep", {"columns": list(table.columns), "rows": []})
         head, tail = document.split('"rows": []')

@@ -76,25 +76,6 @@ class ThreePhotonRho:
         w = np.full(3, 1.0 / np.sqrt(3.0))
         return float(np.real(w @ self.matrix @ w))
 
-    def as_json_dict(self) -> dict:
-        return {
-            "basis": list(BASIS_THREE),
-            "re": [[float(x.real) for x in row] for row in self.matrix],
-            "im": [[float(x.imag) for x in row] for row in self.matrix],
-        }
-
-    def to_csv(self) -> str:
-        header = ["basis"]
-        for label in BASIS_THREE:
-            header += [f"{label}_re", f"{label}_im"]
-        lines = [",".join(header)]
-        for label, row in zip(BASIS_THREE, self.matrix):
-            cells = [label]
-            for x in row:
-                cells += [repr(float(x.real)), repr(float(x.imag))]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
 
 def trace_distance(rho1: ThreePhotonRho, rho2: ThreePhotonRho) -> float:
     """(1/2) * trace norm of the difference of two density matrices."""

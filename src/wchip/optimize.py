@@ -324,9 +324,6 @@ def maximize(
         maxiter=2000,
     )
     value = herald_objective(*candidate)
-    if value < best_val:  # refinement must never lose to the scan
-        candidate = best
-        value = herald_objective(*best)
     engine = _herald_probability(_source_amplitudes(*candidate))
     if not _agrees(engine, value, value):  # a bug, not an input error
         raise RuntimeError(

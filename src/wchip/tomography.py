@@ -79,13 +79,6 @@ class TomoSetting:
         ch, color = self.conditioned_on
         return f"pair={i}{j};cond={color.letter}{ch};phase={self.phase:.6f}"
 
-    def as_json_dict(self) -> dict:
-        return {
-            "channel_pair": list(self.channel_pair),
-            "phase": self.phase,
-            "conditioned_on": [self.conditioned_on[0], self.conditioned_on[1].letter],
-        }
-
 
 @dataclass(frozen=True)
 class MeasurementRecord:
@@ -101,15 +94,6 @@ class MeasurementRecord:
     def frequency(self) -> float:
         return self.n_plus / self.shots
 
-    def as_json_dict(self) -> dict:
-        return {
-            "n_plus": int(self.n_plus),
-            "n_minus": int(self.n_minus),
-            "shots": int(self.shots),
-            "seed": int(self.seed),
-            "setting": self.setting.as_json_dict(),
-        }
-
 
 # ---------------------------------------------------------------------------
 # full protocol
@@ -123,14 +107,6 @@ class CoefficientEstimate:
     value: complex
     se_re: float
     se_im: float
-
-    def as_json_dict(self) -> dict:
-        return {
-            "re": float(self.value.real),
-            "im": float(self.value.imag),
-            "se_re": float(self.se_re),
-            "se_im": float(self.se_im),
-        }
 
 
 @dataclass(frozen=True)
@@ -264,15 +240,6 @@ class DiscriminationReport:
     trace_distance_to_rho_b: float
     w_consistent: bool
     threshold: float
-
-    def as_json_dict(self) -> dict:
-        return {
-            "fidelity_W": float(self.fidelity_w),
-            "trace_distance_to_rhoS": float(self.trace_distance_to_rho_s),
-            "trace_distance_to_rhoB": float(self.trace_distance_to_rho_b),
-            "W-consistent": bool(self.w_consistent),
-            "threshold": float(self.threshold),
-        }
 
 
 #: The two counterexample mixtures, built once (their matrices are read-only).

@@ -218,6 +218,62 @@ def test_same_seed_gives_identical_bytes(canonical, seed):
     assert documents[0] == documents[1] and documents[0]
 
 
+def _json_and_csv(command, config, *flags):
+    """The JSON document and the CSV rows of cells of one run of `command`."""
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "config.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(config, f)
+        documents = []
+        for fmt in ("json", "csv"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main([command, "--config", path, "--format", fmt, *flags]) == 0
+            documents.append(out.getvalue())
+    return json.loads(documents[0]), [line.split(",") for line in documents[1].splitlines()]
+
+
+def _bits(value):
+    """A number of either document as its exact bits; an empty cell or null
+    as None."""
+    return None if value in ("", None) else float(value).hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {
+            **{key: _REFLECTIVITY for key in ("r1", "r2", "r3")},
+            **{key: st.floats(-4.0, 4.0) for key in ("phi1", "phi2", "phi3")},
+            "ad2_extinction": st.floats(0.0, 0.5),
+        }
+    ),
+    st.integers(0, 2**63),
+)
+def test_csv_and_json_carry_the_same_bits(canonical, seed):
+    config = {"canonical": canonical, "beta": 0.1}
+    doc, rows = _json_and_csv("simulate", config)
+    assert rows[0] == ["pattern", "probability"]
+    dist = doc["coincidence_distribution"] or {}
+    assert {row[0]: _bits(row[1]) for row in rows[1:]} == {k: _bits(v) for k, v in dist.items()}
+
+    doc, rows = _json_and_csv("herald", config)
+    columns = rows[0][1:]
+    assert rows[0][0] == "branch" and sorted(columns) == sorted(doc["branches"]["T1"])
+    assert {row[0]: list(map(_bits, row[1:])) for row in rows[1:]} == {
+        name: [_bits(branch[key]) for key in columns] for name, branch in doc["branches"].items()
+    }
+
+    config.update(shots=4000, seed=seed, diag_threshold=1.0)
+    doc, rows = _json_and_csv("tomo", config)
+    rho = doc["rho"]
+    assert rows[0] == ["basis"] + [f"{b}_{part}" for b in rho["basis"] for part in ("re", "im")]
+    assert [row[0] for row in rows[1:]] == rho["basis"]
+    for k, row in enumerate(rows[1:]):
+        assert list(map(_bits, row[1::2])) == list(map(_bits, rho["re"][k]))
+        assert list(map(_bits, row[2::2])) == list(map(_bits, rho["im"][k]))
+
+
 def test_seed_flag_overrides_config(tmp_path, capsys):
     cfg = _write(tmp_path, "tomo.json", {"state": "w", "shots": 20000, "seed": 5})
     assert main(["tomo", "--config", cfg]) == 0

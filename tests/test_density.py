@@ -1,8 +1,11 @@
 """Tests for the pattern-basis density matrices."""
 
+import json
+
 import numpy as np
 import pytest
 
+from wchip.cli import main
 from wchip.density import BASIS_THREE, ThreePhotonRho, trace_distance
 from wchip.errors import DimensionMismatch, InvalidRho
 
@@ -75,17 +78,25 @@ def test_trace_distance_properties():
     assert trace_distance(w, b) == pytest.approx(1 / 3)
 
 
-def test_json_dict_shape():
-    rho = ThreePhotonRho.from_offdiagonals(1 / 3, 0, 0)
-    doc = rho.as_json_dict()
+def _tomo_document(tmp_path, capsys, state, fmt):
+    """The ``wchip tomo`` document of a sampled run on `state`."""
+    config = tmp_path / "tomo.json"
+    config.write_text(json.dumps({"state": state, "shots": 4000, "seed": 5}))
+    assert main(["tomo", "--config", str(config), "--format", fmt]) == 0
+    return capsys.readouterr().out
+
+
+def test_json_dict_shape(tmp_path, capsys):
+    # the W state's phase-0 settings draw every shot as "+": Re rho[0,1] is 1/3
+    doc = json.loads(_tomo_document(tmp_path, capsys, "w", "json"))["rho"]
     assert doc["basis"] == list(BASIS_THREE)
     assert doc["re"][0][1] == pytest.approx(1 / 3)
-    assert doc["im"][0][1] == 0.0
+    assert [doc["im"][k][k] for k in range(3)] == [0.0, 0.0, 0.0]
+    assert doc["im"][1][0] == -doc["im"][0][1]
 
 
-def test_csv_rendering():
-    rho = ThreePhotonRho.from_offdiagonals(0, 0, 0)
-    text = rho.to_csv()
+def test_csv_rendering(tmp_path, capsys):
+    text = _tomo_document(tmp_path, capsys, "rho_s", "csv")
     lines = text.strip().split("\n")
     assert lines[0].startswith("basis,BBR_re,BBR_im")
     assert len(lines) == 4

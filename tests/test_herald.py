@@ -27,7 +27,7 @@ from wchip.circuit import (
 )
 from wchip.cli import _herald_summary
 from wchip.elements import AddDropFilter, DirectionalCoupler, SourceSpec, two_pair_state
-from wchip.errors import EmptyState, NotNormalized, ParamOutOfRange
+from wchip.errors import EmptyState, NotNormalized, ParamOutOfRange, UnknownMode
 from wchip.fock import (
     Color,
     FockBasisState,
@@ -438,6 +438,16 @@ class TestRowsMatchSparse:
             assert res.probability == rows[branch].probability
             assert res.heralded_state is not None
             assert w_fidelity(res.heralded_state, branch) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("channel", [7, 100])
+    def test_a_source_outside_the_registry_is_refused_by_both_engines(self, channel):
+        # a named WchipError from each, never a bare KeyError
+        spec = canonical_w_circuit(0.5, 0.5, 0.5)
+        source = SourceSpec(channel, 0.1)
+        with pytest.raises(UnknownMode, match=f"channel {channel} absent"):
+            herald_rows(transfer_rows(spec, channel), source)
+        with pytest.raises(UnknownMode, match=f"[RB]{channel} absent"):
+            propagate(source, spec)
 
     @settings(max_examples=200)
     @given(_devices(_DEEP_UNIT), st.floats(math.log(1e-12), math.log(0.5)), _PHI)

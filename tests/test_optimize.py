@@ -529,6 +529,21 @@ class TestSortedInsertion:
         assert run == natural
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    _edge_simplices(),
+    st.sampled_from(sorted(_OBJECTIVES)),
+    _TOL,
+    st.one_of(st.integers(1, 8), st.integers(1, 400)),  # runs cut early, and whole ones
+)
+def test_minimize_never_returns_a_vertex_worse_than_its_start(simplex, name, xatol, maxiter):
+    # the best vertex is only ever replaced by a better one, so maximize
+    # needs no fallback to the scan's best cell
+    fun = _OBJECTIVES[name]
+    x = wchip.optimize.minimize(fun, simplex, xatol=xatol, fatol=1e-14, maxiter=maxiter)
+    assert fun(list(x)) <= min(map(fun, simplex))
+
+
 class TestSweep:
     def test_axes_are_validated(self):
         with pytest.raises(ValidationError):

@@ -5,6 +5,8 @@ probabilities must reproduce the directly reduced density matrix, and the
 finite-shot path must converge to it with the advertised binomial error.
 """
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wchip.circuit import SIGNAL_CHANNELS, build_transform, canonical_w_circuit
+from wchip.cli import main
 from wchip.density import ThreePhotonRho, trace_distance
 from wchip.elements import two_pair_state
 from wchip.errors import DiagonalsNotUniform, InvalidRho, ParamOutOfRange, ValidationError
@@ -149,7 +152,7 @@ def _outcome(fn, *args, **kwargs):
         result.rho.matrix.tobytes(),
         [(k, v.value, v.se_re, v.se_im) for k, v in result.coefficients.items()],
         list(result.diagonal_frequencies.items()),
-        [rec.as_json_dict() for rec in result.records],
+        [dataclasses.astuple(rec) for rec in result.records],
         result.shots,
         result.seed,
     )
@@ -305,8 +308,11 @@ class TestDiscrimination:
         report = discriminate(rho_biseparable(), threshold=0.5)
         assert report.w_consistent
 
-    def test_json_keys(self):
-        doc = discriminate(rho_incoherent()).as_json_dict()
+    def test_json_keys(self, tmp_path, capsys):
+        config = tmp_path / "tomo.json"
+        config.write_text(json.dumps({"state": "rho_s", "shots": 4000}))
+        assert main(["tomo", "--config", str(config)]) == 0
+        doc = json.loads(capsys.readouterr().out)["report"]
         assert set(doc) == {
             "fidelity_W",
             "trace_distance_to_rhoS",
