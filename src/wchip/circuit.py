@@ -19,6 +19,7 @@ splitter's outputs sit on the registered channels 3 and 4.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -196,11 +197,6 @@ def propagate(src: SourceSpec, spec: CircuitSpec) -> PureState:
 # ---------------------------------------------------------------------------
 
 
-def _encode_complex(z: complex):
-    z = complex(z)
-    return float(z.real) if z.imag == 0.0 else [float(z.real), float(z.imag)]
-
-
 def parse_number(value, field: str) -> float:
     """A finite JSON number as a float; a boolean, a string or ``null`` is a
     :class:`ValidationError` naming ``field``."""
@@ -242,145 +238,159 @@ def read_json(path):
         raise ValidationError(f"cannot read JSON from {str(path)!r}: {exc}") from None
 
 
-def _list(value, where: str):
-    if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"{where}: expected a list, got {value!r}")
-    return value
+#: The default of a field that has none: the field is required.
+_REQUIRED = object()
 
 
-#: The keys :func:`circuit_to_json_dict` writes, at the top level, per
-#: element type and in the source: the only keys a circuit file may hold.
-_CIRCUIT_KEYS = frozenset({"channels", "elements", "phases", "source"})
-_ELEMENT_KEYS = {
-    "coupler": frozenset({"type", "channels", "r", "phi"}),
-    "adddrop": frozenset({"type", "input", "through", "drop", "resonant_color", "extinction"}),
-}
-_SOURCE_KEYS = frozenset({"channel", "beta", "max_order"})
-
-#: The names :func:`circuit_to_json_dict` writes for a router's resonant
-#: color: the only values a circuit file may give it.
-_COLOR_NAMES = {Color.BLUE: "Blue", Color.RED: "Red"}
-_COLORS_BY_NAME = {name: color for color, name in _COLOR_NAMES.items()}
-
-
-def _object(value, keys: frozenset, where: str) -> dict:
-    """`value` as an object whose keys all lie in `keys`."""
+def _object(value, fields: dict, where: str) -> dict:
+    """The JSON object `value` read by `fields`, which maps each key it may
+    hold to ``(read, default)``: a present value gives ``read(value,
+    path)``, ``path`` the dotted name of the field (`where` names the
+    object, ``""`` a whole document), and a missing key its default, or a
+    :class:`ValidationError` if that is :data:`_REQUIRED`."""
+    name = f"field {where!r}: " if where else ""
     if not isinstance(value, dict):
-        raise ValidationError(f"{where}: must be an object, got {value!r}")
-    unknown = [key for key in value if key not in keys]
-    if unknown:
-        raise ValidationError(f"{where}: unknown key(s) {unknown}, expected {sorted(keys)}")
+        raise ValidationError(f"{name}expected an object, got {value!r}")
+    for key in value:
+        if key not in fields:
+            raise ValidationError(f"{name}unknown key {key!r}, expected one of {list(fields)}")
+    prefix = f"{where}." if where else ""
+    out = {}
+    for key, (read, default) in fields.items():
+        if key in value:
+            out[key] = read(value[key], prefix + key)
+        elif default is _REQUIRED:
+            raise ValidationError(f"field {prefix + key!r}: required")
+        else:
+            out[key] = default
+    return out
+
+
+def _list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"field {field!r}: expected a list, got {value!r}")
     return value
+
+
+def _registry(value, field: str) -> list[str]:
+    names = _list(value, field)
+    if not all(isinstance(name, str) for name in names):
+        raise ValidationError(f"field {field!r}: expected name strings, got {names!r}")
+    if len(set(names)) != len(names):
+        raise ValidationError(f"field {field!r}: duplicate names in {names!r}")
+    return names
+
+
+#: A router's resonant color as a circuit file names it, indexed by color.
+_COLOR_NAMES = ("Red", "Blue")
+
+
+def _color(value, field: str) -> Color:
+    if not (isinstance(value, str) and value in _COLOR_NAMES):
+        raise ValidationError(f"field {field!r}: expected \"Blue\" or \"Red\", got {value!r}")
+    return Color(_COLOR_NAMES.index(value))
+
+
+#: The circuit-file format, read by both :func:`circuit_to_json_dict` and
+#: :func:`circuit_from_json_dict`: for each element class its ``"type"``
+#: name (None for the source, which sits under ``"source"``) and, for each
+#: key, the attribute it holds, its default and its kind of value.  Beside
+#: these a file holds ``channels``, a list of distinct names by which the
+#: elements name their channels, and ``phases``, one per channel.
+_FORMAT = {
+    DirectionalCoupler: ("coupler", {
+        "channels": ("channels", _REQUIRED, "channel pair"),
+        "r": ("r", _REQUIRED, "number"),
+        "phi": ("phi", 0.0, "number"),
+    }),
+    AddDropFilter: ("adddrop", {
+        "input": ("input_channel", _REQUIRED, "channel"),
+        "through": ("through_channel", _REQUIRED, "channel"),
+        "drop": ("drop_channel", _REQUIRED, "channel"),
+        "resonant_color": ("resonant_color", Color.BLUE, "color"),
+        "extinction": ("extinction", 0.0, "number"),
+    }),
+    SourceSpec: (None, {
+        "channel": ("channel", 0, "integer"),
+        "beta": ("beta", 0.0, "complex"),
+        "max_order": ("max_order", 2, "integer"),
+    }),
+}
+_ELEMENT_TYPES = {name: cls for cls, (name, _) in _FORMAT.items() if name}
+#: The reader of each kind of value that needs no channel registry.
+_READS = {"color": _color, "number": parse_number, "integer": parse_integer, "complex": parse_complex}
+
+
+def _read(cls, value, where: str, reads: dict = _READS):
+    """The `cls` that the object `value` holds in the format :data:`_FORMAT`
+    states, its kinds of value read by `reads`."""
+    keys = _FORMAT[cls][1]
+    fields = {key: (reads[kind], default) for key, (_, default, kind) in keys.items()}
+    arguments = _object(value, fields, where)
+    return cls(**{attr: arguments[key] for key, (attr, _, _) in keys.items()})
 
 
 def circuit_to_json_dict(spec: CircuitSpec, source: SourceSpec | None = None) -> dict:
-    name = spec.channels
-    elements = []
-    for el in spec.elements:
-        if isinstance(el, DirectionalCoupler):
-            elements.append(
-                {
-                    "type": "coupler",
-                    "channels": [name[el.channels[0]], name[el.channels[1]]],
-                    "r": el.r,
-                    "phi": el.phi,
-                }
-            )
-        else:
-            elements.append(
-                {
-                    "type": "adddrop",
-                    "input": name[el.input_channel],
-                    "through": name[el.through_channel],
-                    "drop": name[el.drop_channel],
-                    "resonant_color": _COLOR_NAMES[el.resonant_color],
-                    "extinction": el.extinction,
-                }
-            )
-    doc: dict = {"channels": list(name), "elements": elements}
+    names = spec.channels
+    write = {
+        "channel": names.__getitem__,
+        "channel pair": lambda pair: [names[c] for c in pair],
+        "color": _COLOR_NAMES.__getitem__,
+        "number": float,
+        "integer": int,
+        "complex": lambda z: [z.real, z.imag],
+    }
+
+    def entry(obj) -> dict:
+        keys = _FORMAT[type(obj)][1]
+        return {key: write[kind](getattr(obj, attr)) for key, (attr, _, kind) in keys.items()}
+
+    doc: dict = {
+        "channels": list(names),
+        "elements": [{"type": _FORMAT[type(el)][0], **entry(el)} for el in spec.elements],
+    }
     if any(p != 0.0 for p in spec.phases):
         doc["phases"] = list(spec.phases)
     if source is not None:
-        doc["source"] = {
-            "channel": source.channel,
-            "beta": _encode_complex(source.beta),
-            "max_order": source.max_order,
-        }
+        doc["source"] = entry(source)
     return doc
 
 
 def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
-    """Inverse of :func:`circuit_to_json_dict`.  Only the keys it writes are
-    accepted; the channel registry is a list of distinct name strings, and
-    elements name their channels by those strings."""
-    doc = _object(doc, _CIRCUIT_KEYS, "circuit document")
-    if "channels" not in doc:
-        raise ValidationError("circuit document needs a 'channels' list")
-    names = _list(doc["channels"], "channels")
-    if not all(isinstance(c, str) for c in names):
-        raise ValidationError(f"channels: expected name strings, got {names!r}")
-    if len(set(names)) != len(names):
-        raise ValidationError(f"channels: duplicate names in {names!r}")
-    index = {c: i for i, c in enumerate(names)}
+    """Inverse of :func:`circuit_to_json_dict`: only the keys it writes are
+    accepted, and elements name their channels by the registry's names."""
+    doc = _object(doc, {
+        "channels": (_registry, _REQUIRED),
+        "elements": (_list, ()),
+        "phases": (lambda value, field: [parse_number(p, field) for p in _list(value, field)], ()),
+        "source": (functools.partial(_read, SourceSpec), None),
+    }, "")
+    index = {name: k for k, name in enumerate(doc["channels"])}
 
-    def resolve(label, where: str) -> int:
+    def channel(label, field: str) -> int:
         if not isinstance(label, str):
-            raise ValidationError(f"{where}: expected a channel name string, got {label!r}")
+            raise ValidationError(f"field {field!r}: expected a channel name string, got {label!r}")
         if label not in index:
-            raise ValidationError(f"{where}: unregistered channel {label!r}")
+            raise ValidationError(f"field {field!r}: unregistered channel {label!r}")
         return index[label]
 
+    def pair(value, field: str) -> tuple[int, int]:
+        if len(_list(value, field)) != 2:
+            raise ValidationError(f"field {field!r}: expected 2 channel names, got {value!r}")
+        return tuple(channel(label, field) for label in value)
+
+    reads = {**_READS, "channel": channel, "channel pair": pair}
     elements = []
-    for k, entry in enumerate(_list(doc.get("elements", []), "elements")):
-        where = f"element {k}"
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{where}: must be an object, got {entry!r}")
-        kind = entry.get("type")
-        if not isinstance(kind, str) or kind not in _ELEMENT_KEYS:
-            raise ValidationError(f"{where}: unknown element type {kind!r}")
-        _object(entry, _ELEMENT_KEYS[kind], where)
-        if kind == "coupler":
-            chans = _list(entry.get("channels", []), f"{where} channels")
-            if len(chans) != 2:
-                raise ValidationError(f"{where}: coupler needs exactly 2 channels")
-            if "r" not in entry:
-                raise ValidationError(f"{where}: coupler needs a reflectivity 'r'")
-            elements.append(
-                DirectionalCoupler(
-                    (resolve(chans[0], where), resolve(chans[1], where)),
-                    parse_number(entry["r"], f"{where} r"),
-                    phi=parse_number(entry.get("phi", 0.0), f"{where} phi"),
-                )
-            )
-        else:
-            name = entry.get("resonant_color", "Blue")
-            if not isinstance(name, str) or name not in _COLORS_BY_NAME:
-                raise ValidationError(
-                    f"{where} resonant_color: expected \"Blue\" or \"Red\", got {name!r}"
-                )
-            color = _COLORS_BY_NAME[name]
-            elements.append(
-                AddDropFilter(
-                    input_channel=resolve(entry.get("input"), where),
-                    through_channel=resolve(entry.get("through"), where),
-                    drop_channel=resolve(entry.get("drop"), where),
-                    resonant_color=color,
-                    extinction=parse_number(entry.get("extinction", 0.0), f"{where} extinction"),
-                )
-            )
-    phases = tuple(parse_number(p, "phases") for p in _list(doc.get("phases", []), "phases"))
-    spec = CircuitSpec(tuple(names), tuple(elements), phases)
-    source = None
-    if "source" in doc:
-        src = _object(doc["source"], _SOURCE_KEYS, "source")
-        source = SourceSpec(
-            channel=parse_integer(src.get("channel", 0), "source.channel"),
-            beta=parse_complex(src.get("beta", 0.0), "source.beta"),
-            max_order=parse_integer(src.get("max_order", 2), "source.max_order"),
-        )
-        if source.channel >= len(names):
-            raise ValidationError(f"source: unregistered channel {source.channel}")
-    return spec, source
+    for k, entry in enumerate(doc["elements"]):
+        kind = entry.get("type") if isinstance(entry, dict) else None
+        if not isinstance(kind, str) or kind not in _ELEMENT_TYPES:
+            raise ValidationError(f"element {k}: unknown element type in {entry!r}")
+        fields = {key: value for key, value in entry.items() if key != "type"}
+        elements.append(_read(_ELEMENT_TYPES[kind], fields, f"element {k}", reads))
+    source = doc["source"]
+    if source is not None and source.channel >= len(index):
+        raise ValidationError(f"field 'source.channel': unregistered channel {source.channel}")
+    return CircuitSpec(doc["channels"], elements, doc["phases"]), source
 
 
 def save_circuit(path, spec: CircuitSpec, source: SourceSpec | None = None) -> None:

@@ -22,6 +22,7 @@ Exit codes: 0 success; 1 internal failure; 2 config validation;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import inspect
 import itertools
@@ -35,7 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import (
+    _REQUIRED,
     SIGNAL_CHANNELS,
+    _object,
     canonical_w_circuit,
     load_circuit,
     parse_complex,
@@ -62,8 +65,9 @@ from .tomography import DEFAULT_DIAG_THRESHOLD, discriminate, run_tomography
 
 SCHEMA_VERSION = 1
 
-#: Largest shot count the binomial sampler takes (a C int64).
-_MAX_SHOTS = int(np.iinfo(np.int64).max)
+#: Largest count a config may give: the binomial sampler takes shot counts
+#: as a C int64.
+_MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
 def _choice(*options):
@@ -81,13 +85,6 @@ def _path(value, field: str) -> str:
     return value
 
 
-def _shots(value, field: str) -> int:
-    shots = parse_integer(value, field)
-    if not 1 <= shots <= _MAX_SHOTS:
-        raise ValidationError(f"field {field!r}: must lie in [1, {_MAX_SHOTS}], got {shots}")
-    return shots
-
-
 def _threshold(value, field: str) -> float:
     threshold = parse_number(value, field)
     if threshold < 0.0:
@@ -101,46 +98,13 @@ def _bounds(value, field: str) -> tuple[float, float]:
     return tuple(parse_number(bound, field) for bound in value)
 
 
-#: The keys, and their defaults, of the canonical and sweep blocks: the
-#: keyword arguments of the callables the blocks are passed to, read once
-#: at import so that a wrapper installed later cannot change them.
-_CANONICAL_BLOCK = inspect.signature(canonical_w_circuit)
-_SWEEP_BLOCK = inspect.signature(SweepSpec)
-
-
-def _arguments(signature: inspect.Signature, block, field: str) -> dict:
-    """The arguments an object `block` binds in `signature`, with the
-    defaults of those it leaves out."""
-    if not isinstance(block, dict):
-        raise ValidationError(f"field {field!r}: expected an object, got {block!r}")
-    try:
-        bound = signature.bind(**block)
-    except TypeError as exc:  # an unknown key, or a required one missing
-        raise ValidationError(f"field {field!r}: {exc}") from None
-    bound.apply_defaults()
-    return bound.arguments
-
-
-def _canonical(block, field: str) -> dict:
-    arguments = _arguments(_CANONICAL_BLOCK, block, field)
-    return {key: parse_number(value, f"{field}.{key}") for key, value in arguments.items()}
-
-
 def _axis(value, field: str):
     """``(length, build)`` of one sweep axis, where ``build()`` returns its
     values, so that the grid is sized before any axis is built.  A range
     object gives ``start + k * step`` and ends exactly at ``stop``, as
     ``numpy.linspace`` does, so rounding never puts its end past [0, 1]."""
     if isinstance(value, dict):
-        if value.keys() != {"start", "stop", "num"}:
-            raise ValidationError(
-                f"field {field!r}: range object needs exactly start/stop/num, got {list(value)}"
-            )
-        start = parse_number(value["start"], f"{field}.start")
-        stop = parse_number(value["stop"], f"{field}.stop")
-        num = parse_integer(value["num"], f"{field}.num")
-        if num < 1:
-            raise ValidationError(f"field '{field}.num': must be >= 1")
+        start, stop, num = _object(value, _RANGE, field).values()
         if num == 1:
             return 1, lambda: (start,)
         step = (stop - start) / (num - 1)
@@ -151,38 +115,57 @@ def _axis(value, field: str):
     return len(values), lambda: values
 
 
+def _count(value, field: str) -> int:
+    count = parse_integer(value, field)
+    if not 1 <= count <= _MAX_COUNT:
+        raise ValidationError(f"field {field!r}: must lie in [1, {_MAX_COUNT}], got {count}")
+    return count
+
+
+_RANGE = {"start": (parse_number, _REQUIRED), "stop": (parse_number, _REQUIRED), "num": (_count, _REQUIRED)}
+
+
+def _signature_fields(function, read, **reads) -> dict:
+    """The fields of a block of keyword arguments of `function`: each of its
+    parameters, read by ``reads.get(name, read)``, and required unless it
+    has a default, which is read here, once, as a given value would be (so
+    a wrapper installed later cannot change them)."""
+    fields = {}
+    for name, parameter in inspect.signature(function).parameters.items():
+        parse = reads.get(name, read)
+        empty = parameter.default is parameter.empty
+        fields[name] = (parse, _REQUIRED if empty else parse(parameter.default, name))
+    return fields
+
+
+_CANONICAL = _signature_fields(canonical_w_circuit, parse_number)
+_SWEEP = _signature_fields(SweepSpec, _axis, metric=lambda value, field: value, cell_cap=_count)
+
+
 def _sweep(block, field: str) -> SweepSpec:
-    arguments = _arguments(_SWEEP_BLOCK, block, field)
-    cell_cap = parse_integer(arguments.pop("cell_cap"), f"{field}.cell_cap")
-    if cell_cap < 1:
-        raise ValidationError(f"field '{field}.cell_cap': must be positive")
-    metric = arguments.pop("metric")
-    axes = {name: _axis(value, f"{field}.{name}") for name, value in arguments.items()}
-    check_cell_count(math.prod(length for length, _ in axes.values()), cell_cap)
+    arguments = _object(block, _SWEEP, field)
+    cell_cap, metric = arguments.pop("cell_cap"), arguments.pop("metric")
+    check_cell_count(math.prod(length for length, _ in arguments.values()), cell_cap)
+    axes = {name: build() for name, (_, build) in arguments.items()}
     try:
-        return SweepSpec(
-            **{name: build() for name, (_, build) in axes.items()},
-            metric=metric,
-            cell_cap=cell_cap,
-        )
+        return SweepSpec(**axes, metric=metric, cell_cap=cell_cap)
     except (ValidationError, ParamOutOfRange) as exc:
         raise ValidationError(f"field {field!r}: {exc}") from None
 
 
-_REQUIRED = object()
 _CIRCUIT_COMMANDS = ("simulate", "herald", "tomo")
 _ALL_COMMANDS = ("simulate", "herald", "tomo", "optimize", "sweep")
-#: Every config field: its parser, its default (None: absent) and the
-#: commands that read it.  A parser takes the JSON value and the field's
-#: name and raises ValidationError naming the field.  Fields are parsed in
+#: Every config field: its reader, its default (None: absent) and the
+#: commands that read it.  A reader takes the JSON value and the field's
+#: name and raises ValidationError naming the field.  Fields are read in
 #: this order, so the sweep grid, which can exceed its cap (exit 4), is
 #: sized only once every other field has passed.
 _FIELDS = {
     "circuit_file": (_path, None, _CIRCUIT_COMMANDS),
-    "canonical": (_canonical, None, _CIRCUIT_COMMANDS),
+    "canonical": (lambda value, field: _object(value, _CANONICAL, field), None, _CIRCUIT_COMMANDS),
     "beta": (parse_complex, None, _CIRCUIT_COMMANDS),
-    "max_order": (parse_integer, 2, _CIRCUIT_COMMANDS),
-    "shots": (_shots, _REQUIRED, ("tomo",)),
+    "max_order": (parse_integer, None, _CIRCUIT_COMMANDS),
+    "shots": (_count, _REQUIRED, ("tomo",)),
     "state": (_choice("circuit", "w", "rho_s", "rho_b", "product_bbr"), "circuit", ("tomo",)),
     "diag_threshold": (_threshold, DEFAULT_DIAG_THRESHOLD, ("tomo",)),
     "w_threshold": (parse_number, 0.9, ("tomo",)),
@@ -204,61 +187,40 @@ def _build_config(args: argparse.Namespace) -> dict:
         doc = {} if args.config is None else read_json(args.config)
     except ValidationError as exc:
         raise ConfigError(f"--config: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    for key in doc:
-        if key not in _FIELDS or command not in _FIELDS[key][2]:
-            raise ConfigError(f"field {key!r}: not recognized for command {command!r}")
-    flags = {key: getattr(args, key) for key in ("seed", "shots", "format", "out")}
-    doc.update((key, value) for key, value in flags.items() if value is not None)
-    cfg = {}
+    fields = {key: field[:2] for key, field in _FIELDS.items() if command in field[2]}
+    flags = {key: getattr(args, key) for key in ("seed", "shots", "format", "out") if key in fields}
+    if isinstance(doc, dict):
+        doc.update((key, value) for key, value in flags.items() if value is not None)
     try:
-        for key, (parse, default, commands) in _FIELDS.items():
-            if command not in commands:
-                continue
-            if key in doc:
-                cfg[key] = parse(doc[key], key)
-            elif default is _REQUIRED:
-                raise ValidationError(f"field {key!r}: required for {command}")
-            else:
-                cfg[key] = default
+        cfg = _object(doc, fields, "")
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
     if cfg["format"] is None:
         cfg["format"] = "csv" if command == "sweep" else "json"
-    needs_circuit = command in _CIRCUIT_COMMANDS and cfg.get("state", "circuit") == "circuit"
-    if needs_circuit and bool(cfg["circuit_file"]) == (cfg["canonical"] is not None):
-        raise ConfigError("exactly one of 'circuit_file' or 'canonical' must be present")
     return cfg
 
 
 def _resolve_circuit(cfg: dict):
-    """Circuit spec plus source from either config style."""
-    if cfg["circuit_file"]:
-        try:
+    """Circuit spec plus source from either config style.  The source's
+    ``beta`` and ``max_order`` each come from the config if it gives them,
+    else from the circuit file's source, else from :class:`SourceSpec`."""
+    if bool(cfg["circuit_file"]) == (cfg["canonical"] is not None):
+        raise ConfigError("exactly one of 'circuit_file' or 'canonical' must be present")
+    field = "circuit_file" if cfg["circuit_file"] else "canonical"
+    try:
+        if cfg["circuit_file"]:
             spec, source = load_circuit(cfg["circuit_file"])
-        except WchipError as exc:
-            raise ConfigError(f"field 'circuit_file': {exc}") from None
-        if cfg["beta"] is not None:
-            channel = source.channel if source is not None else 0
-            source = _make_source(channel, cfg["beta"], cfg["max_order"])
-        if source is None:
-            raise ConfigError("field 'beta': missing (circuit file carries no source)")
-        return spec, source
-    if cfg["beta"] is None:
-        raise ConfigError("field 'beta': missing")
-    try:
-        spec = canonical_w_circuit(**cfg["canonical"])
-    except ParamOutOfRange as exc:
-        raise ConfigError(f"field 'canonical': {exc}") from None
-    return spec, _make_source(0, cfg["beta"], cfg["max_order"])
-
-
-def _make_source(channel: int, beta: complex, max_order: int) -> SourceSpec:
-    try:
-        return SourceSpec(channel=channel, beta=beta, max_order=max_order)
+        else:
+            spec, source = canonical_w_circuit(**cfg["canonical"]), None
     except WchipError as exc:
-        raise ConfigError(f"field 'beta': {exc}") from None
+        raise ConfigError(f"field {field!r}: {exc}") from None
+    if source is None and cfg["beta"] is None:
+        raise ConfigError("field 'beta': missing, and no circuit file's source gives it")
+    given = {key: cfg[key] for key in ("beta", "max_order") if cfg[key] is not None}
+    try:
+        return spec, dataclasses.replace(source, **given) if source else SourceSpec(0, **given)
+    except WchipError as exc:
+        raise ConfigError(f"source: {exc}") from None
 
 
 def _complex_json(z: complex):
@@ -279,35 +241,27 @@ def _csv(columns: Iterable[str], rows: Iterable[Iterable]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _herald_summary(spec, source) -> tuple[dict, dict[str, float | None], dict | None]:
-    """Both branches' probability and residual, W fidelity and, on T1, the
-    coincidence distribution, from the source rows of `spec` alone
+def _herald_summary(spec, source) -> tuple[dict, dict[str, float | None], PureState | None]:
+    """Both branches' probability and residual and W fidelity, and the T1
+    heralded state, from the source rows of `spec` alone
     (:func:`herald_rows`)."""
     branches: dict = {}
     fidelities: dict[str, float | None] = {}
-    dist = None
-    for branch, result in herald_rows(transfer_rows(spec, source.channel), source).items():
+    results = herald_rows(transfer_rows(spec, source.channel), source)
+    for branch, result in results.items():
         branches[branch.value] = {
             "probability": float(result.probability),
             "residual_weight": float(result.residual_weight),
         }
-        if result.heralded_state is None:
-            fidelities[branch.value] = None
-        else:
-            fidelities[branch.value] = float(
-                w_fidelity(result.heralded_state, branch)
-            )
-            if branch is Branch.T1:
-                dist = {
-                    k: float(v)
-                    for k, v in coincidence_distribution(result.heralded_state).items()
-                }
-    return branches, fidelities, dist
+        state = result.heralded_state
+        fidelities[branch.value] = None if state is None else float(w_fidelity(state, branch))
+    return branches, fidelities, results[Branch.T1].heralded_state
 
 
 def cmd_simulate(cfg: dict) -> dict | str:
     spec, source = _resolve_circuit(cfg)
-    branches, fidelities, dist = _herald_summary(spec, source)
+    branches, fidelities, state = _herald_summary(spec, source)
+    dist = None if state is None else {k: float(v) for k, v in coincidence_distribution(state).items()}
     if cfg["format"] == "csv":
         return _csv(("pattern", "probability"), ((p, dist[p]) for p in sorted(dist or ())))
     return {
@@ -354,12 +308,12 @@ def cmd_tomo(cfg: dict) -> dict | str:
         seed=cfg["seed"],
         diag_threshold=cfg["diag_threshold"],
     )
-    report = discriminate(result.rho, threshold=cfg["w_threshold"])
     rho = result.rho.matrix
     if cfg["format"] == "csv":
         columns = (f"{label}_{part}" for label in BASIS_THREE for part in ("re", "im"))
         rows = zip(BASIS_THREE, ([x for z in row for x in (z.real, z.imag)] for row in rho))
         return _csv(("basis", *columns), ((label, *row) for label, row in rows))
+    report = discriminate(result.rho, threshold=cfg["w_threshold"])
     return {
         "state": cfg["state"],
         "shots": result.shots,

@@ -191,10 +191,14 @@ class TestJson:
         )
         source = SourceSpec(0, 0.05 - 0.02j, max_order=1)
         doc = circuit_to_json_dict(spec, source)
-        assert set(doc) == wchip.circuit._CIRCUIT_KEYS
-        assert set(doc["source"]) == wchip.circuit._SOURCE_KEYS
-        for element in doc["elements"]:
-            assert set(element) == wchip.circuit._ELEMENT_KEYS[element["type"]]
+        # every key of the format table is written, beside the registry and phases
+        table = wchip.circuit._FORMAT
+        assert set(doc) == {"channels", "elements", "phases", "source"}
+        assert set(doc["source"]) == set(table[SourceSpec][1])
+        assert {element["type"] for element in doc["elements"]} == {"coupler", "adddrop"}
+        for element, el in zip(doc["elements"], spec.elements):
+            assert element["type"] == table[type(el)][0]
+            assert set(element) == {"type", *table[type(el)][1]}
         path = tmp_path / "mesh.json"
         save_circuit(path, spec, source)
         spec2, source2 = load_circuit(path)

@@ -1001,6 +1001,23 @@ def test_circuit_file_beta_override(tmp_path, capsys):
     assert doc["beta"]["re"] == pytest.approx(0.2)
 
 
+@pytest.mark.parametrize(
+    "file_order, config",
+    [(2, {"max_order": 1}), (1, {"beta": 0.1})],
+    ids=["config-max-order-over-file-beta", "file-max-order-under-config-beta"],
+)
+def test_circuit_file_source_and_config_merge_field_by_field(tmp_path, capsys, file_order, config):
+    # a max_order of 1 leaves no double pair, so nothing heralds, whichever
+    # side gives it and whichever gives beta
+    from wchip import SourceSpec, canonical_w_circuit, save_circuit
+
+    circ = tmp_path / "circ.json"
+    save_circuit(circ, canonical_w_circuit(**OPT), SourceSpec(0, 0.05, max_order=file_order))
+    cfg = _write(tmp_path, "c.json", {"circuit_file": str(circ), **config})
+    assert main(["herald", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["branches"]["T1"]["probability"] == 0.0
+
+
 def test_console_script_is_installed():
     import shutil
     import subprocess
@@ -1016,18 +1033,12 @@ def test_readme_config_block_lists_every_key():
     import re
     from pathlib import Path
 
-    from wchip.cli import _CANONICAL_BLOCK, _FIELDS, _SWEEP_BLOCK
+    from wchip.cli import _CANONICAL, _FIELDS, _RANGE, _SWEEP
 
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
     documented = set(re.findall(r'"(\w+)"\s*:', block))
-    accepted = (
-        set(_FIELDS)
-        | set(_CANONICAL_BLOCK.parameters)
-        | set(_SWEEP_BLOCK.parameters)
-        | {"start", "stop", "num"}  # a sweep axis range object
-    )
-    assert documented == accepted
+    assert documented == {*_FIELDS, *_CANONICAL, *_SWEEP, *_RANGE}
 
 
 def test_blocks_are_read_through_wrapped_functions(monkeypatch, capsys, sim_config):

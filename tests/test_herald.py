@@ -455,7 +455,8 @@ class TestRowsMatchSparse:
     def test_matches_the_sparse_chain(self, device, log_beta, phase):
         spec, channel = device
         source = SourceSpec(channel, cmath.rect(math.exp(log_beta), phase))
-        branches, fidelities, dist = _herald_summary(spec, source)
+        branches, fidelities, state = _herald_summary(spec, source)
+        dist = None if state is None else coincidence_distribution(state)
         ref_branches, ref_fidelities, ref_dist = sparse_herald_summary(spec, source)
         for name in ("T1", "T2"):
             for key in ("probability", "residual_weight"):
