@@ -19,7 +19,6 @@ splitter's outputs sit on the registered channels 3 and 4.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -296,7 +295,8 @@ def _color(value, field: str) -> Color:
 #: name (None for the source, which sits under ``"source"``) and, for each
 #: key, the attribute it holds, its default and its kind of value.  Beside
 #: these a file holds ``channels``, a list of distinct names by which the
-#: elements name their channels, and ``phases``, one per channel.
+#: elements and the source name their channels, and ``phases``, one per
+#: channel.  A source without ``channel`` sits on the first one.
 _FORMAT = {
     DirectionalCoupler: ("coupler", {
         "channels": ("channels", _REQUIRED, "channel pair"),
@@ -311,7 +311,7 @@ _FORMAT = {
         "extinction": ("extinction", 0.0, "number"),
     }),
     SourceSpec: (None, {
-        "channel": ("channel", 0, "integer"),
+        "channel": ("channel", 0, "channel"),
         "beta": ("beta", 0.0, "complex"),
         "max_order": ("max_order", 2, "integer"),
     }),
@@ -332,6 +332,8 @@ def _read(cls, value, where: str, reads: dict = _READS):
 
 def circuit_to_json_dict(spec: CircuitSpec, source: SourceSpec | None = None) -> dict:
     names = spec.channels
+    if source is not None and source.channel >= len(names):
+        raise ValidationError(f"source channel {source.channel} is not in the registry {names}")
     write = {
         "channel": names.__getitem__,
         "channel pair": lambda pair: [names[c] for c in pair],
@@ -358,14 +360,15 @@ def circuit_to_json_dict(spec: CircuitSpec, source: SourceSpec | None = None) ->
 
 def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
     """Inverse of :func:`circuit_to_json_dict`: only the keys it writes are
-    accepted, and elements name their channels by the registry's names."""
-    doc = _object(doc, {
+    accepted, and elements and the source name their channels by the
+    registry's names."""
+    top = _object(doc, {
         "channels": (_registry, _REQUIRED),
         "elements": (_list, ()),
         "phases": (lambda value, field: [parse_number(p, field) for p in _list(value, field)], ()),
-        "source": (functools.partial(_read, SourceSpec), None),
+        "source": (lambda value, field: value, None),  # read once the registry is known
     }, "")
-    index = {name: k for k, name in enumerate(doc["channels"])}
+    index = {name: k for k, name in enumerate(top["channels"])}
 
     def channel(label, field: str) -> int:
         if not isinstance(label, str):
@@ -381,16 +384,14 @@ def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
 
     reads = {**_READS, "channel": channel, "channel pair": pair}
     elements = []
-    for k, entry in enumerate(doc["elements"]):
+    for k, entry in enumerate(top["elements"]):
         kind = entry.get("type") if isinstance(entry, dict) else None
         if not isinstance(kind, str) or kind not in _ELEMENT_TYPES:
             raise ValidationError(f"element {k}: unknown element type in {entry!r}")
         fields = {key: value for key, value in entry.items() if key != "type"}
         elements.append(_read(_ELEMENT_TYPES[kind], fields, f"element {k}", reads))
-    source = doc["source"]
-    if source is not None and source.channel >= len(index):
-        raise ValidationError(f"field 'source.channel': unregistered channel {source.channel}")
-    return CircuitSpec(doc["channels"], elements, doc["phases"]), source
+    source = _read(SourceSpec, top["source"], "source", reads) if "source" in doc else None
+    return CircuitSpec(top["channels"], elements, top["phases"]), source
 
 
 def save_circuit(path, spec: CircuitSpec, source: SourceSpec | None = None) -> None:

@@ -242,9 +242,7 @@ def source_state(src: SourceSpec) -> PureState:
     operators, leaving a net basis amplitude of beta**2.
     """
     beta = src.beta
-    terms: dict[FockBasisState, complex] = {
-        FockBasisState.vacuum(): 1.0 - beta * beta / 2.0
-    }
+    terms: dict[FockBasisState, complex] = {FockBasisState(): 1.0 - beta * beta / 2.0}
     if src.max_order >= 1:
         terms[_pair_basis(src.channel, 1)] = beta
     if src.max_order >= 2:

@@ -51,6 +51,7 @@ from .errors import (
     PatternMismatch,
     TooManyPhotons,
     UnknownMode,
+    ValidationError,
 )
 
 #: Unitarity violations beyond this raise :class:`NotUnitary`.
@@ -89,13 +90,6 @@ class Color(IntEnum):
     def letter(self) -> str:
         return "R" if self is Color.RED else "B"
 
-    @classmethod
-    def from_letter(cls, letter: str) -> "Color":
-        try:
-            return {"R": cls.RED, "B": cls.BLUE}[letter.upper()[0]]
-        except (KeyError, IndexError):
-            raise ValueError(f"unknown color letter {letter!r}") from None
-
 
 class ModeLabel(NamedTuple):
     """One optical mode: a waveguide channel carrying one color.
@@ -114,20 +108,21 @@ class ModeLabel(NamedTuple):
 class FockBasisState(tuple):
     """Occupation-number basis vector, stored as sorted (mode, count) pairs.
 
-    Zero counts are never stored, so equality is structural and the empty
-    tuple is the vacuum.  Instances are immutable and hashable.
+    Built from ``(ModeLabel, count)`` pairs, each count a non-negative int
+    (a bool or a float is refused); any other pair raises
+    :class:`ValidationError`.  Zero counts are never stored, so equality is
+    structural and the empty ``FockBasisState()`` is the vacuum.  Instances
+    are immutable and hashable.
     """
 
     __slots__ = ()
 
     def __new__(cls, pairs: Iterable[tuple[ModeLabel, int]] = ()):
         acc: dict[ModeLabel, int] = {}
-        for mode, count in pairs:
-            if not isinstance(mode, ModeLabel):
-                mode = ModeLabel(int(mode[0]), Color(mode[1]))
-            count = int(count)
-            if count < 0:
-                raise ValueError(f"negative occupation {count} at {mode}")
+        for pair in pairs:
+            mode, count = pair if isinstance(pair, tuple) and len(pair) == 2 else (None, None)
+            if not isinstance(mode, ModeLabel) or type(count) is not int or count < 0:
+                raise ValidationError(f"expected a (ModeLabel, non-negative int) pair, got {pair!r}")
             if count:
                 acc[mode] = acc.get(mode, 0) + count
         return tuple.__new__(cls, sorted(acc.items()))
@@ -136,14 +131,6 @@ class FockBasisState(tuple):
     def _from_sorted(cls, pairs: Sequence[tuple[ModeLabel, int]]) -> "FockBasisState":
         """Trusted constructor: pairs already canonical (sorted, positive)."""
         return tuple.__new__(cls, pairs)
-
-    @classmethod
-    def vacuum(cls) -> "FockBasisState":
-        return _VACUUM
-
-    @classmethod
-    def single(cls, mode: ModeLabel) -> "FockBasisState":
-        return tuple.__new__(cls, ((mode, 1),))
 
     def split(self, channels: Iterable[int]) -> tuple["FockBasisState", "FockBasisState"]:
         """Partition into (modes on `channels`, everything else)."""
@@ -157,9 +144,6 @@ class FockBasisState(tuple):
             return "|vac>"
         inner = ", ".join(f"{n}_{m}" for m, n in self)
         return f"|{inner}>"
-
-
-_VACUUM = tuple.__new__(FockBasisState, ())
 
 
 def color_pattern(basis: FockBasisState, channels: Sequence[int]) -> str:
@@ -179,13 +163,12 @@ def color_pattern(basis: FockBasisState, channels: Sequence[int]) -> str:
 
 def basis_from_pattern(pattern: str, channels: Sequence[int]) -> FockBasisState:
     """Inverse of :func:`color_pattern`: one photon per channel, colors from
-    the letter string."""
-    if len(pattern) != len(channels):
-        raise PatternMismatch(f"pattern {pattern!r} does not fit channels {channels}")
-    return FockBasisState(
-        (ModeLabel(ch, Color.from_letter(letter)), 1)
-        for ch, letter in zip(channels, pattern)
-    )
+    the letters ``"B"`` and ``"R"``; any other letter, or a pattern whose
+    length differs from the channel count, raises :class:`PatternMismatch`."""
+    colors = {color.letter: color for color in Color}
+    if len(pattern) != len(channels) or not set(pattern) <= colors.keys():
+        raise PatternMismatch(f"pattern {pattern!r} is not one B or R per channel of {channels}")
+    return FockBasisState((ModeLabel(ch, colors[letter]), 1) for ch, letter in zip(channels, pattern))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +386,7 @@ def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureStat
     out: dict[FockBasisState, complex] = {}
     for basis, amp in state._terms.items():
         if not basis:
-            out[_VACUUM] = out.get(_VACUUM, 0.0) + amp
+            out[basis] = out.get(basis, 0.0) + amp
             continue
         shape = []
         entries = []

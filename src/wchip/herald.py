@@ -19,7 +19,6 @@ reason counting alone cannot certify the entanglement, and tomography can.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import sys
@@ -66,7 +65,6 @@ class HeraldResult:
     residual_weight: float
 
 
-@functools.cache
 def heralding_terms(h: int, color: Color) -> tuple:
     """The terms with a photon of `color` on herald channel h and one photon
     on each signal channel, one per signal split ``(s, j, l)`` in

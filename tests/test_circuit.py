@@ -93,11 +93,11 @@ def test_idle_couplers_route_everything_to_channel_three():
 def test_terminal_phases_multiply_per_channel():
     base = CircuitSpec(("a", "b"), (DirectionalCoupler((0, 1), 0.6),))
     phased = CircuitSpec(base.channels, base.elements, (0.0, 0.9))
-    photon = PureState.basis(FockBasisState.single(ModeLabel(0, Color.BLUE)))
+    photon = PureState.basis(FockBasisState([(ModeLabel(0, Color.BLUE), 1)]))
     out0 = apply_mode_transform(photon, build_transform(base))
     out1 = apply_mode_transform(photon, build_transform(phased))
-    b0 = FockBasisState.single(ModeLabel(0, Color.BLUE))
-    b1 = FockBasisState.single(ModeLabel(1, Color.BLUE))
+    b0 = FockBasisState([(ModeLabel(0, Color.BLUE), 1)])
+    b1 = FockBasisState([(ModeLabel(1, Color.BLUE), 1)])
     assert out1.amplitude(b0) == pytest.approx(out0.amplitude(b0))
     assert out1.amplitude(b1) == pytest.approx(out0.amplitude(b1) * np.exp(0.9j))
 
@@ -151,6 +151,18 @@ class TestJson:
         # deterministic bytes: sorted keys, trailing newline
         text = path.read_text()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    def test_source_names_its_channel(self):
+        spec = CircuitSpec(("in", "tap", "out"))
+        doc = circuit_to_json_dict(spec, SourceSpec(2, 0.1))
+        assert doc["source"]["channel"] == "out"
+        assert circuit_from_json_dict(doc)[1] == SourceSpec(2, 0.1)
+        # a source without a channel sits on the first registered one
+        assert circuit_from_json_dict({"channels": ["in", "tap"], "source": {}})[1].channel == 0
+        with pytest.raises(ValidationError, match="field 'source': expected an object"):
+            circuit_from_json_dict({"channels": ["in"], "source": None})
+        with pytest.raises(ValidationError, match="source channel 3"):
+            circuit_to_json_dict(spec, SourceSpec(3, 0.1))
 
     def test_coupler_requires_reflectivity(self):
         doc = {
@@ -384,5 +396,5 @@ class TestMatchesUncachedPath:
 def test_propagate_vacuum_source_stays_vacuum():
     spec = canonical_w_circuit(0.5, 0.5, 0.5)
     out = propagate(SourceSpec(0, 0.0), spec)
-    assert out.amplitude(FockBasisState.vacuum()) == pytest.approx(1.0)
+    assert out.amplitude(FockBasisState()) == pytest.approx(1.0)
     assert len(out) == 1

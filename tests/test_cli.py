@@ -680,7 +680,7 @@ _CIRCUIT_DOC = {
         {"type": "coupler", "channels": ["0", "1"], "r": 0.5},
         {"type": "adddrop", "input": "1", "through": "2", "drop": "0"},
     ],
-    "source": {"channel": 0, "beta": 0.1},
+    "source": {"channel": "0", "beta": 0.1},
 }
 
 
@@ -698,7 +698,8 @@ class TestMalformedCircuitFile:
             (("phases",), [0.0, "x", 0.0]),
             (("source",), 3),
             (("elements", 0, "r"), 1.5),
-            (("source", "channel"), 9),
+            (("source", "channel"), "9"),
+            (("source", "channel"), 0),
             (("source", "beta"), 10**400),
             (("elements", 0, "r"), True),
             (("elements", 1, "extintion"), 0.05),
@@ -714,6 +715,7 @@ class TestMalformedCircuitFile:
             "source",
             "coupler-r-out-of-range",
             "source-channel-unregistered",
+            "source-channel-index",
             "source-beta-too-large-for-a-float",
             "coupler-r-boolean",
             "adddrop-unknown-key",
@@ -737,6 +739,25 @@ class TestMalformedCircuitFile:
             tmp_path, "c.json", {"circuit_file": _write(tmp_path, "circ.json", _CIRCUIT_DOC)}
         )
         assert main(["simulate", "--config", cfg]) == 0
+
+
+def test_reordering_a_circuit_files_registry_keeps_both_branches(tmp_path, capsys):
+    # Elements and the source name their channels, so swapping two registry
+    # entries, with their phases, relabels the same device.  A source read
+    # by index once moved to channel "1" here: P_T1 0.00637 instead of 0.0464.
+    from pathlib import Path
+
+    def probabilities(doc) -> list[float]:
+        cfg = _write(tmp_path, "c.json", {"circuit_file": _write(tmp_path, "device.json", doc)})
+        assert main(["herald", "--config", cfg]) == 0
+        branches = json.loads(capsys.readouterr().out)["branches"]
+        return [branches[branch]["probability"] for branch in ("T1", "T2")]
+
+    doc = json.loads((Path(__file__).parent / "golden" / "device.json").read_text())
+    original = probabilities(doc)
+    for key in ("channels", "phases"):
+        doc[key][0], doc[key][1] = doc[key][1], doc[key][0]
+    assert probabilities(doc) == pytest.approx(original, rel=0, abs=1e-12)
 
 
 def _with_circuit_file(tmp_path, doc):
@@ -763,7 +784,6 @@ class TestCounts:
                 "sweep.r1.num",
             ),
             ("sweep", {"sweep": {"r1": 0.5, "r2": 0.5, "r3": 0.5, "cell_cap": 2.5}}, "sweep.cell_cap"),
-            ("simulate", {"source": {"channel": 1.9}}, "source.channel"),
             ("simulate", {"source": {"max_order": 2.7}}, "source.max_order"),
         ],
     )
@@ -784,7 +804,7 @@ class TestCounts:
                 {"sweep": {"r1": {"start": 0.4, "stop": 0.5, "num": 3.0}, "r2": 0.5, "r3": 0.5,
                            "cell_cap": 3.0}},
             ),
-            ("simulate", {"source": {"channel": 0.0, "max_order": 2.0}}),
+            ("simulate", {"source": {"max_order": 2.0}}),
         ],
     )
     def test_integral_float_count_runs(self, tmp_path, capsys, command, doc):

@@ -113,7 +113,7 @@ _CIRCUIT = _or_json(
                 _object(
                     {},
                     {
-                        "channel": _or_json(st.integers(0, 7)),
+                        "channel": _LABEL,
                         "beta": _or_json(st.floats(-0.6, 0.6)),
                         "max_order": _or_json(st.integers(0, 2)),
                     },

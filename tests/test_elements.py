@@ -139,21 +139,21 @@ class TestAddDropFilter:
 
     def test_ideal_routing(self):
         xf = adddrop_transform(self._filter())
-        blue_in = PureState.basis(FockBasisState.single(ModeLabel(1, Color.BLUE)))
-        red_in = PureState.basis(FockBasisState.single(ModeLabel(1, Color.RED)))
+        blue_in = PureState.basis(FockBasisState([(ModeLabel(1, Color.BLUE), 1)]))
+        red_in = PureState.basis(FockBasisState([(ModeLabel(1, Color.RED), 1)]))
         out_b = apply_mode_transform(blue_in, xf)
         out_r = apply_mode_transform(red_in, xf)
         # resonant blue photon drops to channel 6, red sails through to 5
-        assert out_b.amplitude(FockBasisState.single(ModeLabel(6, Color.BLUE))) == pytest.approx(1.0)
-        assert out_r.amplitude(FockBasisState.single(ModeLabel(5, Color.RED))) == pytest.approx(1.0)
+        assert out_b.amplitude(FockBasisState([(ModeLabel(6, Color.BLUE), 1)])) == pytest.approx(1.0)
+        assert out_r.amplitude(FockBasisState([(ModeLabel(5, Color.RED), 1)])) == pytest.approx(1.0)
 
     def test_extinction_leaks_resonant_photon(self):
         eps = 0.2
         xf = adddrop_transform(self._filter(eps))
-        blue_in = PureState.basis(FockBasisState.single(ModeLabel(1, Color.BLUE)))
+        blue_in = PureState.basis(FockBasisState([(ModeLabel(1, Color.BLUE), 1)]))
         out = apply_mode_transform(blue_in, xf)
-        leak = out.amplitude(FockBasisState.single(ModeLabel(5, Color.BLUE)))
-        drop = out.amplitude(FockBasisState.single(ModeLabel(6, Color.BLUE)))
+        leak = out.amplitude(FockBasisState([(ModeLabel(5, Color.BLUE), 1)]))
+        drop = out.amplitude(FockBasisState([(ModeLabel(6, Color.BLUE), 1)]))
         assert abs(leak) ** 2 == pytest.approx(eps)
         assert abs(drop) ** 2 == pytest.approx(1.0 - eps)
 
@@ -334,7 +334,7 @@ class TestSource:
     def test_expansion_amplitudes(self):
         beta = 0.2
         state = source_state(SourceSpec(0, beta))
-        vac = FockBasisState.vacuum()
+        vac = FockBasisState()
         pair = FockBasisState([(ModeLabel(0, Color.RED), 1), (ModeLabel(0, Color.BLUE), 1)])
         double = FockBasisState([(ModeLabel(0, Color.RED), 2), (ModeLabel(0, Color.BLUE), 2)])
         assert state.amplitude(vac) == pytest.approx(1 - beta**2 / 2)

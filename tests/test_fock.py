@@ -23,6 +23,7 @@ from wchip.errors import (
     PatternMismatch,
     TooManyPhotons,
     UnknownMode,
+    ValidationError,
 )
 from wchip.fock import (
     Color,
@@ -64,13 +65,13 @@ def test_basis_state_merges_duplicates_and_drops_zeros():
 
 
 def test_inner_product_basics():
-    vac = PureState.basis(FockBasisState.vacuum())
+    vac = PureState.basis(FockBasisState())
     assert inner_product(vac, vac) == 1.0
-    one_b = PureState.basis(FockBasisState.single(B0))
-    one_r = PureState.basis(FockBasisState.single(R0))
+    one_b = PureState.basis(FockBasisState([(B0, 1)]))
+    one_r = PureState.basis(FockBasisState([(R0, 1)]))
     assert inner_product(one_b, one_r) == 0.0
     # conjugate-linear in the first slot
-    s = PureState({FockBasisState.single(B0): 1j})
+    s = PureState({FockBasisState([(B0, 1)]): 1j})
     assert inner_product(s, one_b) == pytest.approx(-1j)
     assert inner_product(s, s) == pytest.approx(1.0)
 
@@ -78,20 +79,30 @@ def test_inner_product_basics():
 def test_tiny_amplitudes_are_kept():
     # Only exact zeros are dropped: at construction, in a transform's rows
     # and in the kernel's output.
-    tiny, zero = FockBasisState.single(R0), FockBasisState.single(R1)
-    s = PureState({FockBasisState.single(B0): 1.0, tiny: 1e-300, zero: 0.0})
-    assert [b for b, _ in s.items()] == [FockBasisState.single(B0), tiny]
+    tiny, zero = FockBasisState([(R0, 1)]), FockBasisState([(R1, 1)])
+    s = PureState({FockBasisState([(B0, 1)]): 1.0, tiny: 1e-300, zero: 0.0})
+    assert [b for b, _ in s.items()] == [FockBasisState([(B0, 1)]), tiny]
     assert s.amplitude(tiny) == 1e-300
     eps = 1e-20
     xf = ModeTransform((B0, B1), np.array([[1.0, eps], [-eps, 1.0]], dtype=complex))
-    out = apply_mode_transform(PureState.basis(FockBasisState.single(B0)), xf)
-    assert out.amplitude(FockBasisState.single(B1)) == eps
+    out = apply_mode_transform(PureState.basis(FockBasisState([(B0, 1)])), xf)
+    assert out.amplitude(FockBasisState([(B1, 1)])) == eps
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [((0, Color.RED), 1), (R0, 1.0), (R0, True), (R0, -1), R0],
+    ids=["raw-tuple-mode", "float-count", "bool-count", "negative-count", "mode-without-count"],
+)
+def test_basis_state_takes_only_mode_labels_with_non_negative_int_counts(pair):
+    with pytest.raises(ValidationError):
+        FockBasisState([(B0, 1), pair])
 
 
 @pytest.mark.parametrize("amp", [math.nan, math.inf, complex(0.0, -math.inf), complex(math.nan, 0.0)])
 def test_non_finite_amplitude_is_a_named_error(amp):
     with pytest.raises(ParamOutOfRange):
-        PureState({FockBasisState.single(B0): 1.0, FockBasisState.single(R0): amp})
+        PureState({FockBasisState([(B0, 1)]): 1.0, FockBasisState([(R0, 1)]): amp})
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +126,9 @@ def test_fifty_fifty_single_photon_splits_with_i():
     # one blue photon entering a balanced coupler with phi = pi/2
     u = np.array([[1, 1j], [1j, 1]], dtype=complex) / math.sqrt(2.0)
     xf = _transform((B0, B1), u)
-    out = apply_mode_transform(PureState.basis(FockBasisState.single(B0)), xf)
-    assert out.amplitude(FockBasisState.single(B0)) == pytest.approx(1 / math.sqrt(2))
-    assert out.amplitude(FockBasisState.single(B1)) == pytest.approx(1j / math.sqrt(2))
+    out = apply_mode_transform(PureState.basis(FockBasisState([(B0, 1)])), xf)
+    assert out.amplitude(FockBasisState([(B0, 1)])) == pytest.approx(1 / math.sqrt(2))
+    assert out.amplitude(FockBasisState([(B1, 1)])) == pytest.approx(1j / math.sqrt(2))
 
 
 def test_hong_ou_mandel_dip():
@@ -135,7 +146,7 @@ def test_hong_ou_mandel_dip():
 
 def test_unknown_mode_raises():
     xf = ModeTransform((B0, B1), np.eye(2))
-    state = PureState.basis(FockBasisState.single(R0))
+    state = PureState.basis(FockBasisState([(R0, 1)]))
     with pytest.raises(UnknownMode):
         apply_mode_transform(state, xf)
 
@@ -318,7 +329,7 @@ class TestInputIsLeftAsItWas:
         k = data.draw(st.integers(1, len(modes)))
         terms = list(data.draw(_states_on(modes[:k])).items())
         at = data.draw(st.integers(0, len(terms)))
-        terms.insert(at, (FockBasisState.vacuum(), data.draw(_COMPLEX.filter(bool))))
+        terms.insert(at, (FockBasisState(), data.draw(_COMPLEX.filter(bool))))
         state = PureState(terms)
         held, before = state._terms, list(state.items())
         first = apply_mode_transform(state, transform)
@@ -383,7 +394,7 @@ class TestKernelEdges:
             apply_mode_transform(state, ModeTransform((R0, B0, R1, B1), np.eye(4)))
 
     def test_plans_are_bounded_over_many_mode_lists(self):
-        state = PureState.basis(FockBasisState.single(R0))
+        state = PureState.basis(FockBasisState([(R0, 1)]))
         for channel in range(1, 60):
             modes = (R0, ModeLabel(channel, Color.RED))
             u = np.array([[0.6, 0.8], [-0.8, 0.6]], dtype=complex)
@@ -426,6 +437,12 @@ class TestKernelEdges:
 def test_color_pattern_roundtrip():
     basis = basis_from_pattern("BRB", (2, 3, 4))
     assert color_pattern(basis, (2, 3, 4)) == "BRB"
+
+
+@pytest.mark.parametrize("pattern", ["bbr", "BXR", "BB"])
+def test_basis_from_pattern_takes_one_b_or_r_per_channel(pattern):
+    with pytest.raises(PatternMismatch):
+        basis_from_pattern(pattern, SIGNAL_CHANNELS)
 
 
 def _pattern_or_error(pattern, basis, channels):

@@ -142,7 +142,7 @@ def test_herald_probability_independent_of_extinction():
 
 
 def test_zero_four_photon_component_gives_probability_zero():
-    res = herald(PureState.basis(FockBasisState.vacuum()), Branch.T1)
+    res = herald(PureState.basis(FockBasisState()), Branch.T1)
     assert res.probability == 0.0
     assert res.heralded_state is None
     assert res.residual_weight == 0.0
