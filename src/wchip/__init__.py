@@ -13,7 +13,6 @@ from .circuit import (
     canonical_w_circuit,
     load_circuit,
     propagate,
-    save_circuit,
 )
 from .density import ThreePhotonRho, trace_distance
 from .elements import (
@@ -104,7 +103,6 @@ __all__ = [
     "rho_biseparable",
     "rho_incoherent",
     "run_tomography",
-    "save_circuit",
     "sweep",
     "trace_distance",
     "two_pair_state",

@@ -19,6 +19,7 @@ splitter's outputs sit on the registered channels 3 and 4.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -121,7 +122,9 @@ def _mode_table(n_channels: int) -> tuple[tuple[ModeLabel, ...], dict[ModeLabel,
 
 
 def build_transform(spec: CircuitSpec) -> ModeTransform:
-    """Ordered product of the element transforms over the full mode set."""
+    """Ordered product of the element transforms over the full mode set, then
+    the registry phases in :func:`~wchip.elements.coupler_block`'s arithmetic
+    (``cmath.exp``, Python ``complex`` products): all phases share one."""
     modes, pos, identity = _mode_table(len(spec.channels))
     mat = identity.copy()
     for el in spec.elements:
@@ -129,10 +132,8 @@ def build_transform(spec: CircuitSpec) -> ModeTransform:
         idx = np.fromiter(map(pos.__getitem__, sub.modes), np.intp, len(sub.modes))
         mat[:, idx] = mat[:, idx] @ sub.matrix  # the product's bits need this F-ordered copy
     if any(p != 0.0 for p in spec.phases):
-        col_phase = np.array(
-            [np.exp(1j * spec.phases[m.channel]) for m in modes], dtype=complex
-        )
-        mat = mat * col_phase[np.newaxis, :]
+        col_phase = [cmath.exp(1j * spec.phases[m.channel]) for m in modes]
+        mat = np.array([[u * w for u, w in zip(row, col_phase)] for row in mat.tolist()])
     return ModeTransform(modes, mat)
 
 
@@ -361,7 +362,8 @@ def circuit_to_json_dict(spec: CircuitSpec, source: SourceSpec | None = None) ->
 def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
     """Inverse of :func:`circuit_to_json_dict`: only the keys it writes are
     accepted, and elements and the source name their channels by the
-    registry's names."""
+    registry's names.  The engines read the detectors ("2", "3", "4", "T1",
+    "T2") at their canonical positions; a name elsewhere is refused."""
     top = _object(doc, {
         "channels": (_registry, _REQUIRED),
         "elements": (_list, ()),
@@ -369,6 +371,9 @@ def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
         "source": (lambda value, field: value, None),  # read once the registry is known
     }, "")
     index = {name: k for k, name in enumerate(top["channels"])}
+    for k in (*SIGNAL_CHANNELS, T1_CHANNEL, T2_CHANNEL):
+        if index.get(name := CANONICAL_CHANNELS[k], k) != k:
+            raise ValidationError(f"field 'channels': detector channel {name!r} must sit at position {k}, not {index[name]}")
 
     def channel(label, field: str) -> int:
         if not isinstance(label, str):
@@ -392,11 +397,6 @@ def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
         elements.append(_read(_ELEMENT_TYPES[kind], fields, f"element {k}", reads))
     source = _read(SourceSpec, top["source"], "source", reads) if "source" in doc else None
     return CircuitSpec(top["channels"], elements, top["phases"]), source
-
-
-def save_circuit(path, spec: CircuitSpec, source: SourceSpec | None = None) -> None:
-    doc = circuit_to_json_dict(spec, source)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_circuit(path) -> tuple[CircuitSpec, SourceSpec | None]:

@@ -165,8 +165,8 @@ def coupler_block(r: float, phi: float = 0.0):
     """Single-color action of a coupler on its channel pair ``(a, b)``:
     ``((t, r e^{i phi}), (-r e^{-i phi}, t))`` with ``t = transmission(r)``,
     rows indexed by input, as nested tuples of Python numbers.  The cross
-    term is the complex product ``(r + 0j) e^{i phi}``, as numpy forms
-    ``r * np.exp(1j * phi)``, so the entries have its bits."""
+    term is ``complex(r) * cmath.exp(1j * phi)``, and the registry phases of
+    :func:`~wchip.circuit.build_transform` share this arithmetic."""
     t = transmission(r)
     cross = complex(r) * cmath.exp(1j * phi)
     return ((t, cross), (-cross.conjugate(), t))

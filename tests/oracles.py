@@ -18,6 +18,7 @@ streamed ``wchip sweep`` documents are held to the whole-document writers
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from fractions import Fraction
@@ -576,7 +577,9 @@ def uncached_element_transform(element):
 
 def uncached_build_transform(spec):
     """``build_transform`` before the element memo and the mode table: the
-    mode list is sorted and every element transform built on each call."""
+    mode list is sorted and every element transform built on each call.  The
+    phase step is the program's, ``cmath.exp`` and Python ``complex``
+    products, since the two must agree bit for bit."""
     from wchip.fock import Color, ModeLabel, ModeTransform
 
     spec.validate()
@@ -590,10 +593,8 @@ def uncached_build_transform(spec):
         idx = [pos[m] for m in sub.modes]
         mat[:, idx] = mat[:, idx] @ sub.matrix
     if any(p != 0.0 for p in spec.phases):
-        col_phase = np.array(
-            [np.exp(1j * spec.phases[m.channel]) for m in modes], dtype=complex
-        )
-        mat = mat * col_phase[np.newaxis, :]
+        col_phase = [cmath.exp(1j * spec.phases[m.channel]) for m in modes]
+        mat = np.array([[u * w for u, w in zip(row, col_phase)] for row in mat.tolist()])
     return ModeTransform(modes, mat)
 
 

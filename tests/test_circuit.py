@@ -18,7 +18,6 @@ from wchip.circuit import (
     circuit_to_json_dict,
     load_circuit,
     propagate,
-    save_circuit,
 )
 from wchip.elements import (
     AddDropFilter,
@@ -144,13 +143,10 @@ class TestJson:
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "circ.json"
         spec = canonical_w_circuit(0.4, 0.5, 0.6)
-        save_circuit(path, spec, SourceSpec(0, 0.2))
+        path.write_text(json.dumps(circuit_to_json_dict(spec, SourceSpec(0, 0.2))))
         spec2, source = load_circuit(path)
         assert spec2 == spec
         assert source.beta == 0.2
-        # deterministic bytes: sorted keys, trailing newline
-        text = path.read_text()
-        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
     def test_source_names_its_channel(self):
         spec = CircuitSpec(("in", "tap", "out"))
@@ -212,7 +208,7 @@ class TestJson:
             assert element["type"] == table[type(el)][0]
             assert set(element) == {"type", *table[type(el)][1]}
         path = tmp_path / "mesh.json"
-        save_circuit(path, spec, source)
+        path.write_text(json.dumps(doc))
         spec2, source2 = load_circuit(path)
         assert (spec2, source2) == (spec, source)
         # the coupler stored phi = -0.0 as 0.0, so the file holds 0.0
@@ -271,6 +267,31 @@ class TestStrictCircuitFiles:
         doc["channels"] = channels
         with pytest.raises(ValidationError, match="channels"):
             circuit_from_json_dict(doc)
+
+    @pytest.mark.parametrize("name", CANONICAL_CHANNELS[2:])
+    def test_detector_channel_off_its_position(self, name):
+        # the engines read the detectors at positions 2-6: "2" and "T1"
+        # swapped, with their phases, once heralded P_T1 0.0170 for 0.0464
+        doc = _canonical_doc()
+        k = CANONICAL_CHANNELS.index(name)
+        doc["channels"][0], doc["channels"][k] = name, "0"
+        with pytest.raises(
+            ValidationError, match=f"detector channel '{name}' must sit at position {k}, not 0"
+        ):
+            circuit_from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "channels",
+        [
+            ["1", "0", "2", "3", "4", "T1", "T2"],
+            ["a", "b", "s1", "s2", "s3", "h1", "h2"],
+            ["0", "1", "2"],
+            ["in", "tap", "2", "3"],
+        ],
+        ids=["source-and-herald-arm-swapped", "other-names", "fewer-channels", "some-detectors"],
+    )
+    def test_registries_that_keep_the_detector_positions_run(self, channels):
+        assert circuit_from_json_dict({"channels": channels})[0].channels == tuple(channels)
 
     def test_registry_names_must_be_distinct(self):
         doc = _canonical_doc()

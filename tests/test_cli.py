@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import random
+import re
 import tempfile
 
 import numpy as np
@@ -760,6 +762,38 @@ def test_reordering_a_circuit_files_registry_keeps_both_branches(tmp_path, capsy
     assert probabilities(doc) == pytest.approx(original, rel=0, abs=1e-12)
 
 
+def test_registry_permutations_give_the_document_or_name_a_detector(tmp_path, capsys):
+    # The golden device's registry permuted with its phases is the same
+    # device.  Each order gives the document of the unpermuted file byte for
+    # byte, or exits 2 naming a detector that left its position; none exits
+    # 0 with other numbers ("2" and "T1" swapped once read P_T1 0.0170).
+    from pathlib import Path
+
+    from wchip.circuit import CANONICAL_CHANNELS
+
+    def herald(doc):
+        cfg = _write(tmp_path, "c.json", {"circuit_file": _write(tmp_path, "device.json", doc)})
+        return main(["herald", "--config", cfg]), capsys.readouterr()
+
+    doc = json.loads((Path(__file__).parent / "golden" / "device.json").read_text())
+    status, original = herald(doc)
+    assert status == 0
+    n = len(doc["channels"])
+    orders = [[1, 0, *range(2, n)]] + [random.Random(seed).sample(range(n), n) for seed in range(100)]
+    same = 0
+    for order in orders:
+        permuted = {**doc, **{key: [doc[key][k] for k in order] for key in ("channels", "phases")}}
+        status, captured = herald(permuted)
+        if status == 0:
+            assert captured.out == original.out
+            same += 1
+            continue
+        assert status == 2
+        name = re.search(r"detector channel '([^']+)' must sit at position", captured.err)[1]
+        assert permuted["channels"].index(name) != CANONICAL_CHANNELS.index(name)
+    assert same >= 1
+
+
 def _with_circuit_file(tmp_path, doc):
     """`doc`, with a ``"source"`` entry moved into a circuit file's source."""
     if "source" not in doc:
@@ -1011,10 +1045,11 @@ def test_import_does_not_load_scipy():
 
 
 def test_circuit_file_beta_override(tmp_path, capsys):
-    from wchip import SourceSpec, canonical_w_circuit, save_circuit
+    from wchip import SourceSpec, canonical_w_circuit
+    from wchip.circuit import circuit_to_json_dict
 
     circ = tmp_path / "circ.json"
-    save_circuit(circ, canonical_w_circuit(**OPT), SourceSpec(0, 0.05))
+    circ.write_text(json.dumps(circuit_to_json_dict(canonical_w_circuit(**OPT), SourceSpec(0, 0.05))))
     cfg = _write(tmp_path, "c.json", {"circuit_file": str(circ), "beta": 0.2})
     assert main(["simulate", "--config", cfg]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -1029,10 +1064,12 @@ def test_circuit_file_beta_override(tmp_path, capsys):
 def test_circuit_file_source_and_config_merge_field_by_field(tmp_path, capsys, file_order, config):
     # a max_order of 1 leaves no double pair, so nothing heralds, whichever
     # side gives it and whichever gives beta
-    from wchip import SourceSpec, canonical_w_circuit, save_circuit
+    from wchip import SourceSpec, canonical_w_circuit
+    from wchip.circuit import circuit_to_json_dict
 
     circ = tmp_path / "circ.json"
-    save_circuit(circ, canonical_w_circuit(**OPT), SourceSpec(0, 0.05, max_order=file_order))
+    source = SourceSpec(0, 0.05, max_order=file_order)
+    circ.write_text(json.dumps(circuit_to_json_dict(canonical_w_circuit(**OPT), source)))
     cfg = _write(tmp_path, "c.json", {"circuit_file": str(circ), **config})
     assert main(["herald", "--config", cfg]) == 0
     assert json.loads(capsys.readouterr().out)["branches"]["T1"]["probability"] == 0.0

@@ -2,35 +2,32 @@
 
 Each case runs one command on a small config from ``tests/golden`` (non-zero
 phases, router extinction, a circuit file, both sweep metrics) in both
-output formats and compares the bytes with ``tests/golden/expected``.  The
-expected documents were written by this same manifest on the code before the
-sparse kernel was rewritten around integer keys (``tomo-w`` before the
-herald classifier was rewritten around one term table, and
-``simulate-circuit-beta`` and ``tomo-thresholds`` before the config reader
-was rewritten around one field table), so a change to any
-amplitude's last bit, to term order, or to formatting shows here.  Regenerate
-them only for a deliberate change of output, and say so in the change log.
+output formats.  One rule holds for all 36 documents: the bytes equal those
+in ``tests/golden/expected``, so a change to any number's last bit, to term
+order or to formatting shows here.  Regenerate an expected document only for
+a deliberate change of output, and list it in the change log.
 
-Two families of documents were written by the sparse Fock engine and are
-now computed on the source rows, which round differently in the last bits:
-
-* the two sweep documents (``sweep`` runs its grid on the source-row
-  engine): each metric value is compared within ``SWEEP_METRIC_TOL`` and
-  every other byte exactly;
-* the seven ``simulate`` and ``herald`` cases (both branches are read from
-  the source rows, ``herald.herald_rows``): each number is compared within
-  ``HERALD_NUMBER_TOL`` and every other byte exactly.
-
-``tomo`` still heralds on the sparse chain, so its documents, like the
-``optimize`` ones, are compared byte for byte.
+The rule holds on every host numpy's SIMD dispatch can pick: the corpus is
+written once more in a child process with each of numpy's dispatch targets
+above its baseline disabled (``NPY_DISABLE_CPU_FEATURES``), and must give the
+same bytes.  BLAS kernels are not varied: three ``tomo`` documents still
+hinge on OpenBLAS's choice of kernel.
 """
 
-import re
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import wchip
 from wchip.cli import main
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as _umath
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -56,37 +53,7 @@ CASES = (
     ("sweep-fidelity", "sweep", "sweep_fidelity.json", ()),
 )
 FORMATS = ("json", "csv")
-
-SWEEP_METRIC_TOL = 1e-12
-HERALD_NUMBER_TOL = 1e-12
-
-#: A number of a JSON or CSV document: not part of a name such as "T1".
-_NUMBER = re.compile(r"(?<![\w.+-])-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?(?![\w.])")
-
-
-def split_numbers(document: bytes) -> tuple[str, list[float]]:
-    """A document with each number cut out, and the numbers."""
-    text = document.decode()
-    return _NUMBER.sub("#", text), [float(match[0]) for match in _NUMBER.finditer(text)]
-
-#: The metric value that closes each row of a sweep document, by format:
-#: the fifth entry of a JSON row, the last field of a CSV line.  The column
-#: names are strings, so the header never matches.
-_SWEEP_METRIC = {
-    "json": re.compile(r"(\[\s*(?:[^\[\],]+,\s*){4})(-?[0-9][0-9.eE+-]*)(\s*\])"),
-    "csv": re.compile(r"^((?:[^,\n]*,){4})(-?[0-9][0-9.eE+-]*)()$", re.M),
-}
-
-
-def split_sweep_metric(document: bytes, fmt: str) -> tuple[str, list[float]]:
-    """A sweep document with each metric value cut out, and the values."""
-    values = []
-
-    def cut(match):
-        values.append(float(match[2]))
-        return match[1] + match[3]
-
-    return _SWEEP_METRIC[fmt].sub(cut, document.decode()), values
+DOCUMENTS = tuple(f"{case[0]}.{fmt}" for case in CASES for fmt in FORMATS)
 
 
 def run_case(command, config, flags, fmt, out) -> int:
@@ -107,17 +74,31 @@ def test_document_is_byte_identical(tmp_path, monkeypatch, name, command, config
     monkeypatch.chdir(GOLDEN)
     out = tmp_path / f"{name}.{fmt}"
     assert run_case(command, config, flags, fmt, out) == 0
-    actual, expected = out.read_bytes(), (GOLDEN / "expected" / f"{name}.{fmt}").read_bytes()
-    if command == "sweep":
-        (actual, values), (expected, reference) = (
-            split_sweep_metric(doc, fmt) for doc in (actual, expected)
-        )
-        assert len(values) == len(reference) > 0
-        deviation = max(abs(a - b) for a, b in zip(values, reference))
-        assert deviation <= SWEEP_METRIC_TOL
-    if command in ("simulate", "herald"):
-        (actual, values), (expected, reference) = map(split_numbers, (actual, expected))
-        assert len(values) == len(reference) > 0
-        deviation = max(abs(a - b) for a, b in zip(values, reference))
-        assert deviation <= HERALD_NUMBER_TOL
-    assert actual == expected
+    assert out.read_bytes() == (GOLDEN / "expected" / f"{name}.{fmt}").read_bytes()
+
+
+def test_documents_are_byte_identical_on_numpy_baseline_loops(tmp_path):
+    """Every dispatch target this numpy has and this host runs is disabled,
+    so the child takes the loops of numpy's baseline (on x86-64, no AVX2 or
+    AVX-512); each of its documents must equal the expected bytes."""
+    disabled = [f for f in _umath.__cpu_dispatch__ if _umath.__cpu_features__.get(f)]
+    env = {key: value for key, value in os.environ.items() if key != "WCHIP_OUT_DIR"}
+    src = str(Path(wchip.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
+    subprocess.run(
+        [sys.executable, __file__, str(tmp_path)], cwd=GOLDEN, env=env, check=True, timeout=120
+    )
+    expected = GOLDEN / "expected"
+    assert [
+        doc for doc in DOCUMENTS if (tmp_path / doc).read_bytes() != (expected / doc).read_bytes()
+    ] == []
+
+
+if __name__ == "__main__":  # the child of the test above: every document into argv[1]
+    statuses = [
+        run_case(command, config, flags, fmt, Path(sys.argv[1]) / f"{name}.{fmt}")
+        for name, command, config, flags in CASES
+        for fmt in FORMATS
+    ]
+    sys.exit(max(statuses))
