@@ -69,10 +69,13 @@ _CROSSING = next(DirectionalCoupler(chans, 1.0) for chans, k in CANONICAL_COUPLE
 class CircuitSpec:
     """Channel registry, ordered element list, and terminal path phases.
 
-    ``phases`` is either empty (all zero) or one phase per registered
-    channel, applied to both colors after every element; the canonical device
-    keeps them at zero because the interesting phases sit on the coupler
-    cross terms.
+    The registry's names are distinct, and each detector name of
+    :data:`CANONICAL_CHANNELS` ("2", "3", "4", "T1", "T2") it holds sits at
+    its index there (2-6), where the engines read that detector; other
+    names may sit anywhere.  ``phases`` is either empty (all zero) or one
+    phase per registered channel, applied to both colors after every
+    element; the canonical device keeps them at zero because the
+    interesting phases sit on the coupler cross terms.
     """
 
     channels: tuple[str, ...]
@@ -88,8 +91,12 @@ class CircuitSpec:
     def validate(self) -> None:
         if not self.channels:
             raise ValidationError("channel registry is empty")
-        if len(set(self.channels)) != len(self.channels):
+        index = {name: k for k, name in enumerate(self.channels)}
+        if len(index) != len(self.channels):
             raise ValidationError("channel registry has duplicate names")
+        for k in (*SIGNAL_CHANNELS, T1_CHANNEL, T2_CHANNEL):
+            if index.get(name := CANONICAL_CHANNELS[k], k) != k:
+                raise ValidationError(f"field 'channels': detector channel {name!r} must sit at position {k}, not {index[name]}")
         n = len(self.channels)
         for k, el in enumerate(self.elements):
             if isinstance(el, DirectionalCoupler):
@@ -362,8 +369,8 @@ def circuit_to_json_dict(spec: CircuitSpec, source: SourceSpec | None = None) ->
 def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
     """Inverse of :func:`circuit_to_json_dict`: only the keys it writes are
     accepted, and elements and the source name their channels by the
-    registry's names.  The engines read the detectors ("2", "3", "4", "T1",
-    "T2") at their canonical positions; a name elsewhere is refused."""
+    registry's names.  The registry keeps :class:`CircuitSpec`'s detector
+    positions."""
     top = _object(doc, {
         "channels": (_registry, _REQUIRED),
         "elements": (_list, ()),
@@ -371,9 +378,6 @@ def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
         "source": (lambda value, field: value, None),  # read once the registry is known
     }, "")
     index = {name: k for k, name in enumerate(top["channels"])}
-    for k in (*SIGNAL_CHANNELS, T1_CHANNEL, T2_CHANNEL):
-        if index.get(name := CANONICAL_CHANNELS[k], k) != k:
-            raise ValidationError(f"field 'channels': detector channel {name!r} must sit at position {k}, not {index[name]}")
 
     def channel(label, field: str) -> int:
         if not isinstance(label, str):

@@ -6,11 +6,13 @@ one photon at a target detector: a Red photon at T1, or a Blue photon at T2.
 Conditioned on the T1 event the signal photons form the W state with two
 blue and one red photon; the T2 event gives the color-flipped partner.
 
-:func:`herald` conditions a propagated sparse state; :func:`herald_rows`
-gives both branches of the same state from the source channel's transfer
-rows alone, as every heralding term comes from the double pair.  Both
-engines, the reference :func:`w_state` and ``optimize``'s T1 amplitudes
-read the heralding terms from one table, :func:`heralding_terms`.
+:func:`herald` conditions a propagated sparse state, finding each herald
+event with one lookup in a table of the 16 four-photon events (8 signal
+color patterns per branch); :func:`herald_rows` gives both branches of the
+same state from the source channel's transfer rows alone, as every
+heralding term comes from the double pair.  Both engines, the reference
+:func:`w_state` and ``optimize``'s T1 amplitudes read the heralding terms
+from one table, :func:`heralding_terms`.
 
 ``rho_incoherent`` and ``rho_biseparable`` build the two mixed states whose
 threefold counting statistics are identical to the W state's — they are the
@@ -32,7 +34,7 @@ from .circuit import SIGNAL_CHANNELS, T1_CHANNEL, T2_CHANNEL, check_double_pair
 from .density import BASIS_THREE, ThreePhotonRho
 from .elements import SourceSpec
 from .errors import EmptyState, NotNormalized, ParamOutOfRange
-from .fock import Color, FockBasisState, ModeLabel, PureState, color_pattern, inner_product
+from .fock import Color, FockBasisState, ModeLabel, PureState, basis_from_pattern, color_pattern, inner_product
 
 _NORM_TOL = 1e-9
 
@@ -91,19 +93,21 @@ _ROW_TERMS = {
     for branch, color, h in ((Branch.T1, Color.RED, T1_CHANNEL), (Branch.T2, Color.BLUE, T2_CHANNEL))
 }
 
-#: The heralding terms as :func:`herald` classifies them: channels of the
-#: four single photons in basis (channel-major) order -> (branch, position
-#: of the herald photon among them, its color).  A four-photon term heralds
-#: the branch when its photons sit one per channel on a key of this table
-#: and the herald photon has that color.
-HERALD_TERMS = {
-    channels: (branch, channels.index(h), color)
+#: Every herald event as :func:`herald` finds it: the four-photon basis of
+#: one photon per signal channel, in each color pattern of
+#: :data:`COLOR_PATTERNS`, plus the branch's herald photon (Red at
+#: ``T1_CHANNEL``, Blue at ``T2_CHANNEL``) -> (branch, signal basis).
+_HERALD_EVENTS = {
+    FockBasisState((*signal, (ModeLabel(h, color), 1))): (branch, signal)
     for branch, (color, h, _) in _ROW_TERMS.items()
-    for channels in [tuple(mode.channel for mode, _ in heralding_terms(h, color)[0][1])]
+    for signal in (basis_from_pattern(pattern, SIGNAL_CHANNELS) for pattern in COLOR_PATTERNS)
 }
 
+#: The photon count of a ``(mode, count)`` pair of a basis state.
+_COUNT = itemgetter(1)
+
 #: Channels a transfer row must span for :data:`_ROW_TERMS` to index it.
-_ROW_WIDTH = 1 + max(max(channels) for channels in HERALD_TERMS)
+_ROW_WIDTH = 1 + max(*SIGNAL_CHANNELS, T1_CHANNEL, T2_CHANNEL)
 
 
 def w_state(branch: Branch) -> PureState:
@@ -132,8 +136,9 @@ def herald(state: PureState, branch: Branch) -> HeraldResult:
 
     The T1 branch keeps four-photon terms with one photon per signal channel
     and exactly one Red photon at ``T1_CHANNEL``; T2 likewise with a Blue
-    photon at ``T2_CHANNEL`` (the keys of :data:`HERALD_TERMS`).  Each term
-    is classified in one pass over its four pairs, in term order.  An empty
+    photon at ``T2_CHANNEL``.  In term order, each four-photon term adds its
+    weight to the sector's and one lookup in :data:`_HERALD_EVENTS` gives
+    its branch, if any, and signal basis; other terms are skipped.  An empty
     herald component is reported as probability 0.0 (never as an exception).
     Probabilities of both branches are computed in one pass so the residual
     weight
@@ -149,28 +154,18 @@ def herald(state: PureState, branch: Branch) -> HeraldResult:
     branch_terms: dict[Branch, list] = {Branch.T1: [], Branch.T2: []}
     branch_sq = {Branch.T1: 0.0, Branch.T2: 0.0}
     for basis, amp in state.items():
-        if len(basis) != 4:
-            # Fewer pairs may still hold four photons; none of them heralds.
-            if len(basis) < 4 and sum(map(itemgetter(1), basis)) == 4:
-                four_sq += amp.real * amp.real + amp.imag * amp.imag
-            continue
-        ((ch0, c0), n0), ((ch1, c1), n1), ((ch2, c2), n2), ((ch3, c3), n3) = basis
-        if n0 + n1 + n2 + n3 != 4:  # counts are positive: four single photons
+        if sum(map(_COUNT, basis)) != 4:
             continue
         p = amp.real * amp.real + amp.imag * amp.imag
         four_sq += p
-        slot = HERALD_TERMS.get((ch0, ch1, ch2, ch3))
-        if slot is None:
-            continue
-        hit, k, color = slot
-        if (c0, c1, c2, c3)[k] != color:
-            continue
-        stripped = FockBasisState._from_sorted(basis[:k] + basis[k + 1 :])
-        branch_terms[hit].append((stripped, amp))
-        branch_sq[hit] += p
+        event = _HERALD_EVENTS.get(basis)
+        if event is not None:
+            hit, signal = event
+            branch_terms[hit].append((signal, amp))
+            branch_sq[hit] += p
     tiny = sys.float_info.min
     if four_sq < tiny or (branch_terms[branch] and branch_sq[branch] < tiny and four_sq < 0.25):
-        four = [(b, a) for b, a in state.items() if sum(map(itemgetter(1), b)) == 4]
+        four = [(b, a) for b, a in state.items() if sum(map(_COUNT, b)) == 4]
         if four_sq >= tiny:  # only the branch weight underflows
             return herald(PureState(_scaled(four)[0]), branch)
         if four:

@@ -25,7 +25,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from wchip.herald import HERALD_TERMS, Branch
+from wchip.circuit import T1_CHANNEL
+from wchip.fock import Color
+from wchip.herald import Branch, heralding_terms
 
 
 def random_unitary(n: int, rng) -> np.ndarray:
@@ -295,10 +297,9 @@ def w_fidelity_colorblind(state) -> float:
 
 #: Channels of a term counted by :func:`w_fidelity_colorblind`, in basis
 #: (channel-major) order, and the position of the T1 photon among them: the
-#: T1 key of the herald term table, whatever the T1 photon's color.
-_COLORBLIND_CHANNELS, _T1_POSITION = next(
-    (channels, k) for channels, (branch, k, _) in HERALD_TERMS.items() if branch is Branch.T1
-)
+#: channels of a T1 heralding term, whatever the T1 photon's color.
+_COLORBLIND_CHANNELS = tuple(mode.channel for mode, _ in heralding_terms(T1_CHANNEL, Color.RED)[0][1])
+_T1_POSITION = _COLORBLIND_CHANNELS.index(T1_CHANNEL)
 
 
 def _propagated(cell):

@@ -271,14 +271,21 @@ class TestStrictCircuitFiles:
     @pytest.mark.parametrize("name", CANONICAL_CHANNELS[2:])
     def test_detector_channel_off_its_position(self, name):
         # the engines read the detectors at positions 2-6: "2" and "T1"
-        # swapped, with their phases, once heralded P_T1 0.0170 for 0.0464
+        # swapped, with their phases, once heralded P_T1 0.0170 for 0.0464;
+        # a file and a CircuitSpec built in Python get the same refusal
         doc = _canonical_doc()
         k = CANONICAL_CHANNELS.index(name)
         doc["channels"][0], doc["channels"][k] = name, "0"
-        with pytest.raises(
-            ValidationError, match=f"detector channel '{name}' must sit at position {k}, not 0"
-        ):
-            circuit_from_json_dict(doc)
+        for read in (circuit_from_json_dict, lambda doc: CircuitSpec(doc["channels"])):
+            with pytest.raises(
+                ValidationError, match=f"detector channel '{name}' must sit at position {k}, not 0"
+            ):
+                read(doc)
+
+    def test_writer_refuses_what_the_reader_refuses(self):
+        # a registry the file reader refuses cannot reach the writer either
+        with pytest.raises(ValidationError, match="detector channel 'T1' must sit at position 5"):
+            circuit_to_json_dict(CircuitSpec(("T1", "x")))
 
     @pytest.mark.parametrize(
         "channels",

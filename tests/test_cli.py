@@ -30,6 +30,13 @@ def _write(tmp_path, name, doc):
     return str(path)
 
 
+def _golden_device() -> dict:
+    """The golden circuit file device.json."""
+    from pathlib import Path
+
+    return json.loads((Path(__file__).parent / "golden" / "device.json").read_text())
+
+
 @pytest.fixture
 def sim_config(tmp_path):
     return _write(tmp_path, "sim.json", {"canonical": OPT, "beta": 0.1})
@@ -617,9 +624,7 @@ class TestExitCodes:
 
     def test_unknown_resonant_color_is_2(self, tmp_path, capsys):
         # the golden device with a misspelt router color, which once ran as Blue
-        from pathlib import Path
-
-        doc = json.loads((Path(__file__).parent / "golden" / "device.json").read_text())
+        doc = _golden_device()
         doc["elements"][4]["resonant_color"] = "bogus"
         _write(tmp_path, "device.json", doc)
         cfg = _write(tmp_path, "c.json", {"circuit_file": str(tmp_path / "device.json")})
@@ -743,23 +748,30 @@ class TestMalformedCircuitFile:
         assert main(["simulate", "--config", cfg]) == 0
 
 
+def _run_device(tmp_path, capsys, doc, *command):
+    """Exit status and captured output of the CLI `command` run on the
+    circuit file `doc`."""
+    cfg = _write(tmp_path, "c.json", {"circuit_file": _write(tmp_path, "device.json", doc)})
+    return main([*command, "--config", cfg]), capsys.readouterr()
+
+
+def _herald_numbers(tmp_path, capsys, doc) -> list[float]:
+    """Every number of the herald document of the circuit file `doc`."""
+    status, captured = _run_device(tmp_path, capsys, doc, "herald")
+    assert status == 0
+    branches = json.loads(captured.out)["branches"]
+    return [value for branch in ("T1", "T2") for value in branches[branch].values()]
+
+
 def test_reordering_a_circuit_files_registry_keeps_both_branches(tmp_path, capsys):
     # Elements and the source name their channels, so swapping two registry
     # entries, with their phases, relabels the same device.  A source read
     # by index once moved to channel "1" here: P_T1 0.00637 instead of 0.0464.
-    from pathlib import Path
-
-    def probabilities(doc) -> list[float]:
-        cfg = _write(tmp_path, "c.json", {"circuit_file": _write(tmp_path, "device.json", doc)})
-        assert main(["herald", "--config", cfg]) == 0
-        branches = json.loads(capsys.readouterr().out)["branches"]
-        return [branches[branch]["probability"] for branch in ("T1", "T2")]
-
-    doc = json.loads((Path(__file__).parent / "golden" / "device.json").read_text())
-    original = probabilities(doc)
+    doc = _golden_device()
+    original = _herald_numbers(tmp_path, capsys, doc)
     for key in ("channels", "phases"):
         doc[key][0], doc[key][1] = doc[key][1], doc[key][0]
-    assert probabilities(doc) == pytest.approx(original, rel=0, abs=1e-12)
+    assert _herald_numbers(tmp_path, capsys, doc) == pytest.approx(original, rel=0, abs=1e-12)
 
 
 def test_registry_permutations_give_the_document_or_name_a_detector(tmp_path, capsys):
@@ -767,23 +779,17 @@ def test_registry_permutations_give_the_document_or_name_a_detector(tmp_path, ca
     # device.  Each order gives the document of the unpermuted file byte for
     # byte, or exits 2 naming a detector that left its position; none exits
     # 0 with other numbers ("2" and "T1" swapped once read P_T1 0.0170).
-    from pathlib import Path
-
     from wchip.circuit import CANONICAL_CHANNELS
 
-    def herald(doc):
-        cfg = _write(tmp_path, "c.json", {"circuit_file": _write(tmp_path, "device.json", doc)})
-        return main(["herald", "--config", cfg]), capsys.readouterr()
-
-    doc = json.loads((Path(__file__).parent / "golden" / "device.json").read_text())
-    status, original = herald(doc)
+    doc = _golden_device()
+    status, original = _run_device(tmp_path, capsys, doc, "herald")
     assert status == 0
     n = len(doc["channels"])
     orders = [[1, 0, *range(2, n)]] + [random.Random(seed).sample(range(n), n) for seed in range(100)]
     same = 0
     for order in orders:
         permuted = {**doc, **{key: [doc[key][k] for k in order] for key in ("channels", "phases")}}
-        status, captured = herald(permuted)
+        status, captured = _run_device(tmp_path, capsys, permuted, "herald")
         if status == 0:
             assert captured.out == original.out
             same += 1
@@ -792,6 +798,39 @@ def test_registry_permutations_give_the_document_or_name_a_detector(tmp_path, ca
         name = re.search(r"detector channel '([^']+)' must sit at position", captured.err)[1]
         assert permuted["channels"].index(name) != CANONICAL_CHANNELS.index(name)
     assert same >= 1
+
+
+def test_an_identity_coupler_keeps_the_documents(tmp_path, capsys):
+    # A coupler with r = 0 is the identity, so inserting one at any
+    # position on any channel pair is the same device: the herald document
+    # keeps its bytes, and so does a sampled tomo document.
+    doc = _golden_device()
+    commands = [("herald",), ("tomo", "--shots", "4000", "--seed", "11")]
+    original = {command: _run_device(tmp_path, capsys, doc, *command) for command in commands}
+    for seed in range(100):
+        rng = random.Random(seed)
+        elements = list(doc["elements"])
+        coupler = {"type": "coupler", "channels": rng.sample(doc["channels"], 2), "r": 0.0}
+        elements.insert(rng.randint(0, len(elements)), coupler)
+        for command in commands[: 2 if seed < 10 else 1]:
+            run = _run_device(tmp_path, capsys, {**doc, "elements": elements}, *command)
+            assert run == original[command]
+
+
+def test_a_phase_on_a_herald_detector_keeps_the_herald_numbers(tmp_path, capsys):
+    # The herald detectors count photons, so a path phase added on T1 or T2
+    # moves no herald number by more than 1e-12 relative (not byte for
+    # byte: P_T1 moves in its last digits).
+    from wchip.circuit import T1_CHANNEL, T2_CHANNEL
+
+    doc = _golden_device()
+    original = _herald_numbers(tmp_path, capsys, doc)
+    for seed in range(20):
+        rng = random.Random(seed)
+        phases = list(doc["phases"])
+        phases[rng.choice((T1_CHANNEL, T2_CHANNEL))] += rng.uniform(-math.pi, math.pi)
+        numbers = _herald_numbers(tmp_path, capsys, {**doc, "phases": phases})
+        assert numbers == pytest.approx(original, rel=1e-12, abs=0)
 
 
 def _with_circuit_file(tmp_path, doc):
@@ -1107,3 +1146,4 @@ def test_blocks_are_read_through_wrapped_functions(monkeypatch, capsys, sim_conf
     monkeypatch.setattr(cli, "canonical_w_circuit", lambda *a, **k: original(*a, **k))
     assert main(["simulate", "--config", sim_config]) == 0
     assert json.loads(capsys.readouterr().out)["fidelity_W_T1"] == pytest.approx(1.0)
+

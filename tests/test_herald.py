@@ -219,12 +219,13 @@ _PHI = st.floats(-3.2, 3.2)
 def _near_herald_terms(draw):
     """A heralding term of either branch (random signal colors), left as is
     or with one edit the classifier must reject: a doubled herald photon, the
-    herald photon in the other color, an extra photon on channel 1, or a
-    missing signal photon."""
+    herald photon in the other color, an extra photon on channel 1, a
+    missing signal photon, or a signal photon moved into another photon's
+    mode (four photons on three pairs)."""
     herald_mode = draw(st.sampled_from([ModeLabel(5, Color.RED), ModeLabel(6, Color.BLUE)]))
     colors = draw(st.lists(st.sampled_from(Color), min_size=3, max_size=3))
     pairs = [(ModeLabel(ch, color), 1) for ch, color in zip((2, 3, 4), colors)]
-    edit = draw(st.sampled_from(("none", "double", "color", "extra", "drop")))
+    edit = draw(st.sampled_from(("none", "double", "color", "extra", "drop", "bunch")))
     if edit == "double":
         pairs.append((herald_mode, 2))
     elif edit == "color":
@@ -235,6 +236,9 @@ def _near_herald_terms(draw):
         pairs.append((ModeLabel(1, draw(st.sampled_from(Color))), 1))
     elif edit == "drop":
         del pairs[draw(st.integers(0, 2))]
+    elif edit == "bunch":
+        k = draw(st.integers(0, 2))
+        pairs[k] = (pairs[draw(st.sampled_from([j for j in range(4) if j != k]))][0], 1)
     return pairs
 
 
@@ -251,9 +255,9 @@ def _same_result_bits(new, old):
 
 
 class TestTermTableMatchesPerTermDict:
-    """``herald`` classifies each term by its four pairs against
-    HERALD_TERMS; the per-term dict classifier it replaced (kept in
-    oracles.py) must give the same bits on both branches."""
+    """``herald`` finds each four-photon term's branch with one lookup in
+    its table of herald events; the per-term dict classifier it replaced
+    (kept in oracles.py) must give the same bits on both branches."""
 
     @given(_UNIT, _UNIT, _UNIT, _PHI, _PHI, _PHI, _UNIT)
     def test_on_random_canonical_cells(self, r1, r2, r3, phi1, phi2, phi3, eps):
