@@ -297,7 +297,7 @@ def _tomo_source(cfg: dict):
         return rho_incoherent()
     if state == "rho_b":
         return rho_biseparable()
-    return PureState.basis(basis_from_pattern("BBR", SIGNAL_CHANNELS))
+    return PureState({basis_from_pattern("BBR", SIGNAL_CHANNELS): 1.0})
 
 
 def cmd_tomo(cfg: dict) -> dict | str:

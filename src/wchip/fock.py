@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from numbers import Number
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -179,20 +180,24 @@ def basis_from_pattern(pattern: str, channels: Sequence[int]) -> FockBasisState:
 class PureState:
     """Sparse superposition ``sum_b amplitude(b) |b>``.
 
-    Terms with amplitude exactly zero are dropped at construction; a NaN or
-    infinite amplitude raises :class:`ParamOutOfRange`.
+    Takes a mapping of :class:`FockBasisState` to a number (not a ``bool``
+    or ``str``), else raises :class:`ValidationError`; a non-finite amplitude
+    raises :class:`ParamOutOfRange`.  Exact-zero terms are dropped.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(
-        self,
-        terms: Mapping[FockBasisState, complex] | Iterable[tuple[FockBasisState, complex]] = (),
-    ):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: Mapping[FockBasisState, complex]):
+        if not isinstance(terms, Mapping):
+            raise ValidationError(f"expected a mapping of FockBasisState to amplitude, got {terms!r}")
         self._terms: dict[FockBasisState, complex] = {}
-        for b, a in items:
-            a = complex(a)
+        for b, a in terms.items():
+            if not isinstance(b, FockBasisState) or isinstance(a, bool) or not isinstance(a, Number):
+                raise ValidationError(f"expected a FockBasisState: number term, got {b!r}: {a!r}")
+            try:
+                a = complex(a)
+            except OverflowError:  # an int or a Fraction past the float range
+                raise ParamOutOfRange(f"amplitude of {b!r} overflows a float") from None
             if not cmath.isfinite(a):
                 raise ParamOutOfRange(f"amplitude of {b!r} must be finite, got {a}")
             if a:
@@ -209,10 +214,6 @@ class PureState:
         state._terms = terms
         return state
 
-    @classmethod
-    def basis(cls, basis_state: FockBasisState) -> "PureState":
-        return cls({basis_state: 1.0})
-
     def items(self) -> Iterator[tuple[FockBasisState, complex]]:
         return iter(self._terms.items())
 
@@ -224,9 +225,6 @@ class PureState:
 
     def norm_sq(self) -> float:
         return sum((a.real * a.real + a.imag * a.imag for a in self._terms.values()), 0.0)
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
 
     def __repr__(self) -> str:
         parts = [f"({a:.4g})*{b!r}" for b, a in sorted(self._terms.items())[:4]]

@@ -167,7 +167,7 @@ def herald(state: PureState, branch: Branch) -> HeraldResult:
     if four_sq < tiny or (branch_terms[branch] and branch_sq[branch] < tiny and four_sq < 0.25):
         four = [(b, a) for b, a in state.items() if sum(map(_COUNT, b)) == 4]
         if four_sq >= tiny:  # only the branch weight underflows
-            return herald(PureState(_scaled(four)[0]), branch)
+            return herald(PureState(dict(_scaled(four)[0])), branch)
         if four:
             raise ParamOutOfRange(f"four-photon weight {four_sq!r} underflows (|beta| too small)")
         return HeraldResult(0.0, None, 0.0)

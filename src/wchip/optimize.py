@@ -29,9 +29,10 @@ computed them, with the propagated state's.  The CLI's ``simulate`` and
 heralding terms from one table, ``herald.heralding_terms``, and build each
 amplitude with ``herald.heralding_amplitude``.  This real-float case of the
 canonical circuit stays separate because it is cheap: an objective call at
-a new point takes about 1.1 us against about 245 us through the general
-rows, which build the full transfer matrix (timeit, best of 25 repeats in
-each of three processes, 2-core Xeon, Python 3.11).
+a new point takes about 0.9 us against about 200 us through the general
+rows (``canonical_w_circuit``, ``transfer_rows``, ``herald_rows``), which
+build the full transfer matrix (timeit, best of 7, three processes, 2-core
+Xeon, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ from .herald import Branch, _scaled, herald, heralding_amplitude, heralding_term
 #: Default coarse-grid step of :func:`maximize`.  The objective factorizes
 #: into three single-variable terms each with one interior maximum, so a
 #: 0.04 scan already brackets the basin.  At 0.04 over the default bounds
-#: ``maximize`` takes about 1.1 ms: the ~140 Nelder-Mead steps about 0.4 ms,
-#: the Fock check 0.25 ms and the rest, mostly the scan's three engine
-#: calls, 0.45 ms (timeit, as in the module docstring).
+#: ``maximize`` takes about 0.9 ms: the scan's three engine calls about
+#: 0.3 ms, the ~140 Nelder-Mead steps about 0.35 ms and the Fock check
+#: about 0.2 ms (timeit, best of 7, on the host of the module docstring).
 GRID_STEP = 0.04
 
 #: Default coarse-grid bounds; the objective is identically zero whenever

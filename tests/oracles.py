@@ -509,7 +509,7 @@ def per_term_dict_herald(state, branch, signal_channels=(2, 3, 4), t1_channel=5,
         return HeraldResult(0.0, None, 0.0)
     if branch_sq[branch] < sys.float_info.min and branch_terms[branch] and four_sq < 0.25:
         return per_term_dict_herald(
-            PureState(scaled(four)[0]), branch, signal_channels, t1_channel, t2_channel
+            PureState(dict(scaled(four)[0])), branch, signal_channels, t1_channel, t2_channel
         )
     p_t1 = branch_sq[Branch.T1] / four_sq
     p_t2 = branch_sq[Branch.T2] / four_sq

@@ -92,7 +92,7 @@ def test_idle_couplers_route_everything_to_channel_three():
 def test_terminal_phases_multiply_per_channel():
     base = CircuitSpec(("a", "b"), (DirectionalCoupler((0, 1), 0.6),))
     phased = CircuitSpec(base.channels, base.elements, (0.0, 0.9))
-    photon = PureState.basis(FockBasisState([(ModeLabel(0, Color.BLUE), 1)]))
+    photon = PureState({FockBasisState([(ModeLabel(0, Color.BLUE), 1)]): 1.0})
     out0 = apply_mode_transform(photon, build_transform(base))
     out1 = apply_mode_transform(photon, build_transform(phased))
     b0 = FockBasisState([(ModeLabel(0, Color.BLUE), 1)])
@@ -394,7 +394,8 @@ class TestMatchesUncachedPath:
         _assert_matches_uncached(loaded, loaded_source)
         transform = build_transform(loaded)
         for state in (two_pair_state(loaded_source.channel), source_state(loaded_source)):
-            assert abs(apply_mode_transform(state, transform).norm() - state.norm()) <= 1e-12
+            out = apply_mode_transform(state, transform)
+            assert abs(math.sqrt(out.norm_sq()) - math.sqrt(state.norm_sq())) <= 1e-12
 
     def test_bosonic_factor_one_turns_a_negative_zero_positive(self):
         # (x - 0j) * 1.0 is x + 0j for x > 0: the kernel multiplies every

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line driver: exit codes, output formats,
 flag/config precedence, and byte-level determinism."""
 
+import cmath
 import contextlib
 import io
 import json
@@ -815,6 +816,47 @@ def test_an_identity_coupler_keeps_the_documents(tmp_path, capsys):
         for command in commands[: 2 if seed < 10 else 1]:
             run = _run_device(tmp_path, capsys, {**doc, "elements": elements}, *command)
             assert run == original[command]
+
+
+def test_renaming_the_non_detector_channels_keeps_the_documents(tmp_path, capsys):
+    # Elements and the source name their channels, so renaming every
+    # channel that is not a detector throughout the file is the same
+    # device: the herald and the sampled tomo documents keep their bytes.
+    doc = _golden_device()
+    names = {"0": "src", "1": "arm"}
+
+    def rename(value):
+        return [names.get(v, v) for v in value] if isinstance(value, list) else names.get(value, value)
+
+    fields = ("channels", "input", "through", "drop")
+    renamed = {
+        **doc,
+        "channels": rename(doc["channels"]),
+        "elements": [{k: rename(v) if k in fields else v for k, v in e.items()} for e in doc["elements"]],
+        "source": {**doc["source"], "channel": rename(doc["source"]["channel"])},
+    }
+    # an element or a source left on "0" or "1" would name no channel: exit 2
+    assert renamed["channels"] == ["src", "arm", "2", "3", "4", "T1", "T2"]
+    for command in (("herald",), ("tomo", "--shots", "4000", "--seed", "11")):
+        original = _run_device(tmp_path, capsys, doc, *command)
+        assert original[0] == 0
+        assert _run_device(tmp_path, capsys, renamed, *command) == original
+
+
+def test_scaling_beta_keeps_the_herald_numbers(tmp_path, capsys):
+    # Only the double pair holds four photons, so beta enters every
+    # heralding amplitude as the one factor beta**2 and each herald number,
+    # a ratio inside that sector, is the same for any beta whose sector
+    # weight stays a normal float (here |beta| from about 1e-7 to 0.4).
+    doc = _golden_device()
+    original = _herald_numbers(tmp_path, capsys, doc)
+    beta = complex(*doc["source"]["beta"])
+    for seed in range(20):
+        rng = random.Random(seed)
+        scaled = beta * 10 ** rng.uniform(-6, 0.7) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        source = {**doc["source"], "beta": [scaled.real, scaled.imag]}
+        numbers = _herald_numbers(tmp_path, capsys, {**doc, "source": source})
+        assert numbers == pytest.approx(original, rel=1e-12, abs=0)
 
 
 def test_a_phase_on_a_herald_detector_keeps_the_herald_numbers(tmp_path, capsys):

@@ -260,7 +260,7 @@ class TestSampledReconstruction:
 
 class TestDiagonalGate:
     def test_product_state_fails_uniformity(self):
-        product = PureState.basis(basis_from_pattern("BBR", (2, 3, 4)))
+        product = PureState({basis_from_pattern("BBR", (2, 3, 4)): 1.0})
         with pytest.raises(DiagonalsNotUniform, match="BBR=1.0000"):
             run_tomography(product)
 
@@ -280,7 +280,7 @@ class TestDiagonalGate:
     def test_fully_degenerate_state_cannot_be_conditioned(self):
         # even with the gate loosened, a single-pattern product state leaves
         # two conditioned blocks empty and the protocol reports why
-        product = PureState.basis(basis_from_pattern("BBR", (2, 3, 4)))
+        product = PureState({basis_from_pattern("BBR", (2, 3, 4)): 1.0})
         with pytest.raises(InvalidRho, match="channel 4"):
             run_tomography(product, diag_threshold=0.7)
 
