@@ -37,7 +37,7 @@ from .elements import (
     source_state,
 )
 from .errors import ParamOutOfRange, UnknownMode, ValidationError
-from .fock import Color, ModeLabel, ModeTransform, PureState, apply_mode_transform
+from .fock import Color, ModeLabel, ModeTransform, PureState, _identity, apply_mode_transform
 
 #: Channel registry of the canonical device; index = position in this tuple.
 CANONICAL_CHANNELS = ("0", "1", "2", "3", "4", "T1", "T2")
@@ -60,6 +60,9 @@ CANONICAL_COUPLERS = (
 #: The router after the couplers as (input, through, drop, resonant color):
 #: resonant for Blue, so the Red herald photon passes through to T1.
 CANONICAL_ROUTER = (HERALD_ARM, T1_CHANNEL, T2_CHANNEL, Color.BLUE)
+
+#: Each detector's name and its registry position, where the engines read it.
+_DETECTORS = tuple((CANONICAL_CHANNELS[k], k) for k in (*SIGNAL_CHANNELS, T1_CHANNEL, T2_CHANNEL))
 
 #: The crossing, one element shared by every canonical device.
 _CROSSING = next(DirectionalCoupler(chans, 1.0) for chans, k in CANONICAL_COUPLERS if k is None)
@@ -91,11 +94,11 @@ class CircuitSpec:
     def validate(self) -> None:
         if not self.channels:
             raise ValidationError("channel registry is empty")
-        index = {name: k for k, name in enumerate(self.channels)}
+        index = dict(zip(self.channels, range(len(self.channels))))
         if len(index) != len(self.channels):
             raise ValidationError("channel registry has duplicate names")
-        for k in (*SIGNAL_CHANNELS, T1_CHANNEL, T2_CHANNEL):
-            if index.get(name := CANONICAL_CHANNELS[k], k) != k:
+        for name, k in _DETECTORS:
+            if index.get(name, k) != k:
                 raise ValidationError(f"field 'channels': detector channel {name!r} must sit at position {k}, not {index[name]}")
         n = len(self.channels)
         for k, el in enumerate(self.elements):
@@ -114,29 +117,36 @@ class CircuitSpec:
             raise ValidationError(
                 f"phases must be empty or one per channel ({n}), got {len(self.phases)}"
             )
-        if not all(math.isfinite(p) for p in self.phases):
+        if not all(map(math.isfinite, self.phases)):
             raise ValidationError(f"phases must be finite, got {self.phases}")
 
 
 @lru_cache(maxsize=16)
-def _mode_table(n_channels: int) -> tuple[tuple[ModeLabel, ...], dict[ModeLabel, int], np.ndarray]:
-    """Canonical mode list of a registry of ``n_channels`` channels, each
-    mode's position in it, and the read-only identity over those modes."""
-    modes = tuple(sorted(ModeLabel(ch, color) for ch in range(n_channels) for color in Color))
-    identity = np.eye(len(modes), dtype=complex)
-    identity.flags.writeable = False
-    return modes, {m: i for i, m in enumerate(modes)}, identity
+def _mode_table(n_channels: int) -> tuple[ModeLabel, ...]:
+    """Canonical mode list of a registry of ``n_channels`` channels, channel
+    by channel and Red before Blue, so mode ``(ch, color)`` sits at ``2 ch +
+    color``."""
+    return tuple(ModeLabel(ch, color) for ch in range(n_channels) for color in Color)
+
+
+@lru_cache(maxsize=256)
+def _columns(modes: tuple[ModeLabel, ...]) -> np.ndarray:
+    """The positions of `modes` in every :func:`_mode_table` that holds them,
+    as read-only column indices."""
+    columns = np.array([len(Color) * m.channel + m.color for m in modes], dtype=np.intp)
+    columns.flags.writeable = False
+    return columns
 
 
 def build_transform(spec: CircuitSpec) -> ModeTransform:
     """Ordered product of the element transforms over the full mode set, then
     the registry phases in :func:`~wchip.elements.coupler_block`'s arithmetic
     (``cmath.exp``, Python ``complex`` products): all phases share one."""
-    modes, pos, identity = _mode_table(len(spec.channels))
-    mat = identity.copy()
+    modes = _mode_table(len(spec.channels))
+    mat = _identity(len(modes)).copy()
     for el in spec.elements:
         sub = coupler_transform(el) if isinstance(el, DirectionalCoupler) else adddrop_transform(el)
-        idx = np.fromiter(map(pos.__getitem__, sub.modes), np.intp, len(sub.modes))
+        idx = _columns(sub.modes)
         mat[:, idx] = mat[:, idx] @ sub.matrix  # the product's bits need this F-ordered copy
     if any(p != 0.0 for p in spec.phases):
         col_phase = [cmath.exp(1j * spec.phases[m.channel]) for m in modes]
@@ -177,11 +187,8 @@ def transfer_rows(spec: CircuitSpec, channel: int) -> tuple[list[complex], list[
     if not 0 <= channel < n:
         raise UnknownMode(f"channel {channel} absent from the circuit's {n} channels")
     matrix = build_transform(spec).matrix
-    _, pos, _ = _mode_table(n)
-    return tuple(
-        matrix[pos[ModeLabel(channel, color)], [pos[ModeLabel(j, color)] for j in range(n)]].tolist()
-        for color in Color
-    )
+    # the modes of one color are every second column (see _mode_table)
+    return tuple(matrix[len(Color) * channel + color, color :: len(Color)].tolist() for color in Color)
 
 
 def check_double_pair(src: SourceSpec) -> None:

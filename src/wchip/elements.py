@@ -189,13 +189,18 @@ def adddrop_block(extinction, resonant: bool):
     return ((0, leak, drop), (0, drop, -leak), (1, 0, 0))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _modes(channels: tuple[int, ...]) -> tuple[ModeLabel, ...]:
+    """The modes of `channels`, channel-major and color-minor: the canonical
+    order when the channels ascend, and ModeTransform reorders them otherwise."""
+    return tuple(ModeLabel(ch, color) for ch in channels for color in _COLORS)
+
+
 def _color_blocks(channels, blocks) -> ModeTransform:
     """Mode transform acting with ``blocks[color]`` (nested tuples, rows
     indexed by input) on each color's modes of ``channels`` and never mixing
     colors; its matrix is read-only, so that a memo can share it."""
-    # Channel-major, color-minor: the canonical order when the channels
-    # ascend, and ModeTransform reorders them otherwise.
-    modes = tuple(ModeLabel(ch, color) for ch in channels for color in _COLORS)
+    modes = _modes(tuple(channels))
     mat = np.zeros((len(modes), len(modes)), dtype=complex)
     for color in _COLORS:
         mat[color :: len(_COLORS), color :: len(_COLORS)] = blocks[color]

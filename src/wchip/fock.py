@@ -37,7 +37,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
+from functools import lru_cache
 from numbers import Number
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -208,8 +208,9 @@ class PureState:
         """Trusted constructor: takes ``terms``, whose amplitudes are finite
         complex numbers already, and drops its zeros in place as ``__init__``
         does, so the kept terms keep their order."""
-        for b in [b for b, a in terms.items() if not a]:
-            del terms[b]
+        if not all(terms.values()):  # most states hold no zero: one scan in C
+            for b in [b for b, a in terms.items() if not a]:
+                del terms[b]
         state = object.__new__(cls)
         state._terms = terms
         return state
@@ -286,13 +287,15 @@ class ModeTransform:
 
     def unitarity_deviation(self) -> float:
         m = self.matrix
-        gram = m @ m.conj().T
-        gram.reshape(-1)[:: len(m) + 1] -= 1.0  # the diagonal, in place
-        return float(abs(gram).max())
+        return float(abs(m @ m.conj().T - _identity(len(m))).max())
 
-    @cached_property
-    def _mode_pos(self) -> dict[ModeLabel, int]:
-        return {m: i for i, m in enumerate(self.modes)}
+
+@lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n complex identity."""
+    identity = np.eye(n, dtype=complex)
+    identity.flags.writeable = False
+    return identity
 
 
 def _output_basis(modes: tuple[ModeLabel, ...], key: int) -> tuple[FockBasisState, float]:
@@ -375,7 +378,6 @@ def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureStat
     does not list, and :class:`TooManyPhotons` for a term with more than
     :data:`MAX_PHOTONS` photons.
     """
-    mode_pos = transform._mode_pos
     matrix = transform.matrix
     modes = transform.modes
     sqf = _SQRT_FACT
@@ -393,10 +395,9 @@ def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureStat
         for mode, count in basis:
             row = rows.get(mode)
             if row is None:
-                i = mode_pos.get(mode)
-                if i is None:
+                if mode not in modes:
                     raise UnknownMode(f"state occupies mode {mode} absent from transform")
-                full = matrix[i].tolist()
+                full = matrix[modes.index(mode)].tolist()
                 cols = tuple(j for j, u in enumerate(full) if u)
                 row = rows[mode] = cols, [full[j] for j in cols]
             photons += count
@@ -416,7 +417,7 @@ def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureStat
             coeffs = vals
         # multiplied also by a factor of 1.0, which turns x - 0j into x + 0j
         # for x > 0, as the key-by-key expansion did
-        term = dict(zip(bases, [c * f for c, f in zip(coeffs, scales)]))
+        term = {b: c * f for b, c, f in zip(bases, coeffs, scales)}
         if not out:  # the first output: the term's own dict, never copied
             out = term
         elif out.keys().isdisjoint(term.keys()):  # disjoint: update() reuses the term's hashes

@@ -125,9 +125,9 @@ _W_STATES = {branch: w_state(branch) for branch in Branch}
 def _scaled(terms: list) -> tuple[list, int]:
     """`terms` times the power of two ``2**m`` that brings their largest
     part into [0.5, 1), and `m`: no ratio moves, and a weight below the
-    normal floats is lifted.  The exponent is read from the nonzero terms
-    only (an exact zero has none); with no nonzero term `m` is 0."""
-    m = -max((math.frexp(max(abs(a.real), abs(a.imag)))[1] for _, a in terms if a), default=0)
+    normal floats is lifted.  The exponent is that of the largest part;
+    with no nonzero term `m` is 0, the exponent ``math.frexp`` gives 0.0."""
+    m = -math.frexp(max((max(abs(a.real), abs(a.imag)) for _, a in terms), default=0.0))[1]
     return [(b, complex(math.ldexp(a.real, m), math.ldexp(a.imag, m))) for b, a in terms], m
 
 

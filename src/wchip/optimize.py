@@ -29,10 +29,10 @@ computed them, with the propagated state's.  The CLI's ``simulate`` and
 heralding terms from one table, ``herald.heralding_terms``, and build each
 amplitude with ``herald.heralding_amplitude``.  This real-float case of the
 canonical circuit stays separate because it is cheap: an objective call at
-a new point takes about 0.9 us against about 200 us through the general
-rows (``canonical_w_circuit``, ``transfer_rows``, ``herald_rows``), which
-build the full transfer matrix (timeit, best of 7, three processes, 2-core
-Xeon, Python 3.11.7, numpy 2.4.6).
+a new point takes about 0.9-1.1 us against about 165-185 us through the
+general rows (``canonical_w_circuit``, ``transfer_rows``, ``herald_rows``),
+which build the full transfer matrix (timeit, best of 7 runs over 1,000 new
+points, three processes, 2-core Xeon, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -63,9 +63,10 @@ from .herald import Branch, _scaled, herald, heralding_amplitude, heralding_term
 #: Default coarse-grid step of :func:`maximize`.  The objective factorizes
 #: into three single-variable terms each with one interior maximum, so a
 #: 0.04 scan already brackets the basin.  At 0.04 over the default bounds
-#: ``maximize`` takes about 0.9 ms: the scan's three engine calls about
-#: 0.3 ms, the ~140 Nelder-Mead steps about 0.35 ms and the Fock check
-#: about 0.2 ms (timeit, best of 7, on the host of the module docstring).
+#: ``maximize`` takes about 0.86-1.0 ms: the scan's three engine calls
+#: about 0.3 ms, the ~140 Nelder-Mead steps about 0.35 ms and the Fock
+#: check about 0.19-0.21 ms (timeit, best of 7, three processes, on the
+#: host of the module docstring).
 GRID_STEP = 0.04
 
 #: Default coarse-grid bounds; the objective is identically zero whenever
@@ -442,7 +443,7 @@ def sweep(spec: SweepSpec) -> SweepTable:
         values[start:stop] = metric(rows)  # broadcasts over the slab
         if start <= checked[0] < stop:
             at = (checked[0] - start, *checked[1:])  # an entry's length-1 axes read 0
-            entries = [e.item(*map(operator.mod, at, e.shape)) for e in rows]
+            entries = [e.item(tuple(map(operator.mod, at, e.shape))) for e in rows]
             _check_on_fock(spec, checked, entries, values.item(checked))
     values = values.reshape(-1)
     values.flags.writeable = False
@@ -459,20 +460,25 @@ def _checked_cell(spec: SweepSpec) -> tuple[int, int, int, int]:
     the leaked Blue ones too, is nonzero and, where the axis allows, far
     from underflow.  Inside means in (0, 1) for r1, r2 and r3 and above 0 for
     the extinction; an axis with no inside value gives its first."""
-
-    def nearest_half(axis: tuple[float, ...], top: float) -> int:
+    index = []
+    for axis, top in ((spec.r1, 1.0), (spec.r2, 1.0), (spec.r3, 1.0), (spec.ad2_extinction, math.inf)):
         best, gap = 0, math.inf
         for i, v in enumerate(axis):
             if 0.0 < v < top and abs(v - 0.5) < gap:  # strict: the first wins ties
                 best, gap = i, abs(v - 0.5)
-        return best
-
-    r1, r2, r3 = (nearest_half(axis, 1.0) for axis in (spec.r1, spec.r2, spec.r3))
-    return r1, r2, r3, nearest_half(spec.ad2_extinction, math.inf)
+        index.append(best)
+    return tuple(index)
 
 
-#: The T1 terms the check compares, ``(color, (s, j, l), four-photon basis)``.
-_T1_TERMS = tuple((c, split, b) for c in Color for split, b, _ in heralding_terms(T1_CHANNEL, c))
+#: The T1 terms the check compares, ``(four-photon basis, color, (s, j,
+#: l))`` with s, j and l the signal channels' positions in the source-row
+#: entries (:func:`_source_amplitudes`), Red's :data:`_RED_TERMS` first.
+_T1_TERMS = tuple(
+    (b, c, tuple(3 + SIGNAL_CHANNELS.index(ch) for ch in split))
+    for c in Color
+    for split, b, _ in heralding_terms(T1_CHANNEL, c)
+)
+_RED_TERMS = len(SIGNAL_CHANNELS)  # one per signal split
 
 
 def _agrees(engine: float, reference, scale: float) -> bool:
@@ -491,27 +497,27 @@ def _check_on_fock(spec: SweepSpec, index: tuple[int, ...], entries, value: floa
     axes = (spec.r1, spec.r2, spec.r3, spec.ad2_extinction)
     cell = tuple(axis[i] for axis, i in zip(axes, index))
     circuit = canonical_w_circuit(*cell[:3], ad2_extinction=cell[3])
-    state = apply_mode_transform(_TWO_PAIRS, build_transform(circuit))
-    signal = dict(zip(SIGNAL_CHANNELS, entries[3:]))  # both colors share them
-    compared = []
-    for color, (s, j, l), basis in _T1_TERMS:
-        engine = heralding_amplitude(entries[color], signal[s], signal[j], signal[l])
-        compared.append((color, basis, engine, state.amplitude(basis)))
-    amplitudes, m = _scaled([(color, fock) for color, _, _, fock in compared])
-    red = [a for color, a in amplitudes if color is Color.RED]
-    weight = sum(abs(a) ** 2 for _, a in amplitudes)  # 0 only with no nonzero amplitude
+    amplitude = apply_mode_transform(_TWO_PAIRS, build_transform(circuit)).amplitude
+    fock = [(basis, amplitude(basis)) for basis, _, _ in _T1_TERMS]
+    scaled, m = _scaled(fock)
+    squares = [abs(a) ** 2 for _, a in scaled]
+    weight = sum(squares)  # 0 only with no nonzero amplitude
     if spec.metric == "herald_probability":
-        metric = math.ldexp(sum(abs(a) ** 2 for a in red), -2 * m)
+        metric = math.ldexp(sum(squares[:_RED_TERMS]), -2 * m)
     else:
-        metric = abs(sum(red)) ** 2 / 3.0 / weight if weight else 0.0
+        metric = abs(sum(a for _, a in scaled[:_RED_TERMS])) ** 2 / 3.0 / weight if weight else 0.0
     # the largest part below 2**-1022, the normal floats, or none at all
     if (not weight or m >= 1022) and entries[0] and all(entries[3:]):
         raise ParamOutOfRange(f"the T1 amplitudes of cell {cell} underflow on the Fock engine")
     unit = math.ldexp(1.0, -m)  # the largest Fock part lies in [unit / 2, unit)
-    checks = [(basis, engine, fock, unit) for _, basis, engine, fock in compared]
-    for what, engine, fock, scale in [*checks, (spec.metric, value, metric, metric)]:
-        if not _agrees(engine, fock, scale):
+    checks = [  # both colors share the signal entries
+        (basis, heralding_amplitude(entries[color], entries[s], entries[j], entries[l]), reference, unit)
+        for (basis, color, (s, j, l)), (_, reference) in zip(_T1_TERMS, fock)
+    ]
+    checks.append((spec.metric, value, metric, metric))
+    for what, engine, reference, scale in checks:
+        if not _agrees(engine, reference, scale):
             raise RuntimeError(
                 f"row engine disagrees with the Fock engine at cell {cell} on {what}: "
-                f"{engine!r} against {fock!r}"
+                f"{engine!r} against {reference!r}"
             )

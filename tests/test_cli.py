@@ -875,6 +875,29 @@ def test_a_phase_on_a_herald_detector_keeps_the_herald_numbers(tmp_path, capsys)
         assert numbers == pytest.approx(original, rel=1e-12, abs=0)
 
 
+def test_a_phase_on_a_herald_detector_of_random_canonical_devices(tmp_path, capsys):
+    # The same relation drawn from 20 seeded canonical devices, each written
+    # as a circuit file with its coupler phases, router extinction and a
+    # complex beta.
+    from wchip.circuit import SOURCE_CHANNEL, T1_CHANNEL, T2_CHANNEL, canonical_w_circuit, circuit_to_json_dict
+    from wchip.elements import SourceSpec
+
+    for seed in range(20):
+        rng = random.Random(seed)
+        r = [rng.uniform(0.05, 0.95) for _ in range(3)]
+        phi = [rng.uniform(-math.pi, math.pi) for _ in range(3)]
+        spec = canonical_w_circuit(*r, *phi, ad2_extinction=rng.uniform(0.01, 0.5))
+        beta = cmath.rect(rng.uniform(0.01, 0.4), rng.uniform(-math.pi, math.pi))
+        doc = circuit_to_json_dict(spec, SourceSpec(SOURCE_CHANNEL, beta))
+        assert "phases" not in doc  # the canonical device has none
+        original = _herald_numbers(tmp_path, capsys, doc)
+        assert len(original) == 6
+        phases = [0.0] * len(doc["channels"])
+        phases[rng.choice((T1_CHANNEL, T2_CHANNEL))] = rng.uniform(-math.pi, math.pi)
+        numbers = _herald_numbers(tmp_path, capsys, {**doc, "phases": phases})
+        assert numbers == pytest.approx(original, rel=1e-12, abs=0)
+
+
 def _with_circuit_file(tmp_path, doc):
     """`doc`, with a ``"source"`` entry moved into a circuit file's source."""
     if "source" not in doc:

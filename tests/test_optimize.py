@@ -875,36 +875,47 @@ class TestInRunCheck:
     tracer counts them."""
 
     @staticmethod
-    def _count(monkeypatch, *names):
-        calls = dict.fromkeys(names, 0)
+    def _record(monkeypatch, *names):
+        """The arguments ``(args, kwargs)`` of each call of each named
+        function of ``wchip.optimize``, in call order."""
+        calls = {name: [] for name in names}
         for name in names:
             original = getattr(wchip.optimize, name)
 
-            def counted(*args, name=name, original=original):
-                calls[name] += 1
-                return original(*args)
+            def recorded(*args, _calls=calls[name], _original=original, **kwargs):
+                _calls.append((args, kwargs))
+                return _original(*args, **kwargs)
 
-            monkeypatch.setattr(wchip.optimize, name, counted)
+            monkeypatch.setattr(wchip.optimize, name, recorded)
         return calls
 
     @pytest.mark.parametrize("cap", [1, wchip.optimize._SCAN_SLAB_CELLS, 10**6])
     @pytest.mark.parametrize("metric", ["herald_probability", "w_fidelity"])
     def test_each_sweep_propagates_one_cell(self, monkeypatch, cap, metric):
+        # Each sweep builds the device of its own checked cell and propagates
+        # it, also when the same grid ran before: a Fock reference kept from
+        # an earlier call would check nothing.
         monkeypatch.setattr(wchip.optimize, "_SCAN_SLAB_CELLS", cap)
-        calls = self._count(monkeypatch, "build_transform", "apply_mode_transform")
+        names = ("canonical_w_circuit", "build_transform", "apply_mode_transform")
+        calls = self._record(monkeypatch, *names)
         axis = tuple(np.linspace(0.05, 0.95, 21).tolist())
-        spec = SweepSpec(axis, axis, (0.7,), (0.0, 0.01, 0.1), metric=metric)
-        for expected in (1, 2):
+        wide = SweepSpec(axis, axis, (0.7,), (0.0, 0.01, 0.1), metric=metric)
+        small = SweepSpec((0.2, 0.45, 0.6), (0.3, 0.55), (0.35,), (0.02, 0.3), metric=metric)
+        assert _checked(wide) == (axis[10], axis[10], 0.7, 0.1)
+        assert _checked(small) == (0.45, 0.55, 0.35, 0.3)
+        for count, spec in enumerate((wide, small, wide, small), 1):
             sweep(spec)
-            assert calls == {"build_transform": expected, "apply_mode_transform": expected}
+            assert [len(calls[name]) for name in names] == [count] * 3
+            r1, r2, r3, extinction = _checked(spec)
+            assert calls["canonical_w_circuit"][-1] == ((r1, r2, r3), {"ad2_extinction": extinction})
 
     @pytest.mark.parametrize("cap", [1, wchip.optimize._SCAN_SLAB_CELLS, 10**6])
     @pytest.mark.parametrize("grid_step", [GRID_STEP, 0.1])
     def test_each_maximize_calls_the_objective_once(self, monkeypatch, cap, grid_step):
         monkeypatch.setattr(wchip.optimize, "_SCAN_SLAB_CELLS", cap)
-        calls = self._count(monkeypatch, "herald_objective")
+        calls = self._record(monkeypatch, "herald_objective")
         maximize(grid_step=grid_step)
-        assert calls == {"herald_objective": 1}
+        assert len(calls["herald_objective"]) == 1
 
 
 def _bits(rows):
