@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import json
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -36,7 +35,7 @@ from .elements import (
     coupler_transform,
     source_state,
 )
-from .errors import ParamOutOfRange, UnknownMode, ValidationError
+from .errors import ParamOutOfRange, UnknownMode, ValidationError, parse_channel, parse_integer, parse_number, parse_numbers
 from .fock import Color, ModeLabel, ModeTransform, PureState, _identity, apply_mode_transform
 
 #: Channel registry of the canonical device; index = position in this tuple.
@@ -72,12 +71,12 @@ _CROSSING = next(DirectionalCoupler(chans, 1.0) for chans, k in CANONICAL_COUPLE
 class CircuitSpec:
     """Channel registry, ordered element list, and terminal path phases.
 
-    The registry's names are distinct, and each detector name of
-    :data:`CANONICAL_CHANNELS` ("2", "3", "4", "T1", "T2") it holds sits at
-    its index there (2-6), where the engines read that detector; other
-    names may sit anywhere.  ``phases`` is either empty (all zero) or one
-    phase per registered channel, applied to both colors after every
-    element; the canonical device keeps them at zero because the
+    The registry is a tuple or list of distinct name strings.  Each detector
+    name of :data:`CANONICAL_CHANNELS` ("2", "3", "4", "T1", "T2") it holds
+    sits at its index there (2-6), where the engines read that detector;
+    other names may sit anywhere.  ``phases`` is either empty (all zero) or
+    one finite real phase per registered channel, applied to both colors
+    after every element; the canonical device keeps them at zero because the
     interesting phases sit on the coupler cross terms.
     """
 
@@ -86,9 +85,12 @@ class CircuitSpec:
     phases: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "channels", tuple(map(str, self.channels)))
+        names = tuple(self.channels) if isinstance(self.channels, (list, tuple)) else None
+        if names is None or not all(isinstance(name, str) for name in names):
+            raise ValidationError(f"field 'channels': expected name strings, got {self.channels!r}")
+        object.__setattr__(self, "channels", names)
         object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "phases", tuple(map(float, self.phases)))
+        object.__setattr__(self, "phases", parse_numbers(self.phases, "phases"))
         self.validate()
 
     def validate(self) -> None:
@@ -96,7 +98,7 @@ class CircuitSpec:
             raise ValidationError("channel registry is empty")
         index = dict(zip(self.channels, range(len(self.channels))))
         if len(index) != len(self.channels):
-            raise ValidationError("channel registry has duplicate names")
+            raise ValidationError(f"field 'channels': duplicate names in {list(self.channels)!r}")
         for name, k in _DETECTORS:
             if index.get(name, k) != k:
                 raise ValidationError(f"field 'channels': detector channel {name!r} must sit at position {k}, not {index[name]}")
@@ -108,17 +110,11 @@ class CircuitSpec:
                 refs = (el.input_channel, el.through_channel, el.drop_channel)
             else:
                 raise ValidationError(f"element {k}: unsupported type {type(el).__name__}")
-            if min(refs) < 0 or max(refs) >= n:
-                bad = [ch for ch in refs if not 0 <= ch < n]
-                raise ValidationError(
-                    f"element {k} ({type(el).__name__}): unregistered channel(s) {bad}"
-                )
+            bad = [ch for ch in refs if ch >= n]  # an element's channels are never negative
+            if bad:
+                raise ValidationError(f"element {k} ({type(el).__name__}): unregistered channel(s) {bad}")
         if self.phases and len(self.phases) != n:
-            raise ValidationError(
-                f"phases must be empty or one per channel ({n}), got {len(self.phases)}"
-            )
-        if not all(map(math.isfinite, self.phases)):
-            raise ValidationError(f"phases must be finite, got {self.phases}")
+            raise ValidationError(f"phases must be empty or one per channel ({n}), got {len(self.phases)}")
 
 
 @lru_cache(maxsize=16)
@@ -181,10 +177,11 @@ def canonical_w_circuit(
 def transfer_rows(spec: CircuitSpec, channel: int) -> tuple[list[complex], list[complex]]:
     """Row `channel` of the Red and of the Blue transfer matrix of `spec`,
     read from ``build_transform(spec).matrix``: entry j of each is the entry
-    from that color's mode on `channel` to its mode on channel j (no element
-    mixes colors, so the other color's columns hold 0)."""
+    from that color's mode on `channel` (an index) to its mode on channel j
+    (no element mixes colors, so the other color's columns hold 0)."""
+    channel = parse_channel(channel)
     n = len(spec.channels)
-    if not 0 <= channel < n:
+    if channel >= n:
         raise UnknownMode(f"channel {channel} absent from the circuit's {n} channels")
     matrix = build_transform(spec).matrix
     # the modes of one color are every second column (see _mode_table)
@@ -209,29 +206,6 @@ def propagate(src: SourceSpec, spec: CircuitSpec) -> PureState:
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
-
-
-def parse_number(value, field: str) -> float:
-    """A finite JSON number as a float; a boolean, a string or ``null`` is a
-    :class:`ValidationError` naming ``field``."""
-    number = math.nan
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer past the float range
-            pass
-    if not math.isfinite(number):
-        raise ValidationError(f"field {field!r}: expected a finite number, got {value!r}")
-    return number
-
-
-def parse_integer(value, field: str) -> int:
-    """A JSON integer, or a float with an integral value, as an int."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"field {field!r}: expected an integer, got {value!r}")
-    return value
 
 
 def parse_complex(value, field: str) -> complex:
@@ -284,15 +258,6 @@ def _list(value, field: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(f"field {field!r}: expected a list, got {value!r}")
     return value
-
-
-def _registry(value, field: str) -> list[str]:
-    names = _list(value, field)
-    if not all(isinstance(name, str) for name in names):
-        raise ValidationError(f"field {field!r}: expected name strings, got {names!r}")
-    if len(set(names)) != len(names):
-        raise ValidationError(f"field {field!r}: duplicate names in {names!r}")
-    return names
 
 
 #: A router's resonant color as a circuit file names it, indexed by color.
@@ -379,12 +344,13 @@ def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
     registry's names.  The registry keeps :class:`CircuitSpec`'s detector
     positions."""
     top = _object(doc, {
-        "channels": (_registry, _REQUIRED),
+        "channels": (_list, _REQUIRED),
         "elements": (_list, ()),
-        "phases": (lambda value, field: [parse_number(p, field) for p in _list(value, field)], ()),
+        "phases": (_list, ()),
         "source": (lambda value, field: value, None),  # read once the registry is known
     }, "")
-    index = {name: k for k, name in enumerate(top["channels"])}
+    registry = CircuitSpec(top["channels"], (), top["phases"])  # its names and phases first
+    index = {name: k for k, name in enumerate(registry.channels)}
 
     def channel(label, field: str) -> int:
         if not isinstance(label, str):
@@ -407,7 +373,7 @@ def circuit_from_json_dict(doc: dict) -> tuple[CircuitSpec, SourceSpec | None]:
         fields = {key: value for key, value in entry.items() if key != "type"}
         elements.append(_read(_ELEMENT_TYPES[kind], fields, f"element {k}", reads))
     source = _read(SourceSpec, top["source"], "source", reads) if "source" in doc else None
-    return CircuitSpec(top["channels"], elements, top["phases"]), source
+    return CircuitSpec(registry.channels, elements, registry.phases), source
 
 
 def load_circuit(path) -> tuple[CircuitSpec, SourceSpec | None]:

@@ -42,8 +42,6 @@ from .circuit import (
     canonical_w_circuit,
     load_circuit,
     parse_complex,
-    parse_integer,
-    parse_number,
     propagate,
     read_json,
     transfer_rows,
@@ -58,6 +56,7 @@ from .errors import (
     ValidationError,
     WchipError,
 )
+from .errors import parse_integer, parse_number, parse_numbers
 from .fock import PureState, basis_from_pattern
 from .herald import Branch, coincidence_distribution, herald, herald_rows, rho_biseparable, rho_incoherent, w_fidelity, w_state
 from .optimize import GRID_BOUNDS, GRID_STEP, SweepSpec, SweepTable, check_cell_count, maximize, sweep
@@ -95,7 +94,7 @@ def _threshold(value, field: str) -> float:
 def _bounds(value, field: str) -> tuple[float, float]:
     if not (isinstance(value, list) and len(value) == 2):
         raise ValidationError(f"field {field!r}: expected [lo, hi], got {value!r}")
-    return tuple(parse_number(bound, field) for bound in value)
+    return parse_numbers(value, field)
 
 
 def _axis(value, field: str):
@@ -109,9 +108,7 @@ def _axis(value, field: str):
             return 1, lambda: (start,)
         step = (stop - start) / (num - 1)
         return num, lambda: (*(start + k * step for k in range(num - 1)), stop)
-    values = tuple(
-        parse_number(v, field) for v in (value if isinstance(value, (list, tuple)) else (value,))
-    )
+    values = parse_numbers(value if isinstance(value, (list, tuple)) else (value,), field)
     return len(values), lambda: values
 
 

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import KW_ONLY, dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ChannelCollision, OrderOutOfRange, ParamOutOfRange
+from .errors import ChannelCollision, OrderOutOfRange, ParamOutOfRange, parse_amplitude, parse_channel, parse_member, parse_number
 from .fock import Color, FockBasisState, ModeLabel, ModeTransform, PureState
 
 _COLORS = tuple(Color)  # iterating the enum class is slow
@@ -35,19 +34,6 @@ _COLORS = tuple(Color)  # iterating the enum class is slow
 #: 1.4 kB, so the two memos full hold about 0.7 MB; random devices miss
 #: every time and fill them, which is why they must stay small.
 MEMO_SIZE = 256
-
-
-def _channel(value) -> int:
-    """A channel index: an int or a numpy integer, not a bool, never negative."""
-    try:
-        channel = operator.index(value)
-    except TypeError:
-        channel = None
-    if channel is None or isinstance(value, bool):
-        raise ParamOutOfRange(f"channel index must be an integer, got {value!r}")
-    if channel < 0:
-        raise ParamOutOfRange(f"channel index must be non-negative, got {channel}")
-    return channel
 
 
 @dataclass(frozen=True)
@@ -66,7 +52,7 @@ class DirectionalCoupler:
     carries the conjugate phase and a sign, which is what unitarity requires
     for arbitrary ``phi`` (for ``phi = +-pi/2`` the matrix is symmetric).
     The matrix satisfies exchange symmetry: swapping the two channels equals
-    transposing it.
+    transposing it.  Each argument is read as :mod:`wchip.errors` states.
     """
 
     channels: tuple[int, int]
@@ -75,15 +61,15 @@ class DirectionalCoupler:
     phi: float = 0.0
 
     def __post_init__(self):
-        a, b = map(_channel, self.channels)
+        a, b = map(parse_channel, self.channels)
         if a == b:
             raise ChannelCollision(f"coupler needs two distinct channels, got {a}")
         object.__setattr__(self, "channels", (a, b))
-        r = float(self.r) + 0.0  # -0.0 reads as 0.0
+        r = parse_number(self.r, "r", finite=False) + 0.0  # -0.0 reads as 0.0
         if not 0.0 <= r <= 1.0:
             raise ParamOutOfRange(f"reflectivity must lie in [0, 1], got {r}")
         object.__setattr__(self, "r", r)
-        phi = float(self.phi) + 0.0
+        phi = parse_number(self.phi, "phi", finite=False) + 0.0
         if not math.isfinite(phi):
             raise ParamOutOfRange(f"phase phi must be finite, got {phi}")
         object.__setattr__(self, "phi", phi)
@@ -101,6 +87,7 @@ class AddDropFilter:
     to the through port instead of the drop port (0 = ideal router, 1 =
     filter disabled).  The unused reverse direction (drop -> input) is
     completed unitarily; that port is never fed in the circuits built here.
+    Each argument is read as :mod:`wchip.errors` states.
     """
 
     input_channel: int
@@ -110,14 +97,14 @@ class AddDropFilter:
     extinction: float = 0.0
 
     def __post_init__(self):
-        chans = tuple(map(_channel, (self.input_channel, self.through_channel, self.drop_channel)))
+        chans = tuple(map(parse_channel, (self.input_channel, self.through_channel, self.drop_channel)))
         if len(set(chans)) != 3:
             raise ChannelCollision(f"add-drop channels must be distinct, got {chans}")
         object.__setattr__(self, "input_channel", chans[0])
         object.__setattr__(self, "through_channel", chans[1])
         object.__setattr__(self, "drop_channel", chans[2])
-        object.__setattr__(self, "resonant_color", Color(self.resonant_color))
-        eps = float(self.extinction) + 0.0
+        parse_member(self.resonant_color, Color, "resonant_color")
+        eps = parse_number(self.extinction, "extinction", finite=False) + 0.0
         if not 0.0 <= eps <= 1.0:
             raise ParamOutOfRange(f"extinction must lie in [0, 1], got {eps}")
         object.__setattr__(self, "extinction", eps)
@@ -126,17 +113,16 @@ class AddDropFilter:
 @dataclass(frozen=True)
 class SourceSpec:
     """Pair source in one channel: emits correlated (Blue, Red) photon pairs
-    with amplitude ``beta`` per pair, expanded to ``max_order`` pairs."""
+    with amplitude ``beta`` per pair (a number, not a string or a ``bool``),
+    expanded to ``max_order`` pairs."""
 
     channel: int
     beta: complex
     max_order: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "channel", _channel(self.channel))
-        beta = complex(self.beta)
-        if not cmath.isfinite(beta):
-            raise ParamOutOfRange(f"beta must be finite, got {beta}")
+        object.__setattr__(self, "channel", parse_channel(self.channel))
+        beta = parse_amplitude(self.beta, "beta")
         # Parts first: abs() overflows on finite parts near the float limit.
         if max(abs(beta.real), abs(beta.imag)) > 1.0 or abs(beta) > 1.0:
             raise ParamOutOfRange(f"|beta|**2 must not exceed 1, got beta = {beta}")
@@ -256,9 +242,9 @@ def source_state(src: SourceSpec) -> PureState:
 
 
 def two_pair_state(channel: int) -> PureState:
-    """The normalized double-emission component |2_B, 2_R> on one channel.
+    """The normalized double-emission component |2_B, 2_R> on one channel index.
 
     Heralding probabilities are conditioned on this event, so propagating it
     directly gives the conditional statistics without carrying beta around.
     """
-    return PureState({_pair_basis(int(channel), 2): 1.0})
+    return PureState({_pair_basis(parse_channel(channel), 2): 1.0})

@@ -33,12 +33,10 @@ of converting and re-inserting every term.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from numbers import Number
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -48,12 +46,12 @@ from .errors import (
     DimensionMismatch,
     EmptyState,
     NotUnitary,
-    ParamOutOfRange,
     PatternMismatch,
     TooManyPhotons,
     UnknownMode,
     ValidationError,
 )
+from .errors import parse_amplitude, parse_channel
 
 #: Unitarity violations beyond this raise :class:`NotUnitary`.
 UNITARY_TOL = 1e-9
@@ -182,7 +180,8 @@ class PureState:
 
     Takes a mapping of :class:`FockBasisState` to a number (not a ``bool``
     or ``str``), else raises :class:`ValidationError`; a non-finite amplitude
-    raises :class:`ParamOutOfRange`.  Exact-zero terms are dropped.
+    raises :class:`ParamOutOfRange` (:func:`~wchip.errors.parse_amplitude`).
+    Exact-zero terms are dropped.
     """
 
     __slots__ = ("_terms",)
@@ -192,14 +191,9 @@ class PureState:
             raise ValidationError(f"expected a mapping of FockBasisState to amplitude, got {terms!r}")
         self._terms: dict[FockBasisState, complex] = {}
         for b, a in terms.items():
-            if not isinstance(b, FockBasisState) or isinstance(a, bool) or not isinstance(a, Number):
+            if not isinstance(b, FockBasisState):
                 raise ValidationError(f"expected a FockBasisState: number term, got {b!r}: {a!r}")
-            try:
-                a = complex(a)
-            except OverflowError:  # an int or a Fraction past the float range
-                raise ParamOutOfRange(f"amplitude of {b!r} overflows a float") from None
-            if not cmath.isfinite(a):
-                raise ParamOutOfRange(f"amplitude of {b!r} must be finite, got {a}")
+            a = parse_amplitude(a, b)
             if a:
                 self._terms[b] = a
 
@@ -437,14 +431,14 @@ def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureStat
 def reduce_to_channels(state: PureState, keep: Iterable[int]):
     """Exact reduced density matrix of three kept channels.
 
-    Channels outside `keep` are traced out.  Every term must hold exactly one
-    photon in each kept channel, and the kept-channel color content must lie
-    in the {BBR, BRB, RBB} span of :class:`~wchip.density.ThreePhotonRho`.
-    The result has unit trace.
+    Channels outside `keep` (channel indices) are traced out.  Every term must
+    hold exactly one photon in each kept channel, and the kept-channel color
+    content must lie in the {BBR, BRB, RBB} span of
+    :class:`~wchip.density.ThreePhotonRho`.  The result has unit trace.
 
     Raises :class:`DimensionMismatch` when the photon content does not fit.
     """
-    keep = tuple(sorted({int(c) for c in keep}))
+    keep = tuple(sorted({parse_channel(c) for c in keep}))
     if len(keep) != 3:
         raise DimensionMismatch(f"can reduce to 3 channels, got {len(keep)}")
     nsq = state.norm_sq()

@@ -33,7 +33,7 @@ import numpy as np
 from .circuit import SIGNAL_CHANNELS, T1_CHANNEL, T2_CHANNEL, check_double_pair
 from .density import BASIS_THREE, ThreePhotonRho
 from .elements import SourceSpec
-from .errors import EmptyState, NotNormalized, ParamOutOfRange
+from .errors import EmptyState, NotNormalized, ParamOutOfRange, parse_member
 from .fock import Color, FockBasisState, ModeLabel, PureState, basis_from_pattern, color_pattern, inner_product
 
 _NORM_TOL = 1e-9
@@ -43,7 +43,8 @@ COLOR_PATTERNS = tuple("".join(p) for p in itertools.product("BR", repeat=3))
 
 
 class Branch(Enum):
-    """Herald detector: T1 catches the Red herald, T2 the Blue one."""
+    """Herald detector: T1 catches the Red herald, T2 the Blue one.  A
+    function that takes a branch takes a member, not "T1" or "T2"."""
 
     T1 = "T1"
     T2 = "T2"
@@ -113,7 +114,7 @@ _ROW_WIDTH = 1 + max(*SIGNAL_CHANNELS, T1_CHANNEL, T2_CHANNEL)
 def w_state(branch: Branch) -> PureState:
     """The reference W state of the branch on the signal channels, its
     terms in the order BBR, BRB, RBB on T1 (RRB, RBR, BRR on T2)."""
-    color, h, _ = _ROW_TERMS[Branch(branch)]
+    color, h, _ = _ROW_TERMS[parse_member(branch, Branch, "branch")]
     amp = 1.0 / math.sqrt(3.0)
     return PureState({signal: amp for _, _, signal in reversed(heralding_terms(h, color))})
 
@@ -149,7 +150,7 @@ def herald(state: PureState, branch: Branch) -> HeraldResult:
     below the normal floats is summed again on rescaled amplitudes; a four-photon
     one (|beta| under about 1e-77) raises :class:`ParamOutOfRange`.
     """
-    branch = Branch(branch)
+    branch = parse_member(branch, Branch, "branch")
     four_sq = 0.0
     branch_terms: dict[Branch, list] = {Branch.T1: [], Branch.T2: []}
     branch_sq = {Branch.T1: 0.0, Branch.T2: 0.0}
@@ -246,7 +247,7 @@ def w_fidelity(state3: PureState, target: Branch) -> float:
     nsq = state3.norm_sq()
     if abs(nsq - 1.0) > _NORM_TOL:
         raise NotNormalized(f"state norm**2 = {nsq:.12g}, expected 1")
-    overlap = inner_product(_W_STATES[Branch(target)], state3)
+    overlap = inner_product(_W_STATES[parse_member(target, Branch, "target")], state3)
     return min(1.0, abs(overlap) ** 2)
 
 

@@ -53,10 +53,9 @@ from .circuit import (
     T1_CHANNEL,
     build_transform,
     canonical_w_circuit,
-    parse_integer,
 )
 from .elements import adddrop_block, transmission, two_pair_state
-from .errors import GridTooLarge, ParamOutOfRange, ValidationError
+from .errors import GridTooLarge, ParamOutOfRange, ValidationError, parse_integer, parse_number, parse_numbers
 from .fock import Color, apply_mode_transform
 from .herald import Branch, _scaled, herald, heralding_amplitude, heralding_terms
 
@@ -287,12 +286,16 @@ def maximize(
     across the simplex agree to 1e-14 only once the simplex is about 1e-7
     wide; ``fatol`` therefore decides when the search ends for any `tol`
     above that, and `tol` of 1e-2, 1e-4 and 1e-6 return the same point.
+    `tol`, `grid_step` and the pair `grid_bounds` are real numbers.
     """
+    tol = parse_number(tol, "tol", finite=False)
+    grid_step = parse_number(grid_step, "grid_step", finite=False)
+    bounds = parse_numbers(grid_bounds, "grid_bounds", finite=False)
+    lo, hi = bounds if len(bounds) == 2 else (math.nan, math.nan)  # a third bound fails below
     if not tol > 0.0:
         raise ParamOutOfRange(f"tol must be positive, got {tol}")
     if not 0.0 < grid_step < 0.5:
         raise ParamOutOfRange(f"grid_step must lie in (0, 0.5), got {grid_step}")
-    lo, hi = (float(grid_bounds[0]), float(grid_bounds[1]))
     if not 0.0 <= lo < hi <= 1.0:
         raise ParamOutOfRange(f"grid bounds must satisfy 0 <= lo < hi <= 1, got {grid_bounds}")
     # The axis stops at the last point not past hi; the tolerance keeps a
@@ -321,7 +324,7 @@ def maximize(
     candidate = minimize(
         lambda x: -_herald_probability(_source_amplitudes(*x)),
         _initial_simplex(best, grid_step),
-        xatol=float(tol),
+        xatol=tol,
         fatol=1e-14,
         maxiter=2000,
     )
@@ -353,7 +356,7 @@ def _initial_simplex(center: Sequence[float], scale: float) -> list[list[float]]
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Cartesian parameter grid and the metric to evaluate on each cell."""
+    """Cartesian grid of real-number axes and the metric to evaluate on each cell."""
 
     r1: tuple[float, ...]
     r2: tuple[float, ...]
@@ -364,7 +367,7 @@ class SweepSpec:
 
     def __post_init__(self):
         for name in ("r1", "r2", "r3", "ad2_extinction"):
-            vals = tuple(float(v) for v in getattr(self, name))
+            vals = parse_numbers(getattr(self, name), name, finite=False)
             if not vals:
                 raise ValidationError(f"sweep axis {name} is empty")
             if any(not (v == 0.0 or sys.float_info.min <= v <= 1.0) for v in vals):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .circuit import SIGNAL_CHANNELS
 from .density import _PSD_TOL, BASIS_THREE, ThreePhotonRho, trace_distance
-from .errors import DiagonalsNotUniform, InvalidRho, ParamOutOfRange, ValidationError
+from .errors import DiagonalsNotUniform, InvalidRho, ParamOutOfRange, ValidationError, parse_integer, parse_number
 from .fock import Color, PureState, reduce_to_channels
 from .herald import rho_biseparable, rho_incoherent
 
@@ -62,7 +62,7 @@ def _fnv1a64(label: str) -> int:
 
 def setting_seed(seed: int, label: str) -> int:
     """Per-setting derived seed: ``seed XOR fnv1a64(label)``."""
-    return (int(seed) ^ _fnv1a64(label)) & 0xFFFFFFFFFFFFFFFF
+    return (seed ^ _fnv1a64(label)) & 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -150,10 +150,13 @@ def run_tomography(
     derived from `seed`.  Counting statistics deviating from the uniform 1/3
     diagonals by more than `diag_threshold` raise
     :class:`~wchip.errors.DiagonalsNotUniform`.
+    `shots` and `seed` are counts (100.0 is 100) and `diag_threshold` a number.
     """
     rho_true = _exact_rho(source)
+    seed = parse_integer(seed, "seed")
+    diag_threshold = parse_number(diag_threshold, "diag_threshold")
     if shots is not None:
-        shots = int(shots)
+        shots = parse_integer(shots, "shots")
         if shots < 1:
             raise ParamOutOfRange(f"shots must be >= 1, got {shots}")
 
@@ -167,10 +170,10 @@ def run_tomography(
         freqs = tuple(float(c) / shots for c in counts)
     diagonal_frequencies = dict(zip(BASIS_THREE, freqs))
     deviation = max(abs(f - 1.0 / 3.0) for f in freqs)
-    if deviation > float(diag_threshold):
+    if deviation > diag_threshold:
         raise DiagonalsNotUniform(
             "counting statistics deviate from uniform thirds by "
-            f"{deviation:.4f} (threshold {float(diag_threshold)}); observed "
+            f"{deviation:.4f} (threshold {diag_threshold}); observed "
             + ", ".join(f"{k}={v:.4f}" for k, v in diagonal_frequencies.items())
         )
 
@@ -221,7 +224,7 @@ def run_tomography(
         diagonal_frequencies=diagonal_frequencies,
         records=tuple(records),
         shots=shots,
-        seed=None if shots is None else int(seed),
+        seed=None if shots is None else seed,
     )
 
 
@@ -248,12 +251,13 @@ _RHO_S, _RHO_B = rho_incoherent(), rho_biseparable()
 
 def discriminate(rho: ThreePhotonRho, *, threshold: float = 0.9) -> DiscriminationReport:
     """Compare a reconstructed matrix against the W projector and the two
-    counterexample mixtures; flags W-consistency at fidelity > threshold."""
+    counterexample mixtures; flags W-consistency at fidelity > threshold (a number)."""
+    threshold = parse_number(threshold, "threshold")
     fid = rho.fidelity_w()
     return DiscriminationReport(
         fidelity_w=fid,
         trace_distance_to_rho_s=trace_distance(rho, _RHO_S),
         trace_distance_to_rho_b=trace_distance(rho, _RHO_B),
-        w_consistent=bool(fid > float(threshold)),
-        threshold=float(threshold),
+        w_consistent=fid > threshold,
+        threshold=threshold,
     )

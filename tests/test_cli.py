@@ -898,6 +898,21 @@ def test_a_phase_on_a_herald_detector_of_random_canonical_devices(tmp_path, caps
         assert numbers == pytest.approx(original, rel=1e-12, abs=0)
 
 
+def test_a_phase_on_every_registry_channel_keeps_the_herald_numbers(tmp_path, capsys):
+    # Registry phases act after the last element, and each heralding term of
+    # a branch holds one photon on its herald channel h and one on each
+    # signal channel, so every term of the branch gains the same factor
+    # e^{i(phi_h + phi_2 + phi_3 + phi_4)}: a global phase, which no herald
+    # number sees beyond rounding (not byte for byte).
+    doc = _golden_device()
+    original = _herald_numbers(tmp_path, capsys, doc)
+    for seed in range(20):
+        rng = random.Random(seed)
+        phases = [rng.uniform(-math.pi, math.pi) for _ in doc["channels"]]
+        numbers = _herald_numbers(tmp_path, capsys, {**doc, "phases": phases})
+        assert numbers == pytest.approx(original, rel=1e-12, abs=0)
+
+
 def _with_circuit_file(tmp_path, doc):
     """`doc`, with a ``"source"`` entry moved into a circuit file's source."""
     if "source" not in doc:
@@ -1200,6 +1215,25 @@ def test_readme_config_block_lists_every_key():
     block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
     documented = set(re.findall(r'"(\w+)"\s*:', block))
     assert documented == {*_FIELDS, *_CANONICAL, *_SWEEP, *_RANGE}
+
+
+def test_readme_library_example_prints_what_it_says(capsys):
+    # the one user-facing code no other test runs; it calls three entry
+    # points whose arguments are read by the wchip.errors readers
+    import ast
+    import itertools
+    from pathlib import Path
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    probability, distribution, coefficients = capsys.readouterr().out.splitlines()
+    assert float(probability) == pytest.approx(3 / 64, rel=0, abs=1e-15)
+    distribution = ast.literal_eval(distribution)
+    assert sorted(distribution) == sorted(map("".join, itertools.product("BR", repeat=3)))
+    for pattern, p in distribution.items():
+        assert p == pytest.approx(1 / 3 if pattern in ("BBR", "BRB", "RBB") else 0.0, rel=0, abs=1e-15)
+    assert coefficients == "{'a': 0.333, 'b': 0.333, 'c': 0.333}"
 
 
 def test_blocks_are_read_through_wrapped_functions(monkeypatch, capsys, sim_config):
