@@ -35,7 +35,7 @@ from .elements import (
     coupler_transform,
     source_state,
 )
-from .errors import ParamOutOfRange, UnknownMode, ValidationError, parse_channel, parse_integer, parse_number, parse_numbers
+from .errors import ParamOutOfRange, ValidationError, parse_channel, parse_integer, parse_number, parse_numbers
 from .fock import Color, ModeLabel, ModeTransform, PureState, _identity, apply_mode_transform
 
 #: Channel registry of the canonical device; index = position in this tuple.
@@ -89,6 +89,8 @@ class CircuitSpec:
         if names is None or not all(isinstance(name, str) for name in names):
             raise ValidationError(f"field 'channels': expected name strings, got {self.channels!r}")
         object.__setattr__(self, "channels", names)
+        if not isinstance(self.elements, (list, tuple)):
+            raise ValidationError(f"field 'elements': expected a sequence of elements, got {self.elements!r}")
         object.__setattr__(self, "elements", tuple(self.elements))
         object.__setattr__(self, "phases", parse_numbers(self.phases, "phases"))
         self.validate()
@@ -182,7 +184,7 @@ def transfer_rows(spec: CircuitSpec, channel: int) -> tuple[list[complex], list[
     channel = parse_channel(channel)
     n = len(spec.channels)
     if channel >= n:
-        raise UnknownMode(f"channel {channel} absent from the circuit's {n} channels")
+        raise ValidationError(f"channel {channel} absent from the circuit's {n} channels")
     matrix = build_transform(spec).matrix
     # the modes of one color are every second column (see _mode_table)
     return tuple(matrix[len(Color) * channel + color, color :: len(Color)].tolist() for color in Color)

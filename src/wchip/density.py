@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidRho
+from .errors import ValidationError
 
 BASIS_THREE = ("BBR", "BRB", "RBB")
 
@@ -38,15 +38,15 @@ class ThreePhotonRho:
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (3, 3):
-            raise DimensionMismatch(f"expected a 3x3 matrix, got {mat.shape}")
+            raise ValidationError(f"expected a 3x3 matrix, got {mat.shape}")
         if not np.isfinite(mat).all():
-            raise InvalidRho("matrix entries must be finite")
+            raise ValidationError("matrix entries must be finite")
         herm = float(np.max(np.abs(mat - mat.conj().T)))
         if herm > _HERM_TOL:
-            raise InvalidRho(f"matrix is not Hermitian (max deviation {herm:.3g})")
+            raise ValidationError(f"matrix is not Hermitian (max deviation {herm:.3g})")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > _TRACE_TOL:
-            raise InvalidRho(f"trace must be 1, got {tr:.12g}")
+            raise ValidationError(f"trace must be 1, got {tr:.12g}")
         mat = 0.5 * (mat + mat.conj().T)  # symmetrize float noise below tolerance
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ChannelCollision, OrderOutOfRange, ParamOutOfRange, parse_amplitude, parse_channel, parse_member, parse_number
+from .errors import ParamOutOfRange, ValidationError, parse_amplitude, parse_channel, parse_integer, parse_member, parse_number
 from .fock import Color, FockBasisState, ModeLabel, ModeTransform, PureState
 
 _COLORS = tuple(Color)  # iterating the enum class is slow
@@ -61,9 +61,11 @@ class DirectionalCoupler:
     phi: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.channels, (list, tuple)) or len(self.channels) != 2:
+            raise ValidationError(f"field 'channels': expected 2 channel indices, got {self.channels!r}")
         a, b = map(parse_channel, self.channels)
         if a == b:
-            raise ChannelCollision(f"coupler needs two distinct channels, got {a}")
+            raise ValidationError(f"coupler needs two distinct channels, got {a}")
         object.__setattr__(self, "channels", (a, b))
         r = parse_number(self.r, "r", finite=False) + 0.0  # -0.0 reads as 0.0
         if not 0.0 <= r <= 1.0:
@@ -99,7 +101,7 @@ class AddDropFilter:
     def __post_init__(self):
         chans = tuple(map(parse_channel, (self.input_channel, self.through_channel, self.drop_channel)))
         if len(set(chans)) != 3:
-            raise ChannelCollision(f"add-drop channels must be distinct, got {chans}")
+            raise ValidationError(f"add-drop channels must be distinct, got {chans}")
         object.__setattr__(self, "input_channel", chans[0])
         object.__setattr__(self, "through_channel", chans[1])
         object.__setattr__(self, "drop_channel", chans[2])
@@ -114,7 +116,7 @@ class AddDropFilter:
 class SourceSpec:
     """Pair source in one channel: emits correlated (Blue, Red) photon pairs
     with amplitude ``beta`` per pair (a number, not a string or a ``bool``),
-    expanded to ``max_order`` pairs."""
+    expanded to ``max_order`` pairs (a count: 0, 1 or 2)."""
 
     channel: int
     beta: complex
@@ -127,9 +129,10 @@ class SourceSpec:
         if max(abs(beta.real), abs(beta.imag)) > 1.0 or abs(beta) > 1.0:
             raise ParamOutOfRange(f"|beta|**2 must not exceed 1, got beta = {beta}")
         object.__setattr__(self, "beta", beta)
-        if isinstance(self.max_order, bool) or self.max_order not in (0, 1, 2):
-            raise OrderOutOfRange(f"max_order must be 0, 1 or 2, got {self.max_order!r}")
-        object.__setattr__(self, "max_order", int(self.max_order))
+        max_order = parse_integer(self.max_order, "max_order")
+        if max_order not in (0, 1, 2):
+            raise ParamOutOfRange(f"max_order must be 0, 1 or 2, got {self.max_order!r}")
+        object.__setattr__(self, "max_order", max_order)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 kinds of argument.
 
 Everything raised on purpose derives from :class:`WchipError`, so callers
-(and the CLI driver) can distinguish simulator errors from genuine bugs.
-Each public constructor and entry point reads every argument as the config
-reader does, by the reader of its kind below (real number, count, channel
-index, amplitude, enum member; a channel name is a ``str``), so a value in
-a second form, such as a numeric string or a ``bool``, is a named error.
+(and the CLI driver) can distinguish simulator errors from genuine bugs.  A
+number or count outside its documented domain raises
+:class:`ParamOutOfRange`, and any other refused input
+:class:`ValidationError`.  Each public constructor and entry point reads
+every argument as the config reader does, by the reader of its kind below
+(real number, count, channel index, amplitude, enum member; a channel name
+is a ``str``), so a value in a second form, such as a numeric string or a
+``bool``, is a named error.
 """
 
 import cmath
@@ -19,56 +22,12 @@ class WchipError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class UnknownMode(WchipError):
-    """A populated optical mode is missing from a transform's mode list."""
-
-
-class TooManyPhotons(WchipError):
-    """A basis term holds more photons than the sparse Fock engine's
-    sqrt-factorial table and expansion keys are sized for."""
-
-
-class EmptyState(WchipError):
-    """An operation that needs a nonzero-norm state received a zero state."""
-
-
-class DimensionMismatch(WchipError):
-    """Matrix/mode-list dimensions disagree, or photon content does not fit
-    the requested reduced-matrix type."""
-
-
-class NotUnitary(WchipError):
-    """A transform fails the unitarity check or holds a non-finite entry."""
-
-
-class ChannelCollision(WchipError):
-    """An element references the same channel twice."""
-
-
-class OrderOutOfRange(WchipError):
-    """Source expansion order outside the supported {0, 1, 2}."""
-
-
 class ParamOutOfRange(WchipError):
-    """A numeric parameter lies outside its documented domain."""
+    """A number or count lies outside its documented domain."""
 
 
 class ValidationError(WchipError):
-    """A composite spec (circuit, sweep, record) failed validation."""
-
-
-class PatternMismatch(WchipError):
-    """State photon content is incompatible with the requested pattern
-    operation (e.g. coincidence statistics need one photon per channel)."""
-
-
-class NotNormalized(WchipError):
-    """A state that must be normalized is not (beyond 1e-9)."""
-
-
-class InvalidRho(WchipError):
-    """A density matrix has a non-finite entry or violates hermiticity,
-    trace, or positivity bounds."""
+    """An input refused for a reason other than a number out of its domain."""
 
 
 class DiagonalsNotUniform(WchipError):
@@ -106,12 +65,17 @@ def parse_numbers(values, field: str, *, finite: bool = True) -> tuple[float, ..
 
 
 def parse_integer(value, field: str) -> int:
-    """A count: an integer, or a float with an integral value, as an int."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+    """A count: an integer, or a real number with an integral value, as an
+    int; a ``bool`` is neither."""
+    count = None
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            count = int(value)
+        except (OverflowError, ValueError):  # an infinity or a NaN
+            pass
+    if count is None or count != value:
         raise ValidationError(f"field {field!r}: expected an integer, got {value!r}")
-    return operator.index(value)
+    return count
 
 
 def parse_channel(value) -> int:

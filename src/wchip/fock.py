@@ -43,21 +43,16 @@ import numpy as np
 
 from .density import BASIS_THREE, ThreePhotonRho
 from .errors import (
-    DimensionMismatch,
-    EmptyState,
-    NotUnitary,
-    PatternMismatch,
-    TooManyPhotons,
-    UnknownMode,
+    ParamOutOfRange,
     ValidationError,
 )
 from .errors import parse_amplitude, parse_channel
 
-#: Unitarity violations beyond this raise :class:`NotUnitary`.
+#: Unitarity violations beyond this raise :class:`ValidationError`.
 UNITARY_TOL = 1e-9
 
 #: Most photons one basis term may hold in :func:`apply_mode_transform`;
-#: more raise :class:`TooManyPhotons`.  Every output occupation of a term is
+#: more raise :class:`ParamOutOfRange`.  Every output occupation of a term is
 #: at most its photon count, so this also bounds the expansion key fields.
 MAX_PHOTONS = 32
 
@@ -149,12 +144,12 @@ def color_pattern(basis: FockBasisState, channels: Sequence[int]) -> str:
     """Color string (e.g. ``"BBR"``) of a basis term with exactly one photon
     in each of the given channels and nothing anywhere else.
 
-    Raises :class:`PatternMismatch` when the photon content differs.
+    Raises :class:`ValidationError` when the photon content differs.
     """
     # a doubled photon or a channel holding both colors shrinks by_channel
     by_channel = {mode.channel: mode.color for mode, count in basis if count == 1}
     if not len(basis) == len(channels) == len(by_channel) or not by_channel.keys() >= set(channels):
-        raise PatternMismatch(
+        raise ValidationError(
             f"expected one photon in each of channels {tuple(channels)}, got {basis!r}"
         )
     return "".join(by_channel[ch].letter for ch in channels)
@@ -163,10 +158,10 @@ def color_pattern(basis: FockBasisState, channels: Sequence[int]) -> str:
 def basis_from_pattern(pattern: str, channels: Sequence[int]) -> FockBasisState:
     """Inverse of :func:`color_pattern`: one photon per channel, colors from
     the letters ``"B"`` and ``"R"``; any other letter, or a pattern whose
-    length differs from the channel count, raises :class:`PatternMismatch`."""
+    length differs from the channel count, raises :class:`ValidationError`."""
     colors = {color.letter: color for color in Color}
     if len(pattern) != len(channels) or not set(pattern) <= colors.keys():
-        raise PatternMismatch(f"pattern {pattern!r} is not one B or R per channel of {channels}")
+        raise ValidationError(f"pattern {pattern!r} is not one B or R per channel of {channels}")
     return FockBasisState((ModeLabel(ch, colors[letter]), 1) for ch, letter in zip(channels, pattern))
 
 
@@ -249,7 +244,7 @@ class ModeTransform:
 
     The rows must be orthonormal (unitary matrix); deviations beyond
     :data:`UNITARY_TOL`, and any NaN or infinite entry, raise
-    :class:`NotUnitary`.
+    :class:`ValidationError`.
     """
 
     modes: tuple[ModeLabel, ...]
@@ -258,17 +253,17 @@ class ModeTransform:
     def __post_init__(self):
         modes = tuple(self.modes)
         if len(set(modes)) != len(modes):
-            raise DimensionMismatch("duplicate modes in transform mode list")
+            raise ValidationError("duplicate modes in transform mode list")
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatch(f"transform matrix must be square, got {mat.shape}")
+            raise ValidationError(f"transform matrix must be square, got {mat.shape}")
         if mat.shape[0] != len(modes):
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"matrix size {mat.shape[0]} does not match {len(modes)} modes"
             )
         # Before the Gram product, which would warn on a NaN or an infinity.
         if not np.isfinite(mat).all():
-            raise NotUnitary("transform matrix holds a non-finite entry")
+            raise ValidationError("transform matrix holds a non-finite entry")
         if list(modes) != sorted(modes):
             order = sorted(range(len(modes)), key=modes.__getitem__)
             mat = mat[np.ix_(order, order)]
@@ -277,7 +272,7 @@ class ModeTransform:
         object.__setattr__(self, "matrix", mat)
         dev = self.unitarity_deviation()
         if not dev <= UNITARY_TOL:
-            raise NotUnitary(f"transform deviates from unitarity by {dev:.3g}")
+            raise ValidationError(f"transform deviates from unitarity by {dev:.3g}")
 
     def unitarity_deviation(self) -> float:
         m = self.matrix
@@ -368,9 +363,9 @@ def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureStat
     the rows of the input modes it meets.  The norm is preserved; output
     amplitudes that cancel to exactly zero are dropped.
 
-    Raises :class:`UnknownMode` when the state occupies a mode the transform
-    does not list, and :class:`TooManyPhotons` for a term with more than
-    :data:`MAX_PHOTONS` photons.
+    Raises :class:`ValidationError` when the state occupies a mode the
+    transform does not list, and :class:`ParamOutOfRange` for a term with
+    more than :data:`MAX_PHOTONS` photons.
     """
     matrix = transform.matrix
     modes = transform.modes
@@ -390,13 +385,13 @@ def apply_mode_transform(state: PureState, transform: ModeTransform) -> PureStat
             row = rows.get(mode)
             if row is None:
                 if mode not in modes:
-                    raise UnknownMode(f"state occupies mode {mode} absent from transform")
+                    raise ValidationError(f"state occupies mode {mode} absent from transform")
                 full = matrix[modes.index(mode)].tolist()
                 cols = tuple(j for j, u in enumerate(full) if u)
                 row = rows[mode] = cols, [full[j] for j in cols]
             photons += count
             if photons > MAX_PHOTONS:
-                raise TooManyPhotons(
+                raise ParamOutOfRange(
                     f"term {basis!r} holds more than {MAX_PHOTONS} photons"
                 )
             shape.append((row[0], count))
@@ -436,25 +431,22 @@ def reduce_to_channels(state: PureState, keep: Iterable[int]):
     content must lie in the {BBR, BRB, RBB} span of
     :class:`~wchip.density.ThreePhotonRho`.  The result has unit trace.
 
-    Raises :class:`DimensionMismatch` when the photon content does not fit.
+    Raises :class:`ValidationError` when the photon content does not fit.
     """
     keep = tuple(sorted({parse_channel(c) for c in keep}))
     if len(keep) != 3:
-        raise DimensionMismatch(f"can reduce to 3 channels, got {len(keep)}")
+        raise ValidationError(f"can reduce to 3 channels, got {len(keep)}")
     nsq = state.norm_sq()
     if nsq <= 0.0:
-        raise EmptyState("cannot reduce a zero-norm state")
+        raise ValidationError("cannot reduce a zero-norm state")
     index = {p: i for i, p in enumerate(BASIS_THREE)}
     blocks: dict[FockBasisState, np.ndarray] = {}
     for basis, amp in state._terms.items():
         kept_part, env_part = basis.split(keep)
-        try:
-            pattern = color_pattern(kept_part, keep)
-        except PatternMismatch as exc:
-            raise DimensionMismatch(str(exc)) from None
+        pattern = color_pattern(kept_part, keep)
         i = index.get(pattern)
         if i is None:
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"color pattern {pattern!r} outside the {'/'.join(BASIS_THREE)} span"
             )
         vec = blocks.get(env_part)

@@ -33,7 +33,7 @@ import numpy as np
 from .circuit import SIGNAL_CHANNELS, T1_CHANNEL, T2_CHANNEL, check_double_pair
 from .density import BASIS_THREE, ThreePhotonRho
 from .elements import SourceSpec
-from .errors import EmptyState, NotNormalized, ParamOutOfRange, parse_member
+from .errors import ParamOutOfRange, ValidationError, parse_member
 from .fock import Color, FockBasisState, ModeLabel, PureState, basis_from_pattern, color_pattern, inner_product
 
 _NORM_TOL = 1e-9
@@ -246,7 +246,7 @@ def w_fidelity(state3: PureState, target: Branch) -> float:
     """|<W_target|state3>|**2 for a normalized state on channels (2, 3, 4)."""
     nsq = state3.norm_sq()
     if abs(nsq - 1.0) > _NORM_TOL:
-        raise NotNormalized(f"state norm**2 = {nsq:.12g}, expected 1")
+        raise ValidationError(f"state norm**2 = {nsq:.12g}, expected 1")
     overlap = inner_product(_W_STATES[parse_member(target, Branch, "target")], state3)
     return min(1.0, abs(overlap) ** 2)
 
@@ -255,7 +255,7 @@ def coincidence_distribution(state3: PureState) -> dict[str, float]:
     """Threefold coincidence probabilities over the 8 color patterns.
 
     Requires exactly one photon in each of channels 2, 3, 4 (raises
-    :class:`~wchip.errors.PatternMismatch` otherwise); probabilities sum
+    :class:`~wchip.errors.ValidationError` otherwise); probabilities sum
     to one.
     """
     amp_sq = {
@@ -264,7 +264,7 @@ def coincidence_distribution(state3: PureState) -> dict[str, float]:
     }
     total = sum(amp_sq.values())
     if total <= 0.0:
-        raise EmptyState("cannot build coincidence statistics of a zero state")
+        raise ValidationError("cannot build coincidence statistics of a zero state")
     dist = dict.fromkeys(COLOR_PATTERNS, 0.0)
     for pattern, p in amp_sq.items():
         dist[pattern] = p / total

@@ -31,7 +31,7 @@ import numpy as np
 
 from .circuit import SIGNAL_CHANNELS
 from .density import _PSD_TOL, BASIS_THREE, ThreePhotonRho, trace_distance
-from .errors import DiagonalsNotUniform, InvalidRho, ParamOutOfRange, ValidationError, parse_integer, parse_number
+from .errors import DiagonalsNotUniform, ParamOutOfRange, ValidationError, parse_integer, parse_number
 from .fock import Color, PureState, reduce_to_channels
 from .herald import rho_biseparable, rho_incoherent
 
@@ -186,11 +186,11 @@ def run_tomography(
         m = rho_true.matrix[np.ix_(block, block)]
         tr = float(np.real(np.trace(m)))
         if tr <= 1e-12:
-            raise InvalidRho(f"no population with a blue photon in channel {channel}")
+            raise ValidationError(f"no population with a blue photon in channel {channel}")
         m = m / tr
         min_eig = float(np.linalg.eigvalsh(m)[0])
         if not min_eig >= -_PSD_TOL:
-            raise InvalidRho(f"pair matrix has eigenvalue {min_eig:.3g} below tolerance")
+            raise ValidationError(f"pair matrix has eigenvalue {min_eig:.3g} below tolerance")
         half = 0.5 * float(np.real(m[0, 0] + m[1, 1]))
         freqs_by_phase: list[float] = []
         ses: list[float] = []

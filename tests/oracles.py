@@ -144,7 +144,7 @@ def tuple_key_apply_mode_transform(state, transform):
     sorted union of the rows' output columns, and every output basis state
     is rebuilt from its key.  Same arithmetic in the same order as
     :func:`wchip.fock.apply_mode_transform`, so the two agree bit for bit."""
-    from wchip.errors import UnknownMode
+    from wchip.errors import ValidationError
     from wchip.fock import FockBasisState, PureState
 
     sqf = tuple(math.sqrt(math.factorial(k)) for k in range(33))
@@ -166,7 +166,7 @@ def tuple_key_apply_mode_transform(state, transform):
         for mode, count in basis:
             i = mode_pos.get(mode)
             if i is None:
-                raise UnknownMode(f"state occupies mode {mode} absent from transform")
+                raise ValidationError(f"state occupies mode {mode} absent from transform")
             row = rows[i]
             row_list.append((row, count))
             denom *= sqf[count]
@@ -217,9 +217,9 @@ def _lifted(amps: list) -> list:
 def split_w_fidelity_colorblind(state, t1_channel=5, signal_channels=(2, 3, 4)):
     """The colour-blind W fidelity as first written: each term is split
     into its T1 and signal parts and classified with ``color_pattern``,
-    rejected terms through a raised ``PatternMismatch``.  Same accumulation
+    rejected terms through a raised ``ValidationError``.  Same accumulation
     order and rescaling as :func:`w_fidelity_colorblind`."""
-    from wchip.errors import PatternMismatch
+    from wchip.errors import ValidationError
     from wchip.fock import color_pattern
 
     counted = []
@@ -231,7 +231,7 @@ def split_w_fidelity_colorblind(state, t1_channel=5, signal_channels=(2, 3, 4)):
             continue
         try:
             pattern = color_pattern(signal_part, signal_channels)
-        except PatternMismatch:
+        except ValidationError:
             continue
         counted.append((t1_part[0][0].color, pattern in ("BBR", "BRB", "RBB"), amp))
     return _colorblind_ratio(counted)
@@ -529,20 +529,20 @@ def per_term_dict_herald(state, branch, signal_channels=(2, 3, 4), t1_channel=5,
 def looped_color_pattern(basis, channels) -> str:
     """``wchip.fock.color_pattern`` before its checks were merged: photon by
     photon, raising on the first doubled photon or repeated channel."""
-    from wchip.errors import PatternMismatch
+    from wchip.errors import ValidationError
 
     message = f"expected one photon in each of channels {tuple(channels)}, got {basis!r}"
     if len(basis) != len(channels):
-        raise PatternMismatch(message)
+        raise ValidationError(message)
     by_channel = {}
     for mode, count in basis:
         if count != 1 or mode.channel in by_channel:
-            raise PatternMismatch(message)
+            raise ValidationError(message)
         by_channel[mode.channel] = mode.color
     try:
         return "".join(by_channel[ch].letter for ch in channels)
     except KeyError:
-        raise PatternMismatch(message) from None
+        raise ValidationError(message) from None
 
 
 def numpy_coupler_block(r, t, phi=0.0):
@@ -616,7 +616,7 @@ def eager_apply_mode_transform(state, transform):
     constructor: all rows are built up front, and the output goes through
     ``PureState.__init__``.  Same arithmetic in the same order as
     :func:`wchip.fock.apply_mode_transform`."""
-    from wchip.errors import UnknownMode
+    from wchip.errors import ValidationError
     from wchip.fock import FockBasisState, PureState, _output_basis
 
     sqf = tuple(math.sqrt(math.factorial(k)) for k in range(33))
@@ -633,7 +633,7 @@ def eager_apply_mode_transform(state, transform):
         for mode, count in basis:
             i = mode_pos.get(mode)
             if i is None:
-                raise UnknownMode(f"state occupies mode {mode} absent from transform")
+                raise ValidationError(f"state occupies mode {mode} absent from transform")
             row_list.append((rows[i], count))
             denom *= sqf[count]
         poly = {0: amp / denom}
@@ -840,7 +840,7 @@ def pair_rho_run_tomography(source, shots=None, seed=0, *, diag_threshold=0.02):
     expressions, seeds and clip, so the two agree bit for bit."""
     from wchip.circuit import SIGNAL_CHANNELS
     from wchip.density import BASIS_THREE, ThreePhotonRho
-    from wchip.errors import DiagonalsNotUniform, InvalidRho, ParamOutOfRange
+    from wchip.errors import DiagonalsNotUniform, ParamOutOfRange, ValidationError
     from wchip.fock import Color
     from wchip.tomography import (
         CoefficientEstimate,
@@ -857,7 +857,7 @@ def pair_rho_run_tomography(source, shots=None, seed=0, *, diag_threshold=0.02):
         block = rho.matrix[np.ix_((i, j), (i, j))]
         tr = float(np.real(np.trace(block)))
         if tr <= 1e-12:
-            raise InvalidRho(f"no population with a blue photon in channel {SIGNAL_CHANNELS[k]}")
+            raise ValidationError(f"no population with a blue photon in channel {SIGNAL_CHANNELS[k]}")
         mat = block / tr
         assert float(np.max(np.abs(mat - mat.conj().T))) <= 1e-12
         assert abs(complex(np.trace(mat)) - 1.0) <= 1e-9
@@ -866,7 +866,7 @@ def pair_rho_run_tomography(source, shots=None, seed=0, *, diag_threshold=0.02):
     def setting_probabilities(m, phase):
         min_eig = float(np.linalg.eigvalsh(m)[0])
         if not min_eig >= -1e-9:
-            raise InvalidRho(f"pair matrix has eigenvalue {min_eig:.3g} below tolerance")
+            raise ValidationError(f"pair matrix has eigenvalue {min_eig:.3g} below tolerance")
         half = 0.5 * float(np.real(m[0, 0] + m[1, 1]))
         coh = float(np.real(np.exp(1j * float(phase)) * m[0, 1]))
         return (half + coh, half - coh)

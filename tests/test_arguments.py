@@ -12,10 +12,14 @@ failed with a bare ``TypeError``, ``ValueError`` or ``IndexError``.
 """
 
 import math
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import wchip.errors
 from wchip import (
     AddDropFilter,
     Branch,
@@ -24,6 +28,7 @@ from wchip import (
     DirectionalCoupler,
     SourceSpec,
     SweepSpec,
+    ValidationError,
     WchipError,
     apply_mode_transform,
     build_transform,
@@ -55,7 +60,7 @@ def _sampled(arguments):
 
 #: Each site as a call of the one argument under test, and its wrong forms.
 _SITES = {
-    "run_tomography-shots": (_sampled(lambda v: {"shots": v}), ["4000", True, 4000.7]),
+    "run_tomography-shots": (_sampled(lambda v: {"shots": v}), ["4000", True, 4000.7, Decimal(4000)]),
     "run_tomography-seed": (_sampled(lambda v: {"seed": v}), ["1", True, None, 1.5]),
     "run_tomography-diag_threshold": (
         lambda v: run_tomography(_W, diag_threshold=v), ["0.9", True, None, math.nan]
@@ -64,12 +69,15 @@ _SITES = {
     "reduce_to_channels-keep": (lambda v: reduce_to_channels(_W, (v, 3, 4)), ["2", True, None, 2.9]),
     "two_pair_state-channel": (two_pair_state, ["0", True, None, 0.9]),
     "transfer_rows-channel": (lambda v: transfer_rows(_SPEC, v), ["0", True, None, 1.5]),
+    "DirectionalCoupler-channels": (lambda v: DirectionalCoupler(v, 0.5), [(0, 1, 2), (0,), 5, None]),
     "DirectionalCoupler-r": (lambda v: DirectionalCoupler((0, 1), v), ["0.5", True, None]),
     "DirectionalCoupler-phi": (lambda v: DirectionalCoupler((0, 1), 0.5, phi=v), ["0.5", True, None]),
     "AddDropFilter-extinction": (lambda v: AddDropFilter(1, 5, 6, Color.BLUE, v), ["0.1", True, None]),
     "AddDropFilter-resonant_color": (lambda v: AddDropFilter(1, 5, 6, v), [1, "Blue", None]),
     "SourceSpec-beta": (lambda v: SourceSpec(0, v), ["0.1", True, None]),
+    "SourceSpec-max_order": (lambda v: SourceSpec(0, 0.1, max_order=v), [2 + 0j, "2", 2.7, True, Decimal(2)]),
     "CircuitSpec-channels": (CircuitSpec, [(0, 1), ("0", 1), (True, "x"), ("x", None), "01", None]),
+    "CircuitSpec-elements": (lambda v: CircuitSpec(("a",), v), [5, None]),
     "CircuitSpec-phases": (
         lambda v: CircuitSpec(("a", "b"), (), v), [("0.1", 0.0), (True, "2"), (None, 0.0), "x", 0.5]
     ),
@@ -136,6 +144,30 @@ def test_counts_take_integral_floats_and_numpy_integers():
         assert (result.shots, result.seed, result.records) == (4000, 1, reference.records)
         assert type(result.shots) is type(result.seed) is int
     assert run_tomography(_W, diag_threshold=1).seed is None
+    # a count is an integer or a real number with an integral value
+    for shots in (np.float32(4000.0), Fraction(4000)):
+        assert run_tomography(_W, shots=shots, seed=1, diag_threshold=1).shots == 4000
+
+
+@pytest.mark.parametrize("shots", [100.7, "4000", True, Decimal(4000), np.float32(4000.5), Fraction(8001, 2)])
+def test_a_count_of_a_second_form_is_refused_by_name(shots):
+    with pytest.raises(ValidationError, match=f"^field 'shots': expected an integer, got {re.escape(repr(shots))}$"):
+        run_tomography(_W, shots=shots, seed=1, diag_threshold=1)
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        pytest.param(lambda: DirectionalCoupler((0, 1, 2), 0.5), "channels", id="three-channels"),
+        pytest.param(lambda: DirectionalCoupler((0,), 0.5), "channels", id="one-channel"),
+        pytest.param(lambda: DirectionalCoupler(5, 0.5), "channels", id="an-int-for-channels"),
+        pytest.param(lambda: CircuitSpec(("a",), 5), "elements", id="an-int-for-elements"),
+        pytest.param(lambda: SourceSpec(0, 0.1, max_order=2 + 0j), "max_order", id="a-complex-max_order"),
+    ],
+)
+def test_a_constructor_names_the_field_it_refuses(call, field):
+    with pytest.raises(ValidationError, match=f"^field {field!r}: expected "):
+        call()
 
 
 def test_amplitudes_take_complex_and_numpy_numbers():
@@ -143,3 +175,14 @@ def test_amplitudes_take_complex_and_numpy_numbers():
         source = SourceSpec(0, beta)
         assert source.beta == complex(beta) and type(source.beta) is complex
     assert SourceSpec(0, np.float64(0.1)) == SourceSpec(0, 0.1) == SourceSpec(0, 0.1 + 0j)
+
+
+def test_every_exception_class_is_public():
+    # a refused input raises a class that a caller can import from wchip
+    classes, pending = [], [WchipError]
+    while pending:
+        classes.append(pending.pop())
+        pending += classes[-1].__subclasses__()
+    assert {cls.__module__ for cls in classes} == {"wchip.errors"}
+    assert {cls.__name__ for cls in classes} <= set(wchip.__all__)
+    assert len(classes) == 6

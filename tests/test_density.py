@@ -7,7 +7,7 @@ import pytest
 
 from wchip.cli import main
 from wchip.density import BASIS_THREE, ThreePhotonRho, trace_distance
-from wchip.errors import DimensionMismatch, InvalidRho
+from wchip.errors import ValidationError
 
 from oracles import rho_b_matrix, w_vector
 
@@ -15,11 +15,11 @@ from oracles import rho_b_matrix, w_vector
 def test_three_photon_rho_validation():
     not_hermitian = np.full((3, 3), 1 / 3)
     not_hermitian[1, 0] = 0.2
-    with pytest.raises(InvalidRho, match="not Hermitian"):
+    with pytest.raises(ValidationError, match="not Hermitian"):
         ThreePhotonRho(not_hermitian)
-    with pytest.raises(InvalidRho, match="trace must be 1"):
+    with pytest.raises(ValidationError, match="trace must be 1"):
         ThreePhotonRho(np.eye(3))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match=r"expected a 3x3 matrix, got \(2, 2\)"):
         ThreePhotonRho(np.eye(2) / 2)
 
 
@@ -33,7 +33,7 @@ def test_three_photon_rho_validation():
     ],
 )
 def test_non_finite_entries_are_invalid(make):
-    with pytest.raises(InvalidRho):
+    with pytest.raises(ValidationError, match="matrix entries must be finite"):
         make()
 
 

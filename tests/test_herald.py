@@ -27,7 +27,7 @@ from wchip.circuit import (
 )
 from wchip.cli import _herald_summary
 from wchip.elements import AddDropFilter, DirectionalCoupler, SourceSpec, two_pair_state
-from wchip.errors import EmptyState, NotNormalized, ParamOutOfRange, UnknownMode
+from wchip.errors import ParamOutOfRange, ValidationError
 from wchip.fock import (
     Color,
     FockBasisState,
@@ -155,7 +155,7 @@ def test_residual_weight_accounts_for_missing_branches():
 
 
 def test_w_fidelity_requires_normalized_input():
-    with pytest.raises(NotNormalized):
+    with pytest.raises(ValidationError, match=r"state norm\*\*2 = 0.25, expected 1"):
         w_fidelity(PureState({b: 0.5 * a for b, a in w_state(Branch.T1).items()}), Branch.T1)
 
 
@@ -173,7 +173,7 @@ class TestCoincidence:
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_state_raises(self):
-        with pytest.raises(EmptyState):
+        with pytest.raises(ValidationError, match="cannot build coincidence statistics of a zero state"):
             coincidence_distribution(PureState({}))
 
     def test_rho_distribution_matches_diagonals(self):
@@ -448,9 +448,9 @@ class TestRowsMatchSparse:
         # a named WchipError from each, never a bare KeyError
         spec = canonical_w_circuit(0.5, 0.5, 0.5)
         source = SourceSpec(channel, 0.1)
-        with pytest.raises(UnknownMode, match=f"channel {channel} absent"):
+        with pytest.raises(ValidationError, match=f"channel {channel} absent"):
             herald_rows(transfer_rows(spec, channel), source)
-        with pytest.raises(UnknownMode, match=f"[RB]{channel} absent"):
+        with pytest.raises(ValidationError, match=f"[RB]{channel} absent"):
             propagate(source, spec)
 
     @settings(max_examples=200)

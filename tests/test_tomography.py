@@ -18,7 +18,7 @@ from wchip.circuit import SIGNAL_CHANNELS, build_transform, canonical_w_circuit
 from wchip.cli import main
 from wchip.density import ThreePhotonRho, trace_distance
 from wchip.elements import two_pair_state
-from wchip.errors import DiagonalsNotUniform, InvalidRho, ParamOutOfRange, ValidationError
+from wchip.errors import DiagonalsNotUniform, ParamOutOfRange, ValidationError
 from wchip.fock import Color, PureState, apply_mode_transform, basis_from_pattern, reduce_to_channels
 from wchip.herald import Branch, herald, rho_biseparable, rho_incoherent, w_state
 from wchip.tomography import discriminate, run_tomography, setting_seed
@@ -77,7 +77,7 @@ def test_setting_probabilities_rejects_unphysical_pair():
     # a pair coherence of 0.4 / (2/3) = 0.6 exceeds the populations 1/2
     bad = ThreePhotonRho.from_offdiagonals(0.4, 0.0, 0.0)
     for shots in (None, 1000):
-        with pytest.raises(InvalidRho, match="eigenvalue -0.1 below"):
+        with pytest.raises(ValidationError, match="eigenvalue -0.1 below"):
             run_tomography(bad, shots=shots, diag_threshold=1.0)
 
 
@@ -117,9 +117,9 @@ def test_condition_on_blue_blocks():
 def test_condition_on_blue_needs_population():
     rho = ThreePhotonRho(np.diag([0.0, 0.0, 1.0]).astype(complex))
     # a blue photon in channel 2 only appears in BBR/BRB, both empty here
-    with pytest.raises(InvalidRho, match="no population with a blue photon in channel 2"):
+    with pytest.raises(ValidationError, match="no population with a blue photon in channel 2"):
         run_tomography(rho, diag_threshold=1.0)
-    with pytest.raises(InvalidRho, match="channel 2"):
+    with pytest.raises(ValidationError, match="no population with a blue photon in channel 2"):
         run_tomography(rho, shots=100, diag_threshold=1.0)
 
 
@@ -127,7 +127,7 @@ def test_block_trace_below_threshold_counts_as_empty():
     # the channel-2 block holds 5e-13 of population: below the 1e-12
     # threshold, so it is empty although its trace is not 0
     rho = ThreePhotonRho(np.diag([2.5e-13, 2.5e-13, 1.0 - 5e-13]).astype(complex))
-    with pytest.raises(InvalidRho, match="no population with a blue photon in channel 2"):
+    with pytest.raises(ValidationError, match="no population with a blue photon in channel 2"):
         run_tomography(rho, shots=None, diag_threshold=1.0)
 
 
@@ -281,7 +281,7 @@ class TestDiagonalGate:
         # even with the gate loosened, a single-pattern product state leaves
         # two conditioned blocks empty and the protocol reports why
         product = PureState({basis_from_pattern("BBR", (2, 3, 4)): 1.0})
-        with pytest.raises(InvalidRho, match="channel 4"):
+        with pytest.raises(ValidationError, match="no population with a blue photon in channel 4"):
             run_tomography(product, diag_threshold=0.7)
 
     def test_sampled_diagonals_pass_near_uniform(self):
